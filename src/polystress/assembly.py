@@ -1,9 +1,12 @@
 """Assembly of the algebraic operators of the PolyDG discretisation.
 
-Two independent assembly paths are kept on purpose: the full tensor-valued
-operator A (and the deviatoric mass M) on one side, and the scalar blocks
-M1, B1, B2, B3 of their Kronecker/block-diagonal structure on the other.
-``kron_structure_check`` compares them entrywise.
+Only the scalar blocks M1, B1, B2, B3 are assembled, batched over all
+elements of one quadrature size and over all faces of one kind (every face
+uses the same Gauss rule), with a single COO scatter per matrix.  The
+tensor operators then follow from their Kronecker structure below.  An
+independent tensor-path assembly, one element and one face at a time over
+all four components, lives in the test suite as the oracle that
+``kron_structure_check`` compares against.
 
 Block conventions, with S = scalar_dofs and dof order (s11, s12, s21, s22):
 M = (mu^-1 K0) kron M1, and A = I_2 kron [[B1, B2^T], [B2, B3]] where
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.io import mmwrite
 
-from .dg_space import COMPONENTS, DGSpace, face_quadrature
+from .dg_space import COMPONENTS, DGSpace, face_rules
 from .mesh import FaceKind, PolyMesh
 from .problems import ProblemData
 
@@ -99,147 +102,114 @@ def penalty(face, alpha: float, p: int, mesh: PolyMesh) -> float:
     return alpha * val
 
 
+def _scatter(dofs: list, blocks: list, n: int) -> list:
+    """One COO scatter per matrix.  ``dofs`` holds (nb, k) local-to-global
+    maps and ``blocks`` the matching (nmat, nb, k, k) local blocks (test
+    index first); returns nmat canonical n x n matrices."""
+    rows = np.concatenate([np.broadcast_to(d[:, :, None], d.shape + d.shape[-1:]).ravel()
+                           for d in dofs])
+    cols = np.concatenate([np.broadcast_to(d[:, None, :], d.shape + d.shape[-1:]).ravel()
+                           for d in dofs])
+    vals = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+    return [finalize(sparse.coo_matrix((v, (rows, cols)), shape=(n, n))) for v in vals]
+
+
 def assemble_mass(space: DGSpace, mu: float = 1.0):
     """Deviatoric mass operator: returns (M1, K, M) with M1 the scalar mass
-    matrix, K the mu-scaled deviatoric factor and M the full operator."""
+    matrix, K the mu-scaled deviatoric factor and M = K kron M1."""
     if mu <= 0.0:
         raise ValueError("viscosity mu must be positive")
     L = space.local_dim
     K = deviatoric_factor() / mu
-
-    rows1, cols1, vals1 = [], [], []
-    rows, cols, vals = [], [], []
-    for e in range(space.n_elements):
-        rule = space.element_rules[e]
-        phi = space.basis_values(e, rule.points)
-        m1e = phi.T @ (rule.weights[:, None] * phi)
-        sidx = space.scalar_index(e) + np.arange(L)
-        rows1.append(np.repeat(sidx, L))
-        cols1.append(np.tile(sidx, L))
-        vals1.append(m1e.ravel())
-        for ct in range(4):
-            for cj in range(4):
-                if K[ct, cj] == 0.0:
-                    continue
-                gr = space.global_index(ct, e) + np.arange(L)
-                gc = space.global_index(cj, e) + np.arange(L)
-                rows.append(np.repeat(gr, L))
-                cols.append(np.tile(gc, L))
-                vals.append(K[ct, cj] * m1e.ravel())
-
-    S = space.scalar_dofs
-    m1 = finalize(sparse.coo_matrix(
-        (np.concatenate(vals1), (np.concatenate(rows1), np.concatenate(cols1))),
-        shape=(S, S)))
-    m = finalize(sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(4 * S, 4 * S)))
+    # the element blocks of M1 are the basis Gram matrices
+    dofs = np.arange(space.scalar_dofs).reshape(space.n_elements, L)
+    m1, = _scatter([dofs], [space.gram[None]], space.scalar_dofs)
+    m = finalize(sparse.kron(K, m1))
     return m1, K, m
 
 
-def _face_sides(space: DGSpace, face, rule):
-    interior = face.kind == FaceKind.INTERIOR
-    elems = [face.plus_element] + ([face.minus_element] if interior else [])
-    signs = [1.0, -1.0][:len(elems)]
-    phis = [space.basis_values(e, rule.points) for e in elems]
-    grads = [space.basis_gradients(e, rule.points) for e in elems]
-    avg = 0.5 if interior else 1.0
-    return elems, signs, phis, grads, avg
+@dataclass(frozen=True)
+class _FaceBatch:
+    """Faces of one kind, all on the same Gauss rule: plus (and, on interior
+    faces, minus) elements (F,), unit normals out of the plus side (F, 2),
+    penalties (F,), points (F, nq, 2) and weights (F, nq)."""
+
+    plus: np.ndarray
+    minus: np.ndarray | None
+    normals: np.ndarray
+    gamma: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+
+
+def _face_batch(space: DGSpace, kind: FaceKind, alpha: float) -> _FaceBatch:
+    mesh = space.mesh
+    faces = [f for f in mesh.faces if f.kind == kind]
+    ends = np.array([f.endpoints for f in faces], dtype=np.int64).reshape(-1, 2)
+    plus = np.array([f.plus_element for f in faces], dtype=np.int64)
+    normals = np.array([f.normal for f in faces], dtype=float).reshape(-1, 2)
+    points, weights = face_rules(mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]],
+                                 space.quad_degree)
+    # batched form of penalty(): alpha p^2 / h, max over the neighbours
+    p2 = space.degree * space.degree
+    gamma = p2 / mesh.element_diameters[plus]
+    minus = None
+    if kind == FaceKind.INTERIOR:
+        minus = np.array([f.minus_element for f in faces], dtype=np.int64)
+        gamma = np.maximum(gamma, p2 / mesh.element_diameters[minus])
+    return _FaceBatch(plus, minus, normals, alpha * gamma, points, weights)
 
 
 def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
     """Broken divergence operator with interior-penalty coupling.
 
-    Returns (B1, B2, B3, A): the scalar blocks of the vector-valued form
-    (assembled on the scalar dof layout) and the full tensor operator A,
-    assembled independently over all four components.
+    Returns (B1, B2, B3, A): the scalar blocks of the vector-valued form,
+    assembled on the scalar dof layout, and A = I_2 kron [[B1, B2^T],
+    [B2, B3]].
     """
-    mesh = space.mesh
     L = space.local_dim
-    S = space.scalar_dofs
-    qd = space.quad_degree
+    span = np.arange(L)
+    dofs, blocks = [], []
 
-    rowsA, colsA, valsA = [], [], []
-    rowsR, colsR, valsR = [], [], []
+    # volume term: the (x, y) slots of the scalar divergence d_x u + d_y v
+    for batch in space.element_batches:
+        _, grad = space.evaluate(batch.elements[:, None], batch.points)
+        gx, gy = grad[..., 0], grad[..., 1]
+        wgx = batch.weights[:, :, None] * gx
+        wgy = batch.weights[:, :, None] * gy
+        gxt, gyt = gx.transpose(0, 2, 1), gy.transpose(0, 2, 1)
+        blocks.append(np.stack([gxt @ wgx, gyt @ wgx, gyt @ wgy]))
+        dofs.append(batch.elements[:, None] * L + span)
 
-    def scatter(buffers, gidx, loc):
-        rows, cols, vals = buffers
-        k = len(gidx)
-        rows.append(np.repeat(gidx, k))
-        cols.append(np.tile(gidx, k))
-        vals.append(loc.reshape(k, k).ravel())
+    # face terms on the side-stacked dofs (plus, then minus on interior
+    # faces): jump phi of the scalar, average gradient, and with
+    # C_c = phi^T W grad_c and P = phi^T W phi the slot blocks
+    # (b, c) = -n_b C_c - n_c C_b^T + gamma n_b n_c P
+    for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN):
+        fb = _face_batch(space, kind, alpha)
+        phi, grad = space.evaluate(fb.plus[:, None], fb.points)
+        fdofs = fb.plus[:, None] * L + span
+        if fb.minus is not None:
+            phi_m, grad_m = space.evaluate(fb.minus[:, None], fb.points)
+            phi = np.concatenate([phi, -phi_m], axis=2)
+            grad = 0.5 * np.concatenate([grad, grad_m], axis=2)
+            fdofs = np.concatenate([fdofs, fb.minus[:, None] * L + span], axis=1)
+        wphit = (fb.weights[:, :, None] * phi).transpose(0, 2, 1)
+        cx, cy, pen = wphit @ grad[..., 0], wphit @ grad[..., 1], wphit @ phi
+        nx = fb.normals[:, 0, None, None]
+        ny = fb.normals[:, 1, None, None]
+        gamma = fb.gamma[:, None, None]
+        cxt, cyt = cx.transpose(0, 2, 1), cy.transpose(0, 2, 1)
+        blocks.append(np.stack([
+            -nx * cx - nx * cxt + gamma * nx * nx * pen,
+            -ny * cx - nx * cyt + gamma * ny * nx * pen,
+            -ny * cy - ny * cyt + gamma * ny * ny * pen]))
+        dofs.append(fdofs)
 
-    for e in range(space.n_elements):
-        rule = space.element_rules[e]
-        w = rule.weights
-        G = space.basis_gradients(e, rule.points)
-
-        # tensor path: div of the (r, d) component basis is the vector
-        # e_r * d_d(phi)
-        DV = np.zeros((len(w), 4, L, 2))
-        for c, (r, d) in enumerate(COMPONENTS):
-            DV[:, c, :, r] = G[:, :, d]
-        loc = np.einsum("q,qbik,qcjk->bicj", w, DV, DV)
-        gidx = np.concatenate([space.global_index(c, e) + np.arange(L)
-                               for c in range(4)])
-        scatter((rowsA, colsA, valsA), gidx, loc)
-
-        # block path: a two-component vector field (x-slot, y-slot) with
-        # scalar divergence d_x(u) + d_y(v)
-        locR = np.einsum("q,qia,qjb->aibj", w, G, G)
-        sidx = np.concatenate([slot * S + space.scalar_index(e) + np.arange(L)
-                               for slot in range(2)])
-        scatter((rowsR, colsR, valsR), sidx, locR)
-
-    p = space.degree
-    for face in mesh.faces:
-        if face.kind == FaceKind.DIRICHLET:
-            continue
-        pts = mesh.face_points(face)
-        rule = face_quadrature(pts[0], pts[1], qd)
-        w = rule.weights
-        n = face.normal
-        gamma = penalty(face, alpha, p, mesh)
-        elems, signs, phis, grads, avg = _face_sides(space, face, rule)
-        ns = len(elems)
-
-        JU = np.zeros((len(w), 4, ns * L, 2))
-        DVa = np.zeros((len(w), 4, ns * L, 2))
-        JUs = np.zeros((len(w), 2, ns * L))
-        DVs = np.zeros((len(w), 2, ns * L))
-        for s in range(ns):
-            sl = slice(s * L, (s + 1) * L)
-            for c, (r, d) in enumerate(COMPONENTS):
-                JU[:, c, sl, r] = phis[s] * n[d] * signs[s]
-                DVa[:, c, sl, r] = grads[s][:, :, d] * avg
-            for slot in range(2):
-                JUs[:, slot, sl] = phis[s] * n[slot] * signs[s]
-                DVs[:, slot, sl] = grads[s][:, :, slot] * avg
-
-        cons = np.einsum("q,qbik,qcjk->bicj", w, JU, DVa)
-        pen = np.einsum("q,qbik,qcjk->bicj", w, JU, JU)
-        loc = -cons - cons.transpose(2, 3, 0, 1) + gamma * pen
-        gidx = np.concatenate([space.global_index(c, e) + np.arange(L)
-                               for c in range(4) for e in elems])
-        scatter((rowsA, colsA, valsA), gidx, loc)
-
-        consR = np.einsum("q,qbi,qcj->bicj", w, JUs, DVs)
-        penR = np.einsum("q,qbi,qcj->bicj", w, JUs, JUs)
-        locR = -consR - consR.transpose(2, 3, 0, 1) + gamma * penR
-        sidx = np.concatenate([slot * S + space.scalar_index(e) + np.arange(L)
-                               for slot in range(2) for e in elems])
-        scatter((rowsR, colsR, valsR), sidx, locR)
-
-    A = finalize(sparse.coo_matrix(
-        (np.concatenate(valsA), (np.concatenate(rowsA), np.concatenate(colsA))),
-        shape=(4 * S, 4 * S)))
-    R = finalize(sparse.coo_matrix(
-        (np.concatenate(valsR), (np.concatenate(rowsR), np.concatenate(colsR))),
-        shape=(2 * S, 2 * S)))
-    b1 = finalize(R[:S, :S])
-    b2 = finalize(R[S:, :S])
-    b3 = finalize(R[S:, S:])
-    return b1, b2, b3, A
+    b1, b2, b3 = _scatter(dofs, blocks, space.scalar_dofs)
+    block = sparse.bmat([[b1, b2.T], [b2, b3]])
+    a = finalize(sparse.kron(sparse.eye(2), block))
+    return b1, b2, b3, a
 
 
 def assemble_system(space: DGSpace, mu: float = 1.0,
@@ -266,40 +236,44 @@ def functional_vector(space: DGSpace, data: ProblemData, t: float,
                       alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Discrete load vector: volume source, Dirichlet divergence datum and
     Nitsche-consistent Neumann traction terms."""
-    mesh = space.mesh
-    L = space.local_dim
-    f = np.zeros(space.total_dofs)
+    # f[c, e, i] in component-major dof order; tensor components flatten
+    # row-major, which is the COMPONENTS order
+    f = np.zeros((4, space.n_elements, space.local_dim))
 
-    for e in range(space.n_elements):
-        rule = space.element_rules[e]
-        phi = space.basis_values(e, rule.points)
-        vals = data.source(rule.points[:, 0], rule.points[:, 1], t)
-        for c, (r, d) in enumerate(COMPONENTS):
-            sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
-            f[sl] += (rule.weights * vals[:, r, d]) @ phi
+    batches = space.element_batches
+    pts = np.concatenate([b.points.reshape(-1, 2) for b in batches])
+    source = data.source(pts[:, 0], pts[:, 1], t).reshape(-1, 4)
+    start = 0
+    for batch in batches:
+        E, nq = batch.weights.shape
+        vals = source[start:start + E * nq].reshape(E, nq, 4)
+        start += E * nq
+        phi, _ = space.evaluate(batch.elements[:, None], batch.points)
+        wvals = batch.weights[:, :, None] * vals
+        f[:, batch.elements] = (wvals.transpose(0, 2, 1) @ phi).transpose(1, 0, 2)
 
-    for face in mesh.faces:
-        if not face.is_boundary:
+    # boundary faces: sum_q w g_r(q) v_d(q) into component (r, d) of the
+    # plus element, with test functions v_d = n_d phi (Dirichlet) and
+    # v_d = gamma n_d phi - d_d phi (Neumann)
+    per_element = f.transpose(1, 0, 2)
+    for kind in (FaceKind.DIRICHLET, FaceKind.NEUMANN):
+        fb = _face_batch(space, kind, alpha)
+        if not len(fb.plus):
             continue
-        pts = mesh.face_points(face)
-        rule = face_quadrature(pts[0], pts[1], space.quad_degree)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        e = face.plus_element
-        phi = space.basis_values(e, rule.points)
-        n = face.normal
-        if face.kind == FaceKind.DIRICHLET:
+        phi, grad = space.evaluate(fb.plus[:, None], fb.points)
+        x, y = fb.points[..., 0].ravel(), fb.points[..., 1].ravel()
+        tests = fb.normals[:, None, :, None] * phi[:, :, None, :]
+        F, nq = fb.weights.shape
+        if kind == FaceKind.DIRICHLET:
             g = data.dirichlet(x, y, t)
-            for c, (r, d) in enumerate(COMPONENTS):
-                sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
-                f[sl] += (rule.weights * g[:, r] * n[d]) @ phi
         else:
-            g = data.neumann(x, y, t, n[0], n[1])
-            gamma = penalty(face, alpha, space.degree, mesh)
-            grad = space.basis_gradients(e, rule.points)
-            for c, (r, d) in enumerate(COMPONENTS):
-                sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
-                f[sl] += (rule.weights * g[:, r]) @ (gamma * phi * n[d] - grad[:, :, d])
-    return f
+            g = data.neumann(x, y, t, np.repeat(fb.normals[:, 0], nq),
+                             np.repeat(fb.normals[:, 1], nq))
+            tests = fb.gamma[:, None, None, None] * tests - grad.transpose(0, 1, 3, 2)
+        wg = fb.weights[:, :, None] * g.reshape(F, nq, 2)
+        load = wg.transpose(0, 2, 1) @ tests.reshape(F, nq, -1)
+        np.add.at(per_element, fb.plus, load.reshape(F, 4, -1))
+    return f.ravel()
 
 
 def assemble_rhs(space: DGSpace, data: ProblemData, t: float,

@@ -7,7 +7,9 @@ orthonormal; on agglomerated polygons the element Gram matrix stays
 well-conditioned SPD but is not the identity, which is what gives the mass
 blocks of the time-step operator their nontrivial spectrum.  Quadrature on
 polygons integrates over the centroid fan with a collapsed tensor Gauss
-rule per triangle.
+rule per triangle.  ``DGSpace.evaluate`` evaluates the basis at points of
+many elements in one call; elements are grouped by quadrature size
+(``ElementBatch``) so that element integrals are batched contractions.
 
 Global scalar dof layout is element-major, ``e * local_dim + i``; the four
 tensor components are stacked component-major on top of it,
@@ -17,6 +19,7 @@ tensor components are stacked component-major on top of it,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -105,18 +108,29 @@ def element_quadrature(polygon: np.ndarray, degree: int) -> QuadratureRule:
     return QuadratureRule(np.vstack(pts), np.concatenate(wts))
 
 
-def face_quadrature(p0, p1, degree: int) -> QuadratureRule:
-    """Gauss rule on the segment p0-p1, exact for degree <= degree; weights
-    sum to the segment length."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.hypot(*(p1 - p0)))
-    if length <= 0.0:
+def face_rules(p0, p1, degree: int):
+    """One Gauss rule per segment p0[f]-p1[f], exact for degree <= degree.
+
+    Returns points (F, nq, 2) and weights (F, nq); each face's weights sum
+    to its length.
+    """
+    p0 = np.asarray(p0, dtype=float).reshape(-1, 2)
+    p1 = np.asarray(p1, dtype=float).reshape(-1, 2)
+    d = p1 - p0
+    length = np.hypot(d[:, 0], d[:, 1])
+    if np.any(length <= 0.0):
         raise ValueError("zero-length face")
     t, w = npleg.leggauss((degree + 2) // 2)
     s = 0.5 * (t + 1.0)
-    pts = p0[None, :] + s[:, None] * (p1 - p0)[None, :]
-    return QuadratureRule(pts, 0.5 * length * w)
+    pts = p0[:, None, :] + s[None, :, None] * d[:, None, :]
+    return pts, 0.5 * length[:, None] * w[None, :]
+
+
+def face_quadrature(p0, p1, degree: int) -> QuadratureRule:
+    """Gauss rule on the segment p0-p1, exact for degree <= degree; weights
+    sum to the segment length."""
+    pts, wts = face_rules(p0, p1, degree)
+    return QuadratureRule(pts[0], wts[0])
 
 
 def _total_degree_exponents(p: int) -> np.ndarray:
@@ -124,17 +138,35 @@ def _total_degree_exponents(p: int) -> np.ndarray:
     return np.array(exps, dtype=np.int64)
 
 
-def _legendre_table(t: np.ndarray, pmax: int):
-    """Values and derivatives of L_0..L_pmax at points t (exact polynomial
-    arithmetic, valid at the interval endpoints)."""
-    V = npleg.legvander(t, pmax)
+@lru_cache(maxsize=None)
+def _legendre_derivative(pmax: int) -> np.ndarray:
+    """Column k holds the Legendre coefficients of L_k'."""
     D = np.zeros((pmax + 1, pmax + 1))
     for k in range(1, pmax + 1):
         c = np.zeros(k + 1)
         c[k] = 1.0
         d = npleg.legder(c)
         D[:len(d), k] = d
-    return V, V @ D
+    D.setflags(write=False)
+    return D
+
+
+def _legendre_table(t: np.ndarray, pmax: int):
+    """Values and derivatives of L_0..L_pmax at points t, shape t.shape +
+    (pmax + 1,) (exact polynomial arithmetic, valid at the interval
+    endpoints)."""
+    V = npleg.legvander(t, pmax)
+    return V, V @ _legendre_derivative(pmax)
+
+
+@dataclass(frozen=True)
+class ElementBatch:
+    """Elements whose quadrature rules have the same number of points:
+    ids (E,), points (E, nq, 2) and weights (E, nq)."""
+
+    elements: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
 
 
 class DGSpace:
@@ -173,41 +205,60 @@ class DGSpace:
 
         self.element_rules = [element_quadrature(mesh.element_points(e), self.quad_degree)
                               for e in range(self.n_elements)]
+        sizes = np.array([len(rule.weights) for rule in self.element_rules])
+        self.element_batches = []
+        for nq in np.unique(sizes):
+            ids = np.flatnonzero(sizes == nq)
+            self.element_batches.append(ElementBatch(
+                ids, np.stack([self.element_rules[e].points for e in ids]),
+                np.stack([self.element_rules[e].weights for e in ids])))
+
+        # element Gram matrices, which are also the diagonal blocks of M1
+        self.gram = np.empty((self.n_elements, self.local_dim, self.local_dim))
+        for batch in self.element_batches:
+            phi, _ = self.evaluate(batch.elements[:, None], batch.points)
+            self.gram[batch.elements] = np.matmul(
+                phi.transpose(0, 2, 1), batch.weights[:, :, None] * phi)
+        self.gram.setflags(write=False)
         self._gram_chol = []
         for e in range(self.n_elements):
-            rule = self.element_rules[e]
-            phi = self.basis_values(e, rule.points)
-            gram = phi.T @ (rule.weights[:, None] * phi)
             try:
-                self._gram_chol.append(scipy.linalg.cho_factor(gram))
+                self._gram_chol.append(scipy.linalg.cho_factor(self.gram[e]))
             except scipy.linalg.LinAlgError as exc:
                 raise ValueError(f"singular basis Gram matrix on element {e}") from exc
 
     # -- basis evaluation ----------------------------------------------------
 
-    def _frame_coords(self, e: int, pts: np.ndarray):
-        cx, cy, sx, sy = self.frames[e]
-        return (pts[:, 0] - cx) / sx, (pts[:, 1] - cy) / sy
+    def evaluate(self, elements, pts: np.ndarray):
+        """Basis values and gradients of the given elements at points.
+
+        ``pts`` has shape (..., 2) and ``elements`` holds one element id per
+        point (broadcast to pts.shape[:-1]), so points of many elements are
+        evaluated in one call.  Returns values (..., local_dim) and
+        gradients (..., local_dim, 2).
+        """
+        pts = np.asarray(pts, dtype=float)
+        elements = np.broadcast_to(elements, pts.shape[:-1])
+        frames = self.frames[elements]
+        sx, sy = frames[..., 2], frames[..., 3]
+        vx, dx = _legendre_table((pts[..., 0] - frames[..., 0]) / sx, self.degree)
+        vy, dy = _legendre_table((pts[..., 1] - frames[..., 1]) / sy, self.degree)
+        a, b = self.exponents[:, 0], self.exponents[:, 1]
+        scales = self._scales[elements]
+        vxa, vyb = vx[..., a], vy[..., b]
+        values = vxa * vyb * scales
+        grads = np.empty(values.shape + (2,))
+        grads[..., 0] = dx[..., a] * vyb * (scales / sx[..., None])
+        grads[..., 1] = vxa * dy[..., b] * (scales / sy[..., None])
+        return values, grads
 
     def basis_values(self, e: int, pts: np.ndarray) -> np.ndarray:
         """Basis values, shape (npts, local_dim)."""
-        xi, eta = self._frame_coords(e, pts)
-        vx, _ = _legendre_table(xi, self.degree)
-        vy, _ = _legendre_table(eta, self.degree)
-        a, b = self.exponents[:, 0], self.exponents[:, 1]
-        return vx[:, a] * vy[:, b] * self._scales[e]
+        return self.evaluate(e, pts)[0]
 
     def basis_gradients(self, e: int, pts: np.ndarray) -> np.ndarray:
         """Basis gradients, shape (npts, local_dim, 2)."""
-        cx, cy, sx, sy = self.frames[e]
-        xi, eta = self._frame_coords(e, pts)
-        vx, dx = _legendre_table(xi, self.degree)
-        vy, dy = _legendre_table(eta, self.degree)
-        a, b = self.exponents[:, 0], self.exponents[:, 1]
-        grad = np.empty((len(pts), self.local_dim, 2))
-        grad[:, :, 0] = dx[:, a] * vy[:, b] * (self._scales[e] / sx)
-        grad[:, :, 1] = vx[:, a] * dy[:, b] * (self._scales[e] / sy)
-        return grad
+        return self.evaluate(e, pts)[1]
 
     def gram_solve(self, e: int, rhs: np.ndarray) -> np.ndarray:
         """Solve with the element Gram matrix (identity on rectangles)."""
@@ -222,9 +273,6 @@ class DGSpace:
     def global_index(self, c: int, e: int, i=None):
         base = c * self.scalar_dofs + e * self.local_dim
         return base if i is None else base + i
-
-    def component_slice(self, c: int) -> slice:
-        return slice(c * self.scalar_dofs, (c + 1) * self.scalar_dofs)
 
     # -- field evaluation -------------------------------------------------------
 

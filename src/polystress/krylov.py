@@ -479,6 +479,10 @@ def _lanczos_extremes(apply_a, n, maxit, tol, seed, apply_m=None, track="both"):
     return lam_min, lam_max, k, converged
 
 
+#: largest operator that ``estimate_condition_number(method="dense")`` accepts
+DENSE_MAX_N = 2000
+
+
 def estimate_condition_number(operator, n: int | None = None, preconditioner=None,
                               tol: float = 1e-3, maxit: int = 800,
                               seed: int = 0, method: str = "auto") -> CondEstimate:
@@ -490,7 +494,7 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
     one-time sparse factorisation (the shift-free recurrence stagnates on
     the near-kernel cluster of the time-step operator), the large end by
     the forward recurrence.  ``method="dense"`` computes both ends exactly
-    (intended for n <= 2000).  Estimates whose extreme Ritz values fail
+    for n <= DENSE_MAX_N (2000).  Estimates whose extreme Ritz values fail
     their residual certificate within maxit are flagged converged=False.
     """
     if n is None:
@@ -510,6 +514,9 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
     if method == "dense":
         if matrix is None:
             raise ValueError("dense estimation needs an explicit matrix")
+        if matrix.shape[0] > DENSE_MAX_N:
+            raise ValueError(f"dense estimation is limited to n <= {DENSE_MAX_N}, "
+                             f"got n = {matrix.shape[0]}")
         ev = scipy.linalg.eigvalsh(matrix.toarray())
         return CondEstimate(kappa=float(ev[-1] / ev[0]), lam_min=float(ev[0]),
                             lam_max=float(ev[-1]), iterations=0, converged=True)

@@ -21,7 +21,8 @@ class ProblemData:
 
     source(x, y, t) -> (npts, 2, 2): tensor source term
     dirichlet(x, y, t) -> (npts, 2): prescribed divergence on the Dirichlet boundary
-    neumann(x, y, t, nx, ny) -> (npts, 2): prescribed traction on the Neumann boundary
+    neumann(x, y, t, nx, ny) -> (npts, 2): prescribed traction on the Neumann
+        boundary; the normal components nx, ny are scalars or per-point arrays
     sigma0(x, y) -> (npts, 2, 2): initial pseudo-stress field
     mu: viscosity (> 0)
     """

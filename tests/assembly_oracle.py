@@ -1,0 +1,193 @@
+"""Independent reference assembly, used as a test oracle.
+
+The library assembles only the scalar blocks M1, B1, B2, B3 in batches and
+forms M and A from their Kronecker structure.  This module assembles the
+same operators the straightforward way, one element and one face at a
+time through ``basis_values``/``basis_gradients``: the full tensor-valued
+M and A over all four components, and the scalar blocks from a
+two-slot vector form.  Comparing the two checks the structure identities
+against an assembly that never uses them.
+"""
+import dataclasses
+
+import numpy as np
+import scipy.sparse as sparse
+
+from polystress import FaceKind, penalty
+from polystress.assembly import deviatoric_factor, finalize
+from polystress.dg_space import COMPONENTS, face_quadrature
+
+
+def _coo(rows, cols, vals, n):
+    return finalize(sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)))
+
+
+def mass(space, mu=1.0):
+    """(M1, M): scalar mass matrix and the tensor mass operator, each
+    assembled element by element."""
+    L = space.local_dim
+    K = deviatoric_factor() / mu
+    rows1, cols1, vals1 = [], [], []
+    rows, cols, vals = [], [], []
+    for e in range(space.n_elements):
+        rule = space.element_rules[e]
+        phi = space.basis_values(e, rule.points)
+        m1e = phi.T @ (rule.weights[:, None] * phi)
+        sidx = space.scalar_index(e) + np.arange(L)
+        rows1.append(np.repeat(sidx, L))
+        cols1.append(np.tile(sidx, L))
+        vals1.append(m1e.ravel())
+        for ct in range(4):
+            for cj in range(4):
+                if K[ct, cj] == 0.0:
+                    continue
+                gr = space.global_index(ct, e) + np.arange(L)
+                gc = space.global_index(cj, e) + np.arange(L)
+                rows.append(np.repeat(gr, L))
+                cols.append(np.tile(gc, L))
+                vals.append(K[ct, cj] * m1e.ravel())
+    S = space.scalar_dofs
+    return _coo(rows1, cols1, vals1, S), _coo(rows, cols, vals, 4 * S)
+
+
+def _face_sides(space, face, rule):
+    interior = face.kind == FaceKind.INTERIOR
+    elems = [face.plus_element] + ([face.minus_element] if interior else [])
+    signs = [1.0, -1.0][:len(elems)]
+    phis = [space.basis_values(e, rule.points) for e in elems]
+    grads = [space.basis_gradients(e, rule.points) for e in elems]
+    avg = 0.5 if interior else 1.0
+    return elems, signs, phis, grads, avg
+
+
+def stiffness(space, alpha):
+    """(B1, B2, B3, A): the scalar blocks from a two-slot vector form and
+    the tensor operator A over all four components, assembled element by
+    element and face by face."""
+    mesh = space.mesh
+    L = space.local_dim
+    S = space.scalar_dofs
+    qd = space.quad_degree
+
+    rowsA, colsA, valsA = [], [], []
+    rowsR, colsR, valsR = [], [], []
+
+    def scatter(buffers, gidx, loc):
+        rows, cols, vals = buffers
+        k = len(gidx)
+        rows.append(np.repeat(gidx, k))
+        cols.append(np.tile(gidx, k))
+        vals.append(loc.reshape(k, k).ravel())
+
+    for e in range(space.n_elements):
+        rule = space.element_rules[e]
+        w = rule.weights
+        G = space.basis_gradients(e, rule.points)
+
+        # tensor path: div of the (r, d) component basis is the vector
+        # e_r * d_d(phi)
+        DV = np.zeros((len(w), 4, L, 2))
+        for c, (r, d) in enumerate(COMPONENTS):
+            DV[:, c, :, r] = G[:, :, d]
+        loc = np.einsum("q,qbik,qcjk->bicj", w, DV, DV)
+        gidx = np.concatenate([space.global_index(c, e) + np.arange(L)
+                               for c in range(4)])
+        scatter((rowsA, colsA, valsA), gidx, loc)
+
+        # block path: a two-component vector field (x-slot, y-slot) with
+        # scalar divergence d_x(u) + d_y(v)
+        locR = np.einsum("q,qia,qjb->aibj", w, G, G)
+        sidx = np.concatenate([slot * S + space.scalar_index(e) + np.arange(L)
+                               for slot in range(2)])
+        scatter((rowsR, colsR, valsR), sidx, locR)
+
+    p = space.degree
+    for face in mesh.faces:
+        if face.kind == FaceKind.DIRICHLET:
+            continue
+        pts = mesh.face_points(face)
+        rule = face_quadrature(pts[0], pts[1], qd)
+        w = rule.weights
+        n = face.normal
+        gamma = penalty(face, alpha, p, mesh)
+        elems, signs, phis, grads, avg = _face_sides(space, face, rule)
+        ns = len(elems)
+
+        JU = np.zeros((len(w), 4, ns * L, 2))
+        DVa = np.zeros((len(w), 4, ns * L, 2))
+        JUs = np.zeros((len(w), 2, ns * L))
+        DVs = np.zeros((len(w), 2, ns * L))
+        for s in range(ns):
+            sl = slice(s * L, (s + 1) * L)
+            for c, (r, d) in enumerate(COMPONENTS):
+                JU[:, c, sl, r] = phis[s] * n[d] * signs[s]
+                DVa[:, c, sl, r] = grads[s][:, :, d] * avg
+            for slot in range(2):
+                JUs[:, slot, sl] = phis[s] * n[slot] * signs[s]
+                DVs[:, slot, sl] = grads[s][:, :, slot] * avg
+
+        cons = np.einsum("q,qbik,qcjk->bicj", w, JU, DVa)
+        pen = np.einsum("q,qbik,qcjk->bicj", w, JU, JU)
+        loc = -cons - cons.transpose(2, 3, 0, 1) + gamma * pen
+        gidx = np.concatenate([space.global_index(c, e) + np.arange(L)
+                               for c in range(4) for e in elems])
+        scatter((rowsA, colsA, valsA), gidx, loc)
+
+        consR = np.einsum("q,qbi,qcj->bicj", w, JUs, DVs)
+        penR = np.einsum("q,qbi,qcj->bicj", w, JUs, JUs)
+        locR = -consR - consR.transpose(2, 3, 0, 1) + gamma * penR
+        sidx = np.concatenate([slot * S + space.scalar_index(e) + np.arange(L)
+                               for slot in range(2) for e in elems])
+        scatter((rowsR, colsR, valsR), sidx, locR)
+
+    A = _coo(rowsA, colsA, valsA, 4 * S)
+    R = _coo(rowsR, colsR, valsR, 2 * S)
+    return finalize(R[:S, :S]), finalize(R[S:, :S]), finalize(R[S:, S:]), A
+
+
+def with_oracle_tensors(system, space):
+    """The system with M and A replaced by their tensor-path assembly, so
+    that ``kron_structure_check`` compares two independent assemblies."""
+    _, m = mass(space, system.mu)
+    *_, a = stiffness(space, system.alpha)
+    return dataclasses.replace(system, m=m, a=a)
+
+
+def functional_vector(space, data, t, alpha):
+    """Load vector, element by element and face by face."""
+    mesh = space.mesh
+    L = space.local_dim
+    f = np.zeros(space.total_dofs)
+
+    for e in range(space.n_elements):
+        rule = space.element_rules[e]
+        phi = space.basis_values(e, rule.points)
+        vals = data.source(rule.points[:, 0], rule.points[:, 1], t)
+        for c, (r, d) in enumerate(COMPONENTS):
+            sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
+            f[sl] += (rule.weights * vals[:, r, d]) @ phi
+
+    for face in mesh.faces:
+        if not face.is_boundary:
+            continue
+        pts = mesh.face_points(face)
+        rule = face_quadrature(pts[0], pts[1], space.quad_degree)
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        e = face.plus_element
+        phi = space.basis_values(e, rule.points)
+        n = face.normal
+        if face.kind == FaceKind.DIRICHLET:
+            g = data.dirichlet(x, y, t)
+            for c, (r, d) in enumerate(COMPONENTS):
+                sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
+                f[sl] += (rule.weights * g[:, r] * n[d]) @ phi
+        else:
+            g = data.neumann(x, y, t, n[0], n[1])
+            gamma = penalty(face, alpha, space.degree, mesh)
+            grad = space.basis_gradients(e, rule.points)
+            for c, (r, d) in enumerate(COMPONENTS):
+                sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
+                f[sl] += (rule.weights * g[:, r]) @ (gamma * phi * n[d] - grad[:, :, d])
+    return f

@@ -9,9 +9,12 @@ from polystress import (FaceKind, assemble_mass, assemble_rhs,
                         assemble_stiffness, assemble_system, build_space,
                         build_system, classify_boundary, build_cartesian_mesh,
                         kron_structure_check, l2_project, penalty)
-from polystress.assembly import K_SPEC, deviatoric_factor, finalize
+from polystress.assembly import (K_SPEC, deviatoric_factor, finalize,
+                                 functional_vector)
 from polystress.dg_space import element_quadrature, face_quadrature
-from polystress.problems import zero_data
+from polystress.problems import trig_solution, zero_data
+
+import assembly_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +182,8 @@ def test_one_sided_consistency_breaks_symmetry(mesh22):
 
 
 def test_kron_structure_check(sys_poly):
-    _, system = sys_poly
+    space, system = sys_poly
+    system = oracle.with_oracle_tensors(system, space)
     dev_m, dev_a = kron_structure_check(system)
     assert dev_m <= 1e-12 * np.abs(system.m.data).max()
     assert dev_a <= 1e-12 * np.abs(system.a.data).max()
@@ -198,7 +202,7 @@ def test_kron_structure_check_detects_perturbation(sys22):
 @pytest.mark.parametrize("p", [1, 3])
 def test_kron_structure_all_degrees(mesh22, p):
     space = build_space(mesh22, p)
-    system = assemble_system(space, mu=2.0, alpha=10.0)
+    system = oracle.with_oracle_tensors(assemble_system(space, mu=2.0, alpha=10.0), space)
     dev_m, dev_a = kron_structure_check(system)
     assert dev_m <= 1e-12 * np.abs(system.m.data).max()
     assert dev_a <= 1e-12 * np.abs(system.a.data).max()
@@ -262,3 +266,54 @@ def test_export_matrices(tmp_path, sys22):
                                "B3.mtx", "M.mtx", "M1.mtx"]
     back = sparse.csr_matrix(mmread(tmp_path / "M1.mtx"))
     assert np.abs((back - system.m1).toarray()).max() < 1e-15
+
+
+# -- batched assembly against the element-by-element oracle ---------------------
+
+@pytest.fixture(scope="module")
+def oracle_meshes():
+    """Criterion 1's agglomerated mesh (interior and Neumann faces) and an
+    all-Dirichlet 2x2 grid (empty Neumann batch)."""
+    base = classify_boundary(build_cartesian_mesh(15, 15), lambda p: p[0] > 1.0 - 1e-9)
+    return {"agglomerated-50": ps.agglomerate(base, 50, 1),
+            "dirichlet-2x2": classify_boundary(build_cartesian_mesh(2, 2), lambda p: False)}
+
+
+def max_rel_dev(got, ref):
+    """max |got - ref| / max |ref|, entrywise."""
+    diff = got - ref
+    if sparse.issparse(diff):
+        dev = np.abs(diff.data).max() if diff.nnz else 0.0
+        return dev / np.abs(ref.data).max()
+    return np.abs(diff).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["agglomerated-50", "dirichlet-2x2"])
+def test_batched_assembly_matches_oracle(oracle_meshes, name, p):
+    space = build_space(oracle_meshes[name], p)
+    system = assemble_system(space, mu=1.0, alpha=10.0)
+    m1, m = oracle.mass(space, 1.0)
+    b1, b2, b3, a = oracle.stiffness(space, 10.0)
+    pairs = {"M1": (system.m1, m1), "B1": (system.b1, b1), "B2": (system.b2, b2),
+             "B3": (system.b3, b3), "M": (system.m, m), "A": (system.a, a)}
+    data = trig_solution().data
+    pairs["f"] = (functional_vector(space, data, 0.3, 10.0),
+                  oracle.functional_vector(space, data, 0.3, 10.0))
+    for label, (got, ref) in pairs.items():
+        assert max_rel_dev(got, ref) <= 1e-13, label
+
+
+def test_batched_evaluator_matches_per_element_calls(oracle_meshes):
+    mesh = oracle_meshes["agglomerated-50"]
+    space = build_space(mesh, 3)
+    interior = [f for f in mesh.faces if f.kind == FaceKind.INTERIOR]
+    rules = [face_quadrature(*mesh.face_points(f), space.quad_degree) for f in interior]
+    pts = np.stack([r.points for r in rules])
+    for side in ("plus_element", "minus_element"):
+        elems = np.array([getattr(f, side) for f in interior])
+        values, grads = space.evaluate(elems[:, None], pts)
+        ref_values = np.stack([space.basis_values(e, r.points) for e, r in zip(elems, rules)])
+        ref_grads = np.stack([space.basis_gradients(e, r.points) for e, r in zip(elems, rules)])
+        assert max_rel_dev(values, ref_values) <= 1e-14
+        assert max_rel_dev(grads, ref_grads) <= 1e-14
