@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import legendre as npleg
 
-from .mesh import PolyMesh, _centroid, _fan_cross_products
+from .mesh import PolyMesh, _fan_cross_products, _length_groups, _next, _shoelace
 
 #: tensor components in dof order: row-major flattening of the 2x2 tensor
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -51,6 +51,7 @@ def gauss_segment(npoints: int):
     return npleg.leggauss(npoints)
 
 
+@lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Rule on the reference triangle (0,0)-(1,0)-(0,1), exact for total
     degree <= degree.
@@ -77,35 +78,68 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, w.ravel())
 
 
-def element_quadrature(polygon: np.ndarray, degree: int) -> QuadratureRule:
-    """Quadrature over a polygon, exact for total degree <= degree.
+def polygon_rules(polygons, degree: int) -> list[ElementBatch]:
+    """Quadrature over many polygons, exact for total degree <= degree.
 
-    The polygon is fanned into triangles from its centroid; the polygon must
-    be star-shaped with respect to it (guaranteed for agglomerated meshes).
+    Each polygon is fanned into triangles from its centroid; it must be
+    star-shaped with respect to it (guaranteed for agglomerated meshes).
     Degenerate fan triangles from collinear boundary chains are dropped.
+    Polygon i's rule lists the points of its kept triangles in vertex order.
+    The rules are returned grouped by size, ascending, with ``elements``
+    holding polygon indices.
     """
-    polygon = np.asarray(polygon, dtype=float)
-    if len(polygon) < 3:
+    polygons = [np.asarray(poly, dtype=float) for poly in polygons]
+    sizes = np.array([len(poly) for poly in polygons], dtype=np.int64)
+    if np.any(sizes < 3):
         raise ValueError("degenerate polygon")
-    center = _centroid(polygon)
-    cross = _fan_cross_products(polygon, center)
-    area2 = float(np.abs(cross).sum())
-    if area2 <= 0.0:
-        raise ValueError("degenerate polygon")
-    if np.any(cross < -1e-12 * area2):
-        raise ValueError("polygon is not star-shaped w.r.t. its centroid")
     ref = triangle_rule(degree)
-    pts, wts = [], []
-    nxt = np.roll(polygon, -1, axis=0)
-    for i in range(len(polygon)):
-        if cross[i] <= 1e-14 * area2:
-            continue
-        a, b = polygon[i], nxt[i]
-        # affine map from the reference triangle, |J| = cross[i]
-        pts.append(center + np.outer(ref.points[:, 0], a - center)
-                   + np.outer(ref.points[:, 1], b - center))
-        wts.append(ref.weights * cross[i])
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts))
+    u, v = ref.points[:, :1], ref.points[:, 1:]
+    coords = np.concatenate(polygons)
+    owner, points, weights = [], [], []
+    for ids, pos in _length_groups(sizes):
+        pts = coords[pos]
+        _, center = _shoelace(pts)
+        cross = _fan_cross_products(pts, center)
+        area2 = np.abs(cross).sum(axis=1)[:, None]
+        if not np.all(area2 > 0.0):
+            raise ValueError("degenerate polygon")
+        if np.any(cross < -1e-12 * area2):
+            raise ValueError("polygon is not star-shaped w.r.t. its centroid")
+        e, i = np.nonzero(cross > 1e-14 * area2)
+        c, a, b = center[e][:, None], pts[e, i][:, None], _next(pts)[e, i][:, None]
+        # affine map from the reference triangle, |J| = cross
+        points.append(c + u * (a - c) + v * (b - c))
+        weights.append(ref.weights * cross[e, i][:, None])
+        owner.append(ids[e])
+    # triangles of one polygon are contiguous and in vertex order
+    owner = np.concatenate(owner)
+    order = np.argsort(owner, kind="stable")
+    points, weights = np.concatenate(points)[order], np.concatenate(weights)[order]
+    counts = np.bincount(owner, minlength=len(polygons))
+    starts = np.cumsum(counts) - counts
+    nq = len(ref.weights)
+    batches = []
+    for t in np.unique(counts):
+        ids = np.flatnonzero(counts == t)
+        rows = starts[ids][:, None] + np.arange(t)
+        batches.append(ElementBatch(ids, points[rows].reshape(len(ids), t * nq, 2),
+                                    weights[rows].reshape(len(ids), t * nq)))
+    return batches
+
+
+def rules_by_element(batches) -> list[QuadratureRule]:
+    """Per-element view of the batched rules of ``polygon_rules``."""
+    rules = [None] * sum(len(batch.elements) for batch in batches)
+    for batch in batches:
+        for e, pts, wts in zip(batch.elements.tolist(), batch.points, batch.weights):
+            rules[e] = QuadratureRule(pts, wts)
+    return rules
+
+
+def element_quadrature(polygon: np.ndarray, degree: int) -> QuadratureRule:
+    """Quadrature over one polygon, exact for total degree <= degree (see
+    ``polygon_rules``)."""
+    return rules_by_element(polygon_rules([polygon], degree))[0]
 
 
 def face_rules(p0, p1, degree: int):
@@ -203,15 +237,9 @@ class DGSpace:
         sx, sy = frames[:, 2], frames[:, 3]
         self._scales = 1.0 / np.sqrt(np.outer(sx * sy, 4.0 / ((2 * a + 1.0) * (2 * b + 1.0))))
 
-        self.element_rules = [element_quadrature(mesh.element_points(e), self.quad_degree)
-                              for e in range(self.n_elements)]
-        sizes = np.array([len(rule.weights) for rule in self.element_rules])
-        self.element_batches = []
-        for nq in np.unique(sizes):
-            ids = np.flatnonzero(sizes == nq)
-            self.element_batches.append(ElementBatch(
-                ids, np.stack([self.element_rules[e].points for e in ids]),
-                np.stack([self.element_rules[e].weights for e in ids])))
+        self.element_batches = polygon_rules(
+            [mesh.element_points(e) for e in range(self.n_elements)], self.quad_degree)
+        self.element_rules = rules_by_element(self.element_batches)
 
         # element Gram matrices, which are also the diagonal blocks of M1
         self.gram = np.empty((self.n_elements, self.local_dim, self.local_dim))
@@ -308,13 +336,18 @@ def l2_project(space: DGSpace, field) -> np.ndarray:
     the element Gram solve (a no-op on rectangular elements, where the
     basis is orthonormal).
     """
-    dofs = np.zeros(space.total_dofs)
-    for e in range(space.n_elements):
-        rule = space.element_rules[e]
-        phi = space.basis_values(e, rule.points)
-        vals = np.asarray(field(rule.points[:, 0], rule.points[:, 1]))
-        wphi = rule.weights[:, None] * phi
-        for c, (r, d) in enumerate(COMPONENTS):
-            sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
-            dofs[sl] = space.gram_solve(e, wphi.T @ vals[:, r, d])
-    return dofs
+    ncomp = len(COMPONENTS)
+    dofs = np.empty((ncomp, space.n_elements, space.local_dim))
+    for batch in space.element_batches:
+        phi, _ = space.evaluate(batch.elements[:, None], batch.points)
+        wphi_t = np.ascontiguousarray(batch.weights[:, :, None] * phi).transpose(0, 2, 1)
+        pts = batch.points.reshape(-1, 2)
+        vals = np.asarray(field(pts[:, 0], pts[:, 1])).reshape(phi.shape[:2] + (ncomp,))
+        # One matrix-vector product per element and component, on the same
+        # memory layout as a one-element projection: a stacked matmul (or a
+        # transposed layout) sums in another order and would move the
+        # projection, and every time step started from it, at roundoff.
+        for e, wt, v in zip(batch.elements.tolist(), wphi_t, vals):
+            rhs = np.column_stack([wt @ v[:, c] for c in range(ncomp)])
+            dofs[:, e] = space.gram_solve(e, rhs).T
+    return dofs.ravel()

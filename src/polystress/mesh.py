@@ -8,6 +8,8 @@ file format allows importing externally generated polygonal meshes.
 """
 from __future__ import annotations
 
+import copy
+import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -45,37 +47,81 @@ class Face:
         return self.minus_element is None
 
 
-def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _next(a: np.ndarray) -> np.ndarray:
+    """Stacked polygon data (E, k, ...) with the vertex axis advanced by one:
+    row i holds the entry of vertex i + 1 (cyclically)."""
+    return np.concatenate([a[:, 1:], a[:, :1]], axis=1)
 
 
-def _centroid(pts: np.ndarray) -> np.ndarray:
-    """Area centroid of a simple polygon (shoelace weights)."""
-    xs, ys = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(xs, -1), np.roll(ys, -1)
-    cross = xs * yn - xn * ys
-    area = 0.5 * np.sum(cross)
-    cx = np.sum((xs + xn) * cross) / (6.0 * area)
-    cy = np.sum((ys + yn) * cross) / (6.0 * area)
-    return np.array([cx, cy])
+def _length_groups(sizes: np.ndarray):
+    """Group polygons by vertex count.
+
+    Yields, per count k, the polygon ids (E,) and the positions (E, k) of
+    their vertices in the concatenation of all loops, so that each group's
+    geometry is one set of (E, k, ...) array operations.
+    """
+    starts = np.cumsum(sizes) - sizes
+    for k in np.unique(sizes):
+        ids = np.flatnonzero(sizes == k)
+        yield ids, starts[ids][:, None] + np.arange(k)
 
 
-def _diameter(pts: np.ndarray) -> float:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+def _shoelace(pts: np.ndarray):
+    """Signed areas (E,) and area centroids (E, 2) of polygons (E, k, 2).
+
+    Each polygon's sums run over one contiguous row, so the results do not
+    depend on how many polygons are stacked.  Degenerate polygons get a
+    non-finite centroid; callers reject them by their area.
+    """
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    xn, yn = _next(x), _next(y)
+    cross = x * yn - xn * y
+    area = 0.5 * np.sum(cross, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = np.sum((x + xn) * cross, axis=1) / (6.0 * area)
+        cy = np.sum((y + yn) * cross, axis=1) / (6.0 * area)
+    return area, np.column_stack([cx, cy])
 
 
-def _fan_cross_products(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Cross products of consecutive (v_i - c, v_{i+1} - c) pairs.
+def _diameters(pts: np.ndarray) -> np.ndarray:
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    return np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
+
+
+def _fan_cross_products(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Cross products of consecutive (v_i - c, v_{i+1} - c) pairs, (E, k).
 
     All strictly positive iff the centroid fan is a valid (counter-clockwise,
     non-overlapping) triangulation, i.e. the polygon is star-shaped with
-    respect to ``center``.
+    respect to its row of ``centers``.
     """
-    d = pts - center
-    dn = np.roll(d, -1, axis=0)
-    return d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]
+    d = pts - centers[:, None, :]
+    dn = _next(d)
+    return d[:, :, 0] * dn[:, :, 1] - d[:, :, 1] * dn[:, :, 0]
+
+
+def _orient(a, b, c):
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
+def _self_intersecting(pts: np.ndarray) -> np.ndarray:
+    """Per polygon of (E, k, 2): True when two non-adjacent edges cross."""
+    k = pts.shape[1]
+    i, j = np.triu_indices(k, 2)
+    keep = j - i != k - 1
+    i, j = i[keep], j[keep]
+    out = np.zeros(len(pts), dtype=bool)
+    # bound the (rows, pairs, 2) temporaries for polygons with many vertices
+    step = max(1, (1 << 16) // max(len(i), 1))
+    for s in range(0, len(pts), step):
+        p = pts[s:s + step]
+        pn = _next(p)
+        p1, p2, q1, q2 = p[:, i], pn[:, i], p[:, j], pn[:, j]
+        d1, d2 = _orient(q1, q2, p1), _orient(q1, q2, p2)
+        d3, d4 = _orient(p1, p2, q1), _orient(p1, p2, q2)
+        out[s:s + step] = np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)), axis=1)
+    return out
 
 
 class PolyMesh:
@@ -95,78 +141,85 @@ class PolyMesh:
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
-        loops = []
-        for loop in elements:
-            arr = np.asarray(loop, dtype=np.int64)
-            if arr.size < 3:
-                raise MeshError("element loops need at least 3 vertices")
-            if arr.min() < 0 or arr.max() >= len(vertices):
-                raise MeshError("element loop references a missing vertex")
-            if len(np.unique(arr)) != arr.size:
-                raise MeshError("element loop repeats a vertex (non-simple polygon)")
-            arr.setflags(write=False)
-            loops.append(arr)
+        loops = [np.asarray(loop, dtype=np.int64) for loop in elements]
+        sizes = np.array([arr.size for arr in loops], dtype=np.int64)
+        if np.any(sizes < 3):
+            raise MeshError("element loops need at least 3 vertices")
+        flat = np.concatenate(loops) if loops else np.empty(0, dtype=np.int64)
+        if flat.size and (flat.min() < 0 or flat.max() >= len(vertices)):
+            raise MeshError("element loop references a missing vertex")
 
+        n = len(loops)
+        areas, centroids, diameters = np.empty(n), np.empty((n, 2)), np.empty(n)
+        for ids, pos in _length_groups(sizes):
+            group = flat[pos]
+            ordered = np.sort(group, axis=1)
+            if np.any(ordered[:, 1:] == ordered[:, :-1]):
+                raise MeshError("element loop repeats a vertex (non-simple polygon)")
+            pts = vertices[group]
+            area, centroid = _shoelace(pts)
+            if np.any(area <= 0.0):
+                raise MeshError("element polygon is not counter-clockwise or degenerate")
+            if np.any(_self_intersecting(pts)):
+                raise MeshError("element polygon is self-intersecting")
+            areas[ids], centroids[ids], diameters[ids] = area, centroid, _diameters(pts)
+
+        for arr in loops:
+            arr.setflags(write=False)
         self.vertices = vertices
         self.vertices.setflags(write=False)
         self.elements = tuple(loops)
         self.merge_warning = bool(merge_warning)
-
-        areas, centroids, diameters = [], [], []
-        for loop in self.elements:
-            pts = vertices[loop]
-            area = _signed_area(pts)
-            if area <= 0.0:
-                raise MeshError("element polygon is not counter-clockwise or degenerate")
-            if not _is_simple(pts):
-                raise MeshError("element polygon is self-intersecting")
-            areas.append(area)
-            centroids.append(_centroid(pts))
-            diameters.append(_diameter(pts))
-        self.element_areas = np.array(areas)
-        self.element_centroids = np.array(centroids)
-        self.element_diameters = np.array(diameters)
+        self.element_areas = areas
+        self.element_centroids = centroids
+        self.element_diameters = diameters
         for arr in (self.element_areas, self.element_centroids, self.element_diameters):
             arr.setflags(write=False)
         self.mesh_size = float(self.element_diameters.max())
         self.total_area = float(self.element_areas.sum())
 
-        self.faces = tuple(self._build_faces(boundary_kinds))
+        self.faces = tuple(self._build_faces(flat, sizes, boundary_kinds or {}))
 
     # -- construction ------------------------------------------------------
 
-    def _build_faces(self, boundary_kinds):
+    def _build_faces(self, flat, sizes, boundary_kinds):
         # First traversal of a directed edge defines the plus side; the CCW
-        # partner element traverses the same segment in reverse.
-        owner: dict[tuple[int, int], int] = {}
-        for e, loop in enumerate(self.elements):
-            for a, b in _loop_edges(loop):
-                if (a, b) in owner:
-                    raise MeshError("directed edge appears twice; elements overlap")
-                owner[(a, b)] = e
+        # partner element traverses the same segment in reverse.  Faces are
+        # numbered in the order of their first traversal.
+        nv = len(self.vertices)
+        ends = np.cumsum(sizes)
+        nxt = np.arange(1, flat.size + 1)
+        nxt[ends - 1] = ends - sizes
+        a, b = flat, flat[nxt]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        directed = a * nv + b
+        order = np.argsort(directed)
+        keys = directed[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise MeshError("directed edge appears twice; elements overlap")
+        _, first = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_index=True)
+        first.sort()
+        a, b, plus = a[first], b[first], owner[first]
+        reverse = b * nv + a
+        at = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
+        minus = np.where(keys[at] == reverse, owner[order[at]], -1)
+
+        d = self.vertices[b] - self.vertices[a]
+        length = np.hypot(d[:, 0], d[:, 1])
+        if np.any(length <= 0.0):
+            raise MeshError("zero-length face")
+        normals = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
+        normals.setflags(write=False)
 
         faces = []
-        seen = set()
-        for e, loop in enumerate(self.elements):
-            for a, b in _loop_edges(loop):
-                key = (min(a, b), max(a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                minus = owner.get((b, a))
-                d = self.vertices[b] - self.vertices[a]
-                length = float(np.hypot(d[0], d[1]))
-                if length <= 0.0:
-                    raise MeshError("zero-length face")
-                normal = np.array([d[1], -d[0]]) / length
-                normal.setflags(write=False)
-                if minus is None:
-                    kind = FaceKind.DIRICHLET
-                    if boundary_kinds is not None:
-                        kind = boundary_kinds.get((a, b), boundary_kinds.get((b, a), kind))
-                else:
-                    kind = FaceKind.INTERIOR
-                faces.append(Face((a, b), kind, e, minus, normal))
+        for fa, fb, e, m, normal in zip(a.tolist(), b.tolist(), plus.tolist(),
+                                        minus.tolist(), normals):
+            if m < 0:
+                kind = boundary_kinds.get((fa, fb),
+                                          boundary_kinds.get((fb, fa), FaceKind.DIRICHLET))
+                faces.append(Face((fa, fb), kind, e, None, normal))
+            else:
+                faces.append(Face((fa, fb), FaceKind.INTERIOR, e, m, normal))
         return faces
 
     # -- queries -----------------------------------------------------------
@@ -185,16 +238,9 @@ class PolyMesh:
     def face_points(self, face: Face) -> np.ndarray:
         return self.vertices[np.asarray(face.endpoints)]
 
-    def face_length(self, face: Face) -> float:
-        p = self.face_points(face)
-        return float(np.hypot(*(p[1] - p[0])))
-
     def face_midpoint(self, face: Face) -> np.ndarray:
         p = self.face_points(face)
         return 0.5 * (p[0] + p[1])
-
-    def faces_of_kind(self, kind: FaceKind) -> list[Face]:
-        return [f for f in self.faces if f.kind == kind]
 
     def __repr__(self):
         nb = sum(1 for f in self.faces if f.is_boundary)
@@ -203,32 +249,9 @@ class PolyMesh:
 
 
 def _loop_edges(loop):
-    for i in range(len(loop)):
-        yield int(loop[i]), int(loop[(i + 1) % len(loop)])
-
-
-def _is_simple(pts: np.ndarray) -> bool:
-    """Check that no two non-adjacent edges of the loop intersect."""
-    k = len(pts)
-    segs = [(pts[i], pts[(i + 1) % k]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if j == i or (j - i) % k in (1, k - 1):
-                continue
-            if _segments_cross(*segs[i], *segs[j]):
-                return False
-    return True
-
-
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    return False
+    """Directed edges (v_i, v_{i+1}) of a closed vertex loop."""
+    loop = list(loop)
+    return zip(loop, loop[1:] + loop[:1])
 
 
 def build_cartesian_mesh(nx: int, ny: int, bounds=(0.0, 1.0, 0.0, 1.0)) -> PolyMesh:
@@ -248,28 +271,25 @@ def build_cartesian_mesh(nx: int, ny: int, bounds=(0.0, 1.0, 0.0, 1.0)) -> PolyM
     xv, yv = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    loops = []
-    for i in range(nx):
-        for j in range(ny):
-            loops.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return PolyMesh(vertices, loops)
+    # cell (i, j) has lower-left vertex i * (ny + 1) + j; cells are i-major
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    v = (i * (ny + 1) + j).ravel()
+    return PolyMesh(vertices, np.column_stack([v, v + ny + 1, v + ny + 2, v + 1]))
 
 
 def classify_boundary(mesh: PolyMesh, neumann_predicate) -> PolyMesh:
     """Retag boundary faces: Neumann where the predicate holds at the face
     midpoint, Dirichlet elsewhere.  Interior faces are untouched."""
-    tags = {}
+    faces = []
     for face in mesh.faces:
-        if not face.is_boundary:
-            continue
-        mid = mesh.face_midpoint(face)
-        kind = FaceKind.NEUMANN if neumann_predicate(mid) else FaceKind.DIRICHLET
-        tags[face.endpoints] = kind
-    return PolyMesh(mesh.vertices, mesh.elements, boundary_kinds=tags,
-                    merge_warning=mesh.merge_warning)
+        if face.is_boundary:
+            neumann = neumann_predicate(mesh.face_midpoint(face))
+            face = dataclasses.replace(
+                face, kind=FaceKind.NEUMANN if neumann else FaceKind.DIRICHLET)
+        faces.append(face)
+    out = copy.copy(mesh)  # same elements and geometry
+    out.faces = tuple(faces)
+    return out
 
 
 # -- agglomeration ---------------------------------------------------------
@@ -314,14 +334,14 @@ def _merge_loops(loop_a, loop_b):
 
 
 def _merge_is_legal(vertices, loop) -> bool:
-    pts = vertices[np.asarray(loop, dtype=np.int64)]
-    area = _signed_area(pts)
-    if area <= 0.0:
+    pts = vertices[np.asarray(loop, dtype=np.int64)][None]
+    area, centroid = _shoelace(pts)
+    if area[0] <= 0.0:
         return False
     # Keep every element star-shaped w.r.t. its centroid so that the
     # centroid-fan quadrature of the DG space stays valid.
-    cross = _fan_cross_products(pts, _centroid(pts))
-    return bool(np.all(cross > 1e-12 * area))
+    cross = _fan_cross_products(pts, centroid)
+    return bool(np.all(cross > 1e-12 * area[0]))
 
 
 def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh:
@@ -338,8 +358,8 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
         return mesh
 
     rng = np.random.default_rng(rng_seed)
-    loops: dict[int, list[int]] = {e: [int(v) for v in loop]
-                                   for e, loop in enumerate(mesh.elements)}
+    loops: dict[int, list[int]] = {e: loop.tolist() for e, loop in enumerate(mesh.elements)}
+    alive = np.ones(mesh.n_elements, dtype=bool)
     owner = {}
     for e, loop in loops.items():
         for edge in _loop_edges(loop):
@@ -356,12 +376,10 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
     n_alive = len(loops)
     stalled = False
     while n_alive > target_elements:
-        alive = sorted(loops)
         merged_any = False
-        for e in rng.permutation(alive):
+        # live ids in increasing order: the seeded draw depends on this order
+        for e in rng.permutation(np.flatnonzero(alive)):
             e = int(e)
-            if e not in loops:
-                continue
             nbrs = neighbors_of(e)
             if not nbrs:
                 continue
@@ -375,6 +393,7 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
                         owner.pop(edge, None)
                     del loops[victim]
                 loops[min(e, j)] = merged
+                alive[max(e, j)] = False
                 for edge in _loop_edges(merged):
                     owner[edge] = min(e, j)
                 n_alive -= 1
@@ -416,7 +435,8 @@ def read_mesh(path) -> PolyMesh:
     """Read the plain-text format written by write_mesh.
 
     Boundary-tag lines are optional; untagged boundary faces default to
-    Dirichlet.  Vertex indices are 0-based.
+    Dirichlet.  A tag line that names no boundary face is an error.  Vertex
+    indices are 0-based.
     """
     with open(path) as fh:
         tokens = [line.split() for line in fh if line.strip()]
@@ -441,4 +461,9 @@ def read_mesh(path) -> PolyMesh:
             raise MeshError(f"bad boundary tag line: {' '.join(t)}")
         kind = FaceKind.NEUMANN if t[2] == "N" else FaceKind.DIRICHLET
         tags[(int(t[0]), int(t[1]))] = kind
-    return PolyMesh(vertices, loops, boundary_kinds=tags)
+    mesh = PolyMesh(vertices, loops, boundary_kinds=tags)
+    boundary = {f.endpoints for f in mesh.faces if f.is_boundary}
+    for a, b in tags:
+        if (a, b) not in boundary and (b, a) not in boundary:
+            raise MeshError(f"boundary tag line {a} {b} names no boundary face")
+    return mesh

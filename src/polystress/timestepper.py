@@ -13,7 +13,8 @@ import numpy as np
 
 from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_rhs,
                        assemble_system, build_system, penalty)
-from .dg_space import DGSpace, element_quadrature, face_quadrature, l2_project
+from .dg_space import (DGSpace, face_quadrature, l2_project, polygon_rules,
+                       rules_by_element)
 from .kernels import CsrOperator
 from .krylov import (LAYOUT_COLLECTIVE, LAYOUT_COMPONENT, SolverConfig,
                      build_block_jacobi, build_deflator, cg, deflated_cg, pcg)
@@ -128,8 +129,8 @@ class EnergyNorm:
         self.alpha = alpha
         self.fine_degree = 2 * (space.degree + 2) + 1
         mesh = space.mesh
-        self._element_rules = [element_quadrature(mesh.element_points(e), self.fine_degree)
-                               for e in range(mesh.n_elements)]
+        self._element_rules = rules_by_element(polygon_rules(
+            [mesh.element_points(e) for e in range(mesh.n_elements)], self.fine_degree))
 
     @staticmethod
     def _dev_sq(t):

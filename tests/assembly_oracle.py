@@ -6,7 +6,8 @@ same operators the straightforward way, one element and one face at a
 time through ``basis_values``/``basis_gradients``: the full tensor-valued
 M and A over all four components, and the scalar blocks from a
 two-slot vector form.  Comparing the two checks the structure identities
-against an assembly that never uses them.
+against an assembly that never uses them.  ``l2_project`` is the
+element-by-element projection that the batched one must reproduce.
 """
 import dataclasses
 
@@ -191,3 +192,17 @@ def functional_vector(space, data, t, alpha):
                 sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
                 f[sl] += (rule.weights * g[:, r]) @ (gamma * phi * n[d] - grad[:, :, d])
     return f
+
+
+def l2_project(space, field):
+    """Elementwise L2 projection, one element and one component at a time."""
+    dofs = np.zeros(space.total_dofs)
+    for e in range(space.n_elements):
+        rule = space.element_rules[e]
+        phi = space.basis_values(e, rule.points)
+        vals = np.asarray(field(rule.points[:, 0], rule.points[:, 1]))
+        wphi = rule.weights[:, None] * phi
+        for c, (r, d) in enumerate(COMPONENTS):
+            sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
+            dofs[sl] = space.gram_solve(e, wphi.T @ vals[:, r, d])
+    return dofs

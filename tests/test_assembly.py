@@ -304,6 +304,14 @@ def test_batched_assembly_matches_oracle(oracle_meshes, name, p):
         assert max_rel_dev(got, ref) <= 1e-13, label
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_batched_l2_project_matches_per_element(oracle_meshes, p):
+    space = build_space(oracle_meshes["agglomerated-50"], p)
+    mms = trig_solution()
+    field = lambda x, y: mms.sigma(x, y, 0.3)  # noqa: E731
+    assert max_rel_dev(l2_project(space, field), oracle.l2_project(space, field)) <= 1e-13
+
+
 def test_batched_evaluator_matches_per_element_calls(oracle_meshes):
     mesh = oracle_meshes["agglomerated-50"]
     space = build_space(mesh, 3)

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 import polystress.mesh as msh
 from polystress import (FaceKind, MeshError, agglomerate, build_cartesian_mesh,
-                        classify_boundary, read_mesh, write_mesh)
+                        build_space, classify_boundary, read_mesh, write_mesh)
 
 
 def kind_counts(mesh):
@@ -154,6 +157,24 @@ def test_mesh_file_errors(tmp_path):
         read_mesh(bad)
 
 
+UNIT_SQUARE_FILE = "4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n"
+
+
+@pytest.mark.parametrize("tag", ["0 2 N", "7 9 D"])
+def test_mesh_file_rejects_tag_of_no_boundary_face(tmp_path, tag):
+    # a diagonal and a segment between missing vertices: neither is a face
+    path = tmp_path / "square.txt"
+    path.write_text(UNIT_SQUARE_FILE + tag + "\n")
+    with pytest.raises(MeshError, match="names no boundary face"):
+        read_mesh(path)
+
+
+def test_mesh_file_tag_in_either_orientation(tmp_path):
+    path = tmp_path / "square.txt"
+    path.write_text(UNIT_SQUARE_FILE + "1 0 N\n")
+    assert kind_counts(read_mesh(path))[FaceKind.NEUMANN] == 1
+
+
 def test_invalid_element_rejected():
     # clockwise loop
     with pytest.raises(MeshError):
@@ -161,3 +182,51 @@ def test_invalid_element_rejected():
     # repeated vertex
     with pytest.raises(MeshError):
         msh.PolyMesh(np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]), [[0, 1, 2, 2]])
+
+
+# -- pinned mesh family ------------------------------------------------------
+#
+# The acceptance meshes are seeded agglomerations of Cartesian grids; any
+# rewrite of mesh construction or agglomeration must reproduce them bit for
+# bit, or the paper's mesh family changes.  The digests below were recorded
+# from the element-by-element implementation.
+
+PINNED_MESH_SHA256 = {
+    (15, 50): "bfd8934e26ec5d0395f469241db8720a4a0495fd8f7be70a0e53775d9f6c9771",
+    (20, 100): "b70a3ba6fb00172c91ee25c90d8d207ea0f48c6addff3938c77bb70f81eddfc6",
+    (60, 900): "7e816255b5b2672c499f23b4ac44b7a6fa0c4e32771d7e344b5ecdeb87bd5465",
+}
+
+# SHA-256 of the little-endian float64 bytes of the concatenated p = 3
+# element rules of the 15x15 -> 50 mesh (points (nq, 2), then weights (nq,))
+PINNED_RULE_POINTS_SHA256 = "71186008a397fe9f58e0aad0cf8f26804a78dc2cf9751dcc2ea5266e8d5c5178"
+PINNED_RULE_WEIGHTS_SHA256 = "a5207a8313a0473ca8e9bebc7a2641d72c62c5aeeb4a53395088eb1f18e3d857"
+
+
+def pinned_mesh(nx, target):
+    base = classify_boundary(build_cartesian_mesh(nx, nx), lambda p: p[0] > 1.0 - 1e-9)
+    return agglomerate(base, target, 1)
+
+
+def float64_sha256(arrays):
+    data = np.concatenate([np.ascontiguousarray(a, dtype="<f8").ravel() for a in arrays])
+    return hashlib.sha256(data.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("nx,target", sorted(PINNED_MESH_SHA256))
+def test_pinned_mesh_files(tmp_path, nx, target):
+    path = tmp_path / "mesh.txt"
+    write_mesh(pinned_mesh(nx, target), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MESH_SHA256[(nx, target)]
+
+
+def test_pinned_mesh_geometry_and_rules():
+    mesh = pinned_mesh(15, 50)
+    ref = np.load(Path(__file__).with_name("pinned_mesh_15x15_50.npz"))
+    assert np.array_equal(mesh.element_areas, ref["areas"])
+    assert np.array_equal(mesh.element_centroids, ref["centroids"])
+    assert np.array_equal(mesh.element_diameters, ref["diameters"])
+    rules = build_space(mesh, 3).element_rules
+    assert np.array_equal([len(r.weights) for r in rules], ref["rule_sizes"])
+    assert float64_sha256([r.points for r in rules]) == PINNED_RULE_POINTS_SHA256
+    assert float64_sha256([r.weights for r in rules]) == PINNED_RULE_WEIGHTS_SHA256
