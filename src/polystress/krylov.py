@@ -4,8 +4,15 @@ Lanczos condition-number estimation.
 
 The deflation space is the kernel of the deviatoric mass operator, spanned
 by v kron I with v = (e1 + e4)/sqrt(2): the trace direction of the tensor
-components.  The coarse operator V^T A* V then equals (dt/2)(B1 + B3)
+components.  The coarse operator W = V^T A* V then equals (dt/2)(B1 + B3)
 exactly, a Laplacian-type matrix factorised once and reused.
+
+W, and A* itself for the inverse Lanczos of the raw condition number, are
+factorised by ``_spd_lu``: a symmetric minimum-degree ordering and LU
+without row pivoting, which needs about half the fill of splu's default
+(COLAMD with partial pivoting).  Without pivoting the signs of U's diagonal
+are the inertia of the matrix, so the same factorisation checks that it is
+positive definite.
 """
 from __future__ import annotations
 
@@ -24,7 +31,8 @@ from .kernels import BlockDiagSolver, CsrOperator
 
 
 class BlockFactorizationError(RuntimeError):
-    """A diagonal block failed its SPD factorisation."""
+    """A matrix that must be SPD (a Block-Jacobi block, the deflation coarse
+    operator or A*) failed its SPD factorisation."""
 
 
 @dataclass
@@ -89,9 +97,6 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
     b = np.asarray(b, dtype=float)
     history = [] if config.record_history else None
 
-    def metric_of(r, z):
-        return float(np.sqrt(r @ z))
-
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
@@ -101,7 +106,7 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
     z = apply_m(r) if apply_m is not None else r
     denom_r = b.copy()
     denom_z = apply_m(denom_r) if apply_m is not None else denom_r
-    denom = metric_of(denom_r, denom_z)
+    denom = float(np.sqrt(denom_r @ denom_z))
     if denom == 0.0:
         return np.zeros_like(b), SolverReport(0, 0.0, True,
                                               history=np.array([]) if history is not None else None,
@@ -109,7 +114,7 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
                                               true_residual=0.0)
 
     rz = float(r @ z)
-    rel = metric_of(r, z) / denom
+    rel = np.sqrt(rz) / denom
     if history is not None:
         history.append(rel)
     iterations = 0
@@ -125,7 +130,7 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
         r -= alpha * q
         z = apply_m(r) if apply_m is not None else r
         rz_new = float(r @ z)
-        rel = metric_of(r, z) / denom
+        rel = np.sqrt(rz_new) / denom
         iterations += 1
         if history is not None:
             history.append(rel)
@@ -207,39 +212,6 @@ def _extract_diagonal_blocks(A: sparse.csr_matrix, bs: int) -> np.ndarray:
     return blocks
 
 
-def apply_block_jacobi(preconditioner: BlockJacobi, r: np.ndarray) -> np.ndarray:
-    """Solve the block-diagonal system of the preconditioner for r."""
-    return preconditioner.apply(r)
-
-
-def block_dominance(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -> np.ndarray:
-    """Per-block row-sum dominance indicator: off-block over in-block
-    absolute entry mass for each diagonal block under the layout.
-
-    Small values mean the permuted operator is close to block diagonal; for
-    the collective layout the indicator tends to zero with dt because the
-    deviatoric mass operator couples dofs within one element only.
-    """
-    astar = sparse.csr_matrix(astar)
-    if layout == LAYOUT_COMPONENT:
-        bs = space.local_dim
-        permuted = astar
-    elif layout == LAYOUT_COLLECTIVE:
-        bs = 4 * space.local_dim
-        perm = collective_permutation(space)
-        permuted = astar[perm, :][:, perm]
-    else:
-        raise ValueError(f"unknown Block-Jacobi layout: {layout!r}")
-    coo = permuted.tocoo()
-    nb = astar.shape[0] // bs
-    rowblk, colblk = coo.row // bs, coo.col // bs
-    inblock = np.zeros(nb)
-    offblock = np.zeros(nb)
-    np.add.at(inblock, rowblk[rowblk == colblk], np.abs(coo.data[rowblk == colblk]))
-    np.add.at(offblock, rowblk[rowblk != colblk], np.abs(coo.data[rowblk != colblk]))
-    return offblock / inblock
-
-
 def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE,
                        backend: str | None = None) -> BlockJacobi:
     """Extract and factorise the diagonal blocks of A* under the layout."""
@@ -272,13 +244,46 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE,
                        solver=solver, perm=perm)
 
 
+# -- SPD factorisation -------------------------------------------------------
+
+def _spd_lu(matrix, what: str):
+    """Sparse LU of an SPD matrix, checked for positive definiteness.
+
+    The column ordering is minimum degree on A^T + A, applied symmetrically,
+    and the diagonal is always taken as pivot.  With no row exchange
+    (perm_r == perm_c) the factorisation is P A P^T = L U with U = D L^T, so
+    by Sylvester's law of inertia A is positive definite iff every pivot
+    diag(U) is positive.
+    """
+    try:
+        lu = splu(sparse.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise BlockFactorizationError(f"{what} is singular: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise BlockFactorizationError(
+            f"{what} needed row pivoting, so it is not positive definite")
+    pivots = lu.U.diagonal()
+    if not (np.all(np.isfinite(pivots)) and pivots.min() > 0.0):
+        raise BlockFactorizationError(
+            f"{what} is not positive definite: smallest pivot {np.nanmin(pivots):.3e}, "
+            f"{int(np.sum(~(pivots > 0.0)))} of {pivots.size} pivots not positive")
+    return lu
+
+
 # -- deflation --------------------------------------------------------------
 
 @dataclass
 class Deflator:
     """ker(M) deflation data: implicit basis V = v kron I with
     v = (e1 + e4)/sqrt(2), coarse operator W = V^T A* V and its
-    factorisation."""
+    factorisation.
+
+    W is formed from A* (not from B1 + B3) and factorised by ``_spd_lu``
+    with a symmetric ordering and no row pivoting; building the deflator
+    fails with BlockFactorizationError unless every pivot is positive,
+    i.e. unless W is SPD (it is indefinite when the penalty alpha is too
+    small)."""
 
     astar: sparse.csr_matrix
     coarse_matrix: sparse.csr_matrix
@@ -327,10 +332,10 @@ def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
     av = (csc[:, :S] + csc[:, 3 * S:]) / np.sqrt(2.0)
     w = sparse.csc_matrix((av[:S, :] + av[3 * S:, :]) / np.sqrt(2.0))
     try:
-        lu = splu(w)
-    except RuntimeError as exc:
+        lu = _spd_lu(w, "coarse deflation operator")
+    except BlockFactorizationError as exc:
         raise BlockFactorizationError(
-            "coarse deflation operator failed to factorise (is alpha > 0?)") from exc
+            f"{exc} (the interior penalty alpha is too small)") from exc
     return Deflator(astar=astar, coarse_matrix=w.tocsr(), _wsolve=lu.solve,
                     _avt=av.T.tocsr(), scalar_dofs=S)
 
@@ -493,9 +498,11 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
     end of the spectrum is found by Lanczos on the inverse through a
     one-time sparse factorisation (the shift-free recurrence stagnates on
     the near-kernel cluster of the time-step operator), the large end by
-    the forward recurrence.  ``method="dense"`` computes both ends exactly
-    for n <= DENSE_MAX_N (2000).  Estimates whose extreme Ritz values fail
-    their residual certificate within maxit are flagged converged=False.
+    the forward recurrence; that factorisation raises
+    BlockFactorizationError unless the matrix is positive definite.
+    ``method="dense"`` computes both ends exactly for n <= DENSE_MAX_N
+    (2000).  Estimates whose extreme Ritz values fail their residual
+    certificate within maxit are flagged converged=False.
     """
     if n is None:
         if hasattr(operator, "shape"):
@@ -532,7 +539,7 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
     elif matrix is not None:
         _, lam_max, k1, conv1 = _lanczos_extremes(apply_a, n, maxit, tol, seed,
                                                   track="max")
-        lu = splu(matrix.tocsc())
+        lu = _spd_lu(matrix, "operator")
         _, inv_max, k2, conv2 = _lanczos_extremes(lu.solve, n, maxit, tol, seed,
                                                   track="max")
         lam_min, k, converged = 1.0 / inv_max, k1 + k2, conv1 and conv2

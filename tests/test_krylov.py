@@ -295,6 +295,33 @@ def test_deflator_mismatched_operator(small_system):
         deflated_cg(sparse.eye(8, format="csr"), np.ones(8), defl)
 
 
+@pytest.mark.parametrize("alpha, builds", [(1.0, False), (1e-3, False), (10.0, True)])
+def test_deflator_rejects_indefinite_coarse_operator(alpha, builds):
+    # on this mesh W = (dt/2)(B1 + B3) has lambda_min -0.145 (alpha = 1) and
+    # -0.571 (alpha = 1e-3), with 4 and 34 negative pivots; alpha = 10 is SPD
+    mesh = classify_boundary(build_cartesian_mesh(4, 4), lambda p: p[0] > 1 - 1e-9)
+    system = assemble_system(build_space(mesh, 2), mu=1.0, alpha=alpha)
+    if builds:
+        defl = build_deflator(system, 1e-3)
+        assert sla.eigvalsh(defl.coarse_matrix.toarray())[0] > 0.0
+    else:
+        with pytest.raises(BlockFactorizationError,
+                           match="not positive definite: smallest pivot -.*alpha is too small"):
+            build_deflator(system, 1e-3)
+
+
+def test_coarse_solve_matches_dense_solve(rng):
+    # criterion 2's mesh: 15x15 -> 50 elements, seed 1, p = 2
+    base = classify_boundary(build_cartesian_mesh(15, 15), lambda p: p[0] > 1 - 1e-9)
+    system = assemble_system(build_space(agglomerate(base, 50, 1), 2), mu=1.0, alpha=10.0)
+    for dt in (1e-3, 1e-6):
+        defl = build_deflator(system, dt)
+        y = rng.standard_normal(defl.scalar_dofs)
+        ref = sla.solve(defl.coarse_matrix.toarray(), y, assume_a="sym")
+        rel = np.linalg.norm(defl.coarse_solve(y) - ref) / np.linalg.norm(ref)
+        assert rel <= 1e-10, dt
+
+
 # -- solver equivalence --------------------------------------------------------
 
 def test_all_solvers_agree_with_dense(small_system, rng):
@@ -385,6 +412,21 @@ def test_condition_number_flags_unconverged(small_system, rng):
     apply_only = CsrOperator(astar).matvec  # bare callable: shift-free path
     est = estimate_condition_number(apply_only, n=astar.shape[0], tol=1e-12, maxit=4)
     assert not est.converged
+
+
+@pytest.mark.parametrize("a, reason", [
+    # negative pivots
+    (sparse.diags([np.full(9, -1.0), np.linspace(-2.0, 3.0, 10), np.full(9, -1.0)],
+                  [-1, 0, 1], format="csr"), "smallest pivot"),
+    # a zero diagonal forces a row exchange
+    (sparse.csr_matrix(np.kron(np.eye(5), [[0.0, 1.0], [1.0, 0.0]])), "row pivoting"),
+])
+def test_condition_number_rejects_indefinite_matrix(a, reason):
+    # symmetric, nonsingular, eigenvalues of both signs
+    ev = sla.eigvalsh(a.toarray())
+    assert ev[0] < 0.0 < np.abs(ev).min()
+    with pytest.raises(BlockFactorizationError, match=reason):
+        estimate_condition_number(a, tol=1e-6)
 
 
 def test_condition_number_requires_size_for_callable():
