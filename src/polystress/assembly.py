@@ -16,7 +16,8 @@ upper off-diagonal block).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -142,14 +143,15 @@ class _FaceBatch:
     weights: np.ndarray
 
 
-def _face_batch(space: DGSpace, kind: FaceKind, alpha: float) -> _FaceBatch:
+def _face_batch(space: DGSpace, kind: FaceKind, alpha: float, degree: int) -> _FaceBatch:
+    """The faces of one kind on the Gauss rule exact for ``degree``."""
     mesh = space.mesh
     faces = [f for f in mesh.faces if f.kind == kind]
     ends = np.array([f.endpoints for f in faces], dtype=np.int64).reshape(-1, 2)
     plus = np.array([f.plus_element for f in faces], dtype=np.int64)
     normals = np.array([f.normal for f in faces], dtype=float).reshape(-1, 2)
     points, weights = face_rules(mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]],
-                                 space.quad_degree)
+                                 degree)
     # batched form of penalty(): alpha p^2 / h, max over the neighbours
     p2 = space.degree * space.degree
     gamma = p2 / mesh.element_diameters[plus]
@@ -186,7 +188,7 @@ def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
     # C_c = phi^T W grad_c and P = phi^T W phi the slot blocks
     # (b, c) = -n_b C_c - n_c C_b^T + gamma n_b n_c P
     for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN):
-        fb = _face_batch(space, kind, alpha)
+        fb = _face_batch(space, kind, alpha, space.quad_degree)
         phi, grad = space.evaluate(fb.plus[:, None], fb.points)
         fdofs = fb.plus[:, None] * L + span
         if fb.minus is not None:
@@ -232,54 +234,110 @@ def build_system(m: sparse.csr_matrix, a: sparse.csr_matrix, dt: float) -> spars
     return finalize(m + dt * a)
 
 
+@dataclass(frozen=True)
+class _BoundaryLoad:
+    """The time-independent part of the load on the boundary faces of one
+    kind, all read-only: plus elements (F,), weights (F, nq), point
+    coordinates x, y and per-point normals nx, ny (F * nq,), and the test
+    functions (F, nq, 2 * local_dim), slot (d, i) holding v_d of basis
+    function i.  nx and ny are None on Dirichlet faces."""
+
+    kind: FaceKind
+    plus: np.ndarray
+    weights: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    nx: np.ndarray | None
+    ny: np.ndarray | None
+    tests: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+# space -> {alpha: boundary loads}; weak in the space, so that the tables
+# go with it and never keep a dropped space alive
+_BOUNDARY_LOADS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _boundary_loads(space: DGSpace, alpha: float) -> tuple[_BoundaryLoad, ...]:
+    """The boundary tables of ``functional_vector``, computed on the first
+    call for ``(space, alpha)`` and reused afterwards."""
+    by_alpha = _BOUNDARY_LOADS.setdefault(space, {})
+    if alpha in by_alpha:
+        return by_alpha[alpha]
+    loads = []
+    # test functions v_d = n_d phi (Dirichlet) and v_d = gamma n_d phi - d_d phi
+    # (Neumann), for component (r, d) of the plus element
+    for kind in (FaceKind.DIRICHLET, FaceKind.NEUMANN):
+        fb = _face_batch(space, kind, alpha, space.quad_degree)
+        if not len(fb.plus):
+            continue
+        phi, grad = space.evaluate(fb.plus[:, None], fb.points)
+        tests = fb.normals[:, None, :, None] * phi[:, :, None, :]
+        F, nq = fb.weights.shape
+        nx = ny = None
+        if kind == FaceKind.NEUMANN:
+            tests = fb.gamma[:, None, None, None] * tests - grad.transpose(0, 1, 3, 2)
+            nx, ny = np.repeat(fb.normals[:, 0], nq), np.repeat(fb.normals[:, 1], nq)
+        loads.append(_BoundaryLoad(kind, fb.plus, fb.weights, fb.points[..., 0].ravel(),
+                                   fb.points[..., 1].ravel(), nx, ny,
+                                   tests.reshape(F, nq, -1)))
+    by_alpha[alpha] = tuple(loads)
+    return by_alpha[alpha]
+
+
 def functional_vector(space: DGSpace, data: ProblemData, t: float,
                       alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Discrete load vector: volume source, Dirichlet divergence datum and
-    Nitsche-consistent Neumann traction terms."""
+    Nitsche-consistent Neumann traction terms.
+
+    Everything but the data is independent of t: the basis values at the
+    element quadrature points are computed once per space
+    (``DGSpace.element_values``), and the boundary face rules, normals and
+    test functions once per space and alpha; later calls only evaluate the
+    data callbacks and contract.  The callbacks receive read-only point
+    arrays.
+    """
     # f[c, e, i] in component-major dof order; tensor components flatten
     # row-major, which is the COMPONENTS order
     f = np.zeros((4, space.n_elements, space.local_dim))
 
-    batches = space.element_batches
-    pts = np.concatenate([b.points.reshape(-1, 2) for b in batches])
+    pts = space.element_points
     source = data.source(pts[:, 0], pts[:, 1], t).reshape(-1, 4)
     start = 0
-    for batch in batches:
+    for batch, phi in zip(space.element_batches, space.element_values):
         E, nq = batch.weights.shape
         vals = source[start:start + E * nq].reshape(E, nq, 4)
         start += E * nq
-        phi, _ = space.evaluate(batch.elements[:, None], batch.points)
         wvals = batch.weights[:, :, None] * vals
         f[:, batch.elements] = (wvals.transpose(0, 2, 1) @ phi).transpose(1, 0, 2)
 
     # boundary faces: sum_q w g_r(q) v_d(q) into component (r, d) of the
-    # plus element, with test functions v_d = n_d phi (Dirichlet) and
-    # v_d = gamma n_d phi - d_d phi (Neumann)
+    # plus element
     per_element = f.transpose(1, 0, 2)
-    for kind in (FaceKind.DIRICHLET, FaceKind.NEUMANN):
-        fb = _face_batch(space, kind, alpha)
-        if not len(fb.plus):
-            continue
-        phi, grad = space.evaluate(fb.plus[:, None], fb.points)
-        x, y = fb.points[..., 0].ravel(), fb.points[..., 1].ravel()
-        tests = fb.normals[:, None, :, None] * phi[:, :, None, :]
-        F, nq = fb.weights.shape
-        if kind == FaceKind.DIRICHLET:
-            g = data.dirichlet(x, y, t)
+    for load in _boundary_loads(space, alpha):
+        if load.kind == FaceKind.DIRICHLET:
+            g = data.dirichlet(load.x, load.y, t)
         else:
-            g = data.neumann(x, y, t, np.repeat(fb.normals[:, 0], nq),
-                             np.repeat(fb.normals[:, 1], nq))
-            tests = fb.gamma[:, None, None, None] * tests - grad.transpose(0, 1, 3, 2)
-        wg = fb.weights[:, :, None] * g.reshape(F, nq, 2)
-        load = wg.transpose(0, 2, 1) @ tests.reshape(F, nq, -1)
-        np.add.at(per_element, fb.plus, load.reshape(F, 4, -1))
+            g = data.neumann(load.x, load.y, t, load.nx, load.ny)
+        F, nq = load.weights.shape
+        wg = load.weights[:, :, None] * g.reshape(F, nq, 2)
+        contrib = wg.transpose(0, 2, 1) @ load.tests
+        np.add.at(per_element, load.plus, contrib.reshape(F, 4, -1))
     return f.ravel()
 
 
 def assemble_rhs(space: DGSpace, data: ProblemData, t: float,
                  sigma_prev: np.ndarray, dt: float,
                  system: SystemMatrices) -> np.ndarray:
-    """One-step right-hand side M sigma_prev + dt * f(t)."""
+    """One-step right-hand side M sigma_prev + dt * f(t), with the load
+    vector of ``functional_vector`` at ``system.alpha`` (its time-independent
+    tables are computed once per space and alpha; the data callbacks
+    receive read-only point arrays)."""
     f = functional_vector(space, data, t, system.alpha)
     return system.m @ sigma_prev + dt * f
 

@@ -19,7 +19,7 @@ tensor components are stacked component-major on top of it,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -196,11 +196,15 @@ def _legendre_table(t: np.ndarray, pmax: int):
 @dataclass(frozen=True)
 class ElementBatch:
     """Elements whose quadrature rules have the same number of points:
-    ids (E,), points (E, nq, 2) and weights (E, nq)."""
+    ids (E,), points (E, nq, 2) and weights (E, nq), all read-only."""
 
     elements: np.ndarray
     points: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.elements, self.points, self.weights):
+            array.setflags(write=False)
 
 
 class DGSpace:
@@ -254,6 +258,29 @@ class DGSpace:
                 self._gram_chol.append(scipy.linalg.cho_factor(self.gram[e]))
             except scipy.linalg.LinAlgError as exc:
                 raise ValueError(f"singular basis Gram matrix on element {e}") from exc
+
+    # -- load tables -------------------------------------------------------------
+
+    @cached_property
+    def element_values(self) -> tuple[np.ndarray, ...]:
+        """Basis values (E, nq, local_dim) at the quadrature points of each
+        of ``element_batches``, read-only.  Computed on first use (by
+        ``l2_project`` and the load vector), not at construction, and kept
+        for the life of the space."""
+        tables = []
+        for batch in self.element_batches:
+            phi, _ = self.evaluate(batch.elements[:, None], batch.points)
+            phi.setflags(write=False)
+            tables.append(phi)
+        return tuple(tables)
+
+    @cached_property
+    def element_points(self) -> np.ndarray:
+        """Quadrature points of all ``element_batches`` in batch order,
+        (npts, 2), read-only; computed on first use."""
+        pts = np.concatenate([b.points.reshape(-1, 2) for b in self.element_batches])
+        pts.setflags(write=False)
+        return pts
 
     # -- basis evaluation ----------------------------------------------------
 
@@ -331,15 +358,16 @@ def build_space(mesh: PolyMesh, p: int) -> DGSpace:
 def l2_project(space: DGSpace, field) -> np.ndarray:
     """Elementwise L2 projection of a tensor-valued function.
 
-    ``field(x, y)`` takes coordinate arrays and returns values with shape
-    (npts, 2, 2).  Coefficients are quadrature inner products run through
-    the element Gram solve (a no-op on rectangular elements, where the
-    basis is orthonormal).
+    ``field(x, y)`` takes read-only coordinate arrays, one call per element
+    batch, and returns values with shape (npts, 2, 2).  Coefficients are
+    quadrature inner products run through the element Gram solve (a no-op
+    on rectangular elements, where the basis is orthonormal).  The basis
+    values at the quadrature points are computed once per space
+    (``DGSpace.element_values``) and reused by every later call.
     """
     ncomp = len(COMPONENTS)
     dofs = np.empty((ncomp, space.n_elements, space.local_dim))
-    for batch in space.element_batches:
-        phi, _ = space.evaluate(batch.elements[:, None], batch.points)
+    for batch, phi in zip(space.element_batches, space.element_values):
         wphi_t = np.ascontiguousarray(batch.weights[:, :, None] * phi).transpose(0, 2, 1)
         pts = batch.points.reshape(-1, 2)
         vals = np.asarray(field(pts[:, 0], pts[:, 1])).reshape(phi.shape[:2] + (ncomp,))

@@ -25,6 +25,11 @@ class ProblemData:
         boundary; the normal components nx, ny are scalars or per-point arrays
     sigma0(x, y) -> (npts, 2, 2): initial pseudo-stress field
     mu: viscosity (> 0)
+
+    The point arrays (and per-point normals) passed to the callbacks by
+    ``functional_vector`` and ``l2_project`` are read-only, since the same
+    arrays are reused on every call: the load vector's time-independent
+    tables are computed once per space (and penalty alpha).
     """
 
     source: callable

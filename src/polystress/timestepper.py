@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_rhs,
-                       assemble_system, build_system, penalty)
-from .dg_space import (DGSpace, face_quadrature, l2_project, polygon_rules,
-                       rules_by_element)
+from .assembly import (DEFAULT_ALPHA, SystemMatrices, _face_batch,
+                       assemble_rhs, assemble_system, build_system)
+from .dg_space import COMPONENTS, DGSpace, l2_project, polygon_rules
 from .kernels import CsrOperator
 from .krylov import (LAYOUT_COLLECTIVE, LAYOUT_COMPONENT, SolverConfig,
                      build_block_jacobi, build_deflator, cg, deflated_cg, pcg)
@@ -86,33 +85,48 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
                        log_path=None):
     """March the fully discrete system over [0, T].
 
-    Returns the final dof vector and the per-step solver reports.  A step
-    whose linear solve does not converge aborts with TimeStepError carrying
-    the step index.
+    Returns the final dof vector and the per-step solver reports.  A given
+    ``system`` must have been assembled with ``alpha`` and ``data.mu``
+    (ValueError otherwise).  A step whose linear solve does not converge
+    aborts with TimeStepError carrying the step index.  ``log_path``
+    receives one CSV row per step (``step,time,iterations,residual,wall_s,
+    true_residual``), including the failing step's row when one aborts the
+    run.
     """
     config = config or SolverConfig()
     if system is None:
         system = assemble_system(space, data.mu, alpha)
+    elif system.alpha != alpha:
+        raise ValueError(f"system assembled with alpha = {system.alpha:g}, "
+                         f"but the run has alpha = {alpha:g}")
+    elif system.mu != data.mu:
+        raise ValueError(f"system assembled with mu = {system.mu:g}, "
+                         f"but the problem data have mu = {data.mu:g}")
     _, step_solve = make_stepper(space, system, time.dt, solver, config)
 
     sigma = l2_project(space, data.sigma0)
     reports = []
+    failure = None
     for n in range(time.n_steps):
         t_next = (n + 1) * time.dt
         rhs = assemble_rhs(space, data, t_next, sigma, time.dt, system)
         sigma_next, report = step_solve(rhs, sigma)
-        if not report.converged:
-            raise TimeStepError(n, f"linear solver failed to converge at step {n} "
-                                   f"(t = {t_next:g}, residual {report.final_residual:.3e})")
-        sigma = sigma_next
         reports.append(report)
+        if not report.converged:
+            failure = TimeStepError(n, f"linear solver failed to converge at step {n} "
+                                       f"(t = {t_next:g}, residual {report.final_residual:.3e})")
+            break
+        sigma = sigma_next
 
     if log_path is not None:
         with open(log_path, "w") as fh:
-            fh.write("step,time,iterations,residual\n")
+            fh.write("step,time,iterations,residual,wall_s,true_residual\n")
             for n, rep in enumerate(reports):
                 fh.write(f"{n + 1},{(n + 1) * time.dt:.16e},{rep.iterations},"
-                         f"{rep.final_residual:.16e}\n")
+                         f"{rep.final_residual:.16e},{rep.wall_time:.6e},"
+                         f"{rep.true_residual:.16e}\n")
+    if failure is not None:
+        raise failure
     return sigma, reports
 
 
@@ -121,7 +135,9 @@ class EnergyNorm:
     penalised jumps over interior and Neumann faces.
 
     Error evaluation uses quadrature two degrees beyond the assembly rules
-    to keep the reported convergence slopes free of quadrature artefacts.
+    to keep the reported convergence slopes free of quadrature artefacts;
+    the fine rules are built once, batched like the assembly rules (elements
+    by quadrature size, faces by kind on one Gauss rule).
     """
 
     def __init__(self, space: DGSpace, alpha: float = DEFAULT_ALPHA):
@@ -129,47 +145,52 @@ class EnergyNorm:
         self.alpha = alpha
         self.fine_degree = 2 * (space.degree + 2) + 1
         mesh = space.mesh
-        self._element_rules = rules_by_element(polygon_rules(
-            [mesh.element_points(e) for e in range(mesh.n_elements)], self.fine_degree))
+        self._element_batches = polygon_rules(
+            [mesh.element_points(e) for e in range(mesh.n_elements)], self.fine_degree)
+        self._face_batches = [_face_batch(space, kind, alpha, self.fine_degree)
+                              for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN)]
 
     @staticmethod
     def _dev_sq(t):
-        d00 = 0.5 * (t[:, 0, 0] - t[:, 1, 1])
-        return d00 ** 2 + t[:, 0, 1] ** 2 + t[:, 1, 0] ** 2 + d00 ** 2
+        d00 = 0.5 * (t[..., 0, 0] - t[..., 1, 1])
+        return d00 ** 2 + t[..., 0, 1] ** 2 + t[..., 1, 0] ** 2 + d00 ** 2
 
     def error(self, dofs: np.ndarray, exact=None, t: float = 0.0) -> float:
         """Energy norm of (sigma_h - exact); of sigma_h itself when exact is
         None.  ``exact`` provides sigma(x, y, t) and div_sigma(x, y, t)."""
-        space, mesh = self.space, self.space.mesh
-        total = 0.0
-        for e in range(space.n_elements):
-            rule = self._element_rules[e]
-            x, y = rule.points[:, 0], rule.points[:, 1]
-            field = space.eval_field(dofs, e, rule.points)
-            div = space.eval_divergence(dofs, e, rule.points)
-            if exact is not None:
-                field = field - exact.sigma(x, y, t)
-                div = div - exact.div_sigma(x, y, t)
-            total += float(rule.weights @ (self._dev_sq(field) + (div ** 2).sum(axis=1)))
+        space = self.space
+        # coef[e, i, r, d]: coefficient of basis function i in component (r, d)
+        coef = dofs.reshape(len(COMPONENTS), space.n_elements, space.local_dim)
+        coef = coef.transpose(1, 2, 0).reshape(space.n_elements, space.local_dim, 2, 2)
 
-        for face in mesh.faces:
-            if face.kind == FaceKind.DIRICHLET:
-                continue
-            pts = mesh.face_points(face)
-            rule = face_quadrature(pts[0], pts[1], self.fine_degree)
-            x, y = rule.points[:, 0], rule.points[:, 1]
-            gamma = penalty(face, self.alpha, space.degree, mesh)
-            n = face.normal
-            err_plus = space.eval_field(dofs, face.plus_element, rule.points)
+        def sigma_error(elements, pts):
+            """sigma_h - exact (sigma_h when exact is None) of the given
+            elements at points (n, nq, 2), and the basis gradients there."""
+            phi, grad = space.evaluate(elements[:, None], pts)
+            field = np.einsum("nqi,nird->nqrd", phi, coef[elements])
             if exact is not None:
-                err_plus = err_plus - exact.sigma(x, y, t)
-            jump = np.einsum("qrc,c->qr", err_plus, n)
-            if face.kind == FaceKind.INTERIOR:
-                err_minus = space.eval_field(dofs, face.minus_element, rule.points)
-                if exact is not None:
-                    err_minus = err_minus - exact.sigma(x, y, t)
-                jump = jump - np.einsum("qrc,c->qr", err_minus, n)
-            total += gamma * float(rule.weights @ (jump ** 2).sum(axis=1))
+                x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+                field = field - exact.sigma(x, y, t).reshape(field.shape)
+            return field, grad
+
+        total = 0.0
+        for batch in self._element_batches:
+            field, grad = sigma_error(batch.elements, batch.points)
+            div = np.einsum("nqid,nird->nqr", grad, coef[batch.elements])
+            if exact is not None:
+                pts = batch.points.reshape(-1, 2)
+                div = div - exact.div_sigma(pts[:, 0], pts[:, 1], t).reshape(div.shape)
+            total += float(np.sum(batch.weights * (self._dev_sq(field)
+                                                   + (div ** 2).sum(axis=-1))))
+
+        for fb in self._face_batches:
+            if not len(fb.plus):
+                continue
+            jump = np.einsum("fqrc,fc->fqr", sigma_error(fb.plus, fb.points)[0], fb.normals)
+            if fb.minus is not None:
+                jump = jump - np.einsum("fqrc,fc->fqr", sigma_error(fb.minus, fb.points)[0],
+                                        fb.normals)
+            total += float(np.sum(fb.gamma[:, None] * fb.weights * (jump ** 2).sum(axis=-1)))
         return float(np.sqrt(total))
 
 

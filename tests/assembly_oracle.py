@@ -7,7 +7,9 @@ time through ``basis_values``/``basis_gradients``: the full tensor-valued
 M and A over all four components, and the scalar blocks from a
 two-slot vector form.  Comparing the two checks the structure identities
 against an assembly that never uses them.  ``l2_project`` is the
-element-by-element projection that the batched one must reproduce.
+element-by-element projection that the batched one must reproduce, and
+``energy_error`` the element-by-element, face-by-face energy norm that
+``EnergyNorm.error`` must reproduce.
 """
 import dataclasses
 
@@ -16,7 +18,8 @@ import scipy.sparse as sparse
 
 from polystress import FaceKind, penalty
 from polystress.assembly import deviatoric_factor, finalize
-from polystress.dg_space import COMPONENTS, face_quadrature
+from polystress.dg_space import (COMPONENTS, face_quadrature, polygon_rules,
+                                 rules_by_element)
 
 
 def _coo(rows, cols, vals, n):
@@ -206,3 +209,46 @@ def l2_project(space, field):
             sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
             dofs[sl] = space.gram_solve(e, wphi.T @ vals[:, r, d])
     return dofs
+
+
+def _dev_sq(t):
+    d00 = 0.5 * (t[:, 0, 0] - t[:, 1, 1])
+    return d00 ** 2 + t[:, 0, 1] ** 2 + t[:, 1, 0] ** 2 + d00 ** 2
+
+
+def energy_error(norm, dofs, exact=None, t=0.0):
+    """``norm.error(dofs, exact, t)`` one element and one face at a time, on
+    the fine quadrature degree of the EnergyNorm ``norm``."""
+    space, mesh = norm.space, norm.space.mesh
+    rules = rules_by_element(polygon_rules(
+        [mesh.element_points(e) for e in range(mesh.n_elements)], norm.fine_degree))
+    total = 0.0
+    for e in range(space.n_elements):
+        rule = rules[e]
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        field = space.eval_field(dofs, e, rule.points)
+        div = space.eval_divergence(dofs, e, rule.points)
+        if exact is not None:
+            field = field - exact.sigma(x, y, t)
+            div = div - exact.div_sigma(x, y, t)
+        total += float(rule.weights @ (_dev_sq(field) + (div ** 2).sum(axis=1)))
+
+    for face in mesh.faces:
+        if face.kind == FaceKind.DIRICHLET:
+            continue
+        pts = mesh.face_points(face)
+        rule = face_quadrature(pts[0], pts[1], norm.fine_degree)
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        gamma = penalty(face, norm.alpha, space.degree, mesh)
+        n = face.normal
+        err_plus = space.eval_field(dofs, face.plus_element, rule.points)
+        if exact is not None:
+            err_plus = err_plus - exact.sigma(x, y, t)
+        jump = np.einsum("qrc,c->qr", err_plus, n)
+        if face.kind == FaceKind.INTERIOR:
+            err_minus = space.eval_field(dofs, face.minus_element, rule.points)
+            if exact is not None:
+                err_minus = err_minus - exact.sigma(x, y, t)
+            jump = jump - np.einsum("qrc,c->qr", err_minus, n)
+        total += gamma * float(rule.weights @ (jump ** 2).sum(axis=1))
+    return float(np.sqrt(total))

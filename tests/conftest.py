@@ -26,6 +26,15 @@ def poly_mesh():
     return agglomerate(base, 8, rng_seed=3)
 
 
+@pytest.fixture(scope="session")
+def oracle_meshes():
+    """Criterion 1's agglomerated mesh (interior and Neumann faces) and an
+    all-Dirichlet 2x2 grid (empty Neumann batch)."""
+    base = classify_boundary(build_cartesian_mesh(15, 15), right_edge)
+    return {"agglomerated-50": agglomerate(base, 50, 1),
+            "dirichlet-2x2": classify_boundary(build_cartesian_mesh(2, 2), lambda p: False)}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

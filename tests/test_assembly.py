@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,8 +13,8 @@ from polystress import (FaceKind, assemble_mass, assemble_rhs,
                         assemble_stiffness, assemble_system, build_space,
                         build_system, classify_boundary, build_cartesian_mesh,
                         kron_structure_check, l2_project, penalty)
-from polystress.assembly import (K_SPEC, deviatoric_factor, finalize,
-                                 functional_vector)
+from polystress.assembly import (_BOUNDARY_LOADS, K_SPEC, deviatoric_factor,
+                                 finalize, functional_vector)
 from polystress.dg_space import element_quadrature, face_quadrature
 from polystress.problems import trig_solution, zero_data
 
@@ -270,15 +274,6 @@ def test_export_matrices(tmp_path, sys22):
 
 # -- batched assembly against the element-by-element oracle ---------------------
 
-@pytest.fixture(scope="module")
-def oracle_meshes():
-    """Criterion 1's agglomerated mesh (interior and Neumann faces) and an
-    all-Dirichlet 2x2 grid (empty Neumann batch)."""
-    base = classify_boundary(build_cartesian_mesh(15, 15), lambda p: p[0] > 1.0 - 1e-9)
-    return {"agglomerated-50": ps.agglomerate(base, 50, 1),
-            "dirichlet-2x2": classify_boundary(build_cartesian_mesh(2, 2), lambda p: False)}
-
-
 def max_rel_dev(got, ref):
     """max |got - ref| / max |ref|, entrywise."""
     diff = got - ref
@@ -325,3 +320,61 @@ def test_batched_evaluator_matches_per_element_calls(oracle_meshes):
         ref_grads = np.stack([space.basis_gradients(e, r.points) for e, r in zip(elems, rules)])
         assert max_rel_dev(values, ref_values) <= 1e-14
         assert max_rel_dev(grads, ref_grads) <= 1e-14
+
+
+# -- load-vector tables ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def trig_data():
+    return trig_solution().data
+
+
+def test_load_tables_reused_bitwise(oracle_meshes, trig_data):
+    mesh = oracle_meshes["agglomerated-50"]
+    space = build_space(mesh, 2)
+    for t in (0.0, 0.3, 0.7):
+        got = functional_vector(space, trig_data, t, 10.0)
+        ref = functional_vector(build_space(mesh, 2), trig_data, t, 10.0)
+        assert got.tobytes() == ref.tobytes()
+    assert l2_project(space, trig_data.sigma0).tobytes() == \
+        l2_project(build_space(mesh, 2), trig_data.sigma0).tobytes()
+
+
+def test_load_tables_keyed_by_alpha(trig_data):
+    mesh = classify_boundary(build_cartesian_mesh(4, 4), lambda p: p[0] > 1.0 - 1e-9)
+    space = build_space(mesh, 2)
+    vectors = {}
+    for alpha in (10.0, 25.0, 10.0, 25.0):
+        got = functional_vector(space, trig_data, 0.3, alpha)
+        ref = functional_vector(build_space(mesh, 2), trig_data, 0.3, alpha)
+        assert got.tobytes() == ref.tobytes()
+        vectors[alpha] = got
+    assert not np.array_equal(vectors[10.0], vectors[25.0])
+
+
+def test_load_callbacks_get_read_only_points(mesh22, trig_data):
+    space = build_space(mesh22, 1)
+    before = functional_vector(space, trig_data, 0.3)
+
+    def scribble(x, y, t, *normals):
+        x[:] = 0.0
+        return np.zeros((np.size(x), 2, 2))
+
+    for name in ("source", "dirichlet", "neumann"):
+        with pytest.raises(ValueError, match="read-only"):
+            functional_vector(space, dataclasses.replace(trig_data, **{name: scribble}), 0.3)
+    assert functional_vector(space, trig_data, 0.3).tobytes() == before.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        l2_project(space, lambda x, y: scribble(x, y, 0.0))
+
+
+def test_load_tables_released_with_space(mesh22, trig_data):
+    space = build_space(mesh22, 1)
+    functional_vector(space, trig_data, 0.3)
+    assert space in _BOUNDARY_LOADS
+    entries = len(_BOUNDARY_LOADS)
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
+    assert len(_BOUNDARY_LOADS) <= entries - 1

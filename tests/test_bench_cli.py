@@ -202,8 +202,10 @@ def test_cli_solve(tmp_path, capsys):
                     "--solver", "dcg", "--output", str(tmp_path)])
     assert code == 0
     log = (tmp_path / "solve_log.csv").read_text().splitlines()
-    assert log[0] == "step,time,iterations,residual"
+    assert log[0] == "step,time,iterations,residual,wall_s,true_residual"
     assert len(log) == 5
+    for line in log[1:]:
+        assert np.all(np.isfinite([float(v) for v in line.split(",")[4:]]))
     assert "completed 4 steps" in capsys.readouterr().out
 
 

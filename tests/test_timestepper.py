@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import assembly_oracle as oracle
 import polystress.krylov as krylov
 import polystress.timestepper as ts
 from polystress import (SolverConfig, TimeConfig, TimeStepError, build_space,
@@ -123,9 +124,38 @@ def test_per_step_log(tmp_path, mesh22):
     implicit_euler_run(space, mms.data, TimeConfig.from_steps(3, 0.1), "cg",
                        SolverConfig(tol=1e-10, maxit=3000), log_path=log)
     lines = log.read_text().splitlines()
-    assert lines[0] == "step,time,iterations,residual"
+    assert lines[0] == "step,time,iterations,residual,wall_s,true_residual"
     assert len(lines) == 4
     assert lines[1].startswith("1,")
+    for line in lines[1:]:
+        assert np.all(np.isfinite([float(v) for v in line.split(",")[4:]]))
+
+
+def test_per_step_log_written_on_failure(tmp_path, mesh33):
+    # no load before t = 0.025: steps 1 and 2 converge at once, step 3 cannot
+    data = zero_data()
+    data.source = lambda x, y, t: np.full((np.size(x), 2, 2), float(t > 0.025))
+    log = tmp_path / "steps.csv"
+    with pytest.raises(TimeStepError) as err:
+        implicit_euler_run(build_space(mesh33, 2), data, TimeConfig.from_steps(4, 0.01),
+                           "cg", SolverConfig(tol=1e-12, maxit=2), log_path=log)
+    assert err.value.step == 2
+    rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    assert [row[2] for row in rows] == ["0", "0", "2"]
+    assert np.all(np.isfinite([float(v) for row in rows for v in row[4:]]))
+
+
+def test_system_must_match_run(mesh22):
+    space = build_space(mesh22, 1)
+    system = assemble_system(space, 1.0, 10.0)
+    tc = TimeConfig.from_steps(1, 0.1)
+    with pytest.raises(ValueError, match="alpha"):
+        implicit_euler_run(space, steady_polynomial_solution(1).data, tc, "cg",
+                           alpha=25.0, system=system)
+    with pytest.raises(ValueError, match="mu"):
+        implicit_euler_run(space, steady_polynomial_solution(1, mu=2.0).data, tc, "cg",
+                           system=system)
 
 
 # -- energy norm ----------------------------------------------------------------
@@ -135,6 +165,18 @@ def test_energy_error_of_projected_exact_field(mesh33):
     space = build_space(mesh33, 2)
     dofs = l2_project(space, lambda x, y: mms.sigma(x, y, 0.0))
     assert energy_error(space, dofs, mms, 0.0) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_batched_energy_norm_matches_per_element(oracle_meshes, rng, p):
+    space = build_space(oracle_meshes["agglomerated-50"], p)
+    mms = trig_solution()
+    dofs = l2_project(space, lambda x, y: mms.sigma(x, y, 0.3))
+    dofs += 1e-3 * rng.standard_normal(space.total_dofs)
+    norm = EnergyNorm(space)
+    for exact in (None, mms):
+        got, ref = norm.error(dofs, exact, 0.3), oracle.energy_error(norm, dofs, exact, 0.3)
+        assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_energy_norm_homogeneity(poly_mesh, rng):
