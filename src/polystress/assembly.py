@@ -61,16 +61,19 @@ class SystemMatrices:
 
 def finalize(matrix, rel: float = 1e-14) -> sparse.csr_matrix:
     """Canonical CSR form: duplicates summed, entries below rel * rowmax
-    dropped, indices sorted."""
+    dropped, indices sorted.  Row maxima, the filter and the new row
+    pointers are all computed on the CSR arrays."""
     A = matrix.tocsr()
     A.sum_duplicates()
     if A.nnz:
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        counts = np.diff(A.indptr)
         mag = np.abs(A.data)
         rowmax = np.zeros(A.shape[0])
-        np.maximum.at(rowmax, rows, mag)
-        keep = mag > rel * rowmax[rows]
-        A = sparse.csr_matrix((A.data[keep], (rows[keep], A.indices[keep])),
+        nonempty = counts > 0
+        rowmax[nonempty] = np.maximum.reduceat(mag, A.indptr[:-1][nonempty])
+        keep = mag > rel * np.repeat(rowmax, counts)
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        A = sparse.csr_matrix((A.data[keep], A.indices[keep], kept[A.indptr]),
                               shape=A.shape)
     A.sort_indices()
     return A

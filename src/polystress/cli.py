@@ -3,7 +3,9 @@
 Subcommands: cond-table, iter-table, convergence, solve, export-matrices.
 Options override the corresponding config-file keys.  Exit codes: 0 on
 success, 1 on configuration errors, 2 when any solve or estimate was
-flagged as non-converged.
+flagged as non-converged, when a time step failed, or when a matrix that
+must be SPD (a Block-Jacobi block, the deflation coarse operator) failed
+its factorisation; a failure prints a one-line ``error:`` message.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .bench import (ConfigError, Table, build_meshes, config_hash,
                     load_config, run_condition_table, run_convergence,
                     run_iteration_table)
 from .dg_space import build_space
-from .krylov import SolverConfig
+from .krylov import BlockFactorizationError, SolverConfig
 from .mesh import MeshError
 from .problems import NAMED_SOLUTIONS, zero_data
 from .timestepper import TimeConfig, TimeStepError, implicit_euler_run
@@ -156,12 +158,8 @@ def _cmd_solve(cfg) -> int:
     outdir = Path(cfg["output"]["path"])
     outdir.mkdir(parents=True, exist_ok=True)
     log = outdir / "solve_log.csv"
-    try:
-        _, reports = implicit_euler_run(space, data, tcfg, sec["solver"].strip(),
-                                        solver_cfg, alpha, log_path=log)
-    except TimeStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _, reports = implicit_euler_run(space, data, tcfg, sec["solver"].strip(),
+                                    solver_cfg, alpha, log_path=log)
     iters = [r.iterations for r in reports]
     print(f"# config_hash={config_hash(cfg)} mesh={label} solver={sec['solver']}")
     print(f"completed {tcfg.n_steps} steps; iterations min/mean/max = "
@@ -197,6 +195,9 @@ def main(argv=None) -> int:
         if args.command == "export-matrices":
             return _cmd_export(cfg, args.dt)
         raise AssertionError(args.command)
+    except (TimeStepError, BlockFactorizationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, MeshError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

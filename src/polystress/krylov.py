@@ -104,9 +104,13 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
         x = np.array(x0, dtype=float)
         r = b - apply_a(x)
     z = apply_m(r) if apply_m is not None else r
-    denom_r = b.copy()
-    denom_z = apply_m(denom_r) if apply_m is not None else denom_r
-    denom = float(np.sqrt(denom_r @ denom_z))
+    if apply_m is None:
+        mb = b
+    elif x0 is None:
+        mb = z  # r = b on a cold start, so z is already M b
+    else:
+        mb = apply_m(b)
+    denom = float(np.sqrt(b @ mb))
     if denom == 0.0:
         return np.zeros_like(b), SolverReport(0, 0.0, True,
                                               history=np.array([]) if history is not None else None,
@@ -202,43 +206,58 @@ def collective_permutation(space: DGSpace) -> np.ndarray:
     return c * S + e * L + i
 
 
-def _extract_diagonal_blocks(A: sparse.csr_matrix, bs: int) -> np.ndarray:
+def _diagonal_blocks(A: sparse.csr_matrix, bs: int, perm: np.ndarray | None) -> np.ndarray:
+    """The (n // bs, bs, bs) diagonal blocks of A[perm][:, perm], read from
+    A's CSR arrays through the inverse permutation."""
     n = A.shape[0]
-    nb = n // bs
-    coo = A.tocoo()
-    mask = (coo.row // bs) == (coo.col // bs)
-    blocks = np.zeros((nb, bs, bs))
-    blocks[coo.row[mask] // bs, coo.row[mask] % bs, coo.col[mask] % bs] = coo.data[mask]
+    new = np.arange(n, dtype=A.indices.dtype)
+    if perm is not None:
+        new[perm] = new.copy()
+    rows = np.repeat(new, np.diff(A.indptr))
+    cols = new[A.indices]
+    mask = rows // bs == cols // bs
+    rows, cols = rows[mask], cols[mask]
+    blocks = np.zeros((n // bs, bs, bs))
+    blocks[rows // bs, rows % bs, cols % bs] = A.data[mask]
     return blocks
 
 
 def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE,
                        backend: str | None = None) -> BlockJacobi:
-    """Extract and factorise the diagonal blocks of A* under the layout."""
+    """Extract and factorise the diagonal blocks of A* under the layout.
+
+    Each block is factorised by LAPACK's potrf and inverted by potrs, the
+    routines behind scipy's cho_factor and cho_solve.  Raises
+    BlockFactorizationError naming the first element whose block holds a
+    non-finite entry or is not positive definite.
+    """
     astar = sparse.csr_matrix(astar)
     L, ne = space.local_dim, space.n_elements
     if layout == LAYOUT_COMPONENT:
         bs, perm = L, None
-        permuted = astar
     elif layout == LAYOUT_COLLECTIVE:
-        bs = 4 * L
-        perm = collective_permutation(space)
-        permuted = astar[perm, :][:, perm]
+        bs, perm = 4 * L, collective_permutation(space)
     else:
         raise ValueError(f"unknown Block-Jacobi layout: {layout!r}")
 
-    blocks = _extract_diagonal_blocks(permuted.tocsr(), bs)
+    def failure(k, why):
+        elem = k if layout == LAYOUT_COLLECTIVE else k % ne
+        return BlockFactorizationError(f"{layout} block of element {elem} {why}")
+
+    blocks = _diagonal_blocks(astar, bs, perm)
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    if not finite.all():
+        raise failure(int(np.argmin(finite)), "holds a NaN or inf")
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (blocks,))
     inv = np.empty_like(blocks)
     eye = np.eye(bs)
     for k, blk in enumerate(blocks):
-        elem = k if layout == LAYOUT_COLLECTIVE else k % ne
-        try:
-            cho = scipy.linalg.cho_factor(blk, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise BlockFactorizationError(
-                f"{layout} block of element {elem} is not SPD") from exc
-        inv_k = scipy.linalg.cho_solve(cho, eye)
-        inv[k] = 0.5 * (inv_k + inv_k.T)
+        chol, info = potrf(blk, lower=True, overwrite_a=False, clean=False)
+        if info != 0:
+            raise failure(k, "is not SPD")
+        inv[k] = potrs(chol, eye, lower=True, overwrite_b=False)[0]
+    inv += inv.transpose(0, 2, 1)
+    inv *= 0.5
     solver = BlockDiagSolver(inv, perm=perm, backend=backend)
     return BlockJacobi(layout=layout, block_size=bs, nblocks=len(blocks),
                        solver=solver, perm=perm)

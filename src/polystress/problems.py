@@ -3,7 +3,10 @@
 The unknown is the pseudo-stress tensor sigma = mu grad(u) - p I.  Boundary
 data prescribe the row-wise divergence of sigma on the Dirichlet part and
 the traction sigma.n on the Neumann part.  Manufactured solutions are
-derived symbolically from a sympy expression for sigma(x, y, t).
+derived symbolically from a sympy expression for sigma(x, y, t); sigma, its
+divergence and the source each become one numpy callback that evaluates
+all entries together, sharing their common subexpressions.  The traction
+and the initial field are evaluated through the sigma callback.
 """
 from __future__ import annotations
 
@@ -53,36 +56,20 @@ def zero_data(mu: float = 1.0) -> ProblemData:
                        sigma0=lambda x, y: tensor(x, y), mu=mu)
 
 
-def _lambdify_scalar(expr):
-    f = sp.lambdify((X, Y, T), expr, modules="numpy")
+def _lambdify(mat):
+    """Vectorised callback (x, y, t) -> (npts,) + mat.shape for a sympy
+    Matrix.  All entries are lambdified together, with common
+    subexpressions (the sin, cos and exp shared by the entries) evaluated
+    once per call; entries that do not depend on the point are broadcast."""
+    f = sp.lambdify((X, Y, T), list(mat), modules="numpy", cse=True)
+    shape = mat.shape[:1] if mat.shape[1] == 1 else mat.shape
 
     def g(x, y, t):
-        out = f(np.asarray(x, dtype=float), np.asarray(y, dtype=float), t)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x))
-
-    return g
-
-
-def _lambdify_tensor(mat):
-    comps = [[_lambdify_scalar(mat[r, c]) for c in range(2)] for r in range(2)]
-
-    def g(x, y, t):
-        out = np.empty((np.size(x), 2, 2))
-        for r in range(2):
-            for c in range(2):
-                out[:, r, c] = comps[r][c](x, y, t)
-        return out
-
-    return g
-
-
-def _lambdify_vector(vec):
-    comps = [_lambdify_scalar(vec[r]) for r in range(2)]
-
-    def g(x, y, t):
-        out = np.empty((np.size(x), 2))
-        for r in range(2):
-            out[:, r] = comps[r](x, y, t)
+        x = np.asarray(x, dtype=float)
+        out = np.empty((x.size,) + shape)
+        flat = out.reshape(x.size, -1)
+        for k, val in enumerate(f(x, np.asarray(y, dtype=float), t)):
+            flat[:, k] = val
         return out
 
     return g
@@ -114,9 +101,9 @@ def manufacture(sigma_expr: sp.Matrix, mu: float = 1.0, name: str = "custom") ->
     grad_div = sp.Matrix([[div[r].diff(X), div[r].diff(Y)] for r in range(2)])
     source_expr = dev.diff(T) / mu - grad_div
 
-    sigma_fun = _lambdify_tensor(sigma_expr)
-    div_fun = _lambdify_vector(div)
-    source_fun = _lambdify_tensor(source_expr)
+    sigma_fun = _lambdify(sigma_expr)
+    div_fun = _lambdify(div)
+    source_fun = _lambdify(source_expr)
 
     def neumann(x, y, t, nx, ny):
         vals = sigma_fun(x, y, t)

@@ -9,7 +9,8 @@ two-slot vector form.  Comparing the two checks the structure identities
 against an assembly that never uses them.  ``l2_project`` is the
 element-by-element projection that the batched one must reproduce, and
 ``energy_error`` the element-by-element, face-by-face energy norm that
-``EnergyNorm.error`` must reproduce.
+``EnergyNorm.error`` must reproduce.  ``finalize_coo`` is the COO round
+trip that the library's CSR ``finalize`` must reproduce bitwise.
 """
 import dataclasses
 
@@ -20,6 +21,23 @@ from polystress import FaceKind, penalty
 from polystress.assembly import deviatoric_factor, finalize
 from polystress.dg_space import (COMPONENTS, face_quadrature, polygon_rules,
                                  rules_by_element)
+
+
+def finalize_coo(matrix, rel=1e-14):
+    """Canonical CSR form through COO: duplicates summed, entries below
+    rel * rowmax dropped (row maxima by ``np.maximum.at``), indices sorted."""
+    A = matrix.tocsr()
+    A.sum_duplicates()
+    if A.nnz:
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        mag = np.abs(A.data)
+        rowmax = np.zeros(A.shape[0])
+        np.maximum.at(rowmax, rows, mag)
+        keep = mag > rel * rowmax[rows]
+        A = sparse.csr_matrix((A.data[keep], (rows[keep], A.indices[keep])),
+                              shape=A.shape)
+    A.sort_indices()
+    return A
 
 
 def _coo(rows, cols, vals, n):

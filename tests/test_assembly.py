@@ -263,6 +263,38 @@ def test_finalize_drops_small_entries():
     assert out.nnz == 2
 
 
+def _random_sparse(rng, shape, nnz):
+    """COO with duplicates, explicit zeros, entries spanning 22 decades,
+    empty rows (1 mod 5, so n = 42 and 32 end on one), rows of explicit
+    zeros (2 mod 5) and rows whose duplicates cancel exactly (3 mod 5)."""
+    n, m = shape
+    rows = rng.integers(0, n, nnz)
+    rows = rows[rows % 5 != 1]
+    cols = rng.integers(0, m, len(rows))
+    vals = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-20, 3, len(rows))
+    vals[(rng.random(len(rows)) < 0.1) | (rows % 5 == 2)] = 0.0
+    cancel = rows % 5 == 3
+    vals[cancel] = rng.integers(1, 9, cancel.sum())  # integers: sums are exact
+    return sparse.coo_matrix((np.concatenate([vals, -vals[cancel]]),
+                              (np.concatenate([rows, rows[cancel]]),
+                               np.concatenate([cols, cols[cancel]]))), shape=shape)
+
+
+@pytest.mark.parametrize("shape,nnz", [((42, 42), 400), ((300, 300), 6000),
+                                       ((32, 70), 500), ((25, 25), 0)])
+def test_finalize_matches_coo_oracle(rng, shape, nnz):
+    a = _random_sparse(rng, shape, nnz)
+    for matrix in (a, a.tocsr(), a.tocsc()):
+        got, ref = finalize(matrix), oracle.finalize_coo(matrix)
+        assert got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.dtype == r.dtype and np.array_equal(g, r), name
+    counts = np.diff(finalize(a).indptr)
+    assert not counts[1::5].any() and not counts[2::5].any() and not counts[3::5].any()
+    assert counts.sum() < a.nnz or nnz == 0
+
+
 def test_export_matrices(tmp_path, sys22):
     _, system = sys22
     written = ps.export_matrices(system, tmp_path, dt=1e-3)

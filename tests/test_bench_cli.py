@@ -209,6 +209,19 @@ def test_cli_solve(tmp_path, capsys):
     assert "completed 4 steps" in capsys.readouterr().out
 
 
+def test_cli_solve_reports_block_factorization_error(tmp_path, capsys):
+    # alpha = 1e-3 is far too small a penalty: the deflation coarse operator
+    # is indefinite, so building the dcg stepper fails
+    code = run_cli(["solve", "--nx", "4", "--ny", "4", "--targets", "16",
+                    "--neumann", "right", "--degree", "2", "--alpha", "1e-3",
+                    "--dt", "1e-3", "--t-final", "2e-3", "--solver", "dcg",
+                    "--output", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: coarse deflation operator is not positive definite")
+
+
 def test_cli_solve_zero_problem(tmp_path):
     assert run_cli(["solve", "--nx", "2", "--ny", "2", "--degree", "1",
                     "--mms", "zero", "--dt", "0.1", "--t-final", "0.2",

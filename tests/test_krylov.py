@@ -140,6 +140,25 @@ def test_pcg_identity_equals_cg(small_system, rng):
     assert np.array_equal(r1.history, r2.history)
 
 
+def test_pcg_cold_start_applies_preconditioner_once_per_iteration(small_system, rng):
+    space, _, astar = small_system
+    cbj = build_block_jacobi(astar, space, "collective")
+    calls = []
+
+    def counted(r):
+        calls.append(1)
+        return cbj.apply(r)
+
+    b = rng.standard_normal(astar.shape[0])
+    x_ref, rep_ref = pcg(astar, b, cbj)
+    x, rep = pcg(astar, b, counted)
+    assert np.array_equal(x, x_ref) and rep.iterations == rep_ref.iterations
+    assert len(calls) == rep.iterations + 1
+    calls.clear()
+    _, rep = pcg(astar, b, counted, x0=0.5 * x)
+    assert len(calls) == rep.iterations + 2   # M r0, plus M b for the denominator
+
+
 def test_collective_permutation_toy():
     class Toy:
         local_dim, scalar_dofs, n_elements = 1, 2, 2
@@ -209,6 +228,50 @@ def test_block_jacobi_rejects_indefinite(small_system):
     bad = astar - sparse.eye(astar.shape[0]) * 10.0
     with pytest.raises(BlockFactorizationError, match="element"):
         build_block_jacobi(bad, space, "collective")
+
+
+def _cho_oracle_inverses(astar, space, layout):
+    """Per-block cho_factor/cho_solve on the dense diagonal blocks of the
+    permuted A*, symmetrised."""
+    bs = space.local_dim if layout == "component" else 4 * space.local_dim
+    perm = np.arange(astar.shape[0]) if layout == "component" else collective_permutation(space)
+    dense = astar.toarray()[np.ix_(perm, perm)]
+    out = []
+    for k in range(astar.shape[0] // bs):
+        blk = dense[k * bs:(k + 1) * bs, k * bs:(k + 1) * bs]
+        inv = sla.cho_solve(sla.cho_factor(blk, lower=True), np.eye(bs))
+        out.append(0.5 * (inv + inv.T))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("layout", ["component", "collective"])
+def test_block_jacobi_inverses_match_cho_oracle(small_system, bench_system, layout):
+    space, _, astar = small_system
+    cases = [(space, astar)]
+    space3, system3 = bench_system
+    cases += [(space3, build_system(system3.m, system3.a, dt)) for dt in (1e-2, 1e-7)]
+    for space, astar in cases:
+        got = build_block_jacobi(astar, space, layout).solver.inv_blocks
+        assert np.array_equal(got, _cho_oracle_inverses(astar, space, layout))
+
+
+@pytest.mark.parametrize("layout", ["component", "collective"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_block_jacobi_names_nonfinite_element(small_system, layout, bad):
+    space, _, astar = small_system
+    L = space.local_dim
+    for c, e in ((2, 1), (0, 3)):
+        i = space.global_index(c, e) + L - 1
+        a = astar.tolil()
+        a[i, i] = bad
+        with pytest.raises(BlockFactorizationError,
+                           match=f"{layout} block of element {e} holds a NaN or inf"):
+            build_block_jacobi(a.tocsr(), space, layout)
+    if layout == "collective":  # an entry coupling two components of element 2
+        a = astar.tolil()
+        a[space.global_index(0, 2), space.global_index(3, 2) + 1] = bad
+        with pytest.raises(BlockFactorizationError, match="element 2 holds"):
+            build_block_jacobi(a.tocsr(), space, layout)
 
 
 # -- deflation ----------------------------------------------------------------

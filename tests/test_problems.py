@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 from polystress.problems import (X, Y, T, linear_in_space_solution, manufacture,
-                                 trig_solution, zero_data)
+                                 steady_polynomial_solution, trig_solution, zero_data)
 
 
 def test_zero_data_shapes():
@@ -78,3 +78,50 @@ def test_div_sigma_matches_symbolic_derivative(rng):
     # row-wise divergence: (d/dx s11 + d/dy s12, d/dx s21 + d/dy s22)
     ref = np.stack([2 * x * y, 1 - np.sin(y)], axis=1)
     assert np.allclose(mms.div_sigma(x, y, t), ref)
+
+
+def _entrywise_oracle(mat):
+    """One sympy.lambdify per entry, each broadcast to the points."""
+    fns = [[sp.lambdify((X, Y, T), mat[r, c], modules="numpy")
+            for c in range(mat.shape[1])] for r in range(mat.shape[0])]
+
+    def g(x, y, t):
+        return np.stack([np.stack([np.broadcast_to(np.asarray(f(x, y, t), dtype=float), x.shape)
+                                   for f in row], axis=-1) for row in fns], axis=1)
+
+    return g
+
+
+@pytest.mark.parametrize("maker", [lambda: trig_solution(2.5), linear_in_space_solution,
+                                   lambda: steady_polynomial_solution(1),
+                                   lambda: steady_polynomial_solution(2)])
+def test_fused_callbacks_match_entrywise_oracle(maker, rng):
+    mms = maker()
+    mu, sig = mms.data.mu, mms.sigma_expr
+    dev = sig - sp.Rational(1, 2) * sig.trace() * sp.eye(2)
+    div = sp.Matrix([sig[r, 0].diff(X) + sig[r, 1].diff(Y) for r in range(2)])
+    grad_div = sp.Matrix([[div[r].diff(X), div[r].diff(Y)] for r in range(2)])
+    source = dev.diff(T) / mu - grad_div
+    x, y, t = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50), 0.37
+    nx, ny = np.cos(rng.uniform(0, 2 * np.pi, 50)), np.sin(rng.uniform(0, 2 * np.pi, 50))
+    ref_sigma = _entrywise_oracle(sig)(x, y, t)
+    pairs = [
+        (mms.sigma(x, y, t), ref_sigma),
+        (mms.data.sigma0(x, y), _entrywise_oracle(sig)(x, y, 0.0)),
+        (mms.div_sigma(x, y, t), _entrywise_oracle(div)(x, y, t)[..., 0]),
+        (mms.data.dirichlet(x, y, t), _entrywise_oracle(div)(x, y, t)[..., 0]),
+        (mms.data.source(x, y, t), _entrywise_oracle(source)(x, y, t)),
+        (mms.data.neumann(x, y, t, 0.6, -0.8), ref_sigma @ np.array([0.6, -0.8])),
+        (mms.data.neumann(x, y, t, nx, ny),
+         np.einsum("qrc,qc->qr", ref_sigma, np.column_stack([nx, ny]))),
+    ]
+    for got, ref in pairs:
+        assert got.shape == ref.shape and got.flags.writeable
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # point-independent entries (the steady sources, the linear field's
+    # divergence) are one value broadcast to every point
+    for fun, expr in ((mms.div_sigma, div), (mms.data.source, source)):
+        got = fun(x, y, t).reshape(len(x), -1)
+        for k, entry in enumerate(expr):
+            if entry.free_symbols <= {T}:
+                assert np.all(got[:, k] == got[0, k])
