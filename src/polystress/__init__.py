@@ -9,8 +9,7 @@ from .dg_space import (DGSpace, QuadratureRule, build_space,
                        element_quadrature, face_quadrature, l2_project)
 from .krylov import (BlockJacobi, CondEstimate, Deflator, SolverConfig,
                      SolverReport, build_block_jacobi, build_deflator, cg,
-                     deflated_cg, estimate_condition_number, load_operator,
-                     pcg, save_operator)
+                     deflated_cg, estimate_condition_number, pcg)
 from .mesh import (Face, FaceKind, MeshError, PolyMesh, agglomerate,
                    build_cartesian_mesh, classify_boundary, read_mesh,
                    write_mesh)
@@ -30,7 +29,7 @@ __all__ = [
     "face_quadrature", "l2_project",
     "BlockJacobi", "CondEstimate", "Deflator", "SolverConfig", "SolverReport",
     "build_block_jacobi", "build_deflator", "cg", "deflated_cg",
-    "estimate_condition_number", "load_operator", "pcg", "save_operator",
+    "estimate_condition_number", "pcg",
     "Face", "FaceKind", "MeshError", "PolyMesh", "agglomerate",
     "build_cartesian_mesh", "classify_boundary", "read_mesh", "write_mesh",
     "ManufacturedSolution", "ProblemData", "linear_in_space_solution",

@@ -61,8 +61,10 @@ class SystemMatrices:
 
 def finalize(matrix, rel: float = 1e-14) -> sparse.csr_matrix:
     """Canonical CSR form: duplicates summed, entries below rel * rowmax
-    dropped, indices sorted.  Row maxima, the filter and the new row
-    pointers are all computed on the CSR arrays."""
+    dropped, indices sorted.  A row holding a NaN or inf is kept whole, so
+    that the entry reaches the factorisations that report it.  Row maxima,
+    the filter and the new row pointers are all computed on the CSR
+    arrays."""
     A = matrix.tocsr()
     A.sum_duplicates()
     if A.nnz:
@@ -72,6 +74,7 @@ def finalize(matrix, rel: float = 1e-14) -> sparse.csr_matrix:
         nonempty = counts > 0
         rowmax[nonempty] = np.maximum.reduceat(mag, A.indptr[:-1][nonempty])
         keep = mag > rel * np.repeat(rowmax, counts)
+        keep |= np.repeat(~np.isfinite(rowmax), counts)
         kept = np.concatenate(([0], np.cumsum(keep)))
         A = sparse.csr_matrix((A.data[keep], A.indices[keep], kept[A.indptr]),
                               shape=A.shape)

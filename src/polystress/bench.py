@@ -21,7 +21,6 @@ import numpy as np
 
 from .assembly import assemble_system, build_system
 from .dg_space import build_space
-from .kernels import CsrOperator, active_backend
 from .krylov import (LAYOUT_COLLECTIVE, LAYOUT_COMPONENT, SolverConfig,
                      build_block_jacobi, build_deflator, cg, deflated_cg,
                      estimate_condition_number, pcg)
@@ -269,7 +268,6 @@ def _common_meta(cfg, extra=None) -> dict:
         "seed": cfg["solve"]["seed"],
         "tol": cfg["solve"]["tol"],
         "maxit": cfg["solve"]["maxit"],
-        "backend": active_backend(),
     }
     meta.update(extra or {})
     return meta
@@ -304,18 +302,17 @@ def run_iteration_table(cfg) -> dict[str, Table]:
         system = assemble_system(space, mu, alpha)
         for i, dt in enumerate(dts):
             astar = build_system(system.m, system.a, dt)
-            aop = CsrOperator(astar)
             runners = {}
             for s in solvers:
                 if s == "cg":
-                    runners[s] = lambda b: cg(aop, b, solver_cfg)
+                    runners[s] = lambda b: cg(astar, b, solver_cfg)
                 elif s == "dcg":
                     deflator = build_deflator(system, dt, astar=astar)
-                    runners[s] = (lambda d: (lambda b: deflated_cg(aop, b, d, solver_cfg)))(deflator)
+                    runners[s] = (lambda d: (lambda b: deflated_cg(astar, b, d, solver_cfg)))(deflator)
                 elif s in ("pcg-bj", "pcg-cbj"):
                     layout = LAYOUT_COMPONENT if s == "pcg-bj" else LAYOUT_COLLECTIVE
                     bj = build_block_jacobi(astar, space, layout)
-                    runners[s] = (lambda m: (lambda b: pcg(aop, b, m, solver_cfg)))(bj)
+                    runners[s] = (lambda m: (lambda b: pcg(astar, b, m, solver_cfg)))(bj)
                 else:
                     raise ConfigError(f"unknown solver {s!r}")
             counts = {s: [] for s in solvers}
@@ -369,14 +366,11 @@ def run_condition_table(cfg) -> dict[str, Table]:
         system = assemble_system(space, mu, alpha)
         for i, dt in enumerate(dts):
             astar = build_system(system.m, system.a, dt)
-            aop = CsrOperator(astar)
-            est = estimate_condition_number(aop, n=astar.shape[0], tol=tol,
-                                            maxit=maxit, seed=seed)
+            est = estimate_condition_number(astar, tol=tol, maxit=maxit, seed=seed)
             kappa["raw"][i, j] = est.kappa
             flags["raw"][i, j] = 0 if est.converged else 1
             cbj = build_block_jacobi(astar, space, LAYOUT_COLLECTIVE)
-            est_p = estimate_condition_number(aop, n=astar.shape[0],
-                                              preconditioner=cbj, tol=tol,
+            est_p = estimate_condition_number(astar, preconditioner=cbj, tol=tol,
                                               maxit=maxit, seed=seed)
             kappa["cbj"][i, j] = est_p.kappa
             flags["cbj"][i, j] = 0 if est_p.converged else 1

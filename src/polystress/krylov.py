@@ -1,6 +1,7 @@
 """Krylov solvers for the time-step operator: CG, deflated CG with kernel
 deflation, Block-Jacobi preconditioning (component-wise and collective) and
-Lanczos condition-number estimation.
+Lanczos condition-number estimation.  cg, pcg and deflated_cg all run the
+one conjugate gradient loop ``_cg``.
 
 The deflation space is the kernel of the deviatoric mass operator, spanned
 by v kron I with v = (e1 + e4)/sqrt(2): the trace direction of the tensor
@@ -22,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.io import mmread, mmwrite
 from scipy.sparse.linalg import splu
 
 from .assembly import SystemMatrices, build_system
 from .dg_space import DGSpace
-from .kernels import BlockDiagSolver, CsrOperator
 
 
 class BlockFactorizationError(RuntimeError):
@@ -37,8 +36,10 @@ class BlockFactorizationError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """tol is a relative residual: true residual for cg/deflated cg,
-    preconditioned residual for pcg."""
+    """tol bounds the recursively updated relative residual: ||r||/||b||
+    for cg and deflated cg, the preconditioned sqrt(r.z)/sqrt(b.Mb) for
+    pcg.  The explicitly recomputed ||b - A x||/||b|| is reported as
+    SolverReport.true_residual but does not stop the iteration."""
 
     tol: float = 1e-8
     maxit: int = 10000
@@ -62,36 +63,29 @@ class SolverReport:
 
 
 def _as_apply(op):
-    """Accept a callable, a CsrOperator or any scipy sparse matrix."""
-    if callable(op) and not sparse.issparse(op) and not isinstance(op, np.ndarray):
-        return op
-    if isinstance(op, np.ndarray):
+    """An operator or preconditioner as a callable: a sparse matrix or an
+    ndarray becomes ``op @ x``, a BlockJacobi its ``apply``, and any other
+    callable is used as it is."""
+    if sparse.issparse(op) or isinstance(op, np.ndarray):
         return lambda x: op @ x
-    return CsrOperator(op).matvec
+    if isinstance(op, BlockJacobi):
+        return op.apply
+    return op
 
 
-def _as_precond(precond):
-    if precond is None:
-        return None
-    if isinstance(precond, BlockJacobi):
-        return precond.apply
-    if callable(precond) and not sparse.issparse(precond) and not isinstance(precond, np.ndarray):
-        return precond
-    if isinstance(precond, np.ndarray):
-        return lambda r: precond @ r
-    op = CsrOperator(precond)
-    return op.matvec
+def _cg(apply_a, b, apply_m, deflator, config, x0):
+    """The conjugate gradient loop behind cg, pcg and deflated_cg.
 
-
-def _pcg_core(apply_a, b, apply_m, config, x0):
-    """Shared CG / PCG loop.
-
-    Without a preconditioner this is plain CG monitored on the relative
-    residual; with one, the relative preconditioned residual sqrt(r.z) is
-    monitored.  The recursively updated residual is the convergence
-    criterion (at condition numbers ~1/dt the explicitly recomputed
-    residual saturates near eps * kappa and cannot reach tight tolerances);
-    the explicit residual is still recomputed once and reported.
+    With apply_m the relative preconditioned residual sqrt(r.z)/sqrt(b.Mb)
+    is monitored, without it ||r||/||b||.  A deflator enters at two points:
+    the start correction x += V W^-1 V^T r0, and the projection of every
+    search direction, p -= V W^-1 (A* V)^T z (Tang, Nabben, Vuik and
+    Erlangga, J. Sci. Comput. 2009).  The recursively updated residual is
+    the convergence criterion (at condition numbers ~1/dt the explicitly
+    recomputed residual saturates near eps * kappa and cannot reach tight
+    tolerances); the explicit residual is still recomputed once and
+    reported.  The loop stops without convergence when p.Ap is not
+    positive: loss of positive definiteness, or a NaN in the data.
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
@@ -103,10 +97,13 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
     else:
         x = np.array(x0, dtype=float)
         r = b - apply_a(x)
+    if deflator is not None:
+        x += deflator.coarse_component(r)
+        r = b - apply_a(x)
     z = apply_m(r) if apply_m is not None else r
     if apply_m is None:
         mb = b
-    elif x0 is None:
+    elif x0 is None and deflator is None:
         mb = z  # r = b on a cold start, so z is already M b
     else:
         mb = apply_m(b)
@@ -124,11 +121,13 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
     iterations = 0
     converged = rel <= config.tol
     p = z.copy()
+    if deflator is not None and not converged:
+        p -= deflator.projection_correction(z)
     while not converged and iterations < config.maxit:
         q = apply_a(p)
         pq = float(p @ q)
-        if pq <= 0.0:
-            break  # loss of positive definiteness; report non-convergence
+        if not pq > 0.0:
+            break  # indefinite operator or non-finite data; report non-convergence
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
@@ -144,6 +143,8 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
+        if deflator is not None:
+            p -= deflator.projection_correction(z)
 
     true_rel = float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b))
     return x, SolverReport(
@@ -158,15 +159,14 @@ def _pcg_core(apply_a, b, apply_m, config, x0):
 
 def cg(operator, b, config: SolverConfig | None = None, x0=None):
     """Conjugate gradients on an SPD (or consistent PSD) operator."""
-    config = config or SolverConfig()
-    return _pcg_core(_as_apply(operator), b, None, config, x0)
+    return _cg(_as_apply(operator), b, None, None, config or SolverConfig(), x0)
 
 
 def pcg(operator, b, preconditioner, config: SolverConfig | None = None, x0=None):
     """CG preconditioned with an SPD apply; with the identity preconditioner
     the iterates coincide with plain cg."""
-    config = config or SolverConfig()
-    return _pcg_core(_as_apply(operator), b, _as_precond(preconditioner), config, x0)
+    return _cg(_as_apply(operator), b, _as_apply(preconditioner), None,
+               config or SolverConfig(), x0)
 
 
 # -- Block-Jacobi -----------------------------------------------------------
@@ -182,17 +182,25 @@ class BlockJacobi:
     Component-wise blocks have size local_dim, one per (component, element)
     pair; collective blocks have size 4 * local_dim, grouping the four
     tensor components of one element under the permutation
-    (c, e, i) -> (e, c, i).
+    (c, e, i) -> (e, c, i).  ``inv_blocks`` (nblocks, bs, bs) holds the
+    block inverses; ``perm`` maps positions in the contiguous block layout
+    back to original dof indices.
     """
 
     layout: str
     block_size: int
     nblocks: int
-    solver: BlockDiagSolver
+    inv_blocks: np.ndarray
     perm: np.ndarray | None = None
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.solver.apply(r)
+        rb = r if self.perm is None else r[self.perm]
+        zb = np.matmul(self.inv_blocks, rb.reshape(self.nblocks, self.block_size, 1))
+        if self.perm is None:
+            return zb.reshape(-1)
+        z = np.empty(zb.size)
+        z[self.perm] = zb.reshape(-1)
+        return z
 
     __call__ = apply
 
@@ -222,8 +230,7 @@ def _diagonal_blocks(A: sparse.csr_matrix, bs: int, perm: np.ndarray | None) -> 
     return blocks
 
 
-def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE,
-                       backend: str | None = None) -> BlockJacobi:
+def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -> BlockJacobi:
     """Extract and factorise the diagonal blocks of A* under the layout.
 
     Each block is factorised by LAPACK's potrf and inverted by potrs, the
@@ -258,9 +265,8 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE,
         inv[k] = potrs(chol, eye, lower=True, overwrite_b=False)[0]
     inv += inv.transpose(0, 2, 1)
     inv *= 0.5
-    solver = BlockDiagSolver(inv, perm=perm, backend=backend)
     return BlockJacobi(layout=layout, block_size=bs, nblocks=len(blocks),
-                       solver=solver, perm=perm)
+                       inv_blocks=inv, perm=perm)
 
 
 # -- SPD factorisation -------------------------------------------------------
@@ -363,64 +369,9 @@ def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None
                 x0=None):
     """CG on the deflated system; the coarse component is recovered through
     the one-time factorisation of W.  Exactly one W-solve per iteration."""
-    config = config or SolverConfig()
     if sparse.issparse(astar) and astar.shape != deflator.astar.shape:
         raise ValueError("deflator was built from an operator of different size")
-    apply_a = _as_apply(astar)
-    start = time.perf_counter()
-    b = np.asarray(b, dtype=float)
-    history = [] if config.record_history else None
-
-    denom = float(np.linalg.norm(b))
-    if denom == 0.0:
-        return np.zeros_like(b), SolverReport(0, 0.0, True,
-                                              history=np.array([]) if history is not None else None,
-                                              wall_time=time.perf_counter() - start,
-                                              true_residual=0.0)
-
-    if x0 is None:
-        x = deflator.coarse_component(b)
-    else:
-        x = np.array(x0, dtype=float)
-        x += deflator.coarse_component(b - apply_a(x))
-    r = b - apply_a(x)
-    rel = float(np.linalg.norm(r)) / denom
-    if history is not None:
-        history.append(rel)
-    iterations = 0
-    converged = rel <= config.tol
-    rr = float(r @ r)
-    if not converged:
-        p = r - deflator.projection_correction(r)
-    while not converged and iterations < config.maxit:
-        q = apply_a(p)
-        pq = float(p @ q)
-        if pq <= 0.0:
-            break
-        alpha = rr / pq
-        x += alpha * p
-        r -= alpha * q
-        rr_new = float(r @ r)
-        rel = np.sqrt(rr_new) / denom
-        iterations += 1
-        if history is not None:
-            history.append(rel)
-        if rel <= config.tol:
-            converged = True
-            break
-        beta = rr_new / rr
-        rr = rr_new
-        p = r + beta * p - deflator.projection_correction(r)
-
-    true_rel = float(np.linalg.norm(b - apply_a(x)) / denom)
-    return x, SolverReport(
-        iterations=iterations,
-        final_residual=rel,
-        converged=converged,
-        history=np.asarray(history) if history is not None else None,
-        wall_time=time.perf_counter() - start,
-        true_residual=true_rel,
-    )
+    return _cg(_as_apply(astar), b, None, deflator, config or SolverConfig(), x0)
 
 
 # -- condition-number estimation ---------------------------------------------
@@ -532,8 +483,6 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
     matrix = None
     if sparse.issparse(operator):
         matrix = operator
-    elif isinstance(operator, CsrOperator):
-        matrix = operator.matrix
     elif isinstance(operator, np.ndarray):
         matrix = sparse.csr_matrix(operator)
 
@@ -550,7 +499,7 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
         raise ValueError(f"unknown estimation method {method!r}")
 
     apply_a = _as_apply(operator)
-    apply_m = _as_precond(preconditioner)
+    apply_m = _as_apply(preconditioner)
 
     if apply_m is not None:
         lam_min, lam_max, k, converged = _lanczos_extremes(
@@ -571,16 +520,7 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
                         lam_max=float(lam_max), iterations=k, converged=converged)
 
 
-# -- operator and history I/O -------------------------------------------------
-
-def save_operator(path, matrix) -> None:
-    """Matrix Market coordinate export."""
-    mmwrite(str(path), sparse.coo_matrix(matrix))
-
-
-def load_operator(path) -> sparse.csr_matrix:
-    return sparse.csr_matrix(mmread(str(path)))
-
+# -- residual history I/O -----------------------------------------------------
 
 def write_residual_history(path, report: SolverReport) -> None:
     """CSV export of a recorded residual history (iteration, residual)."""

@@ -14,7 +14,6 @@ import numpy as np
 from .assembly import (DEFAULT_ALPHA, SystemMatrices, _face_batch,
                        assemble_rhs, assemble_system, build_system)
 from .dg_space import COMPONENTS, DGSpace, l2_project, polygon_rules
-from .kernels import CsrOperator
 from .krylov import (LAYOUT_COLLECTIVE, LAYOUT_COMPONENT, SolverConfig,
                      build_block_jacobi, build_deflator, cg, deflated_cg, pcg)
 from .mesh import FaceKind
@@ -65,16 +64,15 @@ def make_stepper(space: DGSpace, system: SystemMatrices, dt: float,
                  solver: str, config: SolverConfig):
     """Bind a per-step solve callable; all factorisations happen here, once."""
     astar = build_system(system.m, system.a, dt)
-    aop = CsrOperator(astar)
     if solver == "cg":
-        return astar, lambda b, x0: cg(aop, b, config, x0=x0)
+        return astar, lambda b, x0: cg(astar, b, config, x0=x0)
     if solver == "dcg":
         deflator = build_deflator(system, dt, astar=astar)
-        return astar, lambda b, x0: deflated_cg(aop, b, deflator, config, x0=x0)
+        return astar, lambda b, x0: deflated_cg(astar, b, deflator, config, x0=x0)
     if solver in ("pcg-bj", "pcg-cbj"):
         layout = LAYOUT_COMPONENT if solver == "pcg-bj" else LAYOUT_COLLECTIVE
         precond = build_block_jacobi(astar, space, layout)
-        return astar, lambda b, x0: pcg(aop, b, precond, config, x0=x0)
+        return astar, lambda b, x0: pcg(astar, b, precond, config, x0=x0)
     raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_NAMES}")
 
 
