@@ -302,9 +302,6 @@ def test_export_matrices(tmp_path, sys22):
                                "B3.mtx", "M.mtx", "M1.mtx"]
     back = sparse.csr_matrix(mmread(tmp_path / "M1.mtx"))
     assert np.abs((back - system.m1).toarray()).max() < 1e-15
-    back = sparse.csr_matrix(mmread(tmp_path / "Astar.mtx"))
-    astar = ps.build_system(system.m, system.a, 1e-3)
-    assert np.abs((back - astar).toarray()).max() < 1e-15
 
 
 # -- batched assembly against the element-by-element oracle ---------------------

@@ -1,48 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
-from polystress.kernels import (BACKENDS, BlockDiagSolver, CsrOperator,
-                                active_backend, compiled_available)
-
-needs_ext = pytest.mark.skipif(not compiled_available(),
-                               reason="compiled kernels not built")
-
-available = ["fallback"] + (["compiled"] if compiled_available() else [])
+from polystress.krylov import BlockJacobi
 
 
-@pytest.mark.parametrize("backend", available)
-def test_csr_matvec_matches_scipy(backend, rng):
-    for trial in range(5):
-        n = int(rng.integers(3, 60))
-        a = sparse.random(n, n, density=0.3, random_state=np.random.RandomState(trial))
-        a = sparse.csr_matrix(a)
-        x = rng.standard_normal(n)
-        op = CsrOperator(a, backend=backend)
-        assert np.allclose(op.matvec(x), a @ x, rtol=1e-14, atol=1e-14)
-
-
-@needs_ext
-def test_backends_agree_bitwise(rng):
-    # same per-row accumulation order in both backends
-    a = sparse.random(40, 40, density=0.25, random_state=np.random.RandomState(7)).tocsr()
-    x = rng.standard_normal(40)
-    y1 = CsrOperator(a, backend="compiled").matvec(x)
-    y2 = CsrOperator(a, backend="fallback").matvec(x)
-    assert np.array_equal(y1, y2)
-
-
-@pytest.mark.parametrize("backend", available)
-def test_csr_matvec_out_argument(backend, rng):
-    a = sparse.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    op = CsrOperator(a, backend=backend)
-    out = np.empty(3)
-    res = op.matvec(np.array([1.0, 1.0, 1.0]), out=out)
-    assert res is out
-    assert np.allclose(out, [1.0, 2.0, 3.0])
-
-
-@pytest.mark.parametrize("backend", available)
+# "fallback" is the np.matmul block apply of BlockJacobi, the one path there is
+@pytest.mark.parametrize("backend", ["fallback"])
 @pytest.mark.parametrize("use_perm", [False, True])
 def test_block_apply_matches_dense_solve(backend, use_perm, rng):
     nb, bs = 5, 4
@@ -58,16 +21,6 @@ def test_block_apply_matches_dense_solve(backend, use_perm, rng):
         idx = np.arange(k * bs, (k + 1) * bs)
         pidx = perm[idx] if use_perm else idx
         full[np.ix_(pidx, pidx)] = b
-    solver = BlockDiagSolver(inv, perm=perm, backend=backend)
+    solver = BlockJacobi("collective" if use_perm else "component", bs, nb, inv, perm)
     r = rng.standard_normal(n)
     assert np.allclose(solver.apply(r), np.linalg.solve(full, r), rtol=1e-10)
-
-
-def test_backend_forcing(monkeypatch):
-    monkeypatch.setenv("POLYSTRESS_KERNELS", "fallback")
-    assert active_backend() == "fallback"
-    monkeypatch.setenv("POLYSTRESS_KERNELS", "bogus")
-    with pytest.raises(ValueError):
-        active_backend()
-    monkeypatch.delenv("POLYSTRESS_KERNELS")
-    assert active_backend() in BACKENDS

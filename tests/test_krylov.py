@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
+from scipy.io import mmread
 
 from polystress import (SolverConfig, agglomerate, build_block_jacobi,
                         build_cartesian_mesh, build_deflator, build_space,
                         build_system, cg, classify_boundary, deflated_cg,
                         estimate_condition_number, pcg)
-from polystress.assembly import assemble_system
+from polystress.assembly import assemble_system, export_matrices
 from polystress.krylov import (BlockFactorizationError, collective_permutation,
                                write_residual_history)
 
@@ -203,23 +204,22 @@ def test_block_jacobi_apply_properties(small_system, rng):
         assert abs(s1 - s2) <= 1e-12 * abs(s1)
 
 
-@pytest.mark.parametrize("layout", ["component", "collective"])
-def test_block_jacobi_exact_on_block_diagonal(rng, layout):
-    # the block apply without (component) and with (collective) a permutation
+def test_block_jacobi_exact_on_block_diagonal(rng):
     space = build_space(build_cartesian_mesh(2, 2), 1)
+    L, ne = space.local_dim, space.n_elements
     n = space.total_dofs
-    if layout == "component":
-        bs, perm = space.local_dim, np.arange(n)
-    else:
-        bs, perm = 4 * space.local_dim, collective_permutation(space)
+    perm = collective_permutation(space)
     dense = np.zeros((n, n))
-    for k in range(n // bs):
+    bs = 4 * L
+    for e in range(ne):
         m = rng.standard_normal((bs, bs))
-        idx = perm[k * bs:(k + 1) * bs]
-        dense[np.ix_(idx, idx)] = m @ m.T + bs * np.eye(bs)
-    bj = build_block_jacobi(sparse.csr_matrix(dense), space, layout)
+        blk = m @ m.T + bs * np.eye(bs)
+        idx = perm[e * bs:(e + 1) * bs]
+        dense[np.ix_(idx, idx)] = blk
+    a = sparse.csr_matrix(dense)
+    cbj = build_block_jacobi(a, space, "collective")
     r = rng.standard_normal(n)
-    assert np.allclose(bj.apply(r), np.linalg.solve(dense, r), rtol=1e-10)
+    assert np.allclose(cbj.apply(r), np.linalg.solve(dense, r), rtol=1e-10)
 
 
 def test_block_jacobi_rejects_indefinite(small_system):
@@ -525,3 +525,12 @@ def test_condition_number_rejects_indefinite_matrix(a, reason):
 def test_condition_number_requires_size_for_callable():
     with pytest.raises(ValueError):
         estimate_condition_number(lambda x: x)
+
+
+# -- operator I/O ---------------------------------------------------------------
+
+def test_operator_round_trip(tmp_path, small_system):
+    _, system, astar = small_system
+    export_matrices(system, tmp_path, dt=1e-3)
+    back = sparse.csr_matrix(mmread(tmp_path / "Astar.mtx"))
+    assert np.abs((back - astar).toarray()).max() < 1e-15
