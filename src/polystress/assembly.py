@@ -54,10 +54,6 @@ class SystemMatrices:
     mu: float
     alpha: float
 
-    @property
-    def n(self) -> int:
-        return self.m.shape[0]
-
 
 def finalize(matrix, rel: float = 1e-14) -> sparse.csr_matrix:
     """Canonical CSR form: duplicates summed, entries below rel * rowmax

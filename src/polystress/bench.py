@@ -21,9 +21,9 @@ import numpy as np
 
 from .assembly import assemble_system, build_system
 from .dg_space import build_space
-from .krylov import (LAYOUT_COLLECTIVE, LAYOUT_COMPONENT, SolverConfig,
-                     build_block_jacobi, build_deflator, cg, deflated_cg,
-                     estimate_condition_number, pcg)
+from .krylov import (LAYOUT_COLLECTIVE, SOLVERS, SolverConfig,
+                     build_block_jacobi, estimate_condition_number,
+                     make_solver)
 from .mesh import agglomerate, build_cartesian_mesh, classify_boundary, read_mesh
 from .problems import NAMED_SOLUTIONS, linear_in_space_solution
 from .timestepper import EnergyNorm, TimeConfig, implicit_euler_run
@@ -44,7 +44,7 @@ DEFAULTS = {
     },
     "solve": {
         "dts": "1e-6,1e-7,1e-8",
-        "solvers": "cg,dcg,pcg-bj,pcg-cbj",
+        "solvers": ",".join(SOLVERS),
         "tol": "1e-8",
         "maxit": "30000",
         "repetitions": "10",
@@ -103,6 +103,11 @@ def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
     for (sec, key), value in (overrides or {}).items():
         if value is not None:
             cfg[sec][key] = str(value)
+    for sec, key in (("solve", "solvers"), ("time", "solver"), ("convergence", "solver")):
+        for name in _names(cfg[sec][key]):
+            if name not in SOLVERS:
+                raise ConfigError(f"unknown solver {name!r} in [{sec}] {key}; "
+                                  f"choose from {', '.join(SOLVERS)}")
     return cfg
 
 
@@ -302,24 +307,12 @@ def run_iteration_table(cfg) -> dict[str, Table]:
         system = assemble_system(space, mu, alpha)
         for i, dt in enumerate(dts):
             astar = build_system(system.m, system.a, dt)
-            runners = {}
-            for s in solvers:
-                if s == "cg":
-                    runners[s] = lambda b: cg(astar, b, solver_cfg)
-                elif s == "dcg":
-                    deflator = build_deflator(system, dt, astar=astar)
-                    runners[s] = (lambda d: (lambda b: deflated_cg(astar, b, d, solver_cfg)))(deflator)
-                elif s in ("pcg-bj", "pcg-cbj"):
-                    layout = LAYOUT_COMPONENT if s == "pcg-bj" else LAYOUT_COLLECTIVE
-                    bj = build_block_jacobi(astar, space, layout)
-                    runners[s] = (lambda m: (lambda b: pcg(astar, b, m, solver_cfg)))(bj)
-                else:
-                    raise ConfigError(f"unknown solver {s!r}")
+            solve = {s: make_solver(s, astar, space, solver_cfg) for s in solvers}
             counts = {s: [] for s in solvers}
             for rep in range(reps):
                 b = _rhs_generator(seed, j, i, rep, space.total_dofs)
                 for s in solvers:
-                    _, report = runners[s](b)
+                    _, report = solve[s](b)
                     counts[s].append(report.iterations)
                     if not report.converged:
                         flags[s][i, j] += 1

@@ -18,7 +18,7 @@ from .bench import (ConfigError, Table, build_meshes, config_hash,
                     load_config, run_condition_table, run_convergence,
                     run_iteration_table)
 from .dg_space import build_space
-from .krylov import BlockFactorizationError, SolverConfig
+from .krylov import SOLVERS, BlockFactorizationError, SolverConfig
 from .mesh import MeshError
 from .problems import NAMED_SOLUTIONS, zero_data
 from .timestepper import TimeConfig, TimeStepError, implicit_euler_run
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mms", help="manufactured solution name or 'zero'")
     p_solve.add_argument("--dt", type=float)
     p_solve.add_argument("--t-final", dest="t_final", type=float)
-    p_solve.add_argument("--solver", choices=["cg", "dcg", "pcg-bj", "pcg-cbj"])
+    p_solve.add_argument("--solver", choices=SOLVERS)
     p_solve.add_argument("--tol", type=float)
     p_solve.add_argument("--maxit", type=int)
 

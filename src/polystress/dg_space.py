@@ -47,10 +47,6 @@ class QuadratureRule:
         return np.tensordot(self.weights, values, axes=(0, 0))
 
 
-def gauss_segment(npoints: int):
-    return npleg.leggauss(npoints)
-
-
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Rule on the reference triangle (0,0)-(1,0)-(0,1), exact for total

@@ -1,7 +1,8 @@
 """Krylov solvers for the time-step operator: CG, deflated CG with kernel
 deflation, Block-Jacobi preconditioning (component-wise and collective) and
 Lanczos condition-number estimation.  cg, pcg and deflated_cg all run the
-one conjugate gradient loop ``_cg``.
+one conjugate gradient loop ``_cg``; ``make_solver`` turns a name from
+``SOLVERS`` into a solve callable with its factorisations built once.
 
 The deflation space is the kernel of the deviatoric mass operator, spanned
 by v kron I with v = (e1 + e4)/sqrt(2): the trace direction of the tensor
@@ -316,10 +317,6 @@ class Deflator:
     _avt: sparse.csr_matrix
     scalar_dofs: int
 
-    @property
-    def n(self) -> int:
-        return self.astar.shape[0]
-
     def vt(self, x: np.ndarray) -> np.ndarray:
         """V^T x: gather the two trace components."""
         S = self.scalar_dofs
@@ -348,7 +345,8 @@ class Deflator:
 
 
 def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
-    """Assemble and factorise the coarse operator for ker(M) deflation."""
+    """Assemble and factorise the coarse operator for ker(M) deflation.
+    ``system`` and ``dt`` serve only to form A* when ``astar`` is None."""
     if astar is None:
         astar = build_system(system.m, system.a, dt)
     astar = sparse.csr_matrix(astar)
@@ -372,6 +370,29 @@ def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None
     if sparse.issparse(astar) and astar.shape != deflator.astar.shape:
         raise ValueError("deflator was built from an operator of different size")
     return _cg(_as_apply(astar), b, None, deflator, config or SolverConfig(), x0)
+
+
+# -- named solvers ------------------------------------------------------------
+
+#: the solvers the tables, the time stepper and the CLI accept, by name
+SOLVERS = ("cg", "dcg", "pcg-bj", "pcg-cbj")
+
+
+def make_solver(name: str, astar, space: DGSpace, config: SolverConfig):
+    """The named solver for A* as a callable ``solve(b, x0=None) -> (x,
+    report)``.  Its factorisations (the deflation coarse operator, the
+    Block-Jacobi blocks) are built here, once; each solve then calls cg,
+    pcg or deflated_cg.  Raises ValueError on a name not in SOLVERS."""
+    if name == "cg":
+        return lambda b, x0=None: cg(astar, b, config, x0)
+    if name == "dcg":
+        deflator = build_deflator(None, None, astar)  # A* given: no system or dt needed
+        return lambda b, x0=None: deflated_cg(astar, b, deflator, config, x0)
+    if name in ("pcg-bj", "pcg-cbj"):
+        layout = LAYOUT_COMPONENT if name == "pcg-bj" else LAYOUT_COLLECTIVE
+        precond = build_block_jacobi(astar, space, layout)
+        return lambda b, x0=None: pcg(astar, b, precond, config, x0)
+    raise ValueError(f"unknown solver {name!r}; choose from {', '.join(SOLVERS)}")
 
 
 # -- condition-number estimation ---------------------------------------------
@@ -454,13 +475,9 @@ def _lanczos_extremes(apply_a, n, maxit, tol, seed, apply_m=None, track="both"):
     return lam_min, lam_max, k, converged
 
 
-#: largest operator that ``estimate_condition_number(method="dense")`` accepts
-DENSE_MAX_N = 2000
-
-
 def estimate_condition_number(operator, n: int | None = None, preconditioner=None,
                               tol: float = 1e-3, maxit: int = 800,
-                              seed: int = 0, method: str = "auto") -> CondEstimate:
+                              seed: int = 0) -> CondEstimate:
     """Condition-number estimate from extreme eigenvalues.
 
     Preconditioned operators use a two-sequence Lanczos recurrence in the
@@ -470,9 +487,8 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
     the near-kernel cluster of the time-step operator), the large end by
     the forward recurrence; that factorisation raises
     BlockFactorizationError unless the matrix is positive definite.
-    ``method="dense"`` computes both ends exactly for n <= DENSE_MAX_N
-    (2000).  Estimates whose extreme Ritz values fail their residual
-    certificate within maxit are flagged converged=False.
+    Estimates whose extreme Ritz values fail their residual certificate
+    within maxit are flagged converged=False.
     """
     if n is None:
         if hasattr(operator, "shape"):
@@ -485,18 +501,6 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
         matrix = operator
     elif isinstance(operator, np.ndarray):
         matrix = sparse.csr_matrix(operator)
-
-    if method == "dense":
-        if matrix is None:
-            raise ValueError("dense estimation needs an explicit matrix")
-        if matrix.shape[0] > DENSE_MAX_N:
-            raise ValueError(f"dense estimation is limited to n <= {DENSE_MAX_N}, "
-                             f"got n = {matrix.shape[0]}")
-        ev = scipy.linalg.eigvalsh(matrix.toarray())
-        return CondEstimate(kappa=float(ev[-1] / ev[0]), lam_min=float(ev[0]),
-                            lam_max=float(ev[-1]), iterations=0, converged=True)
-    if method not in ("auto", "lanczos"):
-        raise ValueError(f"unknown estimation method {method!r}")
 
     apply_a = _as_apply(operator)
     apply_m = _as_apply(preconditioner)

@@ -14,12 +14,9 @@ import numpy as np
 from .assembly import (DEFAULT_ALPHA, SystemMatrices, _face_batch,
                        assemble_rhs, assemble_system, build_system)
 from .dg_space import COMPONENTS, DGSpace, l2_project, polygon_rules
-from .krylov import (LAYOUT_COLLECTIVE, LAYOUT_COMPONENT, SolverConfig,
-                     build_block_jacobi, build_deflator, cg, deflated_cg, pcg)
+from .krylov import SolverConfig, make_solver
 from .mesh import FaceKind
 from .problems import ProblemData
-
-SOLVER_NAMES = ("cg", "dcg", "pcg-bj", "pcg-cbj")
 
 
 class TimeStepError(RuntimeError):
@@ -48,32 +45,12 @@ class TimeConfig:
     def n_steps(self) -> int:
         return round(self.t_final / self.dt)
 
-    @property
-    def theta(self) -> float:
-        return 1.0  # implicit Euler only
-
     @classmethod
     def from_steps(cls, n_steps: int, dt: float) -> "TimeConfig":
         return cls(dt=dt, t_final=n_steps * dt)
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
-
-
-def make_stepper(space: DGSpace, system: SystemMatrices, dt: float,
-                 solver: str, config: SolverConfig):
-    """Bind a per-step solve callable; all factorisations happen here, once."""
-    astar = build_system(system.m, system.a, dt)
-    if solver == "cg":
-        return astar, lambda b, x0: cg(astar, b, config, x0=x0)
-    if solver == "dcg":
-        deflator = build_deflator(system, dt, astar=astar)
-        return astar, lambda b, x0: deflated_cg(astar, b, deflator, config, x0=x0)
-    if solver in ("pcg-bj", "pcg-cbj"):
-        layout = LAYOUT_COMPONENT if solver == "pcg-bj" else LAYOUT_COLLECTIVE
-        precond = build_block_jacobi(astar, space, layout)
-        return astar, lambda b, x0: pcg(astar, b, precond, config, x0=x0)
-    raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_NAMES}")
 
 
 def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
@@ -100,7 +77,8 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
     elif system.mu != data.mu:
         raise ValueError(f"system assembled with mu = {system.mu:g}, "
                          f"but the problem data have mu = {data.mu:g}")
-    _, step_solve = make_stepper(space, system, time.dt, solver, config)
+    step_solve = make_solver(solver, build_system(system.m, system.a, time.dt),
+                             space, config)
 
     sigma = l2_project(space, data.sigma0)
     reports = []

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import polystress.bench as bench
+import polystress.cli as cli
 from polystress.bench import (ConfigError, _rhs_generator, build_meshes,
                               config_hash, fitted_slope, load_config,
                               run_condition_table, run_convergence,
                               run_iteration_table)
 from polystress.cli import main
+from polystress.krylov import SOLVERS
 from polystress.mesh import FaceKind
 
 FAST = {
@@ -178,6 +181,32 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert run_cli(["iter-table", "-c", str(tmp_path / "nope.ini")]) == 1
     assert run_cli(["solve", "--mms", "warp", "--output", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_unknown_solver_rejected_before_meshes(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise AssertionError("meshes built before the solver names were checked")
+
+    monkeypatch.setattr(bench, "build_meshes", fail)
+    monkeypatch.setattr(cli, "build_meshes", fail)
+    out = ["--output", str(tmp_path)]
+    assert run_cli(["iter-table", "--nx", "60", "--ny", "60", "--targets", "900",
+                    "--solvers", "dcg,sor"] + out) == 1
+    assert "[solve] solvers" in capsys.readouterr().err
+    for sec, key, command in (("time", "solver", "solve"),
+                              ("convergence", "solver", "convergence")):
+        ini = tmp_path / f"{sec}.ini"
+        ini.write_text(f"[{sec}]\n{key} = sor\n")
+        assert run_cli([command, "-c", str(ini)] + out) == 1
+        assert f"[{sec}] {key}" in capsys.readouterr().err
+
+
+def test_solver_names_come_from_one_table():
+    parser = cli.build_parser()
+    solve = parser._subparsers._group_actions[0].choices["solve"]
+    choices = next(a.choices for a in solve._actions if a.dest == "solver")
+    assert tuple(choices) == SOLVERS
+    assert tuple(load_config()["solve"]["solvers"].split(",")) == SOLVERS
 
 
 def test_cli_cond_table(tmp_path):

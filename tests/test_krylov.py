@@ -444,20 +444,6 @@ def test_condition_number_diagonal():
     assert est.kappa == pytest.approx(10.0, rel=0.01)
 
 
-def test_condition_number_dense_method(small_system):
-    _, _, astar = small_system
-    est = estimate_condition_number(astar, method="dense")
-    ev = sla.eigvalsh(astar.toarray())
-    assert est.kappa == pytest.approx(ev[-1] / ev[0], rel=1e-12)
-
-
-def test_condition_number_dense_method_size_limit():
-    # the limit is checked before any dense matrix is formed
-    big = sparse.identity(2001, format="csr")
-    with pytest.raises(ValueError, match="n <= 2000"):
-        estimate_condition_number(big, method="dense")
-
-
 def test_condition_number_vs_dense_oracle(small_system):
     _, system, _ = small_system
     for dt in (1e-6, 1e-8):

@@ -3,10 +3,10 @@ import pytest
 
 import assembly_oracle as oracle
 import polystress.krylov as krylov
-import polystress.timestepper as ts
 from polystress import (SolverConfig, TimeConfig, TimeStepError, build_space,
                         energy_error, implicit_euler_run, l2_project)
-from polystress.assembly import assemble_system
+from polystress.assembly import assemble_rhs, assemble_system, build_system
+from polystress.bench import load_config, run_iteration_table
 from polystress.problems import (linear_in_space_solution,
                                  steady_polynomial_solution, trig_solution,
                                  zero_data)
@@ -16,7 +16,6 @@ from polystress.timestepper import EnergyNorm, mass_energy
 def test_time_config():
     tc = TimeConfig(dt=0.1, t_final=1.0)
     assert tc.n_steps == 10
-    assert tc.theta == 1.0
     assert np.allclose(tc.times(), np.linspace(0.0, 1.0, 11))
     assert TimeConfig.from_steps(7, 0.25).t_final == pytest.approx(1.75)
     with pytest.raises(ValueError):
@@ -72,19 +71,34 @@ def test_nonconvergence_aborts_with_step(mesh33):
 
 
 def test_factorisations_built_once(mesh33, monkeypatch):
-    calls = {"deflator": 0}
-    orig = krylov.build_deflator
+    calls = []
+    orig_deflator, orig_bj = krylov.build_deflator, krylov.build_block_jacobi
 
-    def counting(*args, **kwargs):
-        calls["deflator"] += 1
-        return orig(*args, **kwargs)
+    def counting_deflator(*args, **kwargs):
+        calls.append("deflator")
+        return orig_deflator(*args, **kwargs)
 
-    monkeypatch.setattr(ts, "build_deflator", counting)
+    def counting_bj(astar, space, layout):
+        calls.append(layout)
+        return orig_bj(astar, space, layout)
+
+    monkeypatch.setattr(krylov, "build_deflator", counting_deflator)
+    monkeypatch.setattr(krylov, "build_block_jacobi", counting_bj)
     mms = steady_polynomial_solution(1)
     space = build_space(mesh33, 1)
     implicit_euler_run(space, mms.data, TimeConfig.from_steps(5, 0.02), "dcg",
                        SolverConfig(tol=1e-10, maxit=3000))
-    assert calls["deflator"] == 1
+    assert calls == ["deflator"]
+
+    # the iteration table builds each factorisation once per (mesh, dt),
+    # not once per repetition
+    calls.clear()
+    cfg = load_config(None, {
+        ("mesh", "nx"): "3", ("mesh", "ny"): "3", ("discretization", "degree"): "1",
+        ("solve", "dts"): "1e-4,1e-5", ("solve", "repetitions"): "3",
+        ("solve", "solvers"): "dcg,pcg-bj,pcg-cbj"})
+    run_iteration_table(cfg)
+    assert calls == ["deflator", krylov.LAYOUT_COMPONENT, krylov.LAYOUT_COLLECTIVE] * 2
 
 
 def test_unforced_energy_decays(poly_mesh, rng):
@@ -106,9 +120,7 @@ def test_unforced_energy_decays(poly_mesh, rng):
     cfg = SolverConfig(tol=1e-12, maxit=5000)
     sigma = l2_project(space, field)
     energies = [mass_energy(system, sigma)]
-    from polystress.timestepper import make_stepper
-    _, step = make_stepper(space, system, 0.05, "cg", cfg)
-    from polystress.assembly import assemble_rhs
+    step = krylov.make_solver("cg", build_system(system.m, system.a, 0.05), space, cfg)
     for n in range(5):
         rhs = assemble_rhs(space, data, (n + 1) * 0.05, sigma, 0.05, system)
         sigma, _ = step(rhs, sigma)
