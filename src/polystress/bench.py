@@ -1,12 +1,14 @@
 """Configuration-driven benchmark harness: iteration tables, condition
-tables and convergence studies over families of polygonal meshes.
+tables, convergence studies and implicit Euler runs over families of
+polygonal meshes.
 
-Right-hand sides are drawn entrywise uniform on [0, 1] from a counter-based
-(Philox) generator keyed by (seed, mesh, dt, repetition), so tables are
-bit-reproducible for a fixed config and seed and identical systems are put
-to every solver.  The raw draw keeps full spectral content in the
-right-hand side; filtering it through the singular mass operator would
-remove exactly the directions whose dt-dependence the tables measure.
+Every value is checked when the configuration is loaded, before any mesh
+is built.  Right-hand sides are drawn entrywise uniform on [0, 1] from a
+counter-based (Philox) generator keyed by (seed, mesh, dt, repetition), so
+tables are bit-reproducible for a fixed config and seed and identical
+systems are put to every solver.  The raw draw keeps full spectral content
+in the right-hand side; filtering it through the singular mass operator
+would remove exactly the directions whose dt-dependence the tables measure.
 """
 from __future__ import annotations
 
@@ -19,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import assemble_system, build_system
+from .assembly import assemble_system, build_system, export_matrices
 from .dg_space import build_space
 from .krylov import (LAYOUT_COLLECTIVE, SOLVERS, SolverConfig,
                      build_block_jacobi, estimate_condition_number,
                      make_solver)
 from .mesh import agglomerate, build_cartesian_mesh, classify_boundary, read_mesh
-from .problems import NAMED_SOLUTIONS, linear_in_space_solution
+from .problems import NAMED_SOLUTIONS, linear_in_space_solution, zero_data
 from .timestepper import EnergyNorm, TimeConfig, implicit_euler_run
 
 DEFAULTS = {
@@ -84,9 +86,25 @@ class ConfigError(ValueError):
     pass
 
 
+# Neumann side -> (axis, end) of the mesh bounding box; "none" keeps the
+# whole boundary Dirichlet
+NEUMANN_SIDES = {"none": None, "right": (0, 1.0), "left": (0, 0.0),
+                 "top": (1, 1.0), "bottom": (1, 0.0)}
+CONVERGENCE_MODES = ("spatial", "temporal")
+# (section, key) -> the values it may take, compared after _choice
+CHOICES = {
+    ("mesh", "neumann"): tuple(NEUMANN_SIDES),
+    ("convergence", "mode"): CONVERGENCE_MODES,
+    ("convergence", "mms"): tuple(NAMED_SOLUTIONS),
+    ("time", "mms"): (*NAMED_SOLUTIONS, "zero"),
+}
+
+
 def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
     """Resolved configuration: defaults, then the key=value sections of the
-    file, then command-line overrides ((section, key) -> value)."""
+    file, then command-line overrides ((section, key) -> value), stored as
+    strings.  Raises ConfigError naming the [section] key of the first bad
+    value."""
     cfg = {sec: dict(kv) for sec, kv in DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -103,11 +121,21 @@ def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
     for (sec, key), value in (overrides or {}).items():
         if value is not None:
             cfg[sec][key] = str(value)
+
     for sec, key in (("solve", "solvers"), ("time", "solver"), ("convergence", "solver")):
-        for name in _names(cfg[sec][key]):
+        names = _list(cfg, sec, key, str)
+        for i, name in enumerate(names):
             if name not in SOLVERS:
                 raise ConfigError(f"unknown solver {name!r} in [{sec}] {key}; "
                                   f"choose from {', '.join(SOLVERS)}")
+            if name in names[:i]:
+                raise ConfigError(f"solver {name!r} repeated in [{sec}] {key}")
+    for (sec, key), allowed in CHOICES.items():
+        if _choice(cfg, sec, key) not in allowed:
+            raise ConfigError(f"unknown value {cfg[sec][key]!r} for [{sec}] {key}; "
+                              f"choose from {', '.join(allowed)}")
+    if int(cfg["solve"]["repetitions"]) < 1:
+        raise ConfigError("[solve] repetitions must be >= 1")
     return cfg
 
 
@@ -119,49 +147,44 @@ def config_hash(cfg) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def _floats(text) -> list[float]:
-    vals = [float(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
-    if not vals:
-        raise ConfigError(f"empty list: {text!r}")
-    return vals
+def _list(cfg, sec, key, convert) -> list:
+    """The comma- (or semicolon-) separated [sec] key, each item converted;
+    it may not be empty."""
+    items = [convert(tok.strip()) for tok in cfg[sec][key].replace(";", ",").split(",")
+             if tok.strip()]
+    if not items:
+        raise ConfigError(f"empty list in [{sec}] {key}")
+    return items
 
 
-def _ints(text) -> list[int]:
-    return [int(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
+def _choice(cfg, sec, key) -> str:
+    return cfg[sec][key].strip().lower()
 
 
-def _names(text) -> list[str]:
-    names = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    if not names:
-        raise ConfigError(f"empty list: {text!r}")
-    return names
+def _discretization(cfg) -> tuple[int, float, float]:
+    """(degree, alpha, mu) of [discretization]."""
+    sec = cfg["discretization"]
+    return int(sec["degree"]), float(sec["alpha"]), float(sec["mu"])
 
 
-NEUMANN_PREDICATES = {
-    "none": None,
-    "right": lambda tol: (lambda p: p[0] > 1.0 - tol),
-    "left": lambda tol: (lambda p: p[0] < tol),
-    "top": lambda tol: (lambda p: p[1] > 1.0 - tol),
-    "bottom": lambda tol: (lambda p: p[1] < tol),
-}
+def _solver_config(cfg) -> SolverConfig:
+    return SolverConfig(tol=float(cfg["solve"]["tol"]), maxit=int(cfg["solve"]["maxit"]))
+
+
+def _mms(cfg, sec):
+    """The manufactured solution named by [sec] mms, at [discretization] mu."""
+    return NAMED_SOLUTIONS[_choice(cfg, sec, "mms")](_discretization(cfg)[2])
 
 
 def _classify(mesh, neumann: str):
-    if neumann == "none":
+    """Mark the boundary faces on the named side of the mesh bounding box
+    Neumann and all others Dirichlet."""
+    side = NEUMANN_SIDES[neumann]
+    if side is None:
         return classify_boundary(mesh, lambda p: False)
-    try:
-        make = NEUMANN_PREDICATES[neumann]
-    except KeyError:
-        raise ConfigError(f"unknown neumann side {neumann!r}") from None
-    # predicate in coordinates scaled relative to the mesh bounding box
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    pred = make(1e-9)
-
-    def scaled(p):
-        q = ((p[0] - lo[0]) / (hi[0] - lo[0]), (p[1] - lo[1]) / (hi[1] - lo[1]))
-        return pred(q)
-
-    return classify_boundary(mesh, scaled)
+    axis, end = side
+    lo, hi = mesh.vertices[:, axis].min(), mesh.vertices[:, axis].max()
+    return classify_boundary(mesh, lambda p: abs((p[axis] - lo) / (hi - lo) - end) < 1e-9)
 
 
 def build_meshes(cfg) -> list[tuple[str, object]]:
@@ -172,15 +195,12 @@ def build_meshes(cfg) -> list[tuple[str, object]]:
         base = read_mesh(sec["file"])
     else:
         base = build_cartesian_mesh(int(sec["nx"]), int(sec["ny"]))
-    base = _classify(base, sec["neumann"].strip().lower())
-    targets = _ints(sec["targets"]) if sec["targets"].strip() else []
-    seed = int(sec["seed"])
-    meshes = []
-    if not targets:
-        meshes.append(base)
+    base = _classify(base, _choice(cfg, "mesh", "neumann"))
+    if sec["targets"].strip():
+        meshes = [agglomerate(base, target, int(sec["seed"]))
+                  for target in _list(cfg, "mesh", "targets", int)]
     else:
-        for target in targets:
-            meshes.append(agglomerate(base, target, seed))
+        meshes = [base]
     return [(f"{m.n_elements}el_h{m.mesh_size:.4f}", m) for m in meshes]
 
 
@@ -278,6 +298,45 @@ def _common_meta(cfg, extra=None) -> dict:
     return meta
 
 
+def _sweep(cfg, dts, keys, cell):
+    """Evaluate cell(i, j, space, astar) -> {key: (value, flag)} at every dt_i
+    on every mesh_j of the [mesh] family, assembling each mesh once.
+
+    Returns the mesh family and, per key, the (dt x mesh) values and flags.
+    """
+    meshes = build_meshes(cfg)
+    degree, alpha, mu = _discretization(cfg)
+    shape = (len(dts), len(meshes))
+    values = {k: np.zeros(shape) for k in keys}
+    flags = {k: np.zeros(shape, dtype=int) for k in keys}
+    for j, (_, mesh) in enumerate(meshes):
+        space = build_space(mesh, degree)
+        system = assemble_system(space, mu, alpha)
+        for i, dt in enumerate(dts):
+            astar = build_system(system.m, system.a, dt)
+            for k, (value, flag) in cell(i, j, space, astar).items():
+                values[k][i, j] = value
+                flags[k][i, j] = flag
+    return meshes, values, flags
+
+
+def _dt_table(cfg, name, dts, meshes, values, flags, fmt, meta) -> Table:
+    """A table with one row per dt and one column per mesh, balanced cells
+    marked."""
+    degree = _discretization(cfg)[0]
+    return Table(
+        name=name,
+        row_label="dt",
+        row_values=[f"{dt:.0e}" for dt in dts],
+        col_values=[label for label, _ in meshes],
+        values=values,
+        flags=flags,
+        fmt=fmt,
+        meta=meta,
+        balanced=_balanced_mask(dts, [m.mesh_size for _, m in meshes], degree),
+    )
+
+
 def run_iteration_table(cfg) -> dict[str, Table]:
     """Mean iteration counts over seeded repetitions, one table per solver.
 
@@ -285,130 +344,73 @@ def run_iteration_table(cfg) -> dict[str, Table]:
     flagged, never raised as errors.
     """
     sec = cfg["solve"]
-    dts = _floats(sec["dts"])
-    solvers = _names(sec["solvers"])
+    dts = _list(cfg, "solve", "dts", float)
+    solvers = _list(cfg, "solve", "solvers", str)
     reps = int(sec["repetitions"])
     seed = int(sec["seed"])
-    if reps < 1:
-        raise ConfigError("repetitions must be >= 1")
-    solver_cfg = SolverConfig(tol=float(sec["tol"]), maxit=int(sec["maxit"]))
-    degree = int(cfg["discretization"]["degree"])
-    alpha = float(cfg["discretization"]["alpha"])
-    mu = float(cfg["discretization"]["mu"])
+    solver_cfg = _solver_config(cfg)
 
-    meshes = build_meshes(cfg)
-    hs = [m.mesh_size for _, m in meshes]
-    shape = (len(dts), len(meshes))
-    values = {s: np.zeros(shape) for s in solvers}
-    flags = {s: np.zeros(shape, dtype=int) for s in solvers}
-
-    for j, (label, mesh) in enumerate(meshes):
-        space = build_space(mesh, degree)
-        system = assemble_system(space, mu, alpha)
-        for i, dt in enumerate(dts):
-            astar = build_system(system.m, system.a, dt)
-            solve = {s: make_solver(s, astar, space, solver_cfg) for s in solvers}
-            counts = {s: [] for s in solvers}
-            for rep in range(reps):
-                b = _rhs_generator(seed, j, i, rep, space.total_dofs)
-                for s in solvers:
-                    _, report = solve[s](b)
-                    counts[s].append(report.iterations)
-                    if not report.converged:
-                        flags[s][i, j] += 1
+    def cell(i, j, space, astar):
+        solve = {s: make_solver(s, astar, space, solver_cfg) for s in solvers}
+        counts = {s: [] for s in solvers}
+        failed = dict.fromkeys(solvers, 0)
+        for rep in range(reps):
+            b = _rhs_generator(seed, j, i, rep, space.total_dofs)
             for s in solvers:
-                values[s][i, j] = float(np.mean(counts[s]))
+                _, report = solve[s](b)
+                counts[s].append(report.iterations)
+                failed[s] += not report.converged
+        return {s: (float(np.mean(counts[s])), failed[s]) for s in solvers}
 
-    balanced = _balanced_mask(dts, hs, degree)
-    tables = {}
-    for s in solvers:
-        tables[s] = Table(
-            name=f"iter_{s.replace('-', '_')}",
-            row_label="dt",
-            row_values=[f"{dt:.0e}" for dt in dts],
-            col_values=[label for label, _ in meshes],
-            values=values[s],
-            flags=flags[s],
-            fmt="{:.1f}",
-            meta=_common_meta(cfg, {"solver": s, "repetitions": reps}),
-            balanced=balanced,
-        )
-    return tables
+    meshes, values, flags = _sweep(cfg, dts, solvers, cell)
+    return {s: _dt_table(cfg, f"iter_{s.replace('-', '_')}", dts, meshes, values[s],
+                         flags[s], "{:.1f}",
+                         _common_meta(cfg, {"solver": s, "repetitions": reps}))
+            for s in solvers}
 
 
 def run_condition_table(cfg) -> dict[str, Table]:
     """Lanczos condition-number estimates of A* and of the collective
     Block-Jacobi preconditioned operator."""
     sec = cfg["condition"]
-    dts = _floats(sec["dts"])
+    dts = _list(cfg, "condition", "dts", float)
     tol = float(sec["tol"])
     maxit = int(sec["maxit"])
     seed = int(sec["seed"])
-    degree = int(cfg["discretization"]["degree"])
-    alpha = float(cfg["discretization"]["alpha"])
-    mu = float(cfg["discretization"]["mu"])
 
-    meshes = build_meshes(cfg)
-    hs = [m.mesh_size for _, m in meshes]
-    shape = (len(dts), len(meshes))
-    kappa = {"raw": np.zeros(shape), "cbj": np.zeros(shape)}
-    flags = {"raw": np.zeros(shape, dtype=int), "cbj": np.zeros(shape, dtype=int)}
+    def cell(i, j, space, astar):
+        raw = estimate_condition_number(astar, tol=tol, maxit=maxit, seed=seed)
+        cbj = estimate_condition_number(
+            astar, preconditioner=build_block_jacobi(astar, space, LAYOUT_COLLECTIVE),
+            tol=tol, maxit=maxit, seed=seed)
+        return {"raw": (raw.kappa, int(not raw.converged)),
+                "cbj": (cbj.kappa, int(not cbj.converged))}
 
-    for j, (label, mesh) in enumerate(meshes):
-        space = build_space(mesh, degree)
-        system = assemble_system(space, mu, alpha)
-        for i, dt in enumerate(dts):
-            astar = build_system(system.m, system.a, dt)
-            est = estimate_condition_number(astar, tol=tol, maxit=maxit, seed=seed)
-            kappa["raw"][i, j] = est.kappa
-            flags["raw"][i, j] = 0 if est.converged else 1
-            cbj = build_block_jacobi(astar, space, LAYOUT_COLLECTIVE)
-            est_p = estimate_condition_number(astar, preconditioner=cbj, tol=tol,
-                                              maxit=maxit, seed=seed)
-            kappa["cbj"][i, j] = est_p.kappa
-            flags["cbj"][i, j] = 0 if est_p.converged else 1
-
-    balanced = _balanced_mask(dts, hs, degree)
+    meshes, values, flags = _sweep(cfg, dts, ("raw", "cbj"), cell)
     meta = _common_meta(cfg, {"estimator": "lanczos", "estimator_tol": tol,
                               "estimator_maxit": maxit})
-    tables = {}
-    for kind in ("raw", "cbj"):
-        tables[kind] = Table(
-            name=f"cond_{kind}",
-            row_label="dt",
-            row_values=[f"{dt:.0e}" for dt in dts],
-            col_values=[label for label, _ in meshes],
-            values=kappa[kind],
-            flags=flags[kind],
-            fmt="{:.4e}",
-            meta=meta,
-            balanced=balanced,
-        )
-    return tables
+    return {k: _dt_table(cfg, f"cond_{k}", dts, meshes, values[k], flags[k],
+                         "{:.4e}", meta)
+            for k in ("raw", "cbj")}
 
 
 def run_convergence(cfg) -> Table:
     """Energy-norm errors of manufactured solutions under mesh or time-step
     refinement, with fitted slopes between consecutive levels."""
     sec = cfg["convergence"]
-    mode = sec["mode"].strip().lower()
+    mode = _choice(cfg, "convergence", "mode")
     degree = int(sec["degree"])
-    alpha = float(cfg["discretization"]["alpha"])
-    mu = float(cfg["discretization"]["mu"])
-    neumann = cfg["mesh"]["neumann"].strip().lower()
+    _, alpha, mu = _discretization(cfg)
+    neumann = _choice(cfg, "mesh", "neumann")
     solver = sec["solver"].strip()
-    solver_cfg = SolverConfig(tol=float(cfg["solve"]["tol"]),
-                              maxit=int(cfg["solve"]["maxit"]))
+    solver_cfg = _solver_config(cfg)
 
     rows = []
     if mode == "spatial":
-        mms_name = sec["mms"].strip()
-        if mms_name not in NAMED_SOLUTIONS:
-            raise ConfigError(f"unknown manufactured solution {mms_name!r}")
-        mms = NAMED_SOLUTIONS[mms_name](mu)
+        mms = _mms(cfg, "convergence")
         dt = float(sec["dt"])
         steps = int(sec["steps"])
-        for nx in _ints(sec["levels"]):
+        for nx in _list(cfg, "convergence", "levels", int):
             mesh = _classify(build_cartesian_mesh(nx, nx), neumann)
             space = build_space(mesh, degree)
             tcfg = TimeConfig.from_steps(steps, dt)
@@ -417,7 +419,7 @@ def run_convergence(cfg) -> Table:
             err = EnergyNorm(space, alpha).error(sigma, mms, tcfg.t_final)
             rows.append((mesh.mesh_size, dt, err))
         x_of = lambda row: row[0]
-    elif mode == "temporal":
+    else:
         mms = linear_in_space_solution(mu)
         nx = int(sec["nx"])
         t_final = float(sec["t_final"])
@@ -425,15 +427,13 @@ def run_convergence(cfg) -> Table:
         space = build_space(mesh, degree)
         system = assemble_system(space, mu, alpha)
         norm = EnergyNorm(space, alpha)
-        for dt in _floats(sec["dts"]):
+        for dt in _list(cfg, "convergence", "dts", float):
             tcfg = TimeConfig(dt=dt, t_final=t_final)
             sigma, _ = implicit_euler_run(space, mms.data, tcfg, solver,
                                           solver_cfg, alpha, system=system)
             err = norm.error(sigma, mms, tcfg.t_final)
             rows.append((mesh.mesh_size, dt, err))
         x_of = lambda row: row[1]
-    else:
-        raise ConfigError("convergence mode must be 'spatial' or 'temporal'")
 
     values = np.zeros((len(rows), 4))
     for i, (h, dt, err) in enumerate(rows):
@@ -456,6 +456,39 @@ def run_convergence(cfg) -> Table:
         fmt="{:.6e}",
         meta=meta,
     )
+
+
+def run_solve(cfg):
+    """Implicit Euler run of the [time] problem on the first mesh of the
+    family, one log row per step in <output>/solve_log.csv.
+
+    Returns the mesh label, the per-step solver reports and the log path.
+    """
+    sec = cfg["time"]
+    degree, alpha, mu = _discretization(cfg)
+    data = zero_data(mu) if _choice(cfg, "time", "mms") == "zero" else _mms(cfg, "time").data
+    tcfg = TimeConfig(dt=float(sec["dt"]), t_final=float(sec["t_final"]))
+    label, mesh = build_meshes(cfg)[0]
+    space = build_space(mesh, degree)
+    outdir = Path(cfg["output"]["path"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    log = outdir / "solve_log.csv"
+    _, reports = implicit_euler_run(space, data, tcfg, sec["solver"].strip(),
+                                    _solver_config(cfg), alpha, log_path=log)
+    return label, reports, log
+
+
+def run_export(cfg, dt):
+    """Write M1, B1, B2, B3, M, A (and A* = M + dt A when dt is given) of the
+    first mesh of the family to <output>/matrices in Matrix Market format.
+
+    Returns the mesh label, the directory and the matrix names written.
+    """
+    label, mesh = build_meshes(cfg)[0]
+    degree, alpha, mu = _discretization(cfg)
+    system = assemble_system(build_space(mesh, degree), mu, alpha)
+    outdir = Path(cfg["output"]["path"]) / "matrices"
+    return label, outdir, export_matrices(system, outdir, dt=dt)
 
 
 def fitted_slope(xs, errs) -> float:

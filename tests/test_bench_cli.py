@@ -188,7 +188,6 @@ def test_unknown_solver_rejected_before_meshes(tmp_path, monkeypatch, capsys):
         raise AssertionError("meshes built before the solver names were checked")
 
     monkeypatch.setattr(bench, "build_meshes", fail)
-    monkeypatch.setattr(cli, "build_meshes", fail)
     out = ["--output", str(tmp_path)]
     assert run_cli(["iter-table", "--nx", "60", "--ny", "60", "--targets", "900",
                     "--solvers", "dcg,sor"] + out) == 1
@@ -199,6 +198,23 @@ def test_unknown_solver_rejected_before_meshes(tmp_path, monkeypatch, capsys):
         ini.write_text(f"[{sec}]\n{key} = sor\n")
         assert run_cli([command, "-c", str(ini)] + out) == 1
         assert f"[{sec}] {key}" in capsys.readouterr().err
+    # every other checked value is rejected as early, named by its key;
+    # only solve takes the "zero" problem
+    for command, sec, key, value, says in (
+            ("iter-table", "mesh", "neumann", "rihgt", "'rihgt'"),
+            ("solve", "time", "mms", "warp", "'warp'"),
+            ("convergence", "convergence", "mms", "zero", "'zero'"),
+            ("convergence", "convergence", "mode", "both", "'both'"),
+            ("iter-table", "solve", "repetitions", "0", ">= 1"),
+            ("iter-table", "solve", "solvers", "dcg,cg,dcg", "'dcg' repeated"),
+            ("solve", "time", "solver", "", "empty list"),
+            ("iter-table", "solve", "dts", ",", "empty list"),
+            ("cond-table", "condition", "dts", "", "empty list")):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{sec}]\n{key} = {value}\n")
+        assert run_cli([command, "-c", str(ini)] + out) == 1
+        err = capsys.readouterr().err
+        assert f"[{sec}] {key}" in err and says in err, err
 
 
 def test_solver_names_come_from_one_table():
@@ -207,6 +223,73 @@ def test_solver_names_come_from_one_table():
     choices = next(a.choices for a in solve._actions if a.dest == "solver")
     assert tuple(choices) == SOLVERS
     assert tuple(load_config()["solve"]["solvers"].split(",")) == SOLVERS
+
+
+# Every option of every subcommand: the value it is given below, the
+# (section, key) it sets, and the config hash when all of them are given.
+_COMMON_FLAGS = {
+    "--output": ("elsewhere", ("output", "path")),
+    "--nx": ("5", ("mesh", "nx")),
+    "--ny": ("6", ("mesh", "ny")),
+    "--targets": ("8,4", ("mesh", "targets")),
+    "--mesh-file": ("grid.txt", ("mesh", "file")),
+    "--mesh-seed": ("3", ("mesh", "seed")),
+    "--neumann": ("top", ("mesh", "neumann")),
+    "--degree": ("2", ("discretization", "degree")),
+    "--alpha": ("12.5", ("discretization", "alpha")),
+    "--mu": ("2", ("discretization", "mu")),
+}
+_SOLVE_FLAGS = {
+    "--tol": ("1e-8", ("solve", "tol")),
+    "--maxit": ("500", ("solve", "maxit")),
+}
+CLI_SURFACE = {
+    "iter-table": ({**_COMMON_FLAGS, **_SOLVE_FLAGS,
+                    "--dts": ("1e-5,1e-6", ("solve", "dts")),
+                    "--solvers": ("dcg,pcg-cbj", ("solve", "solvers")),
+                    "--repetitions": ("2", ("solve", "repetitions")),
+                    "--seed": ("4", ("solve", "seed"))},
+                   "5d7a19c6c285"),
+    "cond-table": ({**_COMMON_FLAGS,
+                    "--cond-dts": ("1e-9", ("condition", "dts")),
+                    "--cond-tol": ("1e-4", ("condition", "tol")),
+                    "--cond-maxit": ("300", ("condition", "maxit"))},
+                   "d4b54abf7352"),
+    "convergence": ({**_COMMON_FLAGS,
+                     "--mode": ("temporal", ("convergence", "mode")),
+                     "--levels": ("2,4", ("convergence", "levels"))},
+                    "48072461d0b3"),
+    "solve": ({**_COMMON_FLAGS, **_SOLVE_FLAGS,
+               "--mms": ("linear_in_space", ("time", "mms")),
+               "--dt": ("0.02", ("time", "dt")),
+               "--t-final": ("0.2", ("time", "t_final")),
+               "--solver": ("pcg-bj", ("time", "solver"))},
+              "59f11f27b852"),
+    "export-matrices": ({**_COMMON_FLAGS, "--dt": ("1e-3", ("time", "dt"))},
+                        "4b46bdb85459"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_cli_surface_pinned(command):
+    flags, expected_hash = CLI_SURFACE[command]
+    parser = cli.build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    options = {s for a in sub._actions for s in a.option_strings}
+    assert options == {"-h", "--help", "-c", "--config"} | set(flags)
+
+    defaults = load_config()
+    assert config_hash(defaults) == "fbdb51707246"
+    for flag, (value, dest) in flags.items():
+        cfg = cli._resolve(parser.parse_args([command, flag, value]))
+        changed = {(sec, key) for sec in cfg for key in cfg[sec]
+                   if cfg[sec][key] != defaults[sec][key]}
+        assert changed == {dest}, flag
+
+    argv = [command] + [tok for flag, (value, _) in flags.items() for tok in (flag, value)]
+    cfg = cli._resolve(parser.parse_args(argv))
+    assert cfg["solve"]["tol"] == ("1e-08" if "--tol" in flags else "1e-8")
+    assert config_hash(cfg) == expected_hash
 
 
 def test_cli_cond_table(tmp_path):
