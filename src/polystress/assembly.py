@@ -2,11 +2,16 @@
 
 Only the scalar blocks M1, B1, B2, B3 are assembled, batched over all
 elements of one quadrature size and over all faces of one kind (every face
-uses the same Gauss rule), with a single COO scatter per matrix.  The
-tensor operators then follow from their Kronecker structure below.  An
-independent tensor-path assembly, one element and one face at a time over
-all four components, lives in the test suite as the oracle that
-``kron_structure_check`` compares against.
+uses the same Gauss rule).  B1, B2 and B3 share one sparsity pattern,
+bucketed and sorted once; each block's values are gathered through that
+one permutation (``_scatter``).  The tensor operators then follow from
+their Kronecker structure below: M by ``scipy.sparse.kron``, and A from
+the CSR arrays of the 2 x 2 scalar block, whose rows are filtered once and
+repeated on the second diagonal block.  An independent tensor-path
+assembly, one element and one face at a time over all four components,
+lives in the test suite as the oracle that ``kron_structure_check``
+compares against; the earlier COO-per-matrix and ``kron`` path is kept
+there as the bitwise reference of the scatter and of A.
 
 Block conventions, with S = scalar_dofs and dof order (s11, s12, s21, s22):
 M = (mu^-1 K0) kron M1, and A = I_2 kron [[B1, B2^T], [B2, B3]] where
@@ -69,10 +74,12 @@ def finalize(matrix, rel: float = 1e-14) -> sparse.csr_matrix:
         rowmax = np.zeros(A.shape[0])
         nonempty = counts > 0
         rowmax[nonempty] = np.maximum.reduceat(mag, A.indptr[:-1][nonempty])
-        keep = mag > rel * np.repeat(rowmax, counts)
-        keep |= np.repeat(~np.isfinite(rowmax), counts)
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        A = sparse.csr_matrix((A.data[keep], A.indices[keep], kept[A.indptr]),
+        # a NaN threshold drops nothing: rows holding a NaN or inf stay whole
+        threshold = np.where(np.isfinite(rowmax), rel * rowmax, np.nan)
+        drop = mag <= np.repeat(threshold, counts)
+        shift = np.searchsorted(np.flatnonzero(drop), A.indptr)
+        keep = ~drop
+        A = sparse.csr_matrix((A.data[keep], A.indices[keep], A.indptr - shift),
                               shape=A.shape)
     A.sort_indices()
     return A
@@ -106,15 +113,39 @@ def penalty(face, alpha: float, p: int, mesh: PolyMesh) -> float:
 
 
 def _scatter(dofs: list, blocks: list, n: int) -> list:
-    """One COO scatter per matrix.  ``dofs`` holds (nb, k) local-to-global
-    maps and ``blocks`` the matching (nmat, nb, k, k) local blocks (test
-    index first); returns nmat canonical n x n matrices."""
-    rows = np.concatenate([np.broadcast_to(d[:, :, None], d.shape + d.shape[-1:]).ravel()
-                           for d in dofs])
+    """nmat canonical n x n matrices on one shared pattern.  ``dofs`` holds
+    (nb, k) local-to-global maps and ``blocks`` the matching local blocks,
+    nmat arrays (nb, k, k) each (test index first).
+
+    The entries, in COO order (block, test dof, trial dof), are bucketed
+    by row in a stable order and each row's columns are sorted once, by the
+    sort that scipy's COO -> CSR conversion applies; every matrix's values
+    are gathered through the resulting permutation and their duplicates
+    summed left to right, so each result has the bits of that conversion
+    of its own COO matrix.
+    """
+    # a slot holds the k consecutive entries of one (block, test dof) pair,
+    # all in one row: bucket the slots, then expand them to entries
+    slot_rows = np.concatenate([d.ravel() for d in dofs])
+    width = np.concatenate([np.full(d.size, d.shape[1]) for d in dofs])
+    by_row = np.argsort(slot_rows, kind="stable")
+    w = width[by_row]
+    first = np.cumsum(width) - width
+    order = np.arange(w.sum()) + np.repeat(first[by_row] - (np.cumsum(w) - w), w)
     cols = np.concatenate([np.broadcast_to(d[:, None, :], d.shape + d.shape[-1:]).ravel()
                            for d in dofs])
-    vals = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
-    return [finalize(sparse.coo_matrix((v, (rows, cols)), shape=(n, n))) for v in vals]
+    counts = np.bincount(slot_rows, weights=width, minlength=n).astype(np.int64)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    # the sort carries each entry's position along with its column
+    pattern = sparse.csr_matrix((np.arange(len(order), dtype=float), cols[order], indptr),
+                                shape=(n, n))
+    pattern.sort_indices()
+    perm = order[pattern.data.astype(np.intp)]
+    # finalize sums the duplicates in place: each matrix gets its own index arrays
+    return [finalize(sparse.csr_matrix(
+        (np.concatenate([b[m].ravel() for b in blocks])[perm], pattern.indices.copy(),
+         pattern.indptr.copy()), shape=(n, n)))
+        for m in range(len(blocks[0]))]
 
 
 def assemble_mass(space: DGSpace, mu: float = 1.0):
@@ -164,13 +195,9 @@ def _face_batch(space: DGSpace, kind: FaceKind, alpha: float, degree: int) -> _F
     return _FaceBatch(plus, minus, normals, alpha * gamma, points, weights)
 
 
-def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
-    """Broken divergence operator with interior-penalty coupling.
-
-    Returns (B1, B2, B3, A): the scalar blocks of the vector-valued form,
-    assembled on the scalar dof layout, and A = I_2 kron [[B1, B2^T],
-    [B2, B3]].
-    """
+def _stiffness_blocks(space: DGSpace, alpha: float):
+    """Local blocks of B1, B2, B3: per element batch and face kind, the
+    (nb, k) dof map and the three matching (nb, k, k) blocks."""
     L = space.local_dim
     span = np.arange(L)
     dofs, blocks = [], []
@@ -182,7 +209,7 @@ def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
         wgx = batch.weights[:, :, None] * gx
         wgy = batch.weights[:, :, None] * gy
         gxt, gyt = gx.transpose(0, 2, 1), gy.transpose(0, 2, 1)
-        blocks.append(np.stack([gxt @ wgx, gyt @ wgx, gyt @ wgy]))
+        blocks.append((gxt @ wgx, gyt @ wgx, gyt @ wgy))
         dofs.append(batch.elements[:, None] * L + span)
 
     # face terms on the side-stacked dofs (plus, then minus on interior
@@ -204,15 +231,29 @@ def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
         ny = fb.normals[:, 1, None, None]
         gamma = fb.gamma[:, None, None]
         cxt, cyt = cx.transpose(0, 2, 1), cy.transpose(0, 2, 1)
-        blocks.append(np.stack([
-            -nx * cx - nx * cxt + gamma * nx * nx * pen,
-            -ny * cx - nx * cyt + gamma * ny * nx * pen,
-            -ny * cy - ny * cyt + gamma * ny * ny * pen]))
+        blocks.append((-nx * cx - nx * cxt + gamma * nx * nx * pen,
+                       -ny * cx - nx * cyt + gamma * ny * nx * pen,
+                       -ny * cy - ny * cyt + gamma * ny * ny * pen))
         dofs.append(fdofs)
+    return dofs, blocks
 
-    b1, b2, b3 = _scatter(dofs, blocks, space.scalar_dofs)
-    block = sparse.bmat([[b1, b2.T], [b2, b3]])
-    a = finalize(sparse.kron(sparse.eye(2), block))
+
+def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
+    """Broken divergence operator with interior-penalty coupling.
+
+    Returns (B1, B2, B3, A): the scalar blocks of the vector-valued form,
+    assembled on the scalar dof layout, and A = I_2 kron [[B1, B2^T],
+    [B2, B3]].  A is built from the CSR arrays: the filter of ``finalize``
+    runs once on the rows [B1 | B2^T] and [B2 | B3], and the second
+    diagonal copy is the first shifted by 2 S.
+    """
+    b1, b2, b3 = _scatter(*_stiffness_blocks(space, alpha), space.scalar_dofs)
+    block = finalize(sparse.bmat([[b1, b2.T.tocsr()], [b2, b3]], format="csr"))
+    n, nnz = block.shape[0], np.int64(block.nnz)
+    a = sparse.csr_matrix((np.concatenate([block.data, block.data]),
+                           np.concatenate([block.indices, block.indices + n]),
+                           np.concatenate([block.indptr, block.indptr[1:] + nnz])),
+                          shape=(2 * n, 2 * n))
     return b1, b2, b3, a
 
 

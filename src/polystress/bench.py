@@ -100,6 +100,28 @@ CHOICES = {
 }
 
 
+# numeric keys: (section, key) -> the type of the value, or of every item
+# of a comma-separated list key
+NUMBERS = {
+    ("mesh", "nx"): int, ("mesh", "ny"): int, ("mesh", "seed"): int,
+    ("discretization", "degree"): int, ("discretization", "alpha"): float,
+    ("discretization", "mu"): float,
+    ("solve", "tol"): float, ("solve", "maxit"): int, ("solve", "repetitions"): int,
+    ("solve", "seed"): int,
+    ("condition", "tol"): float, ("condition", "maxit"): int, ("condition", "seed"): int,
+    ("convergence", "degree"): int, ("convergence", "dt"): float,
+    ("convergence", "steps"): int, ("convergence", "t_final"): float,
+    ("convergence", "nx"): int,
+    ("time", "dt"): float, ("time", "t_final"): float,
+}
+NUMBER_LISTS = {
+    ("mesh", "targets"): int, ("solve", "dts"): float, ("condition", "dts"): float,
+    ("convergence", "levels"): int, ("convergence", "dts"): float,
+}
+# keys that name exactly one solver
+SINGLE_SOLVER_KEYS = (("time", "solver"), ("convergence", "solver"))
+
+
 def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
     """Resolved configuration: defaults, then the key=value sections of the
     file, then command-line overrides ((section, key) -> value), stored as
@@ -122,19 +144,25 @@ def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
         if value is not None:
             cfg[sec][key] = str(value)
 
-    for sec, key in (("solve", "solvers"), ("time", "solver"), ("convergence", "solver")):
-        names = _list(cfg, sec, key, str)
+    for sec, key in (("solve", "solvers"), *SINGLE_SOLVER_KEYS):
+        names = _list(cfg, sec, key)
         for i, name in enumerate(names):
             if name not in SOLVERS:
                 raise ConfigError(f"unknown solver {name!r} in [{sec}] {key}; "
                                   f"choose from {', '.join(SOLVERS)}")
             if name in names[:i]:
                 raise ConfigError(f"solver {name!r} repeated in [{sec}] {key}")
+        if (sec, key) in SINGLE_SOLVER_KEYS and len(names) > 1:
+            raise ConfigError(f"[{sec}] {key} takes one solver name, got {cfg[sec][key]!r}")
     for (sec, key), allowed in CHOICES.items():
         if _choice(cfg, sec, key) not in allowed:
             raise ConfigError(f"unknown value {cfg[sec][key]!r} for [{sec}] {key}; "
                               f"choose from {', '.join(allowed)}")
-    if int(cfg["solve"]["repetitions"]) < 1:
+    for sec, key in NUMBERS:
+        _number(cfg, sec, key)
+    for sec, key in NUMBER_LISTS:
+        _items(cfg, sec, key)
+    if _number(cfg, "solve", "repetitions") < 1:
         raise ConfigError("[solve] repetitions must be >= 1")
     return cfg
 
@@ -147,11 +175,30 @@ def config_hash(cfg) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def _list(cfg, sec, key, convert) -> list:
-    """The comma- (or semicolon-) separated [sec] key, each item converted;
-    it may not be empty."""
-    items = [convert(tok.strip()) for tok in cfg[sec][key].replace(";", ",").split(",")
-             if tok.strip()]
+def _parse(kind, text: str, sec: str, key: str):
+    try:
+        return kind(text.strip())
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{sec}] {key}: {text.strip()!r} is not {what}") from None
+
+
+def _number(cfg, sec, key):
+    """The numeric [sec] key, of its type in NUMBERS."""
+    return _parse(NUMBERS[(sec, key)], cfg[sec][key], sec, key)
+
+
+def _items(cfg, sec, key) -> list:
+    """The comma- (or semicolon-) separated [sec] key, each item of its type
+    in NUMBER_LISTS (solver names stay strings)."""
+    kind = NUMBER_LISTS.get((sec, key), str)
+    return [_parse(kind, tok, sec, key)
+            for tok in cfg[sec][key].replace(";", ",").split(",") if tok.strip()]
+
+
+def _list(cfg, sec, key) -> list:
+    """``_items`` of [sec] key, which may not be empty."""
+    items = _items(cfg, sec, key)
     if not items:
         raise ConfigError(f"empty list in [{sec}] {key}")
     return items
@@ -163,12 +210,11 @@ def _choice(cfg, sec, key) -> str:
 
 def _discretization(cfg) -> tuple[int, float, float]:
     """(degree, alpha, mu) of [discretization]."""
-    sec = cfg["discretization"]
-    return int(sec["degree"]), float(sec["alpha"]), float(sec["mu"])
+    return tuple(_number(cfg, "discretization", key) for key in ("degree", "alpha", "mu"))
 
 
 def _solver_config(cfg) -> SolverConfig:
-    return SolverConfig(tol=float(cfg["solve"]["tol"]), maxit=int(cfg["solve"]["maxit"]))
+    return SolverConfig(tol=_number(cfg, "solve", "tol"), maxit=_number(cfg, "solve", "maxit"))
 
 
 def _mms(cfg, sec):
@@ -194,11 +240,11 @@ def build_meshes(cfg) -> list[tuple[str, object]]:
     if sec["file"]:
         base = read_mesh(sec["file"])
     else:
-        base = build_cartesian_mesh(int(sec["nx"]), int(sec["ny"]))
+        base = build_cartesian_mesh(_number(cfg, "mesh", "nx"), _number(cfg, "mesh", "ny"))
     base = _classify(base, _choice(cfg, "mesh", "neumann"))
     if sec["targets"].strip():
-        meshes = [agglomerate(base, target, int(sec["seed"]))
-                  for target in _list(cfg, "mesh", "targets", int)]
+        meshes = [agglomerate(base, target, _number(cfg, "mesh", "seed"))
+                  for target in _list(cfg, "mesh", "targets")]
     else:
         meshes = [base]
     return [(f"{m.n_elements}el_h{m.mesh_size:.4f}", m) for m in meshes]
@@ -343,11 +389,10 @@ def run_iteration_table(cfg) -> dict[str, Table]:
     Cells that hit the iteration cap are recorded at the cap value and
     flagged, never raised as errors.
     """
-    sec = cfg["solve"]
-    dts = _list(cfg, "solve", "dts", float)
-    solvers = _list(cfg, "solve", "solvers", str)
-    reps = int(sec["repetitions"])
-    seed = int(sec["seed"])
+    dts = _list(cfg, "solve", "dts")
+    solvers = _list(cfg, "solve", "solvers")
+    reps = _number(cfg, "solve", "repetitions")
+    seed = _number(cfg, "solve", "seed")
     solver_cfg = _solver_config(cfg)
 
     def cell(i, j, space, astar):
@@ -372,11 +417,8 @@ def run_iteration_table(cfg) -> dict[str, Table]:
 def run_condition_table(cfg) -> dict[str, Table]:
     """Lanczos condition-number estimates of A* and of the collective
     Block-Jacobi preconditioned operator."""
-    sec = cfg["condition"]
-    dts = _list(cfg, "condition", "dts", float)
-    tol = float(sec["tol"])
-    maxit = int(sec["maxit"])
-    seed = int(sec["seed"])
+    dts = _list(cfg, "condition", "dts")
+    tol, maxit, seed = (_number(cfg, "condition", key) for key in ("tol", "maxit", "seed"))
 
     def cell(i, j, space, astar):
         raw = estimate_condition_number(astar, tol=tol, maxit=maxit, seed=seed)
@@ -399,7 +441,7 @@ def run_convergence(cfg) -> Table:
     refinement, with fitted slopes between consecutive levels."""
     sec = cfg["convergence"]
     mode = _choice(cfg, "convergence", "mode")
-    degree = int(sec["degree"])
+    degree = _number(cfg, "convergence", "degree")
     _, alpha, mu = _discretization(cfg)
     neumann = _choice(cfg, "mesh", "neumann")
     solver = sec["solver"].strip()
@@ -408,9 +450,9 @@ def run_convergence(cfg) -> Table:
     rows = []
     if mode == "spatial":
         mms = _mms(cfg, "convergence")
-        dt = float(sec["dt"])
-        steps = int(sec["steps"])
-        for nx in _list(cfg, "convergence", "levels", int):
+        dt = _number(cfg, "convergence", "dt")
+        steps = _number(cfg, "convergence", "steps")
+        for nx in _list(cfg, "convergence", "levels"):
             mesh = _classify(build_cartesian_mesh(nx, nx), neumann)
             space = build_space(mesh, degree)
             tcfg = TimeConfig.from_steps(steps, dt)
@@ -421,13 +463,13 @@ def run_convergence(cfg) -> Table:
         x_of = lambda row: row[0]
     else:
         mms = linear_in_space_solution(mu)
-        nx = int(sec["nx"])
-        t_final = float(sec["t_final"])
+        nx = _number(cfg, "convergence", "nx")
+        t_final = _number(cfg, "convergence", "t_final")
         mesh = _classify(build_cartesian_mesh(nx, nx), neumann)
         space = build_space(mesh, degree)
         system = assemble_system(space, mu, alpha)
         norm = EnergyNorm(space, alpha)
-        for dt in _list(cfg, "convergence", "dts", float):
+        for dt in _list(cfg, "convergence", "dts"):
             tcfg = TimeConfig(dt=dt, t_final=t_final)
             sigma, _ = implicit_euler_run(space, mms.data, tcfg, solver,
                                           solver_cfg, alpha, system=system)
@@ -467,7 +509,7 @@ def run_solve(cfg):
     sec = cfg["time"]
     degree, alpha, mu = _discretization(cfg)
     data = zero_data(mu) if _choice(cfg, "time", "mms") == "zero" else _mms(cfg, "time").data
-    tcfg = TimeConfig(dt=float(sec["dt"]), t_final=float(sec["t_final"]))
+    tcfg = TimeConfig(dt=_number(cfg, "time", "dt"), t_final=_number(cfg, "time", "t_final"))
     label, mesh = build_meshes(cfg)[0]
     space = build_space(mesh, degree)
     outdir = Path(cfg["output"]["path"])

@@ -135,9 +135,12 @@ class PolyMesh:
     element_areas, element_centroids, element_diameters : per-element metrics
     mesh_size : h = max over element diameters
     merge_warning : True when agglomeration stopped before its target
+    base_elements : None, or on an agglomerated mesh, per element the
+        sorted ids (read-only int array) of the elements it was merged from
     """
 
-    def __init__(self, vertices, elements, boundary_kinds=None, merge_warning=False):
+    def __init__(self, vertices, elements, boundary_kinds=None, merge_warning=False,
+                 base_elements=None):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
@@ -170,6 +173,13 @@ class PolyMesh:
         self.vertices.setflags(write=False)
         self.elements = tuple(loops)
         self.merge_warning = bool(merge_warning)
+        self.base_elements = None
+        if base_elements is not None:
+            if len(base_elements) != n:
+                raise MeshError("base_elements needs one id list per element")
+            self.base_elements = tuple(np.asarray(ids, dtype=np.int64) for ids in base_elements)
+            for ids in self.base_elements:
+                ids.setflags(write=False)
         self.element_areas = areas
         self.element_centroids = centroids
         self.element_diameters = diameters
@@ -297,25 +307,22 @@ def classify_boundary(mesh: PolyMesh, neumann_predicate) -> PolyMesh:
 def _merge_loops(loop_a, loop_b):
     """Union of two CCW loops sharing at least one full edge.
 
-    Returns the merged loop as a list, or None when the union would not be
-    a simple polygon (pinched vertex, enclosed hole, ...).
+    Returns the merged loop as a list, starting at the first vertex of
+    ``loop_a`` whose outgoing edge is not shared, or None when the union
+    would not be a simple polygon (pinched vertex, enclosed hole, ...).
     """
-    edges_a = list(_loop_edges(loop_a))
-    edges_b = list(_loop_edges(loop_b))
-    set_a = set(edges_a)
-    set_b = set(edges_b)
-    # Shared segments are traversed in opposite directions by the two loops.
-    shared = {e for e in edges_a if (e[1], e[0]) in set_b}
-    if not shared:
+    succ_a = dict(zip(loop_a, loop_a[1:] + loop_a[:1]))
+    succ_b = dict(zip(loop_b, loop_b[1:] + loop_b[:1]))
+    # a shared segment is traversed in opposite directions by the two loops
+    succ = {u: v for u, v in succ_a.items() if succ_b.get(v) != u}
+    if len(succ) == len(succ_a):
         return None
-    drop = shared | {(b, a) for a, b in shared}
-    succ = {}
-    for a, b in edges_a + edges_b:
-        if (a, b) in drop:
+    for u, v in succ_b.items():
+        if succ_a.get(v) == u:
             continue
-        if a in succ:
+        if u in succ:
             return None  # vertex with two outgoing edges: pinched union
-        succ[a] = b
+        succ[u] = v
     if not succ:
         return None
     start = next(iter(succ))
@@ -323,34 +330,74 @@ def _merge_loops(loop_a, loop_b):
     cur = succ[start]
     while cur != start:
         merged.append(cur)
-        if cur not in succ:
-            return None
-        cur = succ[cur]
-        if len(merged) > len(succ):
+        cur = succ.get(cur)
+        if cur is None or len(merged) > len(succ):
             return None
     if len(merged) != len(succ):
         return None  # leftover edges form a second loop (hole)
     return merged
 
 
+def _pairwise_sum(a: list) -> float:
+    """Sum of the floats in ``a`` in the order of numpy's pairwise float
+    summation (eight interleaved partial sums in blocks of at most 128
+    terms), so that it has the bits of ``np.sum`` over one contiguous row."""
+    n = len(a)
+    if n < 8:
+        res = -0.0
+        for v in a:
+            res += v
+        return res
+    if n <= 128:
+        r = list(a[:8])
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in a[stop:]:
+            res += v
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
 def _merge_is_legal(vertices, loop) -> bool:
-    pts = vertices[np.asarray(loop, dtype=np.int64)][None]
-    area, centroid = _shoelace(pts)
-    if area[0] <= 0.0:
+    """True when the polygon ``loop`` (vertex ids into the (x, y) rows of
+    ``vertices``) has positive area and is star-shaped with respect to its
+    centroid, so that the centroid-fan quadrature of the DG space stays
+    valid.  Scalar arithmetic with the operations and summation order of
+    ``_shoelace`` and ``_fan_cross_products`` on one polygon, so every
+    decision matches the batched geometry bit for bit."""
+    pts = [vertices[v] for v in loop]
+    x = [p[0] for p in pts]
+    y = [p[1] for p in pts]
+    xn, yn = x[1:] + x[:1], y[1:] + y[:1]
+    cross = [a * d - c * b for a, b, c, d in zip(x, y, xn, yn)]
+    area = 0.5 * _pairwise_sum(cross)
+    if area <= 0.0:
         return False
-    # Keep every element star-shaped w.r.t. its centroid so that the
-    # centroid-fan quadrature of the DG space stays valid.
-    cross = _fan_cross_products(pts, centroid)
-    return bool(np.all(cross > 1e-12 * area[0]))
+    cx = _pairwise_sum([(a + c) * w for a, c, w in zip(x, xn, cross)]) / (6.0 * area)
+    cy = _pairwise_sum([(b + d) * w for b, d, w in zip(y, yn, cross)]) / (6.0 * area)
+    dx = [a - cx for a in x]
+    dy = [b - cy for b in y]
+    floor = 1e-12 * area
+    return all(a * d - b * c > floor
+               for a, b, c, d in zip(dx, dy, dx[1:] + dx[:1], dy[1:] + dy[:1]))
 
 
 def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh:
     """Merge neighbouring elements pairwise until ``target_elements`` remain.
 
-    Pairs are chosen greedily in a seeded-random order; merges that would
-    create a non-simple or non-star-shaped polygon are skipped.  If no legal
-    merge remains before the target is reached, the current mesh is returned
-    with ``merge_warning`` set.  Deterministic for a fixed seed.
+    Each merge draws a seeded permutation of the live elements and takes the
+    first of them, in that order, with a legal merge among its neighbours
+    (themselves tried in a seeded order); merges that would create a
+    non-simple or non-star-shaped polygon are skipped.  If no legal merge
+    remains before the target is reached, the current mesh is returned
+    with ``merge_warning`` set.  Deterministic for a fixed seed.  The result
+    records in ``base_elements`` which elements of ``mesh`` each of its
+    elements covers.
     """
     if not 1 <= target_elements <= mesh.n_elements:
         raise ValueError("target_elements must be in [1, n_elements]")
@@ -358,56 +405,53 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
         return mesh
 
     rng = np.random.default_rng(rng_seed)
-    loops: dict[int, list[int]] = {e: loop.tolist() for e, loop in enumerate(mesh.elements)}
+    coords = mesh.vertices.tolist()
+    loops = [loop.tolist() for loop in mesh.elements]
+    members = [[e] for e in range(mesh.n_elements)]
+    # elements sharing a face, kept up to date across merges
+    neighbours = [set() for _ in loops]
+    for face in mesh.faces:
+        if face.minus_element is not None:
+            neighbours[face.plus_element].add(face.minus_element)
+            neighbours[face.minus_element].add(face.plus_element)
     alive = np.ones(mesh.n_elements, dtype=bool)
-    owner = {}
-    for e, loop in loops.items():
-        for edge in _loop_edges(loop):
-            owner[edge] = e
 
-    def neighbors_of(e):
-        out = set()
-        for a, b in _loop_edges(loops[e]):
-            o = owner.get((b, a))
-            if o is not None and o != e:
-                out.add(o)
-        return sorted(out)
-
-    n_alive = len(loops)
+    n_alive = mesh.n_elements
     stalled = False
     while n_alive > target_elements:
-        merged_any = False
+        merged = None
         # live ids in increasing order: the seeded draw depends on this order
         for e in rng.permutation(np.flatnonzero(alive)):
             e = int(e)
-            nbrs = neighbors_of(e)
-            if not nbrs:
+            if not neighbours[e]:
                 continue
-            for j in rng.permutation(nbrs):
+            for j in rng.permutation(sorted(neighbours[e])):
                 j = int(j)
                 merged = _merge_loops(loops[e], loops[j])
-                if merged is None or not _merge_is_legal(mesh.vertices, merged):
-                    continue
-                for victim in (e, j):
-                    for edge in _loop_edges(loops[victim]):
-                        owner.pop(edge, None)
-                    del loops[victim]
-                loops[min(e, j)] = merged
-                alive[max(e, j)] = False
-                for edge in _loop_edges(merged):
-                    owner[edge] = min(e, j)
-                n_alive -= 1
-                merged_any = True
+                if merged is not None and _merge_is_legal(coords, merged):
+                    break
+                merged = None
+            if merged is not None:
                 break
-            if merged_any:
-                break
-        if not merged_any:
+        if merged is None:
             stalled = True
             break
+        keep, gone = min(e, j), max(e, j)
+        loops[keep], loops[gone] = merged, None
+        members[keep] += members[gone]
+        alive[gone] = False
+        for other in neighbours[gone] - {keep}:
+            neighbours[other].discard(gone)
+            neighbours[other].add(keep)
+        neighbours[keep] |= neighbours[gone]
+        neighbours[keep] -= {keep, gone}
+        neighbours[gone] = set()
+        n_alive -= 1
 
+    live = np.flatnonzero(alive).tolist()
     tags = {f.endpoints: f.kind for f in mesh.faces if f.is_boundary}
-    out = PolyMesh(mesh.vertices, [loops[k] for k in sorted(loops)],
-                   boundary_kinds=tags, merge_warning=stalled)
+    out = PolyMesh(mesh.vertices, [loops[k] for k in live], boundary_kinds=tags,
+                   merge_warning=stalled, base_elements=[sorted(members[k]) for k in live])
     if abs(out.total_area - mesh.total_area) > 1e-12 * mesh.total_area:
         raise MeshError("agglomeration failed to conserve total area")
     return out

@@ -11,6 +11,12 @@ element-by-element projection that the batched one must reproduce, and
 ``energy_error`` the element-by-element, face-by-face energy norm that
 ``EnergyNorm.error`` must reproduce.  ``finalize_coo`` is the COO round
 trip that the library's CSR ``finalize`` must reproduce bitwise.
+
+Two earlier library paths are kept here as bitwise references:
+``mass_kron``/``stiffness_kron`` convert one COO matrix per block and form
+M and A with ``scipy.sparse.kron``, and ``agglomerate`` rebuilds every
+candidate's neighbour list from a directed-edge map and tests each merge
+with array geometry.
 """
 import dataclasses
 
@@ -18,7 +24,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from polystress import FaceKind, penalty
-from polystress.assembly import deviatoric_factor, finalize
+from polystress.assembly import _stiffness_blocks, deviatoric_factor, finalize
+from polystress.mesh import _fan_cross_products, _loop_edges, _shoelace
 from polystress.dg_space import (COMPONENTS, face_quadrature, polygon_rules,
                                  rules_by_element)
 
@@ -270,3 +277,132 @@ def energy_error(norm, dofs, exact=None, t=0.0):
             jump = jump - np.einsum("qrc,c->qr", err_minus, n)
         total += gamma * float(rule.weights @ (jump ** 2).sum(axis=1))
     return float(np.sqrt(total))
+
+
+# -- COO scatter and Kronecker products ---------------------------------------
+
+def coo_scatter(dofs, blocks, n):
+    """One COO matrix per block set, each converted and finalized on its
+    own: the reference for the shared-pattern scatter of the library."""
+    rows = np.concatenate([np.broadcast_to(d[:, :, None], d.shape + d.shape[-1:]).ravel()
+                           for d in dofs])
+    cols = np.concatenate([np.broadcast_to(d[:, None, :], d.shape + d.shape[-1:]).ravel()
+                           for d in dofs])
+    vals = np.concatenate([np.reshape(b, (len(b), -1)) for b in blocks], axis=1)
+    return [finalize(sparse.coo_matrix((v, (rows, cols)), shape=(n, n))) for v in vals]
+
+
+def mass_kron(space, mu=1.0):
+    """(M1, M) by COO scatter and ``scipy.sparse.kron``."""
+    L = space.local_dim
+    dofs = np.arange(space.scalar_dofs).reshape(space.n_elements, L)
+    m1, = coo_scatter([dofs], [space.gram[None]], space.scalar_dofs)
+    return m1, finalize(sparse.kron(deviatoric_factor() / mu, m1))
+
+
+def stiffness_kron(space, alpha):
+    """(B1, B2, B3, A) by COO scatter, ``bmat`` and ``kron``, from the
+    library's local blocks."""
+    b1, b2, b3 = coo_scatter(*_stiffness_blocks(space, alpha), space.scalar_dofs)
+    block = sparse.bmat([[b1, b2.T], [b2, b3]])
+    return b1, b2, b3, finalize(sparse.kron(sparse.eye(2), block))
+
+
+# -- agglomeration ------------------------------------------------------------
+
+def merge_loops(loop_a, loop_b):
+    """Union of two CCW loops sharing at least one full edge, from edge
+    lists and sets; None when the union is not a simple polygon."""
+    edges_a = list(_loop_edges(loop_a))
+    edges_b = list(_loop_edges(loop_b))
+    set_b = set(edges_b)
+    shared = {e for e in edges_a if (e[1], e[0]) in set_b}
+    if not shared:
+        return None
+    drop = shared | {(b, a) for a, b in shared}
+    succ = {}
+    for a, b in edges_a + edges_b:
+        if (a, b) in drop:
+            continue
+        if a in succ:
+            return None
+        succ[a] = b
+    if not succ:
+        return None
+    start = next(iter(succ))
+    merged = [start]
+    cur = succ[start]
+    while cur != start:
+        merged.append(cur)
+        if cur not in succ:
+            return None
+        cur = succ[cur]
+        if len(merged) > len(succ):
+            return None
+    if len(merged) != len(succ):
+        return None
+    return merged
+
+
+def merge_is_legal(vertices, loop):
+    """Positive area and star-shaped w.r.t. the centroid, by the batched
+    geometry of ``PolyMesh`` on a stack of one polygon."""
+    pts = vertices[np.asarray(loop, dtype=np.int64)][None]
+    area, centroid = _shoelace(pts)
+    if area[0] <= 0.0:
+        return False
+    cross = _fan_cross_products(pts, centroid)
+    return bool(np.all(cross > 1e-12 * area[0]))
+
+
+def agglomerate(mesh, target_elements, rng_seed):
+    """Seeded pairwise agglomeration that rebuilds each candidate's
+    neighbour list from a directed-edge owner map and tests each merge with
+    array geometry: returns (loops, merge_warning)."""
+    rng = np.random.default_rng(rng_seed)
+    loops = {e: loop.tolist() for e, loop in enumerate(mesh.elements)}
+    alive = np.ones(mesh.n_elements, dtype=bool)
+    owner = {}
+    for e, loop in loops.items():
+        for edge in _loop_edges(loop):
+            owner[edge] = e
+
+    def neighbors_of(e):
+        out = set()
+        for a, b in _loop_edges(loops[e]):
+            o = owner.get((b, a))
+            if o is not None and o != e:
+                out.add(o)
+        return sorted(out)
+
+    n_alive = len(loops)
+    stalled = False
+    while n_alive > target_elements:
+        merged_any = False
+        for e in rng.permutation(np.flatnonzero(alive)):
+            e = int(e)
+            nbrs = neighbors_of(e)
+            if not nbrs:
+                continue
+            for j in rng.permutation(nbrs):
+                j = int(j)
+                merged = merge_loops(loops[e], loops[j])
+                if merged is None or not merge_is_legal(mesh.vertices, merged):
+                    continue
+                for victim in (e, j):
+                    for edge in _loop_edges(loops[victim]):
+                        owner.pop(edge, None)
+                    del loops[victim]
+                loops[min(e, j)] = merged
+                alive[max(e, j)] = False
+                for edge in _loop_edges(merged):
+                    owner[edge] = min(e, j)
+                n_alive -= 1
+                merged_any = True
+                break
+            if merged_any:
+                break
+        if not merged_any:
+            stalled = True
+            break
+    return [loops[k] for k in sorted(loops)], stalled

@@ -263,6 +263,15 @@ def test_finalize_drops_small_entries():
     assert out.nnz == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finalize_keeps_nonfinite_rows_whole(bad):
+    dense = np.array([[1.0, 1e-20, 0.0], [bad, 1e-30, 2.0], [1e-30, 0.0, 3.0]])
+    out = finalize(sparse.csr_matrix(dense))
+    assert out.indptr.tolist() == [0, 1, 4, 5]
+    assert out.indices.tolist() == [0, 0, 1, 2, 2]
+    assert np.array_equal(out.data, [1.0, bad, 1e-30, 2.0, 3.0], equal_nan=True)
+
+
 def _random_sparse(rng, shape, nnz):
     """COO with duplicates, explicit zeros, entries spanning 22 decades,
     empty rows (1 mod 5, so n = 42 and 32 end on one), rows of explicit
@@ -329,6 +338,27 @@ def test_batched_assembly_matches_oracle(oracle_meshes, name, p):
                   oracle.functional_vector(space, data, 0.3, 10.0))
     for label, (got, ref) in pairs.items():
         assert max_rel_dev(got, ref) <= 1e-13, label
+
+
+def assert_same_csr(got, ref, label):
+    assert got.shape == ref.shape, label
+    for name in ("data", "indices", "indptr"):
+        g, r = getattr(got, name), getattr(ref, name)
+        assert g.dtype == r.dtype and np.array_equal(g, r), f"{label}.{name}"
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["agglomerated-50", "dirichlet-2x2"])
+def test_stiffness_matches_kron_oracle_bitwise(oracle_meshes, name, p):
+    space = build_space(oracle_meshes[name], p)
+    system = assemble_system(space, mu=1.0, alpha=10.0)
+    m1, m = oracle.mass_kron(space, 1.0)
+    b1, b2, b3, a = oracle.stiffness_kron(space, 10.0)
+    refs = {"M1": (system.m1, m1), "B1": (system.b1, b1), "B2": (system.b2, b2),
+            "B3": (system.b3, b3), "M": (system.m, m), "A": (system.a, a),
+            "A*": (build_system(system.m, system.a, 1e-7), build_system(m, a, 1e-7))}
+    for label, (got, ref) in refs.items():
+        assert_same_csr(got, ref, label)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -217,6 +217,41 @@ def test_unknown_solver_rejected_before_meshes(tmp_path, monkeypatch, capsys):
         assert f"[{sec}] {key}" in err and says in err, err
 
 
+def test_single_solver_keys_and_numbers_rejected_before_meshes(tmp_path, monkeypatch,
+                                                               capsys):
+    def fail(cfg):
+        raise AssertionError("meshes built before the config was checked")
+
+    monkeypatch.setattr(bench, "build_meshes", fail)
+    out = ["--output", str(tmp_path)]
+    for command, sec, key, value, says in (
+            ("solve", "time", "solver", "cg,dcg", "one solver name"),
+            ("convergence", "convergence", "solver", "cg;pcg-cbj", "one solver name"),
+            ("iter-table", "solve", "repetitions", "two", "'two' is not an integer"),
+            ("iter-table", "solve", "tol", "tight", "'tight' is not a number"),
+            ("cond-table", "condition", "maxit", "1e3", "'1e3' is not an integer"),
+            ("iter-table", "mesh", "targets", "100,many", "'many' is not an integer"),
+            ("iter-table", "convergence", "levels", "2,x", "'x' is not an integer"),
+            ("solve", "time", "dt", "", "'' is not a number")):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{sec}]\n{key} = {value}\n")
+        assert run_cli([command, "-c", str(ini)] + out) == 1
+        err = capsys.readouterr().err
+        assert f"[{sec}] {key}" in err and says in err, err
+
+
+def test_every_numeric_key_is_typed_once():
+    numeric = set(bench.NUMBERS) | set(bench.NUMBER_LISTS)
+    assert not set(bench.NUMBERS) & set(bench.NUMBER_LISTS)
+    text = {("mesh", "file"), ("mesh", "neumann"), ("solve", "solvers"),
+            ("convergence", "mode"), ("convergence", "mms"), ("convergence", "solver"),
+            ("time", "solver"), ("time", "mms"), ("output", "path")}
+    assert numeric | text == {(sec, key) for sec, kv in bench.DEFAULTS.items() for key in kv}
+    cfg = load_config()
+    assert bench._number(cfg, "solve", "maxit") == 30000
+    assert bench._number(cfg, "solve", "tol") == 1e-8
+
+
 def test_solver_names_come_from_one_table():
     parser = cli.build_parser()
     solve = parser._subparsers._group_actions[0].choices["solve"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import assembly_oracle as oracle
 import polystress.mesh as msh
 from polystress import (FaceKind, MeshError, agglomerate, build_cartesian_mesh,
                         build_space, classify_boundary, read_mesh, write_mesh)
@@ -107,6 +108,67 @@ def test_agglomerate_stall_sets_warning(monkeypatch):
     out = agglomerate(mesh, 2, rng_seed=0)
     assert out.merge_warning
     assert out.n_elements == 9
+
+
+# (nx, ny, target, seed, right edge Neumann, stalls before the target)
+ORACLE_AGGLOMERATIONS = [
+    (4, 4, 8, 3, True, False), (4, 4, 5, 0, False, False), (8, 8, 20, 7, False, False),
+    (7, 5, 12, 3, False, False), (7, 5, 9, 0, True, False), (15, 15, 50, 1, True, False),
+    (20, 20, 100, 1, True, False), (20, 20, 60, 5, False, False),
+    (40, 40, 400, 2, False, False), (40, 40, 200, 1, True, False),
+    (4, 4, 1, 0, False, True), (8, 8, 1, 1, True, True),
+]
+
+
+@pytest.mark.parametrize("nx,ny,target,seed,neumann,stalls", ORACLE_AGGLOMERATIONS)
+def test_agglomerate_matches_oracle(nx, ny, target, seed, neumann, stalls):
+    base = build_cartesian_mesh(nx, ny)
+    if neumann:
+        base = classify_boundary(base, lambda p: p[0] > 1.0 - 1e-9)
+    out = agglomerate(base, target, seed)
+    loops, stalled = oracle.agglomerate(base, target, seed)
+    assert out.merge_warning == stalled == stalls
+    assert [loop.tolist() for loop in out.elements] == loops
+    assert (out.n_elements > target) == stalls
+
+
+@pytest.mark.parametrize("nx,ny,target,seed", [(4, 4, 8, 3), (7, 5, 12, 3), (15, 15, 50, 1)])
+def test_agglomerate_records_base_elements(nx, ny, target, seed):
+    base = build_cartesian_mesh(nx, ny)
+    out = agglomerate(base, target, seed)
+    assert base.base_elements is None and len(out.base_elements) == out.n_elements
+    ids = np.concatenate(out.base_elements)
+    assert np.array_equal(np.sort(ids), np.arange(base.n_elements))
+    for e, covered in enumerate(out.base_elements):
+        assert np.array_equal(covered, np.sort(covered)) and not covered.flags.writeable
+        assert base.element_areas[covered].sum() == pytest.approx(out.element_areas[e],
+                                                                  rel=1e-12)
+    # agglomerating again refers to the elements of the mesh it starts from
+    twice = agglomerate(out, target // 2, seed)
+    assert np.array_equal(np.sort(np.concatenate(twice.base_elements)),
+                          np.arange(out.n_elements))
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 8, 9, 16, 17, 128, 129, 300])
+def test_pairwise_sum_matches_numpy_row_sum(rng, k):
+    for _ in range(50):
+        row = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8, k)
+        assert msh._pairwise_sum(row.tolist()) == np.sum(row[None], axis=1)[0]
+
+
+def test_merge_is_legal_matches_array_geometry(rng):
+    # random star-shaped, concave and clockwise polygons around the origin
+    for _ in range(300):
+        k = int(rng.integers(3, 14))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        if rng.random() < 0.3:
+            angles = angles[::-1]
+        radii = rng.uniform(0.05, 1.0, k)
+        vertices = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        vertices += rng.uniform(-0.5, 0.5, 2)
+        loop = list(range(k))
+        assert (msh._merge_is_legal(vertices.tolist(), loop)
+                == oracle.merge_is_legal(vertices, loop))
 
 
 def test_agglomerate_keeps_boundary_tags():
