@@ -203,6 +203,32 @@ class ElementBatch:
             array.setflags(write=False)
 
 
+class _NotSPD(scipy.linalg.LinAlgError):
+    """A block of a stack failed its Cholesky factorisation; ``index`` is
+    the first such block."""
+
+    def __init__(self, index: int):
+        super().__init__(f"block {index} is not positive definite")
+        self.index = index
+
+
+def _cho_factor_stack(blocks: np.ndarray, lower: bool = False):
+    """scipy's ``cho_factor`` of every block of an (n, b, b) stack, as one
+    ``(c, lower)`` pair for a batched ``cho_solve``.  The blocks are not
+    checked for non-finite entries.  Raises _NotSPD naming the first block
+    that is not positive definite; only that error path visits the blocks
+    one by one."""
+    try:
+        return scipy.linalg.cho_factor(blocks, lower=lower, check_finite=False)[0], lower
+    except scipy.linalg.LinAlgError:
+        for k, block in enumerate(blocks):
+            try:
+                scipy.linalg.cho_factor(block, lower=lower, check_finite=False)
+            except scipy.linalg.LinAlgError:
+                raise _NotSPD(k) from None
+        raise
+
+
 class DGSpace:
     """Discrete space [P_p(mesh)]^{2x2} with bounding-box Legendre bases.
 
@@ -222,13 +248,11 @@ class DGSpace:
         self.total_dofs = 4 * self.scalar_dofs
         self.quad_degree = 2 * degree + 1
 
-        frames = np.empty((self.n_elements, 4))
-        for e in range(self.n_elements):
-            pts = mesh.element_points(e)
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
-            frames[e, :2] = 0.5 * (lo + hi)
-            frames[e, 2:] = 0.5 * (hi - lo)
-        self.frames = frames
+        polygons = [mesh.element_points(e) for e in range(self.n_elements)]
+        sizes = np.fromiter(map(len, polygons), np.int64, self.n_elements)
+        coords, starts = np.concatenate(polygons), np.cumsum(sizes) - sizes
+        lo, hi = np.minimum.reduceat(coords, starts), np.maximum.reduceat(coords, starts)
+        self.frames = frames = np.hstack([0.5 * (lo + hi), 0.5 * (hi - lo)])
 
         # L2 normalisation over the bounding box: the basis is exactly
         # orthonormal on rectangular elements and stays well-conditioned on
@@ -237,9 +261,7 @@ class DGSpace:
         sx, sy = frames[:, 2], frames[:, 3]
         self._scales = 1.0 / np.sqrt(np.outer(sx * sy, 4.0 / ((2 * a + 1.0) * (2 * b + 1.0))))
 
-        self.element_batches = polygon_rules(
-            [mesh.element_points(e) for e in range(self.n_elements)], self.quad_degree)
-        self.element_rules = rules_by_element(self.element_batches)
+        self.element_batches = polygon_rules(polygons, self.quad_degree)
 
         # element Gram matrices, which are also the diagonal blocks of M1
         self.gram = np.empty((self.n_elements, self.local_dim, self.local_dim))
@@ -248,12 +270,10 @@ class DGSpace:
             self.gram[batch.elements] = np.matmul(
                 phi.transpose(0, 2, 1), batch.weights[:, :, None] * phi)
         self.gram.setflags(write=False)
-        self._gram_chol = []
-        for e in range(self.n_elements):
-            try:
-                self._gram_chol.append(scipy.linalg.cho_factor(self.gram[e]))
-            except scipy.linalg.LinAlgError as exc:
-                raise ValueError(f"singular basis Gram matrix on element {e}") from exc
+        try:
+            self._gram_factor = _cho_factor_stack(self.gram)
+        except _NotSPD as exc:
+            raise ValueError(f"singular basis Gram matrix on element {exc.index}") from exc
 
     # -- load tables -------------------------------------------------------------
 
@@ -303,47 +323,11 @@ class DGSpace:
         grads[..., 1] = vxa * dy[..., b] * (scales / sy[..., None])
         return values, grads
 
-    def basis_values(self, e: int, pts: np.ndarray) -> np.ndarray:
-        """Basis values, shape (npts, local_dim)."""
-        return self.evaluate(e, pts)[0]
-
-    def basis_gradients(self, e: int, pts: np.ndarray) -> np.ndarray:
-        """Basis gradients, shape (npts, local_dim, 2)."""
-        return self.evaluate(e, pts)[1]
-
-    def gram_solve(self, e: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve with the element Gram matrix (identity on rectangles)."""
-        return scipy.linalg.cho_solve(self._gram_chol[e], rhs)
-
     # -- dof layout ------------------------------------------------------------
-
-    def scalar_index(self, e: int, i=None):
-        base = e * self.local_dim
-        return base if i is None else base + i
 
     def global_index(self, c: int, e: int, i=None):
         base = c * self.scalar_dofs + e * self.local_dim
         return base if i is None else base + i
-
-    # -- field evaluation -------------------------------------------------------
-
-    def eval_field(self, dofs: np.ndarray, e: int, pts: np.ndarray) -> np.ndarray:
-        """Evaluate the tensor field on element e, shape (npts, 2, 2)."""
-        phi = self.basis_values(e, pts)
-        out = np.empty((len(pts), 2, 2))
-        for c, (r, d) in enumerate(COMPONENTS):
-            sl = slice(self.global_index(c, e), self.global_index(c, e) + self.local_dim)
-            out[:, r, d] = phi @ dofs[sl]
-        return out
-
-    def eval_divergence(self, dofs: np.ndarray, e: int, pts: np.ndarray) -> np.ndarray:
-        """Row-wise divergence of the tensor field, shape (npts, 2)."""
-        grad = self.basis_gradients(e, pts)
-        out = np.zeros((len(pts), 2))
-        for c, (r, d) in enumerate(COMPONENTS):
-            sl = slice(self.global_index(c, e), self.global_index(c, e) + self.local_dim)
-            out[:, r] += grad[:, :, d] @ dofs[sl]
-        return out
 
 
 def build_space(mesh: PolyMesh, p: int) -> DGSpace:
@@ -356,22 +340,22 @@ def l2_project(space: DGSpace, field) -> np.ndarray:
 
     ``field(x, y)`` takes read-only coordinate arrays, one call per element
     batch, and returns values with shape (npts, 2, 2).  Coefficients are
-    quadrature inner products run through the element Gram solve (a no-op
-    on rectangular elements, where the basis is orthonormal).  The basis
-    values at the quadrature points are computed once per space
+    quadrature inner products run through the stacked element Gram factors
+    (a no-op on rectangular elements, where the basis is orthonormal).  The
+    basis values at the quadrature points are computed once per space
     (``DGSpace.element_values``) and reused by every later call.
     """
     ncomp = len(COMPONENTS)
     dofs = np.empty((ncomp, space.n_elements, space.local_dim))
+    chol, lower = space._gram_factor
     for batch, phi in zip(space.element_batches, space.element_values):
         wphi_t = np.ascontiguousarray(batch.weights[:, :, None] * phi).transpose(0, 2, 1)
         pts = batch.points.reshape(-1, 2)
         vals = np.asarray(field(pts[:, 0], pts[:, 1])).reshape(phi.shape[:2] + (ncomp,))
-        # One matrix-vector product per element and component, on the same
-        # memory layout as a one-element projection: a stacked matmul (or a
-        # transposed layout) sums in another order and would move the
-        # projection, and every time step started from it, at roundoff.
-        for e, wt, v in zip(batch.elements.tolist(), wphi_t, vals):
-            rhs = np.column_stack([wt @ v[:, c] for c in range(ncomp)])
-            dofs[:, e] = space.gram_solve(e, rhs).T
+        # (E, 4, L, nq) @ (E, 4, nq, 1): one matrix-vector product per
+        # element and component
+        rhs = np.matmul(wphi_t[:, None], vals.transpose(0, 2, 1)[..., None])
+        coef = scipy.linalg.cho_solve((chol[batch.elements], lower),
+                                      rhs[..., 0].transpose(0, 2, 1), check_finite=False)
+        dofs[:, batch.elements] = coef.transpose(2, 0, 1)
     return dofs.ravel()

@@ -27,7 +27,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import SystemMatrices, build_system
-from .dg_space import DGSpace
+from .dg_space import DGSpace, _cho_factor_stack, _NotSPD
 
 
 class BlockFactorizationError(RuntimeError):
@@ -234,10 +234,10 @@ def _diagonal_blocks(A: sparse.csr_matrix, bs: int, perm: np.ndarray | None) -> 
 def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -> BlockJacobi:
     """Extract and factorise the diagonal blocks of A* under the layout.
 
-    Each block is factorised by LAPACK's potrf and inverted by potrs, the
-    routines behind scipy's cho_factor and cho_solve.  Raises
-    BlockFactorizationError naming the first element whose block holds a
-    non-finite entry or is not positive definite.
+    The blocks are factorised and inverted as one stack by scipy's batched
+    cho_factor and cho_solve.  Raises BlockFactorizationError naming the
+    first element whose block holds a non-finite entry or is not positive
+    definite.
     """
     astar = sparse.csr_matrix(astar)
     L, ne = space.local_dim, space.n_elements
@@ -256,17 +256,17 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -
     finite = np.isfinite(blocks).all(axis=(1, 2))
     if not finite.all():
         raise failure(int(np.argmin(finite)), "holds a NaN or inf")
-    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (blocks,))
-    inv = np.empty_like(blocks)
-    eye = np.eye(bs)
-    for k, blk in enumerate(blocks):
-        chol, info = potrf(blk, lower=True, overwrite_a=False, clean=False)
-        if info != 0:
-            raise failure(k, "is not SPD")
-        inv[k] = potrs(chol, eye, lower=True, overwrite_b=False)[0]
+    try:
+        factor = _cho_factor_stack(blocks, lower=True)
+    except _NotSPD as exc:
+        raise failure(exc.index, "is not SPD") from exc
+    del blocks  # the batched solve below holds two stacks of this size at once
+    # potrs leaves each inverse in Fortran order, and the matmul of
+    # BlockJacobi.apply sums in the order of the blocks' layout: keep C order
+    inv = np.ascontiguousarray(scipy.linalg.cho_solve(factor, np.eye(bs), check_finite=False))
     inv += inv.transpose(0, 2, 1)
     inv *= 0.5
-    return BlockJacobi(layout=layout, block_size=bs, nblocks=len(blocks),
+    return BlockJacobi(layout=layout, block_size=bs, nblocks=len(inv),
                        inv_blocks=inv, perm=perm)
 
 
@@ -311,7 +311,6 @@ class Deflator:
     i.e. unless W is SPD (it is indefinite when the penalty alpha is too
     small)."""
 
-    astar: sparse.csr_matrix
     coarse_matrix: sparse.csr_matrix
     _wsolve: object
     _avt: sparse.csr_matrix
@@ -359,7 +358,7 @@ def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
     except BlockFactorizationError as exc:
         raise BlockFactorizationError(
             f"{exc} (the interior penalty alpha is too small)") from exc
-    return Deflator(astar=astar, coarse_matrix=w.tocsr(), _wsolve=lu.solve,
+    return Deflator(coarse_matrix=w.tocsr(), _wsolve=lu.solve,
                     _avt=av.T.tocsr(), scalar_dofs=S)
 
 
@@ -367,7 +366,7 @@ def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None
                 x0=None):
     """CG on the deflated system; the coarse component is recovered through
     the one-time factorisation of W.  Exactly one W-solve per iteration."""
-    if sparse.issparse(astar) and astar.shape != deflator.astar.shape:
+    if sparse.issparse(astar) and astar.shape[0] != 4 * deflator.scalar_dofs:
         raise ValueError("deflator was built from an operator of different size")
     return _cg(_as_apply(astar), b, None, deflator, config or SolverConfig(), x0)
 
@@ -522,15 +521,3 @@ def estimate_condition_number(operator, n: int | None = None, preconditioner=Non
     kappa = lam_max / lam_min if lam_min > 0 else np.inf
     return CondEstimate(kappa=float(kappa), lam_min=float(lam_min),
                         lam_max=float(lam_max), iterations=k, converged=converged)
-
-
-# -- residual history I/O -----------------------------------------------------
-
-def write_residual_history(path, report: SolverReport) -> None:
-    """CSV export of a recorded residual history (iteration, residual)."""
-    if report.history is None:
-        raise ValueError("solver was run without record_history")
-    with open(path, "w") as fh:
-        fh.write("iteration,relative_residual\n")
-        for i, res in enumerate(report.history):
-            fh.write(f"{i},{res:.16e}\n")

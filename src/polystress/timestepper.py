@@ -175,9 +175,3 @@ def energy_error(space: DGSpace, dofs: np.ndarray, exact, t: float,
     """One-shot energy-norm error; build an EnergyNorm to amortise the fine
     quadrature over repeated calls."""
     return EnergyNorm(space, alpha).error(dofs, exact, t)
-
-
-def mass_energy(system: SystemMatrices, dofs: np.ndarray) -> float:
-    """Discrete deviatoric energy <M sigma, sigma>; non-increasing across
-    unforced implicit Euler steps."""
-    return float(dofs @ (system.m @ dofs))

@@ -3,24 +3,32 @@
 The library assembles only the scalar blocks M1, B1, B2, B3 in batches and
 forms M and A from their Kronecker structure.  This module assembles the
 same operators the straightforward way, one element and one face at a
-time through ``basis_values``/``basis_gradients``: the full tensor-valued
-M and A over all four components, and the scalar blocks from a
-two-slot vector form.  Comparing the two checks the structure identities
+time through ``basis_values``/``basis_gradients`` (below): the full
+tensor-valued M and A over all four components, and the scalar blocks
+from a two-slot vector form.  Comparing the two checks the structure identities
 against an assembly that never uses them.  ``l2_project`` is the
 element-by-element projection that the batched one must reproduce, and
 ``energy_error`` the element-by-element, face-by-face energy norm that
 ``EnergyNorm.error`` must reproduce.  ``finalize_coo`` is the COO round
 trip that the library's CSR ``finalize`` must reproduce bitwise.
 
-Two earlier library paths are kept here as bitwise references:
+Three earlier library paths are kept here as bitwise references:
 ``mass_kron``/``stiffness_kron`` convert one COO matrix per block and form
-M and A with ``scipy.sparse.kron``, and ``agglomerate`` rebuilds every
+M and A with ``scipy.sparse.kron``, ``l2_project_loop`` factors and solves
+each element's Gram matrix on its own, and ``agglomerate`` rebuilds every
 candidate's neighbour list from a directed-edge map and tests each merge
 with array geometry.
+
+The per-element views of a ``DGSpace`` (``element_rules``,
+``basis_values``, ``basis_gradients``, ``gram_solve``, ``eval_field``,
+``eval_divergence``) and the small helpers ``mass_energy`` and
+``write_residual_history`` serve only the tests, so they live here rather
+than in the library.
 """
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 
 from polystress import FaceKind, penalty
@@ -28,6 +36,71 @@ from polystress.assembly import _stiffness_blocks, deviatoric_factor, finalize
 from polystress.mesh import _fan_cross_products, _loop_edges, _shoelace
 from polystress.dg_space import (COMPONENTS, face_quadrature, polygon_rules,
                                  rules_by_element)
+
+
+# -- per-element views of a DGSpace -------------------------------------------
+
+def element_rules(space):
+    """Per-element quadrature rules of the space's ``element_batches``."""
+    return rules_by_element(space.element_batches)
+
+
+def basis_values(space, e, pts):
+    """Basis values of element e, shape (npts, local_dim)."""
+    return space.evaluate(e, pts)[0]
+
+
+def basis_gradients(space, e, pts):
+    """Basis gradients of element e, shape (npts, local_dim, 2)."""
+    return space.evaluate(e, pts)[1]
+
+
+def gram_solve(space, e, rhs):
+    """Solve with element e's Gram matrix through the space's stacked
+    Cholesky factors."""
+    chol, lower = space._gram_factor
+    return scipy.linalg.cho_solve((chol[e], lower), rhs)
+
+
+def scalar_index(space, e, i=None):
+    base = e * space.local_dim
+    return base if i is None else base + i
+
+
+def eval_field(space, dofs, e, pts):
+    """The tensor field on element e, shape (npts, 2, 2)."""
+    phi = basis_values(space, e, pts)
+    out = np.empty((len(pts), 2, 2))
+    for c, (r, d) in enumerate(COMPONENTS):
+        sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
+        out[:, r, d] = phi @ dofs[sl]
+    return out
+
+
+def eval_divergence(space, dofs, e, pts):
+    """Row-wise divergence of the tensor field on element e, shape (npts, 2)."""
+    grad = basis_gradients(space, e, pts)
+    out = np.zeros((len(pts), 2))
+    for c, (r, d) in enumerate(COMPONENTS):
+        sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
+        out[:, r] += grad[:, :, d] @ dofs[sl]
+    return out
+
+
+def mass_energy(system, dofs):
+    """Discrete deviatoric energy <M sigma, sigma>; non-increasing across
+    unforced implicit Euler steps."""
+    return float(dofs @ (system.m @ dofs))
+
+
+def write_residual_history(path, report):
+    """CSV export of a recorded residual history (iteration, residual)."""
+    if report.history is None:
+        raise ValueError("solver was run without record_history")
+    with open(path, "w") as fh:
+        fh.write("iteration,relative_residual\n")
+        for i, res in enumerate(report.history):
+            fh.write(f"{i},{res:.16e}\n")
 
 
 def finalize_coo(matrix, rel=1e-14):
@@ -60,11 +133,12 @@ def mass(space, mu=1.0):
     K = deviatoric_factor() / mu
     rows1, cols1, vals1 = [], [], []
     rows, cols, vals = [], [], []
+    rules = element_rules(space)
     for e in range(space.n_elements):
-        rule = space.element_rules[e]
-        phi = space.basis_values(e, rule.points)
+        rule = rules[e]
+        phi = basis_values(space, e, rule.points)
         m1e = phi.T @ (rule.weights[:, None] * phi)
-        sidx = space.scalar_index(e) + np.arange(L)
+        sidx = scalar_index(space, e) + np.arange(L)
         rows1.append(np.repeat(sidx, L))
         cols1.append(np.tile(sidx, L))
         vals1.append(m1e.ravel())
@@ -85,8 +159,8 @@ def _face_sides(space, face, rule):
     interior = face.kind == FaceKind.INTERIOR
     elems = [face.plus_element] + ([face.minus_element] if interior else [])
     signs = [1.0, -1.0][:len(elems)]
-    phis = [space.basis_values(e, rule.points) for e in elems]
-    grads = [space.basis_gradients(e, rule.points) for e in elems]
+    phis = [basis_values(space, e, rule.points) for e in elems]
+    grads = [basis_gradients(space, e, rule.points) for e in elems]
     avg = 0.5 if interior else 1.0
     return elems, signs, phis, grads, avg
 
@@ -110,10 +184,11 @@ def stiffness(space, alpha):
         cols.append(np.tile(gidx, k))
         vals.append(loc.reshape(k, k).ravel())
 
+    rules = element_rules(space)
     for e in range(space.n_elements):
-        rule = space.element_rules[e]
+        rule = rules[e]
         w = rule.weights
-        G = space.basis_gradients(e, rule.points)
+        G = basis_gradients(space, e, rule.points)
 
         # tensor path: div of the (r, d) component basis is the vector
         # e_r * d_d(phi)
@@ -128,7 +203,7 @@ def stiffness(space, alpha):
         # block path: a two-component vector field (x-slot, y-slot) with
         # scalar divergence d_x(u) + d_y(v)
         locR = np.einsum("q,qia,qjb->aibj", w, G, G)
-        sidx = np.concatenate([slot * S + space.scalar_index(e) + np.arange(L)
+        sidx = np.concatenate([slot * S + scalar_index(space, e) + np.arange(L)
                                for slot in range(2)])
         scatter((rowsR, colsR, valsR), sidx, locR)
 
@@ -167,7 +242,7 @@ def stiffness(space, alpha):
         consR = np.einsum("q,qbi,qcj->bicj", w, JUs, DVs)
         penR = np.einsum("q,qbi,qcj->bicj", w, JUs, JUs)
         locR = -consR - consR.transpose(2, 3, 0, 1) + gamma * penR
-        sidx = np.concatenate([slot * S + space.scalar_index(e) + np.arange(L)
+        sidx = np.concatenate([slot * S + scalar_index(space, e) + np.arange(L)
                                for slot in range(2) for e in elems])
         scatter((rowsR, colsR, valsR), sidx, locR)
 
@@ -190,9 +265,10 @@ def functional_vector(space, data, t, alpha):
     L = space.local_dim
     f = np.zeros(space.total_dofs)
 
+    rules = element_rules(space)
     for e in range(space.n_elements):
-        rule = space.element_rules[e]
-        phi = space.basis_values(e, rule.points)
+        rule = rules[e]
+        phi = basis_values(space, e, rule.points)
         vals = data.source(rule.points[:, 0], rule.points[:, 1], t)
         for c, (r, d) in enumerate(COMPONENTS):
             sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
@@ -205,7 +281,7 @@ def functional_vector(space, data, t, alpha):
         rule = face_quadrature(pts[0], pts[1], space.quad_degree)
         x, y = rule.points[:, 0], rule.points[:, 1]
         e = face.plus_element
-        phi = space.basis_values(e, rule.points)
+        phi = basis_values(space, e, rule.points)
         n = face.normal
         if face.kind == FaceKind.DIRICHLET:
             g = data.dirichlet(x, y, t)
@@ -215,7 +291,7 @@ def functional_vector(space, data, t, alpha):
         else:
             g = data.neumann(x, y, t, n[0], n[1])
             gamma = penalty(face, alpha, space.degree, mesh)
-            grad = space.basis_gradients(e, rule.points)
+            grad = basis_gradients(space, e, rule.points)
             for c, (r, d) in enumerate(COMPONENTS):
                 sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
                 f[sl] += (rule.weights * g[:, r]) @ (gamma * phi * n[d] - grad[:, :, d])
@@ -225,15 +301,35 @@ def functional_vector(space, data, t, alpha):
 def l2_project(space, field):
     """Elementwise L2 projection, one element and one component at a time."""
     dofs = np.zeros(space.total_dofs)
+    rules = element_rules(space)
     for e in range(space.n_elements):
-        rule = space.element_rules[e]
-        phi = space.basis_values(e, rule.points)
+        rule = rules[e]
+        phi = basis_values(space, e, rule.points)
         vals = np.asarray(field(rule.points[:, 0], rule.points[:, 1]))
         wphi = rule.weights[:, None] * phi
         for c, (r, d) in enumerate(COMPONENTS):
             sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
-            dofs[sl] = space.gram_solve(e, wphi.T @ vals[:, r, d])
+            dofs[sl] = gram_solve(space, e, wphi.T @ vals[:, r, d])
     return dofs
+
+
+def l2_project_loop(space, field):
+    """The batched projection as it was before its Gram solves were
+    stacked: per element batch one field call, then one matrix-vector
+    product per element and component and one ``cho_solve`` per element
+    with that element's own ``cho_factor``.  The library's projection must
+    reproduce it bitwise."""
+    ncomp = len(COMPONENTS)
+    dofs = np.empty((ncomp, space.n_elements, space.local_dim))
+    for batch, phi in zip(space.element_batches, space.element_values):
+        wphi_t = np.ascontiguousarray(batch.weights[:, :, None] * phi).transpose(0, 2, 1)
+        pts = batch.points.reshape(-1, 2)
+        vals = np.asarray(field(pts[:, 0], pts[:, 1])).reshape(phi.shape[:2] + (ncomp,))
+        for e, wt, v in zip(batch.elements.tolist(), wphi_t, vals):
+            rhs = np.column_stack([wt @ v[:, c] for c in range(ncomp)])
+            factor = scipy.linalg.cho_factor(space.gram[e])
+            dofs[:, e] = scipy.linalg.cho_solve(factor, rhs).T
+    return dofs.ravel()
 
 
 def _dev_sq(t):
@@ -251,8 +347,8 @@ def energy_error(norm, dofs, exact=None, t=0.0):
     for e in range(space.n_elements):
         rule = rules[e]
         x, y = rule.points[:, 0], rule.points[:, 1]
-        field = space.eval_field(dofs, e, rule.points)
-        div = space.eval_divergence(dofs, e, rule.points)
+        field = eval_field(space, dofs, e, rule.points)
+        div = eval_divergence(space, dofs, e, rule.points)
         if exact is not None:
             field = field - exact.sigma(x, y, t)
             div = div - exact.div_sigma(x, y, t)
@@ -266,12 +362,12 @@ def energy_error(norm, dofs, exact=None, t=0.0):
         x, y = rule.points[:, 0], rule.points[:, 1]
         gamma = penalty(face, norm.alpha, space.degree, mesh)
         n = face.normal
-        err_plus = space.eval_field(dofs, face.plus_element, rule.points)
+        err_plus = eval_field(space, dofs, face.plus_element, rule.points)
         if exact is not None:
             err_plus = err_plus - exact.sigma(x, y, t)
         jump = np.einsum("qrc,c->qr", err_plus, n)
         if face.kind == FaceKind.INTERIOR:
-            err_minus = space.eval_field(dofs, face.minus_element, rule.points)
+            err_minus = eval_field(space, dofs, face.minus_element, rule.points)
             if exact is not None:
                 err_minus = err_minus - exact.sigma(x, y, t)
             jump = jump - np.einsum("qrc,c->qr", err_minus, n)

