@@ -7,7 +7,8 @@ one conjugate gradient loop ``_cg``; ``make_solver`` turns a name from
 The deflation space is the kernel of the deviatoric mass operator, spanned
 by v kron I with v = (e1 + e4)/sqrt(2): the trace direction of the tensor
 components.  The coarse operator W = V^T A* V then equals (dt/2)(B1 + B3)
-exactly, a Laplacian-type matrix factorised once and reused.
+exactly, a Laplacian-type matrix factorised once and reused.  deflated_cg
+hands ``_cg`` a start vector and the A-DEF2 preconditioner, nothing else.
 
 W, and A* itself for the inverse Lanczos of the raw condition number, are
 factorised by ``_spd_lu``: a symmetric minimum-degree ordering and LU
@@ -74,19 +75,17 @@ def _as_apply(op):
     return op
 
 
-def _cg(apply_a, b, apply_m, deflator, config, x0):
-    """The conjugate gradient loop behind cg, pcg and deflated_cg.
+def _cg(apply_a, b, apply_m, stop, config, x0):
+    """The preconditioned CG loop behind cg, pcg and deflated_cg, from x0
+    (zero when None).
 
-    With apply_m the relative preconditioned residual sqrt(r.z)/sqrt(b.Mb)
-    is monitored, without it ||r||/||b||.  A deflator enters at two points:
-    the start correction x += V W^-1 V^T r0, and the projection of every
-    search direction, p -= V W^-1 (A* V)^T z (Tang, Nabben, Vuik and
-    Erlangga, J. Sci. Comput. 2009).  The recursively updated residual is
-    the convergence criterion (at condition numbers ~1/dt the explicitly
-    recomputed residual saturates near eps * kappa and cannot reach tight
-    tolerances); the explicit residual is still recomputed once and
-    reported.  The loop stops without convergence when p.Ap is not
-    positive: loss of positive definiteness, or a NaN in the data.
+    It stops once the relative residual named by ``stop`` is at most tol:
+    "residual" ||r||/||b|| (cg, deflated_cg) or "preconditioned"
+    sqrt(r.z)/sqrt(b.Mb) (pcg).  The recursively updated residual is the
+    criterion (at condition numbers ~1/dt the recomputed residual saturates
+    near eps * kappa); the explicit one is recomputed once and reported.
+    The loop stops unconverged when p.Ap is not positive: loss of positive
+    definiteness, or a NaN in the data.
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
@@ -98,32 +97,29 @@ def _cg(apply_a, b, apply_m, deflator, config, x0):
     else:
         x = np.array(x0, dtype=float)
         r = b - apply_a(x)
-    if deflator is not None:
-        x += deflator.coarse_component(r)
-        r = b - apply_a(x)
     z = apply_m(r) if apply_m is not None else r
-    if apply_m is None:
+    if stop == "residual" or apply_m is None:
         mb = b
-    elif x0 is None and deflator is None:
+    elif x0 is None:
         mb = z  # r = b on a cold start, so z is already M b
     else:
         mb = apply_m(b)
     denom = float(np.sqrt(b @ mb))
     if denom == 0.0:
-        return np.zeros_like(b), SolverReport(0, 0.0, True,
-                                              history=np.array([]) if history is not None else None,
-                                              wall_time=time.perf_counter() - start,
-                                              true_residual=0.0)
+        return np.zeros_like(b), SolverReport(
+            0, 0.0, True, None if history is None else np.array([]),
+            time.perf_counter() - start, 0.0)
+
+    dot_rr = stop == "residual" and apply_m is not None  # without apply_m, r.z is r.r
+    monitored = lambda r, rz: np.sqrt(float(r @ r) if dot_rr else rz) / denom
 
     rz = float(r @ z)
-    rel = np.sqrt(rz) / denom
+    rel = monitored(r, rz)
     if history is not None:
         history.append(rel)
     iterations = 0
     converged = rel <= config.tol
     p = z.copy()
-    if deflator is not None and not converged:
-        p -= deflator.projection_correction(z)
     while not converged and iterations < config.maxit:
         q = apply_a(p)
         pq = float(p @ q)
@@ -134,7 +130,7 @@ def _cg(apply_a, b, apply_m, deflator, config, x0):
         r -= alpha * q
         z = apply_m(r) if apply_m is not None else r
         rz_new = float(r @ z)
-        rel = np.sqrt(rz_new) / denom
+        rel = monitored(r, rz_new)
         iterations += 1
         if history is not None:
             history.append(rel)
@@ -144,29 +140,22 @@ def _cg(apply_a, b, apply_m, deflator, config, x0):
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-        if deflator is not None:
-            p -= deflator.projection_correction(z)
 
     true_rel = float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b))
-    return x, SolverReport(
-        iterations=iterations,
-        final_residual=rel,
-        converged=converged,
-        history=np.asarray(history) if history is not None else None,
-        wall_time=time.perf_counter() - start,
-        true_residual=true_rel,
-    )
+    return x, SolverReport(iterations, rel, converged,
+                           None if history is None else np.asarray(history),
+                           time.perf_counter() - start, true_rel)
 
 
 def cg(operator, b, config: SolverConfig | None = None, x0=None):
     """Conjugate gradients on an SPD (or consistent PSD) operator."""
-    return _cg(_as_apply(operator), b, None, None, config or SolverConfig(), x0)
+    return _cg(_as_apply(operator), b, None, "residual", config or SolverConfig(), x0)
 
 
 def pcg(operator, b, preconditioner, config: SolverConfig | None = None, x0=None):
-    """CG preconditioned with an SPD apply; with the identity preconditioner
-    the iterates coincide with plain cg."""
-    return _cg(_as_apply(operator), b, _as_apply(preconditioner), None,
+    """CG preconditioned with an SPD apply; stops on sqrt(r.z)/sqrt(b.Mb).
+    With the identity preconditioner the iterates coincide with plain cg."""
+    return _cg(_as_apply(operator), b, _as_apply(preconditioner), "preconditioned",
                config or SolverConfig(), x0)
 
 
@@ -338,9 +327,15 @@ class Deflator:
         return self.v(self._wsolve(self.vt(b)))
 
     def projection_correction(self, r: np.ndarray) -> np.ndarray:
-        """V W^-1 V^T A* r, the deflation-space component removed from a
-        search direction; costs one coarse solve."""
+        """V W^-1 V^T A* r, the A*-orthogonal projection of r onto the
+        deflation space; costs one coarse solve."""
         return self.v(self._wsolve(self._avt @ r))
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """z = r + V W^-1 (V^T r - (A* V)^T r): the A-DEF2 preconditioner
+        (Tang, Nabben, Vuik and Erlangga, J. Sci. Comput. 2009) with the
+        identity as M^-1; costs one coarse solve."""
+        return r + self.v(self._wsolve(self.vt(r) - self._avt @ r))
 
 
 def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
@@ -364,11 +359,16 @@ def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
 
 def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None,
                 x0=None):
-    """CG on the deflated system; the coarse component is recovered through
-    the one-time factorisation of W.  Exactly one W-solve per iteration."""
-    if sparse.issparse(astar) and astar.shape[0] != 4 * deflator.scalar_dofs:
+    """CG preconditioned by ``Deflator.apply`` from x0 + V W^-1 V^T (b - A* x0)
+    (x0 zero when None): one coarse solve per iteration and two more."""
+    b = np.asarray(b, dtype=float)
+    if b.size != 4 * deflator.scalar_dofs:
         raise ValueError("deflator was built from an operator of different size")
-    return _cg(_as_apply(astar), b, None, deflator, config or SolverConfig(), x0)
+    apply_a = _as_apply(astar)
+    x = deflator.coarse_component(b if x0 is None else b - apply_a(x0))
+    if x0 is not None:
+        x += x0
+    return _cg(apply_a, b, deflator.apply, "residual", config or SolverConfig(), x)
 
 
 # -- named solvers ------------------------------------------------------------

@@ -124,6 +124,26 @@ def test_criterion_4_dt_robustness_deflated_cg(iteration_tables_dcg_cg):
     check(4, "dt-robustness of deflated CG", ok, "; ".join(details))
 
 
+def test_deflated_cg_flat_below_criterion_4_dts():
+    """Criterion 4's tables continued to dt = 1e-10: every dcg cell is
+    unflagged and at most 1.25 times its mesh's dt = 1e-8 cell."""
+    details, ok = [], True
+    for nx, target in ((15, 50), (20, 100)):
+        cfg = load_config(None, {**table_overrides(nx, target),
+                                 ("solve", "dts"): "1e-8,1e-9,1e-10",
+                                 ("solve", "solvers"): "dcg",
+                                 ("solve", "repetitions"): "10",
+                                 ("solve", "tol"): "1e-8",
+                                 ("solve", "maxit"): "3000",
+                                 ("solve", "seed"): "0"})
+        table = run_iteration_table(cfg)["dcg"]
+        dcg = table.values[:, 0]
+        ok = ok and dcg.max() <= 1.25 * dcg[0] and not table.flags.any()
+        details.append(f"{target}el: dcg {' -> '.join(f'{v:.1f}' for v in dcg)}")
+    print(f"[dcg below 1e-8] {'PASS' if ok else 'FAIL'} ({'; '.join(details)})")
+    assert ok, "; ".join(details)
+
+
 def test_criterion_5_dt_robustness_collective_bj():
     details, ok = [], True
     for nx, target in ((15, 50), (20, 100)):

@@ -372,14 +372,47 @@ def test_deflated_cg_zero_rhs(small_system):
 def test_deflated_cg_dt_robust_iterations(bench_system, rng):
     space, system = bench_system
     b = rng.uniform(0.0, 1.0, space.total_dofs)
-    counts = []
-    for dt in (1e-7, 1e-8):
+    counts, cfg = [], SolverConfig(tol=1e-8, maxit=5000)
+    for dt in (1e-7, 1e-8, 1e-9, 1e-10):
         astar = build_system(system.m, system.a, dt)
         defl = build_deflator(system, dt, astar=astar)
-        _, report = deflated_cg(astar, b, defl, SolverConfig(tol=1e-8, maxit=5000))
-        assert report.converged
+        _, report = deflated_cg(astar, b, defl, cfg)
+        assert report.converged, dt
         counts.append(report.iterations)
+        # below dt = 1e-8 every solver's true residual sits near eps * kappa
+        cbj = build_block_jacobi(astar, space, "collective")
+        floor = 10 * cfg.tol if dt >= 1e-8 else pcg(astar, b, cbj, cfg)[1].true_residual
+        assert report.true_residual <= floor, (dt, report.true_residual, floor)
     assert abs(counts[1] - counts[0]) <= 0.10 * counts[0]
+    assert max(counts[2:]) <= 1.25 * counts[1], counts
+
+
+def test_deflated_cg_converges_at_tiny_dt(mesh22, rng):
+    # dropping the + Q r term of A-DEF2 lets V^T r drift, amplified by
+    # W^-1 = O(1/dt): that loop reads a true residual of 1.3e11 here after
+    # 2000 iterations
+    system = assemble_system(build_space(mesh22, 1), mu=1.0, alpha=10.0)
+    astar = build_system(system.m, system.a, 1e-10)
+    defl = build_deflator(system, 1e-10, astar=astar)
+    b = rng.uniform(0.0, 1.0, astar.shape[0])
+    _, report = deflated_cg(astar, b, defl, SolverConfig(tol=1e-8, maxit=2000))
+    assert report.converged and report.true_residual < 1e-6, report
+
+
+def test_deflated_cg_one_coarse_solve_per_iteration(bench_system, rng):
+    space, system = bench_system
+    astar = build_system(system.m, system.a, 1e-8)
+    defl = build_deflator(system, 1e-8, astar=astar)
+    calls, wsolve = [], defl._wsolve
+
+    def counting(y):
+        calls.append(1)
+        return wsolve(y)
+
+    defl._wsolve = counting
+    _, report = deflated_cg(astar, rng.uniform(0.0, 1.0, astar.shape[0]), defl)
+    assert report.converged and report.iterations > 0
+    assert len(calls) <= report.iterations + 2, (len(calls), report.iterations)
 
 
 def test_deflation_projector_algebra(small_system, rng):
@@ -405,8 +438,10 @@ def test_deflation_projector_algebra(small_system, rng):
 def test_deflator_mismatched_operator(small_system):
     _, system, astar = small_system
     defl = build_deflator(system, 1e-3, astar=astar)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different size"):
         deflated_cg(sparse.eye(8, format="csr"), np.ones(8), defl)
+    with pytest.raises(ValueError, match="different size"):
+        deflated_cg(np.eye(8), np.ones(8), defl)
 
 
 @pytest.mark.parametrize("alpha, builds", [(1.0, False), (1e-3, False), (10.0, True)])
