@@ -111,14 +111,13 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
             time.perf_counter() - start, 0.0)
 
     dot_rr = stop == "residual" and apply_m is not None  # without apply_m, r.z is r.r
-    monitored = lambda r, rz: np.sqrt(float(r @ r) if dot_rr else rz) / denom
 
     rz = float(r @ z)
-    rel = monitored(r, rz)
+    rel = np.sqrt(float(r @ r) if dot_rr else rz) / denom
     if history is not None:
         history.append(rel)
     iterations = 0
-    converged = rel <= config.tol
+    converged = bool(rel <= config.tol)
     p = z.copy()
     while not converged and iterations < config.maxit:
         q = apply_a(p)
@@ -128,10 +127,16 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        z = apply_m(r) if apply_m is not None else r
-        rz_new = float(r @ z)
-        rel = monitored(r, rz_new)
         iterations += 1
+        if dot_rr:  # the stop test needs no z, so M is not applied once it passes
+            rel = np.sqrt(float(r @ r)) / denom
+            if rel > config.tol:
+                z = apply_m(r)
+                rz_new = float(r @ z)
+        else:
+            z = apply_m(r) if apply_m is not None else r
+            rz_new = float(r @ z)
+            rel = np.sqrt(rz_new) / denom
         if history is not None:
             history.append(rel)
         if rel <= config.tol:
@@ -191,8 +196,6 @@ class BlockJacobi:
         z = np.empty(zb.size)
         z[self.perm] = zb.reshape(-1)
         return z
-
-    __call__ = apply
 
 
 def collective_permutation(space: DGSpace) -> np.ndarray:
@@ -405,118 +408,88 @@ class CondEstimate:
     converged: bool
 
 
-def _lanczos_extremes(apply_a, n, maxit, tol, seed, apply_m=None, track="both"):
-    """Symmetric Lanczos with full reorthogonalisation.
+def _lanczos_extremes(apply_a, n, maxit, tol, seed, apply_m=None):
+    """Extreme Ritz values of the symmetric Lanczos three-term recurrence,
+    run without reorthogonalisation.
 
-    With apply_m the recurrence runs in the preconditioner inner product and
-    the Ritz values approximate the spectrum of P A.  Convergence of the
-    tracked extreme Ritz values is certified by their residual bound
-    beta_k * |last eigenvector entry| <= tol * |theta|.
+    With apply_m the recurrence runs in the preconditioner inner product,
+    the Ritz values approximate the spectrum of P A and both ends are
+    certified; without it only the largest is.  A Ritz value counts as
+    converged when its residual bound beta_k * |last eigenvector entry| is
+    at most tol * |theta|: in finite precision, lost orthogonality only
+    repeats Ritz values that have converged, so a small bound certifies
+    the value (Paige, Linear Algebra Appl. 34, 1980).  The memory is a few
+    n-vectors, whatever maxit.
     """
     maxit = min(maxit, n)
-    rng = np.random.default_rng(seed)
-    r = rng.standard_normal(n)
+    r = np.random.default_rng(seed).standard_normal(n)
+    z = apply_m(r) if apply_m is not None else r
+    norm = np.sqrt(float(r @ z))
+    q_prev, q, u = np.zeros(n), r / norm, z / norm  # u = M q
 
     alphas = np.zeros(maxit)
     betas = np.zeros(maxit)
-    Q = np.zeros((maxit + 1, n))
-    U = np.zeros((maxit + 1, n)) if apply_m is not None else Q
-
-    if apply_m is not None:
-        z = apply_m(r)
-        beta = np.sqrt(float(r @ z))
-    else:
-        z = r
-        beta = float(np.linalg.norm(r))
-    Q[0] = r / beta
-    if apply_m is not None:
-        U[0] = z / beta
-
     lam_min = lam_max = np.nan
     converged = False
+    beta = 0.0  # beta_{k-1}; q_prev is zero until the first step is taken
     k = 0
     while k < maxit:
-        w = apply_a(U[k])
-        alphas[k] = float(U[k] @ w)
-        w -= alphas[k] * Q[k]
-        if k > 0:
-            w -= betas[k - 1] * Q[k - 1]
-        # full reorthogonalisation; with apply_m the U rows make this the
-        # preconditioner inner product (U Q^T = I)
-        w -= Q[:k + 1].T @ (U[:k + 1] @ w)
-        if apply_m is not None:
-            z = apply_m(w)
-            b2 = float(w @ z)
-            beta_k = np.sqrt(b2) if b2 > 0.0 else 0.0
-        else:
-            beta_k = float(np.linalg.norm(w))
+        w = apply_a(u)
+        alphas[k] = float(u @ w)
+        w -= alphas[k] * q
+        w -= beta * q_prev
+        z = apply_m(w) if apply_m is not None else w
+        b2 = float(w @ z)
+        beta = np.sqrt(b2) if b2 > 0.0 else 0.0
         k += 1
-        if beta_k == 0.0:  # exact invariant subspace reached
-            ev = scipy.linalg.eigvalsh_tridiagonal(alphas[:k], betas[:k - 1])
-            lam_min, lam_max = float(ev[0]), float(ev[-1])
-            converged = True
-            break
-        if k % 5 == 0 or k == maxit:
-            ev, vec = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[:k - 1])
-            lam_min, lam_max = float(ev[0]), float(ev[-1])
-            res_min = beta_k * abs(vec[-1, 0])
-            res_max = beta_k * abs(vec[-1, -1])
-            ok_max = res_max <= tol * abs(lam_max)
-            ok_min = res_min <= tol * max(abs(lam_min), 1e-300)
-            if (track == "max" and ok_max) or (track == "both" and ok_max and ok_min):
+        # beta = 0: an exact invariant subspace, where both bounds are zero
+        if beta == 0.0 or k % 5 == 0 or k == maxit:
+            # the two extreme Ritz pairs by bisection and inverse iteration,
+            # in O(k) memory: the last eigenvector entries give the bounds
+            (lam_min,), s_min = scipy.linalg.eigh_tridiagonal(
+                alphas[:k], betas[:k - 1], select="i", select_range=(0, 0))
+            (lam_max,), s_max = scipy.linalg.eigh_tridiagonal(
+                alphas[:k], betas[:k - 1], select="i", select_range=(k - 1, k - 1))
+            lam_min, lam_max = float(lam_min), float(lam_max)
+            certified = beta * abs(s_max[-1, 0]) <= tol * abs(lam_max)
+            if apply_m is not None:
+                certified = certified and (
+                    beta * abs(s_min[-1, 0]) <= tol * max(abs(lam_min), 1e-300))
+            if certified:
                 converged = True
                 break
-        betas[k - 1] = beta_k
-        Q[k] = w / beta_k
-        if apply_m is not None:
-            U[k] = z / beta_k
+        betas[k - 1] = beta
+        q_prev, q, u = q, w / beta, z / beta
 
     return lam_min, lam_max, k, converged
 
 
-def estimate_condition_number(operator, n: int | None = None, preconditioner=None,
-                              tol: float = 1e-3, maxit: int = 800,
-                              seed: int = 0) -> CondEstimate:
-    """Condition-number estimate from extreme eigenvalues.
+def estimate_condition_number(operator, *, preconditioner=None, tol: float = 1e-3,
+                              maxit: int = 800, seed: int = 0) -> CondEstimate:
+    """Condition-number estimate of a sparse or dense SPD matrix from its
+    extreme eigenvalues, by Lanczos without reorthogonalisation.
 
-    Preconditioned operators use a two-sequence Lanczos recurrence in the
-    preconditioner inner product.  For a plain sparse SPD matrix the small
-    end of the spectrum is found by Lanczos on the inverse through a
-    one-time sparse factorisation (the shift-free recurrence stagnates on
-    the near-kernel cluster of the time-step operator), the large end by
-    the forward recurrence; that factorisation raises
+    With a preconditioner one recurrence in its inner product certifies
+    both ends of the spectrum of P A.  Without one the forward recurrence
+    gives the largest eigenvalue and the recurrence on the inverse, through
+    one ``_spd_lu`` factorisation, the smallest; that factorisation raises
     BlockFactorizationError unless the matrix is positive definite.
-    Estimates whose extreme Ritz values fail their residual certificate
-    within maxit are flagged converged=False.
+    Estimates whose certified Ritz values fail their residual bound within
+    maxit iterations (per recurrence) are flagged converged=False.  A
+    callable operator raises ValueError.
     """
-    if n is None:
-        if hasattr(operator, "shape"):
-            n = operator.shape[0]
-        else:
-            raise ValueError("n is required for a matrix-free operator")
-
-    matrix = None
-    if sparse.issparse(operator):
-        matrix = operator
-    elif isinstance(operator, np.ndarray):
-        matrix = sparse.csr_matrix(operator)
-
+    if not (sparse.issparse(operator) or isinstance(operator, np.ndarray)):
+        raise ValueError("the operator must be a sparse matrix or an ndarray")
+    n = operator.shape[0]
     apply_a = _as_apply(operator)
-    apply_m = _as_apply(preconditioner)
-
-    if apply_m is not None:
+    if preconditioner is not None:
         lam_min, lam_max, k, converged = _lanczos_extremes(
-            apply_a, n, maxit, tol, seed, apply_m=apply_m, track="both")
-    elif matrix is not None:
-        _, lam_max, k1, conv1 = _lanczos_extremes(apply_a, n, maxit, tol, seed,
-                                                  track="max")
-        lu = _spd_lu(matrix, "operator")
-        _, inv_max, k2, conv2 = _lanczos_extremes(lu.solve, n, maxit, tol, seed,
-                                                  track="max")
-        lam_min, k, converged = 1.0 / inv_max, k1 + k2, conv1 and conv2
+            apply_a, n, maxit, tol, seed, _as_apply(preconditioner))
     else:
-        lam_min, lam_max, k, converged = _lanczos_extremes(
-            apply_a, n, maxit, tol, seed, track="both")
+        _, lam_max, k1, conv1 = _lanczos_extremes(apply_a, n, maxit, tol, seed)
+        lu = _spd_lu(operator, "operator")
+        _, inv_max, k2, conv2 = _lanczos_extremes(lu.solve, n, maxit, tol, seed)
+        lam_min, k, converged = 1.0 / inv_max, k1 + k2, conv1 and conv2
 
     kappa = lam_max / lam_min if lam_min > 0 else np.inf
     return CondEstimate(kappa=float(kappa), lam_min=float(lam_min),

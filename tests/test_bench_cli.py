@@ -114,6 +114,23 @@ def test_condition_table_small():
     assert not tables["raw"].flags.any()
 
 
+def test_condition_table_pinned():
+    """Lanczos estimates on an agglomerated mesh, pinned to the digits the
+    table prints.  The values were computed with fully reorthogonalised
+    Krylov bases, a reference independent of the plain recurrence."""
+    cfg = load_config(None, {("mesh", "nx"): "8", ("mesh", "ny"): "8",
+                             ("mesh", "targets"): "16", ("discretization", "degree"): "3",
+                             ("condition", "dts"): "1e-8,1e-9"})
+    tables = run_condition_table(cfg)
+    rows = {k: tables[k].to_csv().splitlines()[2:] for k in ("raw", "cbj")}
+    assert rows == {
+        "raw": ["dt,16el_h0.8004,16el_h0.8004_flag",
+                "1e-08,9.8557e+07,0", "1e-09,9.8547e+08,0"],
+        "cbj": ["dt,16el_h0.8004,16el_h0.8004_flag",
+                "1e-08,3.2682e+03,0", "1e-09,3.2682e+03,0"],
+    }
+
+
 def test_convergence_tables():
     cfg = load_config(None, {
         ("convergence", "mode"): "spatial",
