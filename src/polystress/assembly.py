@@ -53,7 +53,6 @@ class SystemMatrices:
     b1: sparse.csr_matrix
     b2: sparse.csr_matrix
     b3: sparse.csr_matrix
-    kfactor: np.ndarray
     m: sparse.csr_matrix
     a: sparse.csr_matrix
     mu: float
@@ -259,9 +258,9 @@ def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
 
 def assemble_system(space: DGSpace, mu: float = 1.0,
                     alpha: float = DEFAULT_ALPHA) -> SystemMatrices:
-    m1, K, m = assemble_mass(space, mu)
+    m1, _, m = assemble_mass(space, mu)
     b1, b2, b3, a = assemble_stiffness(space, alpha)
-    return SystemMatrices(m1=m1, b1=b1, b2=b2, b3=b3, kfactor=K, m=m, a=a,
+    return SystemMatrices(m1=m1, b1=b1, b2=b2, b3=b3, m=m, a=a,
                           mu=mu, alpha=alpha)
 
 

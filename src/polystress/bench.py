@@ -30,58 +30,6 @@ from .mesh import agglomerate, build_cartesian_mesh, classify_boundary, read_mes
 from .problems import NAMED_SOLUTIONS, linear_in_space_solution, zero_data
 from .timestepper import EnergyNorm, TimeConfig, implicit_euler_run
 
-DEFAULTS = {
-    "mesh": {
-        "file": "",
-        "nx": "10",
-        "ny": "10",
-        "targets": "",
-        "seed": "1",
-        "neumann": "right",
-    },
-    "discretization": {
-        "degree": "3",
-        "alpha": "10.0",
-        "mu": "1.0",
-    },
-    "solve": {
-        "dts": "1e-6,1e-7,1e-8",
-        "solvers": ",".join(SOLVERS),
-        "tol": "1e-8",
-        "maxit": "30000",
-        "repetitions": "10",
-        "seed": "0",
-    },
-    "condition": {
-        "dts": "1e-8,1e-9,1e-10",
-        "tol": "1e-3",
-        "maxit": "800",
-        "seed": "0",
-    },
-    "convergence": {
-        "mode": "spatial",
-        "mms": "trig",
-        "degree": "2",
-        "levels": "2,4,8,16",
-        "dt": "1e-5",
-        "steps": "2",
-        "dts": "0.2,0.1,0.05,0.025",
-        "t_final": "0.4",
-        "nx": "4",
-        "solver": "cg",
-    },
-    "time": {
-        "dt": "0.01",
-        "t_final": "0.1",
-        "solver": "dcg",
-        "mms": "trig",
-    },
-    "output": {
-        "path": "out",
-    },
-}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -90,36 +38,48 @@ class ConfigError(ValueError):
 # whole boundary Dirichlet
 NEUMANN_SIDES = {"none": None, "right": (0, 1.0), "left": (0, 0.0),
                  "top": (1, 1.0), "bottom": (1, 0.0)}
-CONVERGENCE_MODES = ("spatial", "temporal")
-# (section, key) -> the values it may take, compared after _choice
-CHOICES = {
-    ("mesh", "neumann"): tuple(NEUMANN_SIDES),
-    ("convergence", "mode"): CONVERGENCE_MODES,
-    ("convergence", "mms"): tuple(NAMED_SOLUTIONS),
-    ("time", "mms"): (*NAMED_SOLUTIONS, "zero"),
-}
 
-
-# numeric keys: (section, key) -> the type of the value, or of every item
-# of a comma-separated list key
-NUMBERS = {
-    ("mesh", "nx"): int, ("mesh", "ny"): int, ("mesh", "seed"): int,
-    ("discretization", "degree"): int, ("discretization", "alpha"): float,
-    ("discretization", "mu"): float,
-    ("solve", "tol"): float, ("solve", "maxit"): int, ("solve", "repetitions"): int,
-    ("solve", "seed"): int,
-    ("condition", "tol"): float, ("condition", "maxit"): int, ("condition", "seed"): int,
-    ("convergence", "degree"): int, ("convergence", "dt"): float,
-    ("convergence", "steps"): int, ("convergence", "t_final"): float,
-    ("convergence", "nx"): int,
-    ("time", "dt"): float, ("time", "t_final"): float,
+# Every config key, declared once: (section, key) -> (default, kind).  A
+# kind is str, int or float; a tuple of the allowed names (matched
+# case-insensitively); SOLVERS for exactly one solver name; or [kind] for a
+# comma- (or semicolon-) separated list, which may be empty only when its
+# default is.
+KEYS = {
+    ("mesh", "file"): ("", str),
+    ("mesh", "nx"): ("10", int),
+    ("mesh", "ny"): ("10", int),
+    ("mesh", "targets"): ("", [int]),
+    ("mesh", "seed"): ("1", int),
+    ("mesh", "neumann"): ("right", tuple(NEUMANN_SIDES)),
+    ("discretization", "degree"): ("3", int),
+    ("discretization", "alpha"): ("10.0", float),
+    ("discretization", "mu"): ("1.0", float),
+    ("solve", "dts"): ("1e-6,1e-7,1e-8", [float]),
+    ("solve", "solvers"): (",".join(SOLVERS), [SOLVERS]),
+    ("solve", "tol"): ("1e-8", float),
+    ("solve", "maxit"): ("30000", int),
+    ("solve", "repetitions"): ("10", int),
+    ("solve", "seed"): ("0", int),
+    ("condition", "dts"): ("1e-8,1e-9,1e-10", [float]),
+    ("condition", "tol"): ("1e-3", float),
+    ("condition", "maxit"): ("800", int),
+    ("condition", "seed"): ("0", int),
+    ("convergence", "mode"): ("spatial", ("spatial", "temporal")),
+    ("convergence", "mms"): ("trig", tuple(NAMED_SOLUTIONS)),
+    ("convergence", "degree"): ("2", int),
+    ("convergence", "levels"): ("2,4,8,16", [int]),
+    ("convergence", "dt"): ("1e-5", float),
+    ("convergence", "steps"): ("2", int),
+    ("convergence", "dts"): ("0.2,0.1,0.05,0.025", [float]),
+    ("convergence", "t_final"): ("0.4", float),
+    ("convergence", "nx"): ("4", int),
+    ("convergence", "solver"): ("cg", SOLVERS),
+    ("time", "dt"): ("0.01", float),
+    ("time", "t_final"): ("0.1", float),
+    ("time", "solver"): ("dcg", SOLVERS),
+    ("time", "mms"): ("trig", (*NAMED_SOLUTIONS, "zero")),
+    ("output", "path"): ("out", str),
 }
-NUMBER_LISTS = {
-    ("mesh", "targets"): int, ("solve", "dts"): float, ("condition", "dts"): float,
-    ("convergence", "levels"): int, ("convergence", "dts"): float,
-}
-# keys that name exactly one solver
-SINGLE_SOLVER_KEYS = (("time", "solver"), ("convergence", "solver"))
 
 
 def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
@@ -127,7 +87,9 @@ def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
     file, then command-line overrides ((section, key) -> value), stored as
     strings.  Raises ConfigError naming the [section] key of the first bad
     value."""
-    cfg = {sec: dict(kv) for sec, kv in DEFAULTS.items()}
+    cfg = {}
+    for (sec, key), (default, _) in KEYS.items():
+        cfg.setdefault(sec, {})[key] = default
     if path is not None:
         parser = configparser.ConfigParser()
         read = parser.read(str(path))
@@ -136,33 +98,17 @@ def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
         for sec in parser.sections():
             if sec not in cfg:
                 raise ConfigError(f"unknown config section [{sec}]")
-            for key, value in parser.items(sec):
+            for key, text in parser.items(sec):
                 if key not in cfg[sec]:
                     raise ConfigError(f"unknown config key {key!r} in [{sec}]")
-                cfg[sec][key] = value
-    for (sec, key), value in (overrides or {}).items():
-        if value is not None:
-            cfg[sec][key] = str(value)
+                cfg[sec][key] = text
+    for (sec, key), text in (overrides or {}).items():
+        if text is not None:
+            cfg[sec][key] = str(text)
 
-    for sec, key in (("solve", "solvers"), *SINGLE_SOLVER_KEYS):
-        names = _list(cfg, sec, key)
-        for i, name in enumerate(names):
-            if name not in SOLVERS:
-                raise ConfigError(f"unknown solver {name!r} in [{sec}] {key}; "
-                                  f"choose from {', '.join(SOLVERS)}")
-            if name in names[:i]:
-                raise ConfigError(f"solver {name!r} repeated in [{sec}] {key}")
-        if (sec, key) in SINGLE_SOLVER_KEYS and len(names) > 1:
-            raise ConfigError(f"[{sec}] {key} takes one solver name, got {cfg[sec][key]!r}")
-    for (sec, key), allowed in CHOICES.items():
-        if _choice(cfg, sec, key) not in allowed:
-            raise ConfigError(f"unknown value {cfg[sec][key]!r} for [{sec}] {key}; "
-                              f"choose from {', '.join(allowed)}")
-    for sec, key in NUMBERS:
-        _number(cfg, sec, key)
-    for sec, key in NUMBER_LISTS:
-        _items(cfg, sec, key)
-    if _number(cfg, "solve", "repetitions") < 1:
+    for sec, key in KEYS:
+        value(cfg, sec, key)
+    if value(cfg, "solve", "repetitions") < 1:
         raise ConfigError("[solve] repetitions must be >= 1")
     return cfg
 
@@ -176,50 +122,59 @@ def config_hash(cfg) -> str:
 
 
 def _parse(kind, text: str, sec: str, key: str):
+    text = text.strip()
+    if isinstance(kind, tuple):
+        if text.lower() not in kind:
+            raise ConfigError(f"unknown value {text!r} for [{sec}] {key}; "
+                              f"choose from {', '.join(kind)}")
+        return text.lower()
     try:
-        return kind(text.strip())
+        return kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"[{sec}] {key}: {text.strip()!r} is not {what}") from None
+        raise ConfigError(f"[{sec}] {key}: {text!r} is not {what}") from None
 
 
-def _number(cfg, sec, key):
-    """The numeric [sec] key, of its type in NUMBERS."""
-    return _parse(NUMBERS[(sec, key)], cfg[sec][key], sec, key)
-
-
-def _items(cfg, sec, key) -> list:
-    """The comma- (or semicolon-) separated [sec] key, each item of its type
-    in NUMBER_LISTS (solver names stay strings)."""
-    kind = NUMBER_LISTS.get((sec, key), str)
-    return [_parse(kind, tok, sec, key)
-            for tok in cfg[sec][key].replace(";", ",").split(",") if tok.strip()]
-
-
-def _list(cfg, sec, key) -> list:
-    """``_items`` of [sec] key, which may not be empty."""
-    items = _items(cfg, sec, key)
-    if not items:
+def parse(sec: str, key: str, text: str):
+    """text as a value of [sec] key, of its kind in KEYS (allowed names
+    lower-cased).  Raises ConfigError naming [sec] key when it does not
+    parse."""
+    default, kind = KEYS[(sec, key)]
+    if not isinstance(kind, list) and kind is not SOLVERS:
+        return _parse(kind, text, sec, key)
+    item = kind[0] if isinstance(kind, list) else kind
+    items = [_parse(item, tok, sec, key)
+             for tok in text.replace(";", ",").split(",") if tok.strip()]
+    if not items and default:
         raise ConfigError(f"empty list in [{sec}] {key}")
+    if item is SOLVERS:
+        for i, name in enumerate(items):
+            if name in items[:i]:
+                raise ConfigError(f"solver {name!r} repeated in [{sec}] {key}")
+    if kind is SOLVERS:
+        if len(items) > 1:
+            raise ConfigError(f"[{sec}] {key} takes one solver name, got {text!r}")
+        return items[0]
     return items
 
 
-def _choice(cfg, sec, key) -> str:
-    return cfg[sec][key].strip().lower()
+def value(cfg, sec: str, key: str):
+    """The [sec] key of cfg, parsed by ``parse``."""
+    return parse(sec, key, cfg[sec][key])
 
 
 def _discretization(cfg) -> tuple[int, float, float]:
     """(degree, alpha, mu) of [discretization]."""
-    return tuple(_number(cfg, "discretization", key) for key in ("degree", "alpha", "mu"))
+    return tuple(value(cfg, "discretization", key) for key in ("degree", "alpha", "mu"))
 
 
 def _solver_config(cfg) -> SolverConfig:
-    return SolverConfig(tol=_number(cfg, "solve", "tol"), maxit=_number(cfg, "solve", "maxit"))
+    return SolverConfig(tol=value(cfg, "solve", "tol"), maxit=value(cfg, "solve", "maxit"))
 
 
 def _mms(cfg, sec):
     """The manufactured solution named by [sec] mms, at [discretization] mu."""
-    return NAMED_SOLUTIONS[_choice(cfg, sec, "mms")](_discretization(cfg)[2])
+    return NAMED_SOLUTIONS[value(cfg, sec, "mms")](_discretization(cfg)[2])
 
 
 def _classify(mesh, neumann: str):
@@ -236,15 +191,15 @@ def _classify(mesh, neumann: str):
 def build_meshes(cfg) -> list[tuple[str, object]]:
     """Mesh family from the [mesh] section: a Cartesian base (or imported
     file), agglomerated to each target element count."""
-    sec = cfg["mesh"]
-    if sec["file"]:
-        base = read_mesh(sec["file"])
+    path = value(cfg, "mesh", "file")
+    if path:
+        base = read_mesh(path)
     else:
-        base = build_cartesian_mesh(_number(cfg, "mesh", "nx"), _number(cfg, "mesh", "ny"))
-    base = _classify(base, _choice(cfg, "mesh", "neumann"))
-    if sec["targets"].strip():
-        meshes = [agglomerate(base, target, _number(cfg, "mesh", "seed"))
-                  for target in _list(cfg, "mesh", "targets")]
+        base = build_cartesian_mesh(value(cfg, "mesh", "nx"), value(cfg, "mesh", "ny"))
+    base = _classify(base, value(cfg, "mesh", "neumann"))
+    targets = value(cfg, "mesh", "targets")
+    if targets:
+        meshes = [agglomerate(base, target, value(cfg, "mesh", "seed")) for target in targets]
     else:
         meshes = [base]
     return [(f"{m.n_elements}el_h{m.mesh_size:.4f}", m) for m in meshes]
@@ -282,7 +237,6 @@ class Table:
         return out.getvalue()
 
     def to_markdown(self) -> str:
-        widths = []
         body = []
         header = [self.row_label] + self.col_values
         for i, row in enumerate(self.row_values):
@@ -389,10 +343,10 @@ def run_iteration_table(cfg) -> dict[str, Table]:
     Cells that hit the iteration cap are recorded at the cap value and
     flagged, never raised as errors.
     """
-    dts = _list(cfg, "solve", "dts")
-    solvers = _list(cfg, "solve", "solvers")
-    reps = _number(cfg, "solve", "repetitions")
-    seed = _number(cfg, "solve", "seed")
+    dts = value(cfg, "solve", "dts")
+    solvers = value(cfg, "solve", "solvers")
+    reps = value(cfg, "solve", "repetitions")
+    seed = value(cfg, "solve", "seed")
     solver_cfg = _solver_config(cfg)
 
     def cell(i, j, space, astar):
@@ -417,8 +371,8 @@ def run_iteration_table(cfg) -> dict[str, Table]:
 def run_condition_table(cfg) -> dict[str, Table]:
     """Lanczos condition-number estimates of A* and of the collective
     Block-Jacobi preconditioned operator."""
-    dts = _list(cfg, "condition", "dts")
-    tol, maxit, seed = (_number(cfg, "condition", key) for key in ("tol", "maxit", "seed"))
+    dts = value(cfg, "condition", "dts")
+    tol, maxit, seed = (value(cfg, "condition", key) for key in ("tol", "maxit", "seed"))
 
     def cell(i, j, space, astar):
         raw = estimate_condition_number(astar, tol=tol, maxit=maxit, seed=seed)
@@ -439,20 +393,19 @@ def run_condition_table(cfg) -> dict[str, Table]:
 def run_convergence(cfg) -> Table:
     """Energy-norm errors of manufactured solutions under mesh or time-step
     refinement, with fitted slopes between consecutive levels."""
-    sec = cfg["convergence"]
-    mode = _choice(cfg, "convergence", "mode")
-    degree = _number(cfg, "convergence", "degree")
+    mode = value(cfg, "convergence", "mode")
+    degree = value(cfg, "convergence", "degree")
     _, alpha, mu = _discretization(cfg)
-    neumann = _choice(cfg, "mesh", "neumann")
-    solver = sec["solver"].strip()
+    neumann = value(cfg, "mesh", "neumann")
+    solver = value(cfg, "convergence", "solver")
     solver_cfg = _solver_config(cfg)
 
     rows = []
     if mode == "spatial":
         mms = _mms(cfg, "convergence")
-        dt = _number(cfg, "convergence", "dt")
-        steps = _number(cfg, "convergence", "steps")
-        for nx in _list(cfg, "convergence", "levels"):
+        dt = value(cfg, "convergence", "dt")
+        steps = value(cfg, "convergence", "steps")
+        for nx in value(cfg, "convergence", "levels"):
             mesh = _classify(build_cartesian_mesh(nx, nx), neumann)
             space = build_space(mesh, degree)
             tcfg = TimeConfig.from_steps(steps, dt)
@@ -463,13 +416,13 @@ def run_convergence(cfg) -> Table:
         x_of = lambda row: row[0]
     else:
         mms = linear_in_space_solution(mu)
-        nx = _number(cfg, "convergence", "nx")
-        t_final = _number(cfg, "convergence", "t_final")
+        nx = value(cfg, "convergence", "nx")
+        t_final = value(cfg, "convergence", "t_final")
         mesh = _classify(build_cartesian_mesh(nx, nx), neumann)
         space = build_space(mesh, degree)
         system = assemble_system(space, mu, alpha)
         norm = EnergyNorm(space, alpha)
-        for dt in _list(cfg, "convergence", "dts"):
+        for dt in value(cfg, "convergence", "dts"):
             tcfg = TimeConfig(dt=dt, t_final=t_final)
             sigma, _ = implicit_euler_run(space, mms.data, tcfg, solver,
                                           solver_cfg, alpha, system=system)
@@ -506,16 +459,15 @@ def run_solve(cfg):
 
     Returns the mesh label, the per-step solver reports and the log path.
     """
-    sec = cfg["time"]
     degree, alpha, mu = _discretization(cfg)
-    data = zero_data(mu) if _choice(cfg, "time", "mms") == "zero" else _mms(cfg, "time").data
-    tcfg = TimeConfig(dt=_number(cfg, "time", "dt"), t_final=_number(cfg, "time", "t_final"))
+    data = zero_data(mu) if value(cfg, "time", "mms") == "zero" else _mms(cfg, "time").data
+    tcfg = TimeConfig(dt=value(cfg, "time", "dt"), t_final=value(cfg, "time", "t_final"))
     label, mesh = build_meshes(cfg)[0]
     space = build_space(mesh, degree)
     outdir = Path(cfg["output"]["path"])
     outdir.mkdir(parents=True, exist_ok=True)
     log = outdir / "solve_log.csv"
-    _, reports = implicit_euler_run(space, data, tcfg, sec["solver"].strip(),
+    _, reports = implicit_euler_run(space, data, tcfg, value(cfg, "time", "solver"),
                                     _solver_config(cfg), alpha, log_path=log)
     return label, reports, log
 

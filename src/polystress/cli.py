@@ -13,43 +13,46 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import (CONVERGENCE_MODES, NEUMANN_SIDES, ConfigError, config_hash,
-                    load_config, run_condition_table, run_convergence,
-                    run_export, run_iteration_table, run_solve)
-from .krylov import SOLVERS, BlockFactorizationError
+from .bench import (KEYS, ConfigError, config_hash, load_config, parse,
+                    run_condition_table, run_convergence, run_export,
+                    run_iteration_table, run_solve, value)
+from .krylov import BlockFactorizationError
 from .mesh import MeshError
 from .timestepper import TimeStepError
 
-# flag -> (section, key, argparse type, choices) of the config key it sets
+# flag -> the (section, key) of the config key it sets; its type and allowed
+# values are the key's kind in bench.KEYS
 FLAGS = {
-    "--output": ("output", "path", str, None),
-    "--nx": ("mesh", "nx", int, None),
-    "--ny": ("mesh", "ny", int, None),
-    "--targets": ("mesh", "targets", str, None),
-    "--mesh-file": ("mesh", "file", str, None),
-    "--mesh-seed": ("mesh", "seed", int, None),
-    "--neumann": ("mesh", "neumann", str, tuple(NEUMANN_SIDES)),
-    "--degree": ("discretization", "degree", int, None),
-    "--alpha": ("discretization", "alpha", float, None),
-    "--mu": ("discretization", "mu", float, None),
-    "--dts": ("solve", "dts", str, None),
-    "--solvers": ("solve", "solvers", str, None),
-    "--tol": ("solve", "tol", float, None),
-    "--maxit": ("solve", "maxit", int, None),
-    "--repetitions": ("solve", "repetitions", int, None),
-    "--seed": ("solve", "seed", int, None),
-    "--cond-dts": ("condition", "dts", str, None),
-    "--cond-tol": ("condition", "tol", float, None),
-    "--cond-maxit": ("condition", "maxit", int, None),
-    "--mode": ("convergence", "mode", str, CONVERGENCE_MODES),
-    "--levels": ("convergence", "levels", str, None),
-    "--mms": ("time", "mms", str, None),
-    "--dt": ("time", "dt", float, None),
-    "--t-final": ("time", "t_final", float, None),
-    "--solver": ("time", "solver", str, SOLVERS),
+    "--output": ("output", "path"),
+    "--nx": ("mesh", "nx"),
+    "--ny": ("mesh", "ny"),
+    "--targets": ("mesh", "targets"),
+    "--mesh-file": ("mesh", "file"),
+    "--mesh-seed": ("mesh", "seed"),
+    "--neumann": ("mesh", "neumann"),
+    "--degree": ("discretization", "degree"),
+    "--alpha": ("discretization", "alpha"),
+    "--mu": ("discretization", "mu"),
+    "--dts": ("solve", "dts"),
+    "--solvers": ("solve", "solvers"),
+    "--tol": ("solve", "tol"),
+    "--maxit": ("solve", "maxit"),
+    "--repetitions": ("solve", "repetitions"),
+    "--seed": ("solve", "seed"),
+    "--cond-dts": ("condition", "dts"),
+    "--cond-tol": ("condition", "tol"),
+    "--cond-maxit": ("condition", "maxit"),
+    "--mode": ("convergence", "mode"),
+    "--levels": ("convergence", "levels"),
+    "--mms": ("time", "mms"),
+    "--dt": ("time", "dt"),
+    "--t-final": ("time", "t_final"),
+    "--solver": ("time", "solver"),
 }
-_MESH = ("--output", "--nx", "--ny", "--targets", "--mesh-file", "--mesh-seed",
-         "--neumann", "--degree", "--alpha", "--mu")
+# convergence builds its own Cartesian meshes from [convergence], so it takes
+# only the _COMMON flags of the mesh family and discretisation
+_COMMON = ("--output", "--neumann", "--alpha", "--mu")
+_MESH = _COMMON + ("--nx", "--ny", "--targets", "--mesh-file", "--mesh-seed", "--degree")
 
 
 def _tables(tables, cfg) -> int:
@@ -65,7 +68,8 @@ def _tables(tables, cfg) -> int:
 def _solve(cfg, args) -> int:
     label, reports, log = run_solve(cfg)
     iters = [r.iterations for r in reports]
-    print(f"# config_hash={config_hash(cfg)} mesh={label} solver={cfg['time']['solver']}")
+    solver = value(cfg, "time", "solver")
+    print(f"# config_hash={config_hash(cfg)} mesh={label} solver={solver}")
     print(f"completed {len(reports)} steps; iterations min/mean/max = "
           f"{min(iters)}/{sum(iters) / len(iters):.1f}/{max(iters)}")
     print(f"wrote {log}")
@@ -73,7 +77,8 @@ def _solve(cfg, args) -> int:
 
 
 def _export(cfg, args) -> int:
-    label, outdir, written = run_export(cfg, args.dt)
+    dt = None if args.dt is None else value(cfg, "time", "dt")
+    label, outdir, written = run_export(cfg, dt)
     print(f"# config_hash={config_hash(cfg)} mesh={label}")
     print(f"wrote {', '.join(written)} to {outdir}")
     return 0
@@ -88,7 +93,7 @@ COMMANDS = {
                    _MESH + ("--cond-dts", "--cond-tol", "--cond-maxit"),
                    lambda cfg, args: _tables(run_condition_table(cfg).values(), cfg)),
     "convergence": ("manufactured-solution energy errors and slopes",
-                    _MESH + ("--mode", "--levels"),
+                    _COMMON + ("--mode", "--levels"),
                     lambda cfg, args: _tables([run_convergence(cfg)], cfg)),
     "solve": ("implicit Euler run with per-step log ('--mms zero' for no forcing)",
               _MESH + ("--mms", "--dt", "--t-final", "--solver", "--tol", "--maxit"),
@@ -110,14 +115,23 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("-c", "--config", help="config file (key=value sections)")
         for flag in flags:
-            sec, key, type_, choices = FLAGS[flag]
-            p.add_argument(flag, type=type_, choices=choices, help=f"sets [{sec}] {key}")
+            sec, key = FLAGS[flag]
+            kind = KEYS[(sec, key)][1]
+            names = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+            p.add_argument(flag, metavar=names, help=f"sets [{sec}] {key}")
     return parser
 
 
 def _resolve(args) -> dict:
-    overrides = {FLAGS[flag][:2]: getattr(args, flag[2:].replace("-", "_"))
-                 for flag in COMMANDS[args.command][1]}
+    """The config of the file and flags.  A numeric flag is stored as
+    str() of its parsed value, other flags as given."""
+    overrides = {}
+    for flag in COMMANDS[args.command][1]:
+        text = getattr(args, flag[2:].replace("-", "_"))
+        sec, key = FLAGS[flag]
+        if text is not None and KEYS[(sec, key)][1] in (int, float):
+            text = str(parse(sec, key, text))
+        overrides[(sec, key)] = text
     return load_config(args.config, overrides)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -226,7 +228,10 @@ def test_unknown_solver_rejected_before_meshes(tmp_path, monkeypatch, capsys):
             ("iter-table", "solve", "solvers", "dcg,cg,dcg", "'dcg' repeated"),
             ("solve", "time", "solver", "", "empty list"),
             ("iter-table", "solve", "dts", ",", "empty list"),
-            ("cond-table", "condition", "dts", "", "empty list")):
+            ("cond-table", "condition", "dts", "", "empty list"),
+            # every list key but [mesh] targets, whatever the command
+            ("iter-table", "convergence", "levels", "", "empty list"),
+            ("solve", "convergence", "dts", ";", "empty list")):
         ini = tmp_path / "bad.ini"
         ini.write_text(f"[{sec}]\n{key} = {value}\n")
         assert run_cli([command, "-c", str(ini)] + out) == 1
@@ -258,23 +263,77 @@ def test_single_solver_keys_and_numbers_rejected_before_meshes(tmp_path, monkeyp
 
 
 def test_every_numeric_key_is_typed_once():
-    numeric = set(bench.NUMBERS) | set(bench.NUMBER_LISTS)
-    assert not set(bench.NUMBERS) & set(bench.NUMBER_LISTS)
+    kinds = {k: kind for k, (_, kind) in bench.KEYS.items()}
+    numeric = {k for k, kind in kinds.items() if kind in (int, float, [int], [float])}
     text = {("mesh", "file"), ("mesh", "neumann"), ("solve", "solvers"),
             ("convergence", "mode"), ("convergence", "mms"), ("convergence", "solver"),
             ("time", "solver"), ("time", "mms"), ("output", "path")}
-    assert numeric | text == {(sec, key) for sec, kv in bench.DEFAULTS.items() for key in kv}
+    assert numeric | text == set(kinds) and not numeric & text
+    # the flags name keys, and take their type and allowed values from KEYS
+    assert all(dest in kinds for dest in cli.FLAGS.values())
     cfg = load_config()
-    assert bench._number(cfg, "solve", "maxit") == 30000
-    assert bench._number(cfg, "solve", "tol") == 1e-8
+    assert {(sec, key) for sec in cfg for key in cfg[sec]} == set(kinds)
+    assert bench.value(cfg, "solve", "maxit") == 30000
+    assert bench.value(cfg, "solve", "tol") == 1e-8
+    assert bench.value(cfg, "solve", "dts") == [1e-6, 1e-7, 1e-8]
+    assert bench.value(cfg, "mesh", "targets") == []
+
+
+def _metavar(command, dest):
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    return next(a.metavar for a in sub._actions if a.dest == dest)
 
 
 def test_solver_names_come_from_one_table():
-    parser = cli.build_parser()
-    solve = parser._subparsers._group_actions[0].choices["solve"]
-    choices = next(a.choices for a in solve._actions if a.dest == "solver")
-    assert tuple(choices) == SOLVERS
+    assert bench.KEYS[("time", "solver")][1] is SOLVERS
+    assert bench.KEYS[("convergence", "solver")][1] is SOLVERS
+    assert bench.KEYS[("solve", "solvers")][1] == [SOLVERS]
+    assert _metavar("solve", "solver") == "{" + ",".join(SOLVERS) + "}"
     assert tuple(load_config()["solve"]["solvers"].split(",")) == SOLVERS
+    # choice flags list the allowed names of their key
+    assert _metavar("iter-table", "neumann") == "{none,right,left,top,bottom}"
+    assert _metavar("convergence", "mode") == "{spatial,temporal}"
+    assert _metavar("iter-table", "solvers") is None
+
+
+def test_bad_flag_values_exit_1_naming_the_key(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise AssertionError("meshes built before the flags were checked")
+
+    monkeypatch.setattr(bench, "build_meshes", fail)
+    out = ["--output", str(tmp_path)]
+    for argv, dest, says in (
+            (["iter-table", "--nx", "abc"], "[mesh] nx", "'abc' is not an integer"),
+            (["iter-table", "--tol", "tight"], "[solve] tol", "'tight' is not a number"),
+            (["solve", "--solver", "sor"], "[time] solver", "'sor'"),
+            (["cond-table", "--neumann", "diagonal"], "[mesh] neumann", "'diagonal'"),
+            (["export-matrices", "--dt", "zero"], "[time] dt", "'zero' is not a number")):
+        assert run_cli(argv + out) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and dest in err and says in err, err
+
+
+def test_choice_flags_match_file_values(tmp_path):
+    parser = cli.build_parser()
+    for command, flag, sec, key, text in (("iter-table", "--neumann", "mesh", "neumann", "TOP"),
+                                          ("convergence", "--mode", "convergence", "mode",
+                                           "Temporal")):
+        ini = tmp_path / "choice.ini"
+        ini.write_text(f"[{sec}]\n{key} = {text}\n")
+        from_flag = cli._resolve(parser.parse_args([command, flag, text]))
+        assert from_flag == load_config(ini)
+        assert bench.value(from_flag, sec, key) == text.lower()
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    ini = tmp_path / "bench.ini"
+    ini.write_text(block)
+    cfg = load_config(ini)
+    assert bench.value(cfg, "mesh", "targets") == [100, 50]
+    assert bench.value(cfg, "mesh", "neumann") == "right"
+    assert bench.value(cfg, "discretization", "alpha") == 10.0
 
 
 # Every option of every subcommand: the value it is given below, the
@@ -307,10 +366,13 @@ CLI_SURFACE = {
                     "--cond-tol": ("1e-4", ("condition", "tol")),
                     "--cond-maxit": ("300", ("condition", "maxit"))},
                    "d4b54abf7352"),
-    "convergence": ({**_COMMON_FLAGS,
+    # convergence builds its own meshes at [convergence] degree: no mesh
+    # family flags, no --degree
+    "convergence": ({**{flag: _COMMON_FLAGS[flag]
+                        for flag in ("--output", "--neumann", "--alpha", "--mu")},
                      "--mode": ("temporal", ("convergence", "mode")),
                      "--levels": ("2,4", ("convergence", "levels"))},
-                    "48072461d0b3"),
+                    "3d89ea88a9cd"),
     "solve": ({**_COMMON_FLAGS, **_SOLVE_FLAGS,
                "--mms": ("linear_in_space", ("time", "mms")),
                "--dt": ("0.02", ("time", "dt")),
@@ -354,7 +416,9 @@ def test_cli_cond_table(tmp_path):
 
 
 def test_cli_convergence(tmp_path):
-    code = run_cli(["convergence", "--mode", "temporal", "--degree", "1",
+    ini = tmp_path / "convergence.ini"
+    ini.write_text("[convergence]\ndegree = 1\n")
+    code = run_cli(["convergence", "-c", str(ini), "--mode", "temporal",
                     "--output", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "convergence_temporal.csv").exists()
