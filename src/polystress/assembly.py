@@ -30,10 +30,11 @@ import scipy.sparse as sparse
 from scipy.io import mmwrite
 
 from .dg_space import COMPONENTS, DGSpace, face_rules
-from .mesh import FaceKind, PolyMesh
+from .mesh import FaceKind
 from .problems import ProblemData
 
-#: unscaled deviatoric factor of the mass matrix, components ordered
+#: unscaled deviatoric factor of the mass matrix: the contractions
+#: dev(E_c) : dev(E_c') of the unit tensors, components ordered
 #: (s11, s12, s21, s22)
 K_SPEC = np.array([
     [0.5, 0.0, 0.0, -0.5],
@@ -84,33 +85,6 @@ def finalize(matrix, rel: float = 1e-14) -> sparse.csr_matrix:
     return A
 
 
-def deviatoric_factor() -> np.ndarray:
-    """Contractions dev(E_c) : dev(E_c') of the unit tensors, computed from
-    the definition of the deviatoric operator."""
-    K0 = np.empty((4, 4))
-    units = []
-    for r, d in COMPONENTS:
-        E = np.zeros((2, 2))
-        E[r, d] = 1.0
-        units.append(E - 0.5 * np.trace(E) * np.eye(2))
-    for i, Di in enumerate(units):
-        for j, Dj in enumerate(units):
-            K0[i, j] = float(np.sum(Di * Dj))
-    return K0
-
-
-def penalty(face, alpha: float, p: int, mesh: PolyMesh) -> float:
-    """Face stabilisation alpha * p^2 / h: the max over the two neighbours
-    on interior faces, the single neighbour on Neumann faces.  Undefined on
-    Dirichlet faces."""
-    if face.kind == FaceKind.DIRICHLET:
-        raise ValueError("penalty is defined on interior and Neumann faces only")
-    val = p * p / mesh.element_diameters[face.plus_element]
-    if face.kind == FaceKind.INTERIOR:
-        val = max(val, p * p / mesh.element_diameters[face.minus_element])
-    return alpha * val
-
-
 def _scatter(dofs: list, blocks: list, n: int) -> list:
     """nmat canonical n x n matrices on one shared pattern.  ``dofs`` holds
     (nb, k) local-to-global maps and ``blocks`` the matching local blocks,
@@ -153,7 +127,7 @@ def assemble_mass(space: DGSpace, mu: float = 1.0):
     if mu <= 0.0:
         raise ValueError("viscosity mu must be positive")
     L = space.local_dim
-    K = deviatoric_factor() / mu
+    K = K_SPEC / mu
     # the element blocks of M1 are the basis Gram matrices
     dofs = np.arange(space.scalar_dofs).reshape(space.n_elements, L)
     m1, = _scatter([dofs], [space.gram[None]], space.scalar_dofs)
@@ -184,7 +158,8 @@ def _face_batch(space: DGSpace, kind: FaceKind, alpha: float, degree: int) -> _F
     normals = np.array([f.normal for f in faces], dtype=float).reshape(-1, 2)
     points, weights = face_rules(mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]],
                                  degree)
-    # batched form of penalty(): alpha p^2 / h, max over the neighbours
+    # the face penalty alpha p^2 / h, with h the diameter of the plus
+    # element or, on interior faces, the smaller of the two diameters
     p2 = space.degree * space.degree
     gamma = p2 / mesh.element_diameters[plus]
     minus = None

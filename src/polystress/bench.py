@@ -39,43 +39,57 @@ class ConfigError(ValueError):
 NEUMANN_SIDES = {"none": None, "right": (0, 1.0), "left": (0, 0.0),
                  "top": (1, 1.0), "bottom": (1, 0.0)}
 
+
+@dataclass(frozen=True)
+class Number:
+    """A config number kind: int or float, strictly between low and high
+    (so NaN is out of range, and an int above 0 is one >= 1)."""
+
+    type: type
+    low: float = -math.inf
+    high: float = math.inf
+
+
+INT, FLOAT = Number(int), Number(float)
+COUNT, POSITIVE, FRACTION = Number(int, 0), Number(float, 0.0), Number(float, 0.0, 1.0)
+
 # Every config key, declared once: (section, key) -> (default, kind).  A
-# kind is str, int or float; a tuple of the allowed names (matched
+# kind is str; a Number; a tuple of the allowed names (matched
 # case-insensitively); SOLVERS for exactly one solver name; or [kind] for a
 # comma- (or semicolon-) separated list, which may be empty only when its
 # default is.
 KEYS = {
     ("mesh", "file"): ("", str),
-    ("mesh", "nx"): ("10", int),
-    ("mesh", "ny"): ("10", int),
-    ("mesh", "targets"): ("", [int]),
-    ("mesh", "seed"): ("1", int),
+    ("mesh", "nx"): ("10", COUNT),
+    ("mesh", "ny"): ("10", COUNT),
+    ("mesh", "targets"): ("", [COUNT]),
+    ("mesh", "seed"): ("1", INT),
     ("mesh", "neumann"): ("right", tuple(NEUMANN_SIDES)),
-    ("discretization", "degree"): ("3", int),
-    ("discretization", "alpha"): ("10.0", float),
-    ("discretization", "mu"): ("1.0", float),
-    ("solve", "dts"): ("1e-6,1e-7,1e-8", [float]),
+    ("discretization", "degree"): ("3", COUNT),
+    ("discretization", "alpha"): ("10.0", FLOAT),
+    ("discretization", "mu"): ("1.0", POSITIVE),
+    ("solve", "dts"): ("1e-6,1e-7,1e-8", [POSITIVE]),
     ("solve", "solvers"): (",".join(SOLVERS), [SOLVERS]),
-    ("solve", "tol"): ("1e-8", float),
-    ("solve", "maxit"): ("30000", int),
-    ("solve", "repetitions"): ("10", int),
-    ("solve", "seed"): ("0", int),
-    ("condition", "dts"): ("1e-8,1e-9,1e-10", [float]),
-    ("condition", "tol"): ("1e-3", float),
-    ("condition", "maxit"): ("800", int),
-    ("condition", "seed"): ("0", int),
+    ("solve", "tol"): ("1e-8", FRACTION),
+    ("solve", "maxit"): ("30000", COUNT),
+    ("solve", "repetitions"): ("10", COUNT),
+    ("solve", "seed"): ("0", INT),
+    ("condition", "dts"): ("1e-8,1e-9,1e-10", [POSITIVE]),
+    ("condition", "tol"): ("1e-3", FRACTION),
+    ("condition", "maxit"): ("800", COUNT),
+    ("condition", "seed"): ("0", INT),
     ("convergence", "mode"): ("spatial", ("spatial", "temporal")),
     ("convergence", "mms"): ("trig", tuple(NAMED_SOLUTIONS)),
-    ("convergence", "degree"): ("2", int),
-    ("convergence", "levels"): ("2,4,8,16", [int]),
-    ("convergence", "dt"): ("1e-5", float),
-    ("convergence", "steps"): ("2", int),
-    ("convergence", "dts"): ("0.2,0.1,0.05,0.025", [float]),
-    ("convergence", "t_final"): ("0.4", float),
-    ("convergence", "nx"): ("4", int),
+    ("convergence", "degree"): ("2", COUNT),
+    ("convergence", "levels"): ("2,4,8,16", [COUNT]),
+    ("convergence", "dt"): ("1e-5", POSITIVE),
+    ("convergence", "steps"): ("2", COUNT),
+    ("convergence", "dts"): ("0.2,0.1,0.05,0.025", [POSITIVE]),
+    ("convergence", "t_final"): ("0.4", POSITIVE),
+    ("convergence", "nx"): ("4", COUNT),
     ("convergence", "solver"): ("cg", SOLVERS),
-    ("time", "dt"): ("0.01", float),
-    ("time", "t_final"): ("0.1", float),
+    ("time", "dt"): ("0.01", POSITIVE),
+    ("time", "t_final"): ("0.1", POSITIVE),
     ("time", "solver"): ("dcg", SOLVERS),
     ("time", "mms"): ("trig", (*NAMED_SOLUTIONS, "zero")),
     ("output", "path"): ("out", str),
@@ -108,8 +122,6 @@ def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
 
     for sec, key in KEYS:
         value(cfg, sec, key)
-    if value(cfg, "solve", "repetitions") < 1:
-        raise ConfigError("[solve] repetitions must be >= 1")
     return cfg
 
 
@@ -128,17 +140,23 @@ def _parse(kind, text: str, sec: str, key: str):
             raise ConfigError(f"unknown value {text!r} for [{sec}] {key}; "
                               f"choose from {', '.join(kind)}")
         return text.lower()
+    if kind is str:
+        return text
     try:
-        return kind(text)
+        number = kind.type(text)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
+        what = "an integer" if kind.type is int else "a number"
         raise ConfigError(f"[{sec}] {key}: {text!r} is not {what}") from None
+    if not kind.low < number < kind.high:
+        bound = f">= {kind.low + 1}" if kind.type is int else f"in ({kind.low:g}, {kind.high:g})"
+        raise ConfigError(f"[{sec}] {key}: {text!r} is out of range, must be {bound}")
+    return number
 
 
 def parse(sec: str, key: str, text: str):
     """text as a value of [sec] key, of its kind in KEYS (allowed names
     lower-cased).  Raises ConfigError naming [sec] key when it does not
-    parse."""
+    parse or is out of range."""
     default, kind = KEYS[(sec, key)]
     if not isinstance(kind, list) and kind is not SOLVERS:
         return _parse(kind, text, sec, key)

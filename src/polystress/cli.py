@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import (KEYS, ConfigError, config_hash, load_config, parse,
+from .bench import (KEYS, ConfigError, Number, config_hash, load_config, parse,
                     run_condition_table, run_convergence, run_export,
                     run_iteration_table, run_solve, value)
 from .krylov import BlockFactorizationError
@@ -129,7 +129,7 @@ def _resolve(args) -> dict:
     for flag in COMMANDS[args.command][1]:
         text = getattr(args, flag[2:].replace("-", "_"))
         sec, key = FLAGS[flag]
-        if text is not None and KEYS[(sec, key)][1] in (int, float):
+        if text is not None and isinstance(KEYS[(sec, key)][1], Number):
             text = str(parse(sec, key, text))
         overrides[(sec, key)] = text
     return load_config(args.config, overrides)

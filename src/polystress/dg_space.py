@@ -31,26 +31,10 @@ from .mesh import PolyMesh, _fan_cross_products, _length_groups, _next, _shoelac
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points (nq, 2) and strictly positive weights summing to the measure
-    of the integration domain."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def integrate(self, values):
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
-
 @lru_cache(maxsize=None)
-def triangle_rule(degree: int) -> QuadratureRule:
-    """Rule on the reference triangle (0,0)-(1,0)-(0,1), exact for total
-    degree <= degree.
+def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only points (nq, 2) and positive weights (nq,) of a rule on the
+    reference triangle (0,0)-(1,0)-(0,1), exact for total degree <= degree.
 
     Collapsed coordinates: (x, y) = (u (1 - v), v) maps the unit square to
     the triangle with Jacobian (1 - v), so a polynomial of total degree d
@@ -70,8 +54,10 @@ def triangle_rule(degree: int) -> QuadratureRule:
     x = U * (1.0 - V)
     y = V
     w = WU * WV * (1.0 - V)
-    pts = np.column_stack([x.ravel(), y.ravel()])
-    return QuadratureRule(pts, w.ravel())
+    pts, w = np.column_stack([x.ravel(), y.ravel()]), w.ravel()
+    pts.setflags(write=False)
+    w.setflags(write=False)
+    return pts, w
 
 
 def polygon_rules(polygons, degree: int) -> list[ElementBatch]:
@@ -88,8 +74,8 @@ def polygon_rules(polygons, degree: int) -> list[ElementBatch]:
     sizes = np.array([len(poly) for poly in polygons], dtype=np.int64)
     if np.any(sizes < 3):
         raise ValueError("degenerate polygon")
-    ref = triangle_rule(degree)
-    u, v = ref.points[:, :1], ref.points[:, 1:]
+    ref_points, ref_weights = triangle_rule(degree)
+    u, v = ref_points[:, :1], ref_points[:, 1:]
     coords = np.concatenate(polygons)
     owner, points, weights = [], [], []
     for ids, pos in _length_groups(sizes):
@@ -105,7 +91,7 @@ def polygon_rules(polygons, degree: int) -> list[ElementBatch]:
         c, a, b = center[e][:, None], pts[e, i][:, None], _next(pts)[e, i][:, None]
         # affine map from the reference triangle, |J| = cross
         points.append(c + u * (a - c) + v * (b - c))
-        weights.append(ref.weights * cross[e, i][:, None])
+        weights.append(ref_weights * cross[e, i][:, None])
         owner.append(ids[e])
     # triangles of one polygon are contiguous and in vertex order
     owner = np.concatenate(owner)
@@ -113,7 +99,7 @@ def polygon_rules(polygons, degree: int) -> list[ElementBatch]:
     points, weights = np.concatenate(points)[order], np.concatenate(weights)[order]
     counts = np.bincount(owner, minlength=len(polygons))
     starts = np.cumsum(counts) - counts
-    nq = len(ref.weights)
+    nq = len(ref_weights)
     batches = []
     for t in np.unique(counts):
         ids = np.flatnonzero(counts == t)
@@ -121,21 +107,6 @@ def polygon_rules(polygons, degree: int) -> list[ElementBatch]:
         batches.append(ElementBatch(ids, points[rows].reshape(len(ids), t * nq, 2),
                                     weights[rows].reshape(len(ids), t * nq)))
     return batches
-
-
-def rules_by_element(batches) -> list[QuadratureRule]:
-    """Per-element view of the batched rules of ``polygon_rules``."""
-    rules = [None] * sum(len(batch.elements) for batch in batches)
-    for batch in batches:
-        for e, pts, wts in zip(batch.elements.tolist(), batch.points, batch.weights):
-            rules[e] = QuadratureRule(pts, wts)
-    return rules
-
-
-def element_quadrature(polygon: np.ndarray, degree: int) -> QuadratureRule:
-    """Quadrature over one polygon, exact for total degree <= degree (see
-    ``polygon_rules``)."""
-    return rules_by_element(polygon_rules([polygon], degree))[0]
 
 
 def face_rules(p0, p1, degree: int):
@@ -154,13 +125,6 @@ def face_rules(p0, p1, degree: int):
     s = 0.5 * (t + 1.0)
     pts = p0[:, None, :] + s[None, :, None] * d[:, None, :]
     return pts, 0.5 * length[:, None] * w[None, :]
-
-
-def face_quadrature(p0, p1, degree: int) -> QuadratureRule:
-    """Gauss rule on the segment p0-p1, exact for degree <= degree; weights
-    sum to the segment length."""
-    pts, wts = face_rules(p0, p1, degree)
-    return QuadratureRule(pts[0], wts[0])
 
 
 def _total_degree_exponents(p: int) -> np.ndarray:
@@ -322,12 +286,6 @@ class DGSpace:
         grads[..., 0] = dx[..., a] * vyb * (scales / sx[..., None])
         grads[..., 1] = vxa * dy[..., b] * (scales / sy[..., None])
         return values, grads
-
-    # -- dof layout ------------------------------------------------------------
-
-    def global_index(self, c: int, e: int, i=None):
-        base = c * self.scalar_dofs + e * self.local_dim
-        return base if i is None else base + i
 
 
 def build_space(mesh: PolyMesh, p: int) -> DGSpace:

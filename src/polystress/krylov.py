@@ -45,7 +45,6 @@ class SolverConfig:
 
     tol: float = 1e-8
     maxit: int = 10000
-    record_history: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -59,7 +58,6 @@ class SolverReport:
     iterations: int
     final_residual: float
     converged: bool
-    history: np.ndarray | None = None
     wall_time: float = 0.0
     true_residual: float | None = None
 
@@ -89,7 +87,6 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
-    history = [] if config.record_history else None
 
     if x0 is None:
         x = np.zeros_like(b)
@@ -106,16 +103,12 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
         mb = apply_m(b)
     denom = float(np.sqrt(b @ mb))
     if denom == 0.0:
-        return np.zeros_like(b), SolverReport(
-            0, 0.0, True, None if history is None else np.array([]),
-            time.perf_counter() - start, 0.0)
+        return np.zeros_like(b), SolverReport(0, 0.0, True, time.perf_counter() - start, 0.0)
 
     dot_rr = stop == "residual" and apply_m is not None  # without apply_m, r.z is r.r
 
     rz = float(r @ z)
     rel = np.sqrt(float(r @ r) if dot_rr else rz) / denom
-    if history is not None:
-        history.append(rel)
     iterations = 0
     converged = bool(rel <= config.tol)
     p = z.copy()
@@ -137,8 +130,6 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
             z = apply_m(r) if apply_m is not None else r
             rz_new = float(r @ z)
             rel = np.sqrt(rz_new) / denom
-        if history is not None:
-            history.append(rel)
         if rel <= config.tol:
             converged = True
             break
@@ -147,9 +138,7 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
         p = z + beta * p
 
     true_rel = float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b))
-    return x, SolverReport(iterations, rel, converged,
-                           None if history is None else np.asarray(history),
-                           time.perf_counter() - start, true_rel)
+    return x, SolverReport(iterations, rel, converged, time.perf_counter() - start, true_rel)
 
 
 def cg(operator, b, config: SolverConfig | None = None, x0=None):

@@ -135,12 +135,9 @@ class PolyMesh:
     element_areas, element_centroids, element_diameters : per-element metrics
     mesh_size : h = max over element diameters
     merge_warning : True when agglomeration stopped before its target
-    base_elements : None, or on an agglomerated mesh, per element the
-        sorted ids (read-only int array) of the elements it was merged from
     """
 
-    def __init__(self, vertices, elements, boundary_kinds=None, merge_warning=False,
-                 base_elements=None):
+    def __init__(self, vertices, elements, boundary_kinds=None, merge_warning=False):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
@@ -173,13 +170,6 @@ class PolyMesh:
         self.vertices.setflags(write=False)
         self.elements = tuple(loops)
         self.merge_warning = bool(merge_warning)
-        self.base_elements = None
-        if base_elements is not None:
-            if len(base_elements) != n:
-                raise MeshError("base_elements needs one id list per element")
-            self.base_elements = tuple(np.asarray(ids, dtype=np.int64) for ids in base_elements)
-            for ids in self.base_elements:
-                ids.setflags(write=False)
         self.element_areas = areas
         self.element_centroids = centroids
         self.element_diameters = diameters
@@ -395,9 +385,7 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
     (themselves tried in a seeded order); merges that would create a
     non-simple or non-star-shaped polygon are skipped.  If no legal merge
     remains before the target is reached, the current mesh is returned
-    with ``merge_warning`` set.  Deterministic for a fixed seed.  The result
-    records in ``base_elements`` which elements of ``mesh`` each of its
-    elements covers.
+    with ``merge_warning`` set.  Deterministic for a fixed seed.
     """
     if not 1 <= target_elements <= mesh.n_elements:
         raise ValueError("target_elements must be in [1, n_elements]")
@@ -407,7 +395,6 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
     rng = np.random.default_rng(rng_seed)
     coords = mesh.vertices.tolist()
     loops = [loop.tolist() for loop in mesh.elements]
-    members = [[e] for e in range(mesh.n_elements)]
     # elements sharing a face, kept up to date across merges
     neighbours = [set() for _ in loops]
     for face in mesh.faces:
@@ -438,7 +425,6 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
             break
         keep, gone = min(e, j), max(e, j)
         loops[keep], loops[gone] = merged, None
-        members[keep] += members[gone]
         alive[gone] = False
         for other in neighbours[gone] - {keep}:
             neighbours[other].discard(gone)
@@ -448,10 +434,9 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
         neighbours[gone] = set()
         n_alive -= 1
 
-    live = np.flatnonzero(alive).tolist()
     tags = {f.endpoints: f.kind for f in mesh.faces if f.is_boundary}
-    out = PolyMesh(mesh.vertices, [loops[k] for k in live], boundary_kinds=tags,
-                   merge_warning=stalled, base_elements=[sorted(members[k]) for k in live])
+    out = PolyMesh(mesh.vertices, [loop for loop in loops if loop is not None],
+                   boundary_kinds=tags, merge_warning=stalled)
     if abs(out.total_area - mesh.total_area) > 1e-12 * mesh.total_area:
         raise MeshError("agglomeration failed to conserve total area")
     return out

@@ -49,9 +49,6 @@ class TimeConfig:
     def from_steps(cls, n_steps: int, dt: float) -> "TimeConfig":
         return cls(dt=dt, t_final=n_steps * dt)
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
-
 
 def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
                        solver: str = "cg", config: SolverConfig | None = None,
@@ -168,10 +165,3 @@ class EnergyNorm:
                                         fb.normals)
             total += float(np.sum(fb.gamma[:, None] * fb.weights * (jump ** 2).sum(axis=-1)))
         return float(np.sqrt(total))
-
-
-def energy_error(space: DGSpace, dofs: np.ndarray, exact, t: float,
-                 alpha: float = DEFAULT_ALPHA) -> float:
-    """One-shot energy-norm error; build an EnergyNorm to amortise the fine
-    quadrature over repeated calls."""
-    return EnergyNorm(space, alpha).error(dofs, exact, t)

@@ -12,6 +12,13 @@ element-by-element projection that the batched one must reproduce, and
 ``EnergyNorm.error`` must reproduce.  ``finalize_coo`` is the COO round
 trip that the library's CSR ``finalize`` must reproduce bitwise.
 
+The oracle owns its references to the formulas it checks: the deviatoric
+factor ``deviatoric_factor``, derived from the definition of the
+deviatoric operator (the library keeps only the literal ``K_SPEC``), the
+scalar face ``penalty`` (the library keeps only the batched one in
+``_face_batch``), and the per-element quadrature rules ``element_rules``
+and ``face_rule``, read off the batched rules of the library.
+
 Three earlier library paths are kept here as bitwise references:
 ``mass_kron``/``stiffness_kron`` convert one COO matrix per block and form
 M and A with ``scipy.sparse.kron``, ``l2_project_loop`` factors and solves
@@ -19,11 +26,10 @@ each element's Gram matrix on its own, and ``agglomerate`` rebuilds every
 candidate's neighbour list from a directed-edge map and tests each merge
 with array geometry.
 
-The per-element views of a ``DGSpace`` (``element_rules``,
-``basis_values``, ``basis_gradients``, ``gram_solve``, ``eval_field``,
-``eval_divergence``) and the small helpers ``mass_energy`` and
-``write_residual_history`` serve only the tests, so they live here rather
-than in the library.
+The per-element views of a ``DGSpace`` (``basis_values``,
+``basis_gradients``, ``gram_solve``, ``scalar_index``, ``tensor_dofs``,
+``eval_field``, ``eval_divergence``) and the small helper ``mass_energy``
+serve only the tests, so they live here rather than in the library.
 """
 import dataclasses
 
@@ -31,18 +37,56 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from polystress import FaceKind, penalty
-from polystress.assembly import _stiffness_blocks, deviatoric_factor, finalize
+from polystress import FaceKind
+from polystress.assembly import _stiffness_blocks, finalize
 from polystress.mesh import _fan_cross_products, _loop_edges, _shoelace
-from polystress.dg_space import (COMPONENTS, face_quadrature, polygon_rules,
-                                 rules_by_element)
+from polystress.dg_space import COMPONENTS, face_rules, polygon_rules
+
+
+# -- reference formulas -------------------------------------------------------
+
+def deviatoric_factor():
+    """Contractions dev(E_c) : dev(E_c') of the unit tensors, computed from
+    the definition of the deviatoric operator."""
+    K0 = np.empty((4, 4))
+    units = []
+    for r, d in COMPONENTS:
+        E = np.zeros((2, 2))
+        E[r, d] = 1.0
+        units.append(E - 0.5 * np.trace(E) * np.eye(2))
+    for i, Di in enumerate(units):
+        for j, Dj in enumerate(units):
+            K0[i, j] = float(np.sum(Di * Dj))
+    return K0
+
+
+def penalty(face, alpha, p, mesh):
+    """Face stabilisation alpha * p^2 / h: the max over the two neighbours
+    on interior faces, the single neighbour on Neumann faces."""
+    if face.kind == FaceKind.DIRICHLET:
+        raise ValueError("penalty is defined on interior and Neumann faces only")
+    val = p * p / mesh.element_diameters[face.plus_element]
+    if face.kind == FaceKind.INTERIOR:
+        val = max(val, p * p / mesh.element_diameters[face.minus_element])
+    return alpha * val
 
 
 # -- per-element views of a DGSpace -------------------------------------------
 
-def element_rules(space):
-    """Per-element quadrature rules of the space's ``element_batches``."""
-    return rules_by_element(space.element_batches)
+def element_rules(space, batches=None):
+    """Per-element quadrature rules (points, weights) of ``batches``, by
+    default the space's ``element_batches``."""
+    rules = [None] * space.n_elements
+    for batch in space.element_batches if batches is None else batches:
+        for e, pts, wts in zip(batch.elements.tolist(), batch.points, batch.weights):
+            rules[e] = pts, wts
+    return rules
+
+
+def face_rule(mesh, face, degree):
+    """The Gauss rule (points, weights) of one face."""
+    pts, wts = face_rules(*mesh.face_points(face), degree)
+    return pts[0], wts[0]
 
 
 def basis_values(space, e, pts):
@@ -67,13 +111,17 @@ def scalar_index(space, e, i=None):
     return base if i is None else base + i
 
 
+def tensor_dofs(space, c, e):
+    """Global dofs of component c on element e."""
+    return c * space.scalar_dofs + scalar_index(space, e) + np.arange(space.local_dim)
+
+
 def eval_field(space, dofs, e, pts):
     """The tensor field on element e, shape (npts, 2, 2)."""
     phi = basis_values(space, e, pts)
     out = np.empty((len(pts), 2, 2))
     for c, (r, d) in enumerate(COMPONENTS):
-        sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
-        out[:, r, d] = phi @ dofs[sl]
+        out[:, r, d] = phi @ dofs[tensor_dofs(space, c, e)]
     return out
 
 
@@ -82,8 +130,7 @@ def eval_divergence(space, dofs, e, pts):
     grad = basis_gradients(space, e, pts)
     out = np.zeros((len(pts), 2))
     for c, (r, d) in enumerate(COMPONENTS):
-        sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
-        out[:, r] += grad[:, :, d] @ dofs[sl]
+        out[:, r] += grad[:, :, d] @ dofs[tensor_dofs(space, c, e)]
     return out
 
 
@@ -91,16 +138,6 @@ def mass_energy(system, dofs):
     """Discrete deviatoric energy <M sigma, sigma>; non-increasing across
     unforced implicit Euler steps."""
     return float(dofs @ (system.m @ dofs))
-
-
-def write_residual_history(path, report):
-    """CSV export of a recorded residual history (iteration, residual)."""
-    if report.history is None:
-        raise ValueError("solver was run without record_history")
-    with open(path, "w") as fh:
-        fh.write("iteration,relative_residual\n")
-        for i, res in enumerate(report.history):
-            fh.write(f"{i},{res:.16e}\n")
 
 
 def finalize_coo(matrix, rel=1e-14):
@@ -135,9 +172,9 @@ def mass(space, mu=1.0):
     rows, cols, vals = [], [], []
     rules = element_rules(space)
     for e in range(space.n_elements):
-        rule = rules[e]
-        phi = basis_values(space, e, rule.points)
-        m1e = phi.T @ (rule.weights[:, None] * phi)
+        pts, w = rules[e]
+        phi = basis_values(space, e, pts)
+        m1e = phi.T @ (w[:, None] * phi)
         sidx = scalar_index(space, e) + np.arange(L)
         rows1.append(np.repeat(sidx, L))
         cols1.append(np.tile(sidx, L))
@@ -146,21 +183,19 @@ def mass(space, mu=1.0):
             for cj in range(4):
                 if K[ct, cj] == 0.0:
                     continue
-                gr = space.global_index(ct, e) + np.arange(L)
-                gc = space.global_index(cj, e) + np.arange(L)
-                rows.append(np.repeat(gr, L))
-                cols.append(np.tile(gc, L))
+                rows.append(np.repeat(tensor_dofs(space, ct, e), L))
+                cols.append(np.tile(tensor_dofs(space, cj, e), L))
                 vals.append(K[ct, cj] * m1e.ravel())
     S = space.scalar_dofs
     return _coo(rows1, cols1, vals1, S), _coo(rows, cols, vals, 4 * S)
 
 
-def _face_sides(space, face, rule):
+def _face_sides(space, face, pts):
     interior = face.kind == FaceKind.INTERIOR
     elems = [face.plus_element] + ([face.minus_element] if interior else [])
     signs = [1.0, -1.0][:len(elems)]
-    phis = [basis_values(space, e, rule.points) for e in elems]
-    grads = [basis_gradients(space, e, rule.points) for e in elems]
+    phis = [basis_values(space, e, pts) for e in elems]
+    grads = [basis_gradients(space, e, pts) for e in elems]
     avg = 0.5 if interior else 1.0
     return elems, signs, phis, grads, avg
 
@@ -186,9 +221,8 @@ def stiffness(space, alpha):
 
     rules = element_rules(space)
     for e in range(space.n_elements):
-        rule = rules[e]
-        w = rule.weights
-        G = basis_gradients(space, e, rule.points)
+        pts, w = rules[e]
+        G = basis_gradients(space, e, pts)
 
         # tensor path: div of the (r, d) component basis is the vector
         # e_r * d_d(phi)
@@ -196,8 +230,7 @@ def stiffness(space, alpha):
         for c, (r, d) in enumerate(COMPONENTS):
             DV[:, c, :, r] = G[:, :, d]
         loc = np.einsum("q,qbik,qcjk->bicj", w, DV, DV)
-        gidx = np.concatenate([space.global_index(c, e) + np.arange(L)
-                               for c in range(4)])
+        gidx = np.concatenate([tensor_dofs(space, c, e) for c in range(4)])
         scatter((rowsA, colsA, valsA), gidx, loc)
 
         # block path: a two-component vector field (x-slot, y-slot) with
@@ -211,12 +244,10 @@ def stiffness(space, alpha):
     for face in mesh.faces:
         if face.kind == FaceKind.DIRICHLET:
             continue
-        pts = mesh.face_points(face)
-        rule = face_quadrature(pts[0], pts[1], qd)
-        w = rule.weights
+        pts, w = face_rule(mesh, face, qd)
         n = face.normal
         gamma = penalty(face, alpha, p, mesh)
-        elems, signs, phis, grads, avg = _face_sides(space, face, rule)
+        elems, signs, phis, grads, avg = _face_sides(space, face, pts)
         ns = len(elems)
 
         JU = np.zeros((len(w), 4, ns * L, 2))
@@ -235,7 +266,7 @@ def stiffness(space, alpha):
         cons = np.einsum("q,qbik,qcjk->bicj", w, JU, DVa)
         pen = np.einsum("q,qbik,qcjk->bicj", w, JU, JU)
         loc = -cons - cons.transpose(2, 3, 0, 1) + gamma * pen
-        gidx = np.concatenate([space.global_index(c, e) + np.arange(L)
+        gidx = np.concatenate([tensor_dofs(space, c, e)
                                for c in range(4) for e in elems])
         scatter((rowsA, colsA, valsA), gidx, loc)
 
@@ -267,34 +298,31 @@ def functional_vector(space, data, t, alpha):
 
     rules = element_rules(space)
     for e in range(space.n_elements):
-        rule = rules[e]
-        phi = basis_values(space, e, rule.points)
-        vals = data.source(rule.points[:, 0], rule.points[:, 1], t)
+        pts, w = rules[e]
+        phi = basis_values(space, e, pts)
+        vals = data.source(pts[:, 0], pts[:, 1], t)
         for c, (r, d) in enumerate(COMPONENTS):
-            sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
-            f[sl] += (rule.weights * vals[:, r, d]) @ phi
+            f[tensor_dofs(space, c, e)] += (w * vals[:, r, d]) @ phi
 
     for face in mesh.faces:
         if not face.is_boundary:
             continue
-        pts = mesh.face_points(face)
-        rule = face_quadrature(pts[0], pts[1], space.quad_degree)
-        x, y = rule.points[:, 0], rule.points[:, 1]
+        pts, w = face_rule(mesh, face, space.quad_degree)
+        x, y = pts[:, 0], pts[:, 1]
         e = face.plus_element
-        phi = basis_values(space, e, rule.points)
+        phi = basis_values(space, e, pts)
         n = face.normal
         if face.kind == FaceKind.DIRICHLET:
             g = data.dirichlet(x, y, t)
             for c, (r, d) in enumerate(COMPONENTS):
-                sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
-                f[sl] += (rule.weights * g[:, r] * n[d]) @ phi
+                f[tensor_dofs(space, c, e)] += (w * g[:, r] * n[d]) @ phi
         else:
             g = data.neumann(x, y, t, n[0], n[1])
             gamma = penalty(face, alpha, space.degree, mesh)
-            grad = basis_gradients(space, e, rule.points)
+            grad = basis_gradients(space, e, pts)
             for c, (r, d) in enumerate(COMPONENTS):
-                sl = slice(space.global_index(c, e), space.global_index(c, e) + L)
-                f[sl] += (rule.weights * g[:, r]) @ (gamma * phi * n[d] - grad[:, :, d])
+                test = gamma * phi * n[d] - grad[:, :, d]
+                f[tensor_dofs(space, c, e)] += (w * g[:, r]) @ test
     return f
 
 
@@ -303,13 +331,12 @@ def l2_project(space, field):
     dofs = np.zeros(space.total_dofs)
     rules = element_rules(space)
     for e in range(space.n_elements):
-        rule = rules[e]
-        phi = basis_values(space, e, rule.points)
-        vals = np.asarray(field(rule.points[:, 0], rule.points[:, 1]))
-        wphi = rule.weights[:, None] * phi
+        pts, w = rules[e]
+        phi = basis_values(space, e, pts)
+        vals = np.asarray(field(pts[:, 0], pts[:, 1]))
+        wphi = w[:, None] * phi
         for c, (r, d) in enumerate(COMPONENTS):
-            sl = slice(space.global_index(c, e), space.global_index(c, e) + space.local_dim)
-            dofs[sl] = gram_solve(space, e, wphi.T @ vals[:, r, d])
+            dofs[tensor_dofs(space, c, e)] = gram_solve(space, e, wphi.T @ vals[:, r, d])
     return dofs
 
 
@@ -341,37 +368,36 @@ def energy_error(norm, dofs, exact=None, t=0.0):
     """``norm.error(dofs, exact, t)`` one element and one face at a time, on
     the fine quadrature degree of the EnergyNorm ``norm``."""
     space, mesh = norm.space, norm.space.mesh
-    rules = rules_by_element(polygon_rules(
+    rules = element_rules(space, polygon_rules(
         [mesh.element_points(e) for e in range(mesh.n_elements)], norm.fine_degree))
     total = 0.0
     for e in range(space.n_elements):
-        rule = rules[e]
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        field = eval_field(space, dofs, e, rule.points)
-        div = eval_divergence(space, dofs, e, rule.points)
+        pts, w = rules[e]
+        x, y = pts[:, 0], pts[:, 1]
+        field = eval_field(space, dofs, e, pts)
+        div = eval_divergence(space, dofs, e, pts)
         if exact is not None:
             field = field - exact.sigma(x, y, t)
             div = div - exact.div_sigma(x, y, t)
-        total += float(rule.weights @ (_dev_sq(field) + (div ** 2).sum(axis=1)))
+        total += float(w @ (_dev_sq(field) + (div ** 2).sum(axis=1)))
 
     for face in mesh.faces:
         if face.kind == FaceKind.DIRICHLET:
             continue
-        pts = mesh.face_points(face)
-        rule = face_quadrature(pts[0], pts[1], norm.fine_degree)
-        x, y = rule.points[:, 0], rule.points[:, 1]
+        pts, w = face_rule(mesh, face, norm.fine_degree)
+        x, y = pts[:, 0], pts[:, 1]
         gamma = penalty(face, norm.alpha, space.degree, mesh)
         n = face.normal
-        err_plus = eval_field(space, dofs, face.plus_element, rule.points)
+        err_plus = eval_field(space, dofs, face.plus_element, pts)
         if exact is not None:
             err_plus = err_plus - exact.sigma(x, y, t)
         jump = np.einsum("qrc,c->qr", err_plus, n)
         if face.kind == FaceKind.INTERIOR:
-            err_minus = eval_field(space, dofs, face.minus_element, rule.points)
+            err_minus = eval_field(space, dofs, face.minus_element, pts)
             if exact is not None:
                 err_minus = err_minus - exact.sigma(x, y, t)
             jump = jump - np.einsum("qrc,c->qr", err_minus, n)
-        total += gamma * float(rule.weights @ (jump ** 2).sum(axis=1))
+        total += gamma * float(w @ (jump ** 2).sum(axis=1))
     return float(np.sqrt(total))
 
 

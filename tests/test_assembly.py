@@ -12,10 +12,10 @@ import polystress as ps
 from polystress import (FaceKind, assemble_mass, assemble_rhs,
                         assemble_stiffness, assemble_system, build_space,
                         build_system, classify_boundary, build_cartesian_mesh,
-                        kron_structure_check, l2_project, penalty)
-from polystress.assembly import (_BOUNDARY_LOADS, K_SPEC, deviatoric_factor,
-                                 finalize, functional_vector)
-from polystress.dg_space import element_quadrature, face_quadrature
+                        kron_structure_check, l2_project)
+from polystress.assembly import (_BOUNDARY_LOADS, K_SPEC, _face_batch, finalize,
+                                 functional_vector)
+from polystress.dg_space import face_rules, polygon_rules
 from polystress.problems import trig_solution, zero_data
 
 import assembly_oracle as oracle
@@ -33,31 +33,20 @@ def sys_poly(poly_mesh):
     return space, assemble_system(space, mu=1.0, alpha=10.0)
 
 
-class FakeFace:
-    def __init__(self, kind, plus_element, minus_element=None):
-        self.kind = kind
-        self.plus_element = plus_element
-        self.minus_element = minus_element
-
-
-class FakeMesh:
-    def __init__(self, diameters):
-        self.element_diameters = np.asarray(diameters)
-
-
-def test_penalty_formula():
-    mesh = FakeMesh([0.5, 0.25])
-    interior = FakeFace(FaceKind.INTERIOR, 0, 1)
-    assert penalty(interior, 10.0, 3, mesh) == pytest.approx(360.0)
-    neumann = FakeFace(FaceKind.NEUMANN, 0)
-    assert penalty(neumann, 10.0, 3, mesh) == pytest.approx(180.0)
-    assert penalty(interior, 0.0, 3, mesh) == 0.0
-    with pytest.raises(ValueError):
-        penalty(FakeFace(FaceKind.DIRICHLET, 0), 10.0, 3, mesh)
+def test_penalty_formula(poly_mesh):
+    """The batched face penalties against the oracle's scalar formula, on
+    every interior and Neumann face."""
+    space = build_space(poly_mesh, 3)
+    for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN):
+        faces = [f for f in poly_mesh.faces if f.kind == kind]
+        gamma = _face_batch(space, kind, 10.0, space.quad_degree).gamma
+        assert len(faces) and len(gamma) == len(faces)
+        assert np.array_equal(gamma, [oracle.penalty(f, 10.0, 3, poly_mesh) for f in faces])
+        assert not _face_batch(space, kind, 0.0, space.quad_degree).gamma.any()
 
 
 def test_deviatoric_factor_matches_display():
-    assert np.abs(deviatoric_factor() - K_SPEC).max() < 1e-15
+    assert oracle.deviatoric_factor().tobytes() == K_SPEC.tobytes()
 
 
 def test_mass_on_cartesian_is_identity(sys22):
@@ -83,10 +72,10 @@ def test_mass_kernel_direction(sys22, rng):
 
 def test_monomial_gram_on_unit_square():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    rule = element_quadrature(square, 5)
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    basis = np.stack([np.ones_like(x), x, y], axis=1)
-    gram = basis.T @ (rule.weights[:, None] * basis)
+    batch, = polygon_rules([square], 5)
+    pts, w = batch.points[0], batch.weights[0]
+    basis = np.stack([np.ones(len(pts)), pts[:, 0], pts[:, 1]], axis=1)
+    gram = basis.T @ (w[:, None] * basis)
     ref = np.array([[1.0, 0.5, 0.5], [0.5, 1 / 3, 0.25], [0.5, 0.25, 1 / 3]])
     assert np.abs(gram - ref).max() < 1e-13
 
@@ -160,21 +149,20 @@ def test_one_sided_consistency_breaks_symmetry(mesh22):
     for face in mesh22.faces:
         if face.kind != FaceKind.INTERIOR:
             continue
-        pts = mesh22.face_points(face)
-        rule = face_quadrature(pts[0], pts[1], space.quad_degree)
+        pts, w = oracle.face_rule(mesh22, face, space.quad_degree)
         elems = [face.plus_element, face.minus_element]
         signs = [1.0, -1.0]
-        L = space.local_dim
+        L, S = space.local_dim, space.scalar_dofs
         for c, (r, d) in enumerate(COMPONENTS):
             for st, et in enumerate(elems):       # test side (jump)
                 for sj, ej in enumerate(elems):   # trial side (avg divergence)
-                    phi_t = oracle.basis_values(space, et, rule.points)
-                    grad_j = oracle.basis_gradients(space, ej, rule.points)
-                    blk = -np.einsum("q,qi,qj->ij", rule.weights,
+                    phi_t = oracle.basis_values(space, et, pts)
+                    grad_j = oracle.basis_gradients(space, ej, pts)
+                    blk = -np.einsum("q,qi,qj->ij", w,
                                      phi_t * face.normal[d] * signs[st],
                                      0.5 * grad_j[:, :, d])
-                    gi = space.global_index(c, et) + np.arange(L)
-                    gj = space.global_index(c, ej) + np.arange(L)
+                    gi = c * S + et * L + np.arange(L)
+                    gj = c * S + ej * L + np.arange(L)
                     rows.append(np.repeat(gi, L))
                     cols.append(np.tile(gj, L))
                     vals.append(blk.ravel())
@@ -382,15 +370,14 @@ def test_batched_evaluator_matches_per_element_calls(oracle_meshes):
     mesh = oracle_meshes["agglomerated-50"]
     space = build_space(mesh, 3)
     interior = [f for f in mesh.faces if f.kind == FaceKind.INTERIOR]
-    rules = [face_quadrature(*mesh.face_points(f), space.quad_degree) for f in interior]
-    pts = np.stack([r.points for r in rules])
+    ends = np.array([f.endpoints for f in interior])
+    pts, _ = face_rules(mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]],
+                        space.quad_degree)
     for side in ("plus_element", "minus_element"):
         elems = np.array([getattr(f, side) for f in interior])
         values, grads = space.evaluate(elems[:, None], pts)
-        ref_values = np.stack([oracle.basis_values(space, e, r.points)
-                               for e, r in zip(elems, rules)])
-        ref_grads = np.stack([oracle.basis_gradients(space, e, r.points)
-                              for e, r in zip(elems, rules)])
+        ref_values = np.stack([oracle.basis_values(space, e, p) for e, p in zip(elems, pts)])
+        ref_grads = np.stack([oracle.basis_gradients(space, e, p) for e, p in zip(elems, pts)])
         assert max_rel_dev(values, ref_values) <= 1e-14
         assert max_rel_dev(grads, ref_grads) <= 1e-14
 

@@ -254,17 +254,30 @@ def test_single_solver_keys_and_numbers_rejected_before_meshes(tmp_path, monkeyp
             ("cond-table", "condition", "maxit", "1e3", "'1e3' is not an integer"),
             ("iter-table", "mesh", "targets", "100,many", "'many' is not an integer"),
             ("iter-table", "convergence", "levels", "2,x", "'x' is not an integer"),
-            ("solve", "time", "dt", "", "'' is not a number")):
+            ("solve", "time", "dt", "", "'' is not a number"),
+            ("convergence", "convergence", "levels", "0", ">= 1")):
         ini = tmp_path / "bad.ini"
         ini.write_text(f"[{sec}]\n{key} = {value}\n")
         assert run_cli([command, "-c", str(ini)] + out) == 1
         err = capsys.readouterr().err
         assert f"[{sec}] {key}" in err and says in err, err
+    # numbers out of the range the library accepts
+    for argv, dest, says in (
+            (["iter-table", "--degree", "0"], "[discretization] degree", ">= 1"),
+            (["iter-table", "--nx", "0"], "[mesh] nx", ">= 1"),
+            (["iter-table", "--targets", "0"], "[mesh] targets", ">= 1"),
+            (["iter-table", "--tol", "0"], "[solve] tol", "in (0, 1)"),
+            (["cond-table", "--cond-tol", "2"], "[condition] tol", "in (0, 1)"),
+            (["solve", "--dt", "-0.01"], "[time] dt", "in (0, inf)")):
+        assert run_cli(argv + out) == 1, argv
+        err = capsys.readouterr().err
+        assert dest in err and "out of range" in err and says in err, err
 
 
 def test_every_numeric_key_is_typed_once():
     kinds = {k: kind for k, (_, kind) in bench.KEYS.items()}
-    numeric = {k for k, kind in kinds.items() if kind in (int, float, [int], [float])}
+    numeric = {k for k, kind in kinds.items()
+               if isinstance(kind[0] if isinstance(kind, list) else kind, bench.Number)}
     text = {("mesh", "file"), ("mesh", "neumann"), ("solve", "solvers"),
             ("convergence", "mode"), ("convergence", "mms"), ("convergence", "solver"),
             ("time", "solver"), ("time", "mms"), ("output", "path")}

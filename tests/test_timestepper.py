@@ -4,7 +4,7 @@ import pytest
 import assembly_oracle as oracle
 import polystress.krylov as krylov
 from polystress import (SolverConfig, TimeConfig, TimeStepError, build_space,
-                        energy_error, implicit_euler_run, l2_project)
+                        implicit_euler_run, l2_project)
 from polystress.assembly import assemble_rhs, assemble_system, build_system
 from polystress.bench import load_config, run_iteration_table
 from polystress.problems import (linear_in_space_solution,
@@ -16,7 +16,7 @@ from polystress.timestepper import EnergyNorm
 def test_time_config():
     tc = TimeConfig(dt=0.1, t_final=1.0)
     assert tc.n_steps == 10
-    assert np.allclose(tc.times(), np.linspace(0.0, 1.0, 11))
+    assert tc.n_steps * tc.dt == pytest.approx(tc.t_final)
     assert TimeConfig.from_steps(7, 0.25).t_final == pytest.approx(1.75)
     with pytest.raises(ValueError):
         TimeConfig(dt=0.3, t_final=1.0)  # does not tile
@@ -176,7 +176,7 @@ def test_energy_error_of_projected_exact_field(mesh33):
     mms = steady_polynomial_solution(1)
     space = build_space(mesh33, 2)
     dofs = l2_project(space, lambda x, y: mms.sigma(x, y, 0.0))
-    assert energy_error(space, dofs, mms, 0.0) < 1e-10
+    assert EnergyNorm(space).error(dofs, mms, 0.0) < 1e-10
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
