@@ -177,20 +177,30 @@ class _NotSPD(scipy.linalg.LinAlgError):
 
 
 def _cho_factor_stack(blocks: np.ndarray, lower: bool = False):
-    """scipy's ``cho_factor`` of every block of an (n, b, b) stack, as one
-    ``(c, lower)`` pair for a batched ``cho_solve``.  The blocks are not
-    checked for non-finite entries.  Raises _NotSPD naming the first block
-    that is not positive definite; only that error path visits the blocks
-    one by one."""
-    try:
-        return scipy.linalg.cho_factor(blocks, lower=lower, check_finite=False)[0], lower
-    except scipy.linalg.LinAlgError:
-        for k, block in enumerate(blocks):
-            try:
-                scipy.linalg.cho_factor(block, lower=lower, check_finite=False)
-            except scipy.linalg.LinAlgError:
-                raise _NotSPD(k) from None
-        raise
+    """LAPACK ``potrf`` of every block of an (n, b, b) stack, as one
+    ``(c, lower)`` pair for ``_cho_solve_stack``.  Each factor is the one
+    scipy's ``cho_factor`` returns, the other triangle left as it was.  The
+    blocks are not checked for non-finite entries.  Raises _NotSPD naming
+    the first block that is not positive definite."""
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (blocks,))
+    c = np.empty_like(blocks)
+    for k, block in enumerate(blocks):
+        c[k], info = potrf(block, lower=lower, clean=False)
+        if info > 0:
+            raise _NotSPD(k)
+    return c, lower
+
+
+def _cho_solve_stack(factor, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK ``potrs`` of each factor of a ``_cho_factor_stack`` pair with
+    its (b, m) slice of an (n, b, m) right-hand-side stack, as scipy's
+    ``cho_solve`` of that pair; the result is C-contiguous."""
+    c, lower = factor
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c, rhs))
+    out = np.empty(rhs.shape)
+    for k, (ck, bk) in enumerate(zip(c, rhs)):
+        out[k], _ = potrs(ck, bk, lower=lower)
+    return out
 
 
 class DGSpace:
@@ -313,7 +323,6 @@ def l2_project(space: DGSpace, field) -> np.ndarray:
         # (E, 4, L, nq) @ (E, 4, nq, 1): one matrix-vector product per
         # element and component
         rhs = np.matmul(wphi_t[:, None], vals.transpose(0, 2, 1)[..., None])
-        coef = scipy.linalg.cho_solve((chol[batch.elements], lower),
-                                      rhs[..., 0].transpose(0, 2, 1), check_finite=False)
+        coef = _cho_solve_stack((chol[batch.elements], lower), rhs[..., 0].transpose(0, 2, 1))
         dofs[:, batch.elements] = coef.transpose(2, 0, 1)
     return dofs.ravel()

@@ -10,6 +10,22 @@ components.  The coarse operator W = V^T A* V then equals (dt/2)(B1 + B3)
 exactly, a Laplacian-type matrix factorised once and reused.  deflated_cg
 hands ``_cg`` a start vector and the A-DEF2 preconditioner, nothing else.
 
+CSR products of at least ``SPLIT_NNZ`` = 500,000 nonzeros run on two CPUs:
+the A* product of cg, pcg, deflated_cg, their true residual and Lanczos
+(``_as_apply``) and the (A* V)^T r product of ``Deflator.apply`` and
+``Deflator.projection_correction``.  The rows are cut in two halves of
+equal nnz over views of the matrix arrays; a daemon thread multiplies the
+bottom half while the caller multiplies the top one, both in scipy's
+kernel, which releases the GIL.  Every row is summed as ``A @ x`` sums it,
+so iterates, counts and tables are bitwise those of the serial product.
+The cut-off keeps every operator of 100 elements and p = 3 serial (A* has
+214,414 nonzeros there, and the hand-off cost more per dcg iteration than
+it saved), and splits A* from 200 elements (501,288) and (A* V)^T at 900
+(1,059,991), where split dcg, pcg-cbj and cg iterations took 0.75, 0.78
+and 0.73 of the serial time on a 2-vCPU host.  A process whose CPU
+affinity is one CPU keeps the serial product.  Nothing else is threaded:
+the Block-Jacobi apply, the coarse solve and BLAS stay on one thread.
+
 W, and A* itself for the inverse Lanczos of the raw condition number, are
 factorised by ``_spd_lu``: a symmetric minimum-degree ordering and LU
 without row pivoting, which needs about half the fill of splu's default
@@ -19,6 +35,9 @@ positive definite.
 """
 from __future__ import annotations
 
+import os
+import queue
+import threading
 import time
 from dataclasses import dataclass
 
@@ -28,7 +47,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import SystemMatrices, build_system
-from .dg_space import DGSpace, _cho_factor_stack, _NotSPD
+from .dg_space import DGSpace, _cho_factor_stack, _cho_solve_stack, _NotSPD
 
 
 class BlockFactorizationError(RuntimeError):
@@ -62,10 +81,96 @@ class SolverReport:
     true_residual: float | None = None
 
 
+#: nnz from which ``_as_apply`` computes a CSR product as two row halves on
+#: two CPUs at once (see the module docstring for the measurement)
+SPLIT_NNZ = 500_000
+
+
+class _Worker:
+    """One daemon thread that runs the jobs of ``_split_apply`` in the order
+    they are submitted.  Each job hands its result to its own caller, so
+    threads that solve at once stay correct, and a caller interrupted while
+    it waits leaves nothing behind for the next one.  The thread starts on
+    the first job."""
+
+    def __init__(self):
+        self._lock = threading.Lock()  # guards the start of the thread
+        self._jobs = queue.SimpleQueue()
+        self._thread = None
+
+    def submit(self, fn, arg) -> queue.SimpleQueue:
+        """Queue ``fn(arg)``; the returned queue receives ``(fn(arg), None)``,
+        or ``(None, exc)`` when the call raised exc."""
+        with self._lock:
+            if self._thread is None:
+                thread = threading.Thread(target=self._run, name="polystress-split",
+                                          daemon=True)
+                thread.start()
+                self._thread = thread
+        done = queue.SimpleQueue()
+        self._jobs.put((fn, arg, done))
+        return done
+
+    def _run(self):
+        while True:
+            fn, arg, done = self._jobs.get()
+            try:
+                result = (fn(arg), None)
+            except Exception as exc:  # raised again by the caller; the loop lives on
+                result = (None, exc)
+            done.put(result)
+
+
+def _new_worker():
+    global _worker
+    _worker = _Worker()
+
+
+_new_worker()
+# a forked child has no copy of the thread: it starts its own on first use
+os.register_at_fork(after_in_child=_new_worker)
+
+
+def _rows(a: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
+    """Rows start:stop of a CSR matrix over views of its data and indices.
+    The arrays are set after construction: the constructor copies a view of
+    less than half its base."""
+    lo, hi = a.indptr[start], a.indptr[stop]
+    rows = sparse.csr_matrix((stop - start, a.shape[1]), dtype=a.dtype)
+    rows.data, rows.indices, rows.indptr = (a.data[lo:hi], a.indices[lo:hi],
+                                            a.indptr[start:stop + 1] - lo)
+    return rows
+
+
+def _split_apply(a: sparse.csr_matrix):
+    """``x -> a @ x`` with the rows cut in two halves of equal nnz: the
+    worker thread multiplies the bottom half while the caller multiplies
+    the top one.  Every row is summed by the same scipy kernel in the same
+    order, so the product is bitwise ``a @ x``."""
+    mid = int(np.searchsorted(a.indptr, a.nnz // 2))
+    top, bottom = _rows(a, 0, mid), _rows(a, mid, a.shape[0])
+
+    def apply(x):
+        done = _worker.submit(bottom.__matmul__, x)
+        try:
+            upper = top @ x
+        finally:
+            lower, error = done.get()
+        if error is not None:
+            raise error
+        return np.concatenate((upper, lower))
+
+    return apply
+
+
 def _as_apply(op):
-    """An operator or preconditioner as a callable: a sparse matrix or an
-    ndarray becomes ``op @ x``, a BlockJacobi its ``apply``, and any other
-    callable is used as it is."""
+    """An operator or preconditioner as a callable: a CSR matrix of at least
+    SPLIT_NNZ nonzeros, in a process that may run on more than one CPU, the
+    ``_split_apply`` product; any other sparse matrix or ndarray ``op @ x``;
+    a BlockJacobi its ``apply``; and any other callable as it is."""
+    if (sparse.issparse(op) and op.format == "csr" and op.nnz >= SPLIT_NNZ
+            and len(os.sched_getaffinity(0)) > 1):
+        return _split_apply(op)
     if sparse.issparse(op) or isinstance(op, np.ndarray):
         return lambda x: op @ x
     if isinstance(op, BlockJacobi):
@@ -215,10 +320,10 @@ def _diagonal_blocks(A: sparse.csr_matrix, bs: int, perm: np.ndarray | None) -> 
 def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -> BlockJacobi:
     """Extract and factorise the diagonal blocks of A* under the layout.
 
-    The blocks are factorised and inverted as one stack by scipy's batched
-    cho_factor and cho_solve.  Raises BlockFactorizationError naming the
-    first element whose block holds a non-finite entry or is not positive
-    definite.
+    The blocks are factorised and inverted one by one by LAPACK potrf and
+    potrs (``_cho_factor_stack``, ``_cho_solve_stack``).  Raises
+    BlockFactorizationError naming the first element whose block holds a
+    non-finite entry or is not positive definite.
     """
     astar = sparse.csr_matrix(astar)
     L, ne = space.local_dim, space.n_elements
@@ -241,10 +346,10 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -
         factor = _cho_factor_stack(blocks, lower=True)
     except _NotSPD as exc:
         raise failure(exc.index, "is not SPD") from exc
-    del blocks  # the batched solve below holds two stacks of this size at once
-    # potrs leaves each inverse in Fortran order, and the matmul of
-    # BlockJacobi.apply sums in the order of the blocks' layout: keep C order
-    inv = np.ascontiguousarray(scipy.linalg.cho_solve(factor, np.eye(bs), check_finite=False))
+    del blocks  # the solve below holds two stacks of this size at once
+    # C order: the matmul of BlockJacobi.apply sums in the order of the
+    # blocks' layout
+    inv = _cho_solve_stack(factor, np.broadcast_to(np.eye(bs), factor[0].shape))
     inv += inv.transpose(0, 2, 1)
     inv *= 0.5
     return BlockJacobi(layout=layout, block_size=bs, nblocks=len(inv),
@@ -294,7 +399,7 @@ class Deflator:
 
     coarse_matrix: sparse.csr_matrix
     _wsolve: object
-    _avt: sparse.csr_matrix
+    _avt: object  # r -> (A* V)^T r, from ``_as_apply``
     scalar_dofs: int
 
     def vt(self, x: np.ndarray) -> np.ndarray:
@@ -321,13 +426,13 @@ class Deflator:
     def projection_correction(self, r: np.ndarray) -> np.ndarray:
         """V W^-1 V^T A* r, the A*-orthogonal projection of r onto the
         deflation space; costs one coarse solve."""
-        return self.v(self._wsolve(self._avt @ r))
+        return self.v(self._wsolve(self._avt(r)))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """z = r + V W^-1 (V^T r - (A* V)^T r): the A-DEF2 preconditioner
         (Tang, Nabben, Vuik and Erlangga, J. Sci. Comput. 2009) with the
         identity as M^-1; costs one coarse solve."""
-        return r + self.v(self._wsolve(self.vt(r) - self._avt @ r))
+        return r + self.v(self._wsolve(self.vt(r) - self._avt(r)))
 
 
 def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
@@ -346,7 +451,7 @@ def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
         raise BlockFactorizationError(
             f"{exc} (the interior penalty alpha is too small)") from exc
     return Deflator(coarse_matrix=w.tocsr(), _wsolve=lu.solve,
-                    _avt=av.T.tocsr(), scalar_dofs=S)
+                    _avt=_as_apply(av.T.tocsr()), scalar_dofs=S)
 
 
 def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None,

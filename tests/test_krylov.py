@@ -1,3 +1,7 @@
+import dataclasses
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +15,7 @@ from polystress import (SolverConfig, agglomerate, build_block_jacobi,
                         build_system, cg, classify_boundary, deflated_cg,
                         estimate_condition_number, pcg)
 from polystress.assembly import assemble_system, export_matrices
+from polystress import krylov
 from polystress.dg_space import _cho_factor_stack, _NotSPD
 from polystress.krylov import BlockFactorizationError, BlockJacobi, collective_permutation
 
@@ -619,3 +624,180 @@ def test_operator_round_trip(tmp_path, small_system):
     export_matrices(system, tmp_path, dt=1e-3)
     back = sparse.csr_matrix(mmread(tmp_path / "Astar.mtx"))
     assert np.abs((back - astar).toarray()).max() < 1e-15
+
+
+# -- row-split products ----------------------------------------------------------
+
+@pytest.fixture
+def fresh_worker(monkeypatch):
+    """A worker whose thread has not been started."""
+    worker = krylov._Worker()
+    monkeypatch.setattr(krylov, "_worker", worker)
+    return worker
+
+
+def _odd_matrix():
+    return sparse.random(1001, 1001, density=0.01, format="csr",
+                         random_state=np.random.default_rng(7))
+
+
+def _split_cases():
+    """An odd row count, one row, rows with no entries and the rectangular
+    S x 4S shape of (A* V)^T."""
+    rng = np.random.default_rng(8)
+    empty_rows = sparse.random(40, 40, density=0.3, format="lil", random_state=rng)
+    empty_rows[5:17] = 0.0
+    empty_rows[-3:] = 0.0
+    return [
+        pytest.param(_odd_matrix(), id="odd"),
+        pytest.param(sparse.csr_matrix(rng.standard_normal((1, 6))), id="one-row"),
+        pytest.param(sparse.csr_matrix([[2.5]]), id="one-by-one"),
+        pytest.param(empty_rows.tocsr(), id="empty-rows"),
+        pytest.param(sparse.random(250, 1000, density=0.02, format="csr", random_state=rng),
+                     id="rectangular"),
+    ]
+
+
+@pytest.mark.parametrize("a", _split_cases())
+def test_split_apply_is_bitwise_matvec(a, fresh_worker, rng):
+    x = rng.standard_normal(a.shape[1])
+    y = krylov._split_apply(a)(x)
+    assert y.shape == (a.shape[0],)
+    assert np.array_equal(y, a @ x)
+    assert fresh_worker._thread is not None and fresh_worker._thread.is_alive()
+
+
+def test_split_halves_share_the_matrix_arrays():
+    a = _odd_matrix()
+    half = krylov._rows(a, 500, a.shape[0])
+    assert np.shares_memory(half.data, a.data) and np.shares_memory(half.indices, a.indices)
+
+
+def test_split_apply_raises_in_caller_and_recovers(fresh_worker, rng):
+    a = _odd_matrix()
+    apply = krylov._split_apply(a)
+    with pytest.raises(ValueError):
+        apply(np.ones(a.shape[1] + 1))
+    x = rng.standard_normal(a.shape[1])
+    assert np.array_equal(apply(x), a @ x)
+
+
+def test_worker_job_exception_reaches_caller(fresh_worker):
+    def fail(_):
+        raise KeyError("bottom half")
+
+    result, error = fresh_worker.submit(fail, None).get(timeout=30)
+    assert result is None and isinstance(error, KeyError)
+    assert fresh_worker.submit(abs, -3).get(timeout=30) == (3, None)
+
+
+def test_split_apply_concurrent_callers(fresh_worker):
+    """Four Python threads share the one worker; each gets the serial
+    product of its own vectors."""
+    a = _odd_matrix()
+    apply = krylov._split_apply(a)
+    xs = np.random.default_rng(3).standard_normal((4, 25, a.shape[1]))
+    wrong = []
+
+    def caller(k):
+        for x in xs[k]:
+            if not np.array_equal(apply(x), a @ x):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_as_apply_selects_split_by_nnz_and_cpus(monkeypatch, fresh_worker, rng):
+    a = _odd_matrix()
+    x = rng.standard_normal(a.shape[1])
+    monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(krylov, "SPLIT_NNZ", a.nnz + 1)
+    assert np.array_equal(krylov._as_apply(a)(x), a @ x)
+    assert fresh_worker._thread is None
+    monkeypatch.setattr(krylov, "SPLIT_NNZ", a.nnz)
+    assert np.array_equal(krylov._as_apply(a)(x), a @ x)
+    assert fresh_worker._thread is not None
+
+
+def test_one_cpu_takes_the_serial_path(monkeypatch, fresh_worker, bench_system, rng):
+    space, system = bench_system
+    astar = build_system(system.m, system.a, 1e-6)
+    b = rng.uniform(0.0, 1.0, astar.shape[0])
+    serial = deflated_cg(astar, b, build_deflator(system, 1e-6, astar=astar))
+    monkeypatch.setattr(krylov, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0})
+    threads = threading.active_count()
+    x, report = deflated_cg(astar, b, build_deflator(system, 1e-6, astar=astar))
+    assert fresh_worker._thread is None and threading.active_count() == threads
+    assert np.array_equal(x, serial[0])
+    assert dataclasses.replace(report, wall_time=0.0) == dataclasses.replace(serial[1], wall_time=0.0)
+
+
+def _split_product_in_child(conn, a, x):
+    conn.send(krylov._split_apply(a)(x))
+    conn.close()
+
+
+def test_split_apply_in_forked_child(rng):
+    """A child forked after the parent used the worker starts its own
+    instead of queueing jobs for a thread it does not have."""
+    a = _odd_matrix()
+    x = rng.standard_normal(a.shape[1])
+    assert np.array_equal(krylov._split_apply(a)(x), a @ x)
+    assert krylov._worker._thread is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_split_product_in_child, args=(send, a, x))
+    child.start()
+    try:
+        answered = receive.poll(60)
+        y = receive.recv() if answered else None
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert answered, "the forked child never finished its product"
+    assert np.array_equal(y, a @ x)
+
+
+def test_solvers_bitwise_unchanged_by_split(monkeypatch, bench_system, rng):
+    """Every solver and both condition estimates return the same bits, and
+    the same report apart from wall_time, when every CSR product is split."""
+    space, system = bench_system
+    dt = 1e-6
+    astar = build_system(system.m, system.a, dt)
+    b = rng.uniform(0.0, 1.0, astar.shape[0])
+    config = SolverConfig(tol=1e-8, maxit=3000)
+
+    def run_all():
+        bj = build_block_jacobi(astar, space, "component")
+        cbj = build_block_jacobi(astar, space, "collective")
+        defl = build_deflator(system, dt, astar=astar)
+        solves = [cg(astar, b, config), pcg(astar, b, bj, config), pcg(astar, b, cbj, config),
+                  deflated_cg(astar, b, defl, config)]
+        return ([(x, dataclasses.replace(r, wall_time=0.0)) for x, r in solves],
+                [estimate_condition_number(astar), estimate_condition_number(astar, preconditioner=cbj)])
+
+    serial_solves, serial_kappas = run_all()
+    monkeypatch.setattr(krylov, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0, 1})
+    worker = krylov._Worker()
+    monkeypatch.setattr(krylov, "_worker", worker)
+    split_solves, split_kappas = run_all()
+    assert worker._thread is not None
+    for (xs, rs), (xp, rp) in zip(serial_solves, split_solves):
+        assert np.array_equal(xs, xp)
+        assert rs == rp
+    assert serial_kappas == split_kappas
