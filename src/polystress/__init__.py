@@ -8,9 +8,8 @@ from .dg_space import DGSpace, build_space, l2_project
 from .krylov import (BlockJacobi, CondEstimate, Deflator, SolverConfig,
                      SolverReport, build_block_jacobi, build_deflator, cg,
                      deflated_cg, estimate_condition_number, pcg)
-from .mesh import (Face, FaceKind, MeshError, PolyMesh, agglomerate,
-                   build_cartesian_mesh, classify_boundary, read_mesh,
-                   write_mesh)
+from .mesh import (FaceKind, MeshError, PolyMesh, agglomerate, build_cartesian_mesh,
+                   classify_boundary, read_mesh, write_mesh)
 from .problems import (ManufacturedSolution, ProblemData,
                        linear_in_space_solution, manufacture, trig_solution,
                        zero_data)
@@ -26,7 +25,7 @@ __all__ = [
     "BlockJacobi", "CondEstimate", "Deflator", "SolverConfig", "SolverReport",
     "build_block_jacobi", "build_deflator", "cg", "deflated_cg",
     "estimate_condition_number", "pcg",
-    "Face", "FaceKind", "MeshError", "PolyMesh", "agglomerate",
+    "FaceKind", "MeshError", "PolyMesh", "agglomerate",
     "build_cartesian_mesh", "classify_boundary", "read_mesh", "write_mesh",
     "ManufacturedSolution", "ProblemData", "linear_in_space_solution",
     "manufacture", "trig_solution", "zero_data",

@@ -122,17 +122,14 @@ def _scatter(dofs: list, blocks: list, n: int) -> list:
 
 
 def assemble_mass(space: DGSpace, mu: float = 1.0):
-    """Deviatoric mass operator: returns (M1, K, M) with M1 the scalar mass
-    matrix, K the mu-scaled deviatoric factor and M = K kron M1."""
+    """Deviatoric mass operator: returns (M1, M) with M1 the scalar mass
+    matrix and M = (K_SPEC / mu) kron M1."""
     if mu <= 0.0:
         raise ValueError("viscosity mu must be positive")
-    L = space.local_dim
-    K = K_SPEC / mu
     # the element blocks of M1 are the basis Gram matrices
-    dofs = np.arange(space.scalar_dofs).reshape(space.n_elements, L)
+    dofs = np.arange(space.scalar_dofs).reshape(space.n_elements, space.local_dim)
     m1, = _scatter([dofs], [space.gram[None]], space.scalar_dofs)
-    m = finalize(sparse.kron(K, m1))
-    return m1, K, m
+    return m1, finalize(sparse.kron(K_SPEC / mu, m1))
 
 
 @dataclass(frozen=True)
@@ -152,10 +149,8 @@ class _FaceBatch:
 def _face_batch(space: DGSpace, kind: FaceKind, alpha: float, degree: int) -> _FaceBatch:
     """The faces of one kind on the Gauss rule exact for ``degree``."""
     mesh = space.mesh
-    faces = [f for f in mesh.faces if f.kind == kind]
-    ends = np.array([f.endpoints for f in faces], dtype=np.int64).reshape(-1, 2)
-    plus = np.array([f.plus_element for f in faces], dtype=np.int64)
-    normals = np.array([f.normal for f in faces], dtype=float).reshape(-1, 2)
+    faces = mesh.faces[mesh.faces["kind"] == kind]
+    plus, ends = faces["plus"], faces["ends"]
     points, weights = face_rules(mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]],
                                  degree)
     # the face penalty alpha p^2 / h, with h the diameter of the plus
@@ -164,9 +159,9 @@ def _face_batch(space: DGSpace, kind: FaceKind, alpha: float, degree: int) -> _F
     gamma = p2 / mesh.element_diameters[plus]
     minus = None
     if kind == FaceKind.INTERIOR:
-        minus = np.array([f.minus_element for f in faces], dtype=np.int64)
+        minus = faces["minus"]
         gamma = np.maximum(gamma, p2 / mesh.element_diameters[minus])
-    return _FaceBatch(plus, minus, normals, alpha * gamma, points, weights)
+    return _FaceBatch(plus, minus, faces["normal"], alpha * gamma, points, weights)
 
 
 def _stiffness_blocks(space: DGSpace, alpha: float):
@@ -233,7 +228,7 @@ def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
 
 def assemble_system(space: DGSpace, mu: float = 1.0,
                     alpha: float = DEFAULT_ALPHA) -> SystemMatrices:
-    m1, _, m = assemble_mass(space, mu)
+    m1, m = assemble_mass(space, mu)
     b1, b2, b3, a = assemble_stiffness(space, alpha)
     return SystemMatrices(m1=m1, b1=b1, b2=b2, b3=b3, m=m, a=a,
                           mu=mu, alpha=alpha)

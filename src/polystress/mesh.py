@@ -3,15 +3,23 @@
 Meshes are built by Cartesian tiling and optional seeded pairwise
 agglomeration, which produces genuinely polygonal (non-quadrilateral)
 elements while staying reproducible.  Faces are straight segments between
-mesh vertices, classified as interior, Dirichlet or Neumann.  A plain-text
-file format allows importing externally generated polygonal meshes.
+mesh vertices, classified as interior, Dirichlet or Neumann, and held as
+one read-only record array (``FACE_DTYPE``), one row per face:
+
+* ``ends``: the two vertex ids, in the traversal order of the plus element;
+* ``kind``: a ``FaceKind``;
+* ``plus``: the element the normal points out of;
+* ``minus``: the element on the other side, -1 on boundary faces;
+* ``normal``: the unit normal out of ``plus`` (the minus-side normal of an
+  interior face is exactly its negative).
+
+A plain-text file format allows importing externally generated polygonal
+meshes.
 """
 from __future__ import annotations
 
 import copy
-import dataclasses
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,31 +28,14 @@ class MeshError(ValueError):
     """Raised when mesh input data violates a mesh invariant."""
 
 
-class FaceKind(enum.Enum):
-    INTERIOR = "interior"
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
+class FaceKind(enum.IntEnum):
+    INTERIOR = 0
+    DIRICHLET = 1
+    NEUMANN = 2
 
 
-@dataclass(frozen=True)
-class Face:
-    """Straight mesh face between two vertices.
-
-    ``endpoints`` are vertex indices in the traversal order of the plus
-    element, so ``normal`` (unit length) points out of ``plus_element``.
-    ``minus_element`` is None on boundary faces.  The minus-side normal of
-    an interior face is exactly ``-normal``.
-    """
-
-    endpoints: tuple[int, int]
-    kind: FaceKind
-    plus_element: int
-    minus_element: int | None
-    normal: np.ndarray
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.minus_element is None
+FACE_DTYPE = np.dtype([("ends", np.int64, (2,)), ("kind", np.int8), ("plus", np.int64),
+                       ("minus", np.int64), ("normal", np.float64, (2,))], align=True)
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -131,7 +122,8 @@ class PolyMesh:
     ----------
     vertices : (nv, 2) float array
     elements : tuple of int arrays, each a CCW vertex-index loop
-    faces : tuple of Face
+    faces : read-only (nf,) record array of FACE_DTYPE (fields ``ends``,
+        ``kind``, ``plus``, ``minus``, ``normal``; see the module docstring)
     element_areas, element_centroids, element_diameters : per-element metrics
     mesh_size : h = max over element diameters
     merge_warning : True when agglomeration stopped before its target
@@ -141,6 +133,8 @@ class PolyMesh:
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        if not np.all(np.isfinite(vertices)):
+            raise MeshError("vertex coordinates must be finite")
         loops = [np.asarray(loop, dtype=np.int64) for loop in elements]
         sizes = np.array([arr.size for arr in loops], dtype=np.int64)
         if np.any(sizes < 3):
@@ -178,7 +172,7 @@ class PolyMesh:
         self.mesh_size = float(self.element_diameters.max())
         self.total_area = float(self.element_areas.sum())
 
-        self.faces = tuple(self._build_faces(flat, sizes, boundary_kinds or {}))
+        self.faces = self._build_faces(flat, sizes, boundary_kinds or {})
 
     # -- construction ------------------------------------------------------
 
@@ -208,18 +202,17 @@ class PolyMesh:
         length = np.hypot(d[:, 0], d[:, 1])
         if np.any(length <= 0.0):
             raise MeshError("zero-length face")
-        normals = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
-        normals.setflags(write=False)
 
-        faces = []
-        for fa, fb, e, m, normal in zip(a.tolist(), b.tolist(), plus.tolist(),
-                                        minus.tolist(), normals):
-            if m < 0:
-                kind = boundary_kinds.get((fa, fb),
-                                          boundary_kinds.get((fb, fa), FaceKind.DIRICHLET))
-                faces.append(Face((fa, fb), kind, e, None, normal))
-            else:
-                faces.append(Face((fa, fb), FaceKind.INTERIOR, e, m, normal))
+        faces = np.empty(len(a), dtype=FACE_DTYPE)
+        faces["ends"] = np.column_stack([a, b])
+        faces["plus"], faces["minus"] = plus, minus
+        faces["normal"] = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
+        faces["kind"] = FaceKind.INTERIOR
+        for i in np.flatnonzero(minus < 0):
+            fa, fb = int(a[i]), int(b[i])
+            faces["kind"][i] = boundary_kinds.get(
+                (fa, fb), boundary_kinds.get((fb, fa), FaceKind.DIRICHLET))
+        faces.setflags(write=False)
         return faces
 
     # -- queries -----------------------------------------------------------
@@ -235,15 +228,8 @@ class PolyMesh:
     def element_points(self, e: int) -> np.ndarray:
         return self.vertices[self.elements[e]]
 
-    def face_points(self, face: Face) -> np.ndarray:
-        return self.vertices[np.asarray(face.endpoints)]
-
-    def face_midpoint(self, face: Face) -> np.ndarray:
-        p = self.face_points(face)
-        return 0.5 * (p[0] + p[1])
-
     def __repr__(self):
-        nb = sum(1 for f in self.faces if f.is_boundary)
+        nb = np.count_nonzero(self.faces["minus"] < 0)
         return (f"PolyMesh({self.n_elements} elements, {len(self.faces)} faces "
                 f"({nb} boundary), h={self.mesh_size:.4g})")
 
@@ -280,15 +266,14 @@ def build_cartesian_mesh(nx: int, ny: int, bounds=(0.0, 1.0, 0.0, 1.0)) -> PolyM
 def classify_boundary(mesh: PolyMesh, neumann_predicate) -> PolyMesh:
     """Retag boundary faces: Neumann where the predicate holds at the face
     midpoint, Dirichlet elsewhere.  Interior faces are untouched."""
-    faces = []
-    for face in mesh.faces:
-        if face.is_boundary:
-            neumann = neumann_predicate(mesh.face_midpoint(face))
-            face = dataclasses.replace(
-                face, kind=FaceKind.NEUMANN if neumann else FaceKind.DIRICHLET)
-        faces.append(face)
+    faces = mesh.faces.copy()
+    boundary = np.flatnonzero(faces["minus"] < 0)
+    ends = mesh.vertices[faces["ends"][boundary]]
+    for i, mid in zip(boundary, 0.5 * (ends[:, 0] + ends[:, 1])):
+        faces["kind"][i] = FaceKind.NEUMANN if neumann_predicate(mid) else FaceKind.DIRICHLET
+    faces.setflags(write=False)
     out = copy.copy(mesh)  # same elements and geometry
-    out.faces = tuple(faces)
+    out.faces = faces
     return out
 
 
@@ -397,10 +382,10 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
     loops = [loop.tolist() for loop in mesh.elements]
     # elements sharing a face, kept up to date across merges
     neighbours = [set() for _ in loops]
-    for face in mesh.faces:
-        if face.minus_element is not None:
-            neighbours[face.plus_element].add(face.minus_element)
-            neighbours[face.minus_element].add(face.plus_element)
+    for e, j in zip(mesh.faces["plus"].tolist(), mesh.faces["minus"].tolist()):
+        if j >= 0:
+            neighbours[e].add(j)
+            neighbours[j].add(e)
     alive = np.ones(mesh.n_elements, dtype=bool)
 
     n_alive = mesh.n_elements
@@ -434,7 +419,8 @@ def agglomerate(mesh: PolyMesh, target_elements: int, rng_seed: int) -> PolyMesh
         neighbours[gone] = set()
         n_alive -= 1
 
-    tags = {f.endpoints: f.kind for f in mesh.faces if f.is_boundary}
+    boundary = mesh.faces[mesh.faces["minus"] < 0]
+    tags = dict(zip(map(tuple, boundary["ends"].tolist()), boundary["kind"].tolist()))
     out = PolyMesh(mesh.vertices, [loop for loop in loops if loop is not None],
                    boundary_kinds=tags, merge_warning=stalled)
     if abs(out.total_area - mesh.total_area) > 1e-12 * mesh.total_area:
@@ -454,44 +440,60 @@ def write_mesh(mesh: PolyMesh, path) -> None:
             fh.write(f"{float(x)!r} {float(y)!r}\n")
         for loop in mesh.elements:
             fh.write(" ".join([str(len(loop))] + [str(int(v)) for v in loop]) + "\n")
-        for face in mesh.faces:
-            if face.is_boundary:
-                tag = "N" if face.kind == FaceKind.NEUMANN else "D"
-                fh.write(f"{face.endpoints[0]} {face.endpoints[1]} {tag}\n")
+        boundary = mesh.faces[mesh.faces["minus"] < 0]
+        for (a, b), kind in zip(boundary["ends"].tolist(), boundary["kind"].tolist()):
+            fh.write(f"{a} {b} {'N' if kind == FaceKind.NEUMANN else 'D'}\n")
 
 
 def read_mesh(path) -> PolyMesh:
     """Read the plain-text format written by write_mesh.
 
     Boundary-tag lines are optional; untagged boundary faces default to
-    Dirichlet.  A tag line that names no boundary face is an error.  Vertex
-    indices are 0-based.
+    Dirichlet.  A tag line that names no boundary face is an error, and so
+    is any malformed line, named by its line number.  Vertex indices are
+    0-based.
     """
     with open(path) as fh:
-        tokens = [line.split() for line in fh if line.strip()]
-    if not tokens:
+        lines = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
+    if not lines:
         raise MeshError(f"empty mesh file: {path}")
-    try:
-        nv, ne = int(tokens[0][0]), int(tokens[0][1])
-    except (ValueError, IndexError) as exc:
-        raise MeshError(f"bad mesh header in {path}") from exc
-    if len(tokens) < 1 + nv + ne:
+
+    def fields(what, no, tokens, kinds):
+        """The tokens of one line, each converted by its entry of ``kinds``."""
+        if len(tokens) == len(kinds):
+            try:
+                return [kind(t) for kind, t in zip(kinds, tokens)]
+            except (ValueError, KeyError):
+                pass
+        raise MeshError(f"bad {what} line {no} in {path}: {' '.join(tokens)}")
+
+    def vertex(token):
+        v = int(token)
+        if not 0 <= v < nv:
+            raise ValueError("no such vertex")
+        return v
+
+    nv, ne = fields("header", *lines[0], (int, int))
+    if nv < 0 or ne < 0:
+        raise MeshError(f"bad header line {lines[0][0]} in {path}: negative count")
+    if len(lines) < 1 + nv + ne:
         raise MeshError(f"truncated mesh file: {path}")
-    vertices = np.array([[float(t[0]), float(t[1])] for t in tokens[1:1 + nv]])
+    vertices = np.array([fields("vertex", no, t, (float, float))
+                         for no, t in lines[1:1 + nv]])
     loops = []
-    for t in tokens[1 + nv:1 + nv + ne]:
-        k = int(t[0])
-        if len(t) != k + 1:
-            raise MeshError("element line length does not match its vertex count")
-        loops.append([int(v) for v in t[1:]])
+    for no, t in lines[1 + nv:1 + nv + ne]:
+        k, *loop = fields("element", no, t, (int,) + (vertex,) * (len(t) - 1))
+        if len(loop) != k:
+            raise MeshError(f"bad element line {no} in {path}: "
+                            f"{k} vertices announced, {len(loop)} given")
+        loops.append(loop)
+    tag_kinds = {"D": FaceKind.DIRICHLET, "N": FaceKind.NEUMANN}
     tags = {}
-    for t in tokens[1 + nv + ne:]:
-        if len(t) != 3 or t[2] not in ("D", "N"):
-            raise MeshError(f"bad boundary tag line: {' '.join(t)}")
-        kind = FaceKind.NEUMANN if t[2] == "N" else FaceKind.DIRICHLET
-        tags[(int(t[0]), int(t[1]))] = kind
+    for no, t in lines[1 + nv + ne:]:
+        a, b, kind = fields("boundary tag", no, t, (int, int, tag_kinds.__getitem__))
+        tags[(a, b)] = kind
     mesh = PolyMesh(vertices, loops, boundary_kinds=tags)
-    boundary = {f.endpoints for f in mesh.faces if f.is_boundary}
+    boundary = set(map(tuple, mesh.faces["ends"][mesh.faces["minus"] < 0].tolist()))
     for a, b in tags:
         if (a, b) not in boundary and (b, a) not in boundary:
             raise MeshError(f"boundary tag line {a} {b} names no boundary face")

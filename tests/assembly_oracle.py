@@ -63,11 +63,11 @@ def deviatoric_factor():
 def penalty(face, alpha, p, mesh):
     """Face stabilisation alpha * p^2 / h: the max over the two neighbours
     on interior faces, the single neighbour on Neumann faces."""
-    if face.kind == FaceKind.DIRICHLET:
+    if face["kind"] == FaceKind.DIRICHLET:
         raise ValueError("penalty is defined on interior and Neumann faces only")
-    val = p * p / mesh.element_diameters[face.plus_element]
-    if face.kind == FaceKind.INTERIOR:
-        val = max(val, p * p / mesh.element_diameters[face.minus_element])
+    val = p * p / mesh.element_diameters[face["plus"]]
+    if face["kind"] == FaceKind.INTERIOR:
+        val = max(val, p * p / mesh.element_diameters[face["minus"]])
     return alpha * val
 
 
@@ -85,7 +85,7 @@ def element_rules(space, batches=None):
 
 def face_rule(mesh, face, degree):
     """The Gauss rule (points, weights) of one face."""
-    pts, wts = face_rules(*mesh.face_points(face), degree)
+    pts, wts = face_rules(*mesh.vertices[face["ends"]], degree)
     return pts[0], wts[0]
 
 
@@ -191,8 +191,8 @@ def mass(space, mu=1.0):
 
 
 def _face_sides(space, face, pts):
-    interior = face.kind == FaceKind.INTERIOR
-    elems = [face.plus_element] + ([face.minus_element] if interior else [])
+    interior = face["kind"] == FaceKind.INTERIOR
+    elems = [face["plus"]] + ([face["minus"]] if interior else [])
     signs = [1.0, -1.0][:len(elems)]
     phis = [basis_values(space, e, pts) for e in elems]
     grads = [basis_gradients(space, e, pts) for e in elems]
@@ -242,10 +242,10 @@ def stiffness(space, alpha):
 
     p = space.degree
     for face in mesh.faces:
-        if face.kind == FaceKind.DIRICHLET:
+        if face["kind"] == FaceKind.DIRICHLET:
             continue
         pts, w = face_rule(mesh, face, qd)
-        n = face.normal
+        n = face["normal"]
         gamma = penalty(face, alpha, p, mesh)
         elems, signs, phis, grads, avg = _face_sides(space, face, pts)
         ns = len(elems)
@@ -305,14 +305,14 @@ def functional_vector(space, data, t, alpha):
             f[tensor_dofs(space, c, e)] += (w * vals[:, r, d]) @ phi
 
     for face in mesh.faces:
-        if not face.is_boundary:
+        if face["minus"] >= 0:
             continue
         pts, w = face_rule(mesh, face, space.quad_degree)
         x, y = pts[:, 0], pts[:, 1]
-        e = face.plus_element
+        e = face["plus"]
         phi = basis_values(space, e, pts)
-        n = face.normal
-        if face.kind == FaceKind.DIRICHLET:
+        n = face["normal"]
+        if face["kind"] == FaceKind.DIRICHLET:
             g = data.dirichlet(x, y, t)
             for c, (r, d) in enumerate(COMPONENTS):
                 f[tensor_dofs(space, c, e)] += (w * g[:, r] * n[d]) @ phi
@@ -382,18 +382,18 @@ def energy_error(norm, dofs, exact=None, t=0.0):
         total += float(w @ (_dev_sq(field) + (div ** 2).sum(axis=1)))
 
     for face in mesh.faces:
-        if face.kind == FaceKind.DIRICHLET:
+        if face["kind"] == FaceKind.DIRICHLET:
             continue
         pts, w = face_rule(mesh, face, norm.fine_degree)
         x, y = pts[:, 0], pts[:, 1]
         gamma = penalty(face, norm.alpha, space.degree, mesh)
-        n = face.normal
-        err_plus = eval_field(space, dofs, face.plus_element, pts)
+        n = face["normal"]
+        err_plus = eval_field(space, dofs, face["plus"], pts)
         if exact is not None:
             err_plus = err_plus - exact.sigma(x, y, t)
         jump = np.einsum("qrc,c->qr", err_plus, n)
-        if face.kind == FaceKind.INTERIOR:
-            err_minus = eval_field(space, dofs, face.minus_element, pts)
+        if face["kind"] == FaceKind.INTERIOR:
+            err_minus = eval_field(space, dofs, face["minus"], pts)
             if exact is not None:
                 err_minus = err_minus - exact.sigma(x, y, t)
             jump = jump - np.einsum("qrc,c->qr", err_minus, n)

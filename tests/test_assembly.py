@@ -38,7 +38,7 @@ def test_penalty_formula(poly_mesh):
     every interior and Neumann face."""
     space = build_space(poly_mesh, 3)
     for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN):
-        faces = [f for f in poly_mesh.faces if f.kind == kind]
+        faces = [f for f in poly_mesh.faces if f["kind"] == kind]
         gamma = _face_batch(space, kind, 10.0, space.quad_degree).gamma
         assert len(faces) and len(gamma) == len(faces)
         assert np.array_equal(gamma, [oracle.penalty(f, 10.0, 3, poly_mesh) for f in faces])
@@ -147,10 +147,10 @@ def test_one_sided_consistency_breaks_symmetry(mesh22):
     rows, cols, vals = [], [], []
     from polystress.dg_space import COMPONENTS
     for face in mesh22.faces:
-        if face.kind != FaceKind.INTERIOR:
+        if face["kind"] != FaceKind.INTERIOR:
             continue
         pts, w = oracle.face_rule(mesh22, face, space.quad_degree)
-        elems = [face.plus_element, face.minus_element]
+        elems = [face["plus"], face["minus"]]
         signs = [1.0, -1.0]
         L, S = space.local_dim, space.scalar_dofs
         for c, (r, d) in enumerate(COMPONENTS):
@@ -159,7 +159,7 @@ def test_one_sided_consistency_breaks_symmetry(mesh22):
                     phi_t = oracle.basis_values(space, et, pts)
                     grad_j = oracle.basis_gradients(space, ej, pts)
                     blk = -np.einsum("q,qi,qj->ij", w,
-                                     phi_t * face.normal[d] * signs[st],
+                                     phi_t * face["normal"][d] * signs[st],
                                      0.5 * grad_j[:, :, d])
                     gi = c * S + et * L + np.arange(L)
                     gj = c * S + ej * L + np.arange(L)
@@ -369,12 +369,12 @@ def test_l2_project_matches_loop_oracle_bitwise(oracle_meshes, name, p):
 def test_batched_evaluator_matches_per_element_calls(oracle_meshes):
     mesh = oracle_meshes["agglomerated-50"]
     space = build_space(mesh, 3)
-    interior = [f for f in mesh.faces if f.kind == FaceKind.INTERIOR]
-    ends = np.array([f.endpoints for f in interior])
+    interior = mesh.faces[mesh.faces["kind"] == FaceKind.INTERIOR]
+    ends = interior["ends"]
     pts, _ = face_rules(mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]],
                         space.quad_degree)
-    for side in ("plus_element", "minus_element"):
-        elems = np.array([getattr(f, side) for f in interior])
+    for side in ("plus", "minus"):
+        elems = interior[side]
         values, grads = space.evaluate(elems[:, None], pts)
         ref_values = np.stack([oracle.basis_values(space, e, p) for e, p in zip(elems, pts)])
         ref_grads = np.stack([oracle.basis_gradients(space, e, p) for e, p in zip(elems, pts)])

@@ -59,13 +59,13 @@ def test_build_meshes_family():
     assert all(label.startswith(f"{m.n_elements}el_h") for label, m in meshes)
     # right edge stays Neumann through agglomeration
     for _, m in meshes:
-        assert any(f.kind == FaceKind.NEUMANN for f in m.faces)
+        assert any(f["kind"] == FaceKind.NEUMANN for f in m.faces)
 
 
 def test_build_meshes_neumann_none():
     cfg = load_config(None, {("mesh", "neumann"): "none"})
     (_, mesh), = build_meshes(cfg)
-    assert all(f.kind != FaceKind.NEUMANN for f in mesh.faces)
+    assert all(f["kind"] != FaceKind.NEUMANN for f in mesh.faces)
     with pytest.raises(ConfigError):
         build_meshes(load_config(None, {("mesh", "neumann"): "rihgt"}))
 

@@ -15,7 +15,7 @@ from polystress import (FaceKind, MeshError, agglomerate, build_cartesian_mesh,
 def kind_counts(mesh):
     counts = {k: 0 for k in FaceKind}
     for f in mesh.faces:
-        counts[f.kind] += 1
+        counts[f["kind"]] += 1
     return counts
 
 
@@ -32,7 +32,7 @@ def test_cartesian_1x1_counts():
     mesh = build_cartesian_mesh(1, 1)
     assert mesh.n_elements == 1
     assert kind_counts(mesh)[FaceKind.INTERIOR] == 0
-    assert sum(1 for f in mesh.faces if f.is_boundary) == 4
+    assert sum(1 for f in mesh.faces if f["minus"] < 0) == 4
 
 
 def test_cartesian_total_area():
@@ -59,17 +59,17 @@ def test_cartesian_invariants(nx, ny, w, h):
         for a, b in msh._loop_edges(loop):
             edge_count[(min(a, b), max(a, b))] = edge_count.get((min(a, b), max(a, b)), 0) + 1
     for face in mesh.faces:
-        key = (min(face.endpoints), max(face.endpoints))
-        assert edge_count[key] == (1 if face.is_boundary else 2)
-        assert np.hypot(*face.normal) == pytest.approx(1.0, abs=1e-14)
+        key = (min(face["ends"]), max(face["ends"]))
+        assert edge_count[key] == (1 if face["minus"] < 0 else 2)
+        assert np.hypot(*face["normal"]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_normals_point_outward():
     mesh = build_cartesian_mesh(2, 2)
     for face in mesh.faces:
-        mid = mesh.face_midpoint(face)
-        centroid = mesh.element_centroids[face.plus_element]
-        assert np.dot(mid - centroid, face.normal) > 0.0
+        mid = mesh.vertices[face["ends"]].mean(axis=0)
+        centroid = mesh.element_centroids[face["plus"]]
+        assert np.dot(mid - centroid, face["normal"]) > 0.0
 
 
 def test_agglomerate_conserves_area():
@@ -183,6 +183,29 @@ def test_classify_boundary_constant_predicates(pred, n_neumann):
     assert counts[FaceKind.NEUMANN] + counts[FaceKind.DIRICHLET] == 8
 
 
+def test_faces_are_read_only(tmp_path):
+    built = build_cartesian_mesh(4, 4)
+    classified = classify_boundary(built, lambda p: p[0] > 1 - 1e-9)
+    merged = agglomerate(classified, 6, rng_seed=1)
+    path = tmp_path / "mesh.txt"
+    write_mesh(merged, path)
+    for mesh in (built, classified, merged, read_mesh(path)):
+        assert not mesh.faces.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.faces["kind"][0] = FaceKind.NEUMANN
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.faces[0]["normal"][0] = 0.0
+
+
+def test_classify_boundary_leaves_input_kinds_unchanged():
+    mesh = classify_boundary(build_cartesian_mesh(2, 2), lambda p: p[0] > 1 - 1e-9)
+    kinds = mesh.faces["kind"].copy()
+    classify_boundary(mesh, lambda p: True)
+    classify_boundary(mesh, lambda p: False)
+    assert np.array_equal(mesh.faces["kind"], kinds)
+    assert kind_counts(mesh)[FaceKind.NEUMANN] == 2
+
+
 def test_mesh_file_round_trip(tmp_path, poly_mesh):
     path = tmp_path / "mesh.txt"
     write_mesh(poly_mesh, path)
@@ -200,6 +223,30 @@ def test_mesh_file_errors(tmp_path):
     bad.write_text("")
     with pytest.raises(MeshError):
         read_mesh(bad)
+    # every malformed line is named by its number in the file
+    good = (UNIT_SQUARE_FILE + "0 1 N\n").splitlines()
+    for line, text, named in [
+        (1, "4 x", 1),               # non-integer header
+        (1, "4 1 2", 1),             # extra header token
+        (3, "1", 3),                 # vertex line with one number
+        (3, "1 0 7", 3),             # vertex line with three numbers
+        (3, "1 zero", 3),            # non-numeric coordinate
+        (3, "\n\n1", 5),             # blank lines still count
+        (6, "4 0 1 2 x", 6),         # non-integer vertex id
+        (6, "4 0 1 2 4", 6),         # vertex id past the vertex lines
+        (6, "4 0 1 2 " + "9" * 20, 6),
+        (6, "4.0 0 1 2 3", 6),       # non-integer vertex count
+        (6, "5 0 1 2 3", 6),         # count and ids disagree
+        (7, "0 1.5 N", 7),           # non-integer tag vertex
+        (7, "a 1 N", 7),
+        (7, "0 1 X", 7),             # unknown tag
+        (7, "0 1", 7),               # missing tag
+    ]:
+        lines = good.copy()
+        lines[line - 1] = text
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=f"line {named} in "):
+            read_mesh(bad)
 
 
 UNIT_SQUARE_FILE = "4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n"
@@ -227,6 +274,10 @@ def test_invalid_element_rejected():
     # repeated vertex
     with pytest.raises(MeshError):
         msh.PolyMesh(np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]), [[0, 1, 2, 2]])
+    # non-finite vertex
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MeshError, match="finite"):
+            msh.PolyMesh(np.array([[0.0, 0], [1, 0], [1, 1], [0, bad]]), [[0, 1, 2, 3]])
 
 
 # -- pinned mesh family ------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 from pathlib import Path
 
 from polystress.krylov import SolverConfig
+from polystress.mesh import _loop_edges
 from polystress.problems import trig_solution
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -28,9 +29,23 @@ def test_perfbench_uses_only_existing_api(monkeypatch):
     cfg = workloads.make_config(w, 1)
     run = workloads.Run(w, cfg, 1, SolverConfig(tol=workloads.TOL, maxit=workloads.MAXIT),
                         trig_solution(float(cfg["discretization"]["mu"])))
-    ops = workloads.set_up(cfg, w.dt)
-    for solver in workloads.RHS_SOLVERS:
-        workloads.solve_rhs(run, ops, solver, 0)
+    # set-up and solves traced as in a traced benchmark run
+    tracer.install(workloads.TRACE_TARGETS)
+    try:
+        with tracer.span("phase.setup"):
+            ops = workloads.set_up(cfg, w.dt)
+        with tracer.span("phase.rhs"):
+            for solver in workloads.RHS_SOLVERS:
+                workloads.solve_rhs(run, ops, solver, 0)
+    finally:
+        tracer.restore()
     metrics = workloads.microtimings(ops, run)
     assert run.errors == [] and run.attempted == len(workloads.RHS_SOLVERS)
     assert all(math.isfinite(v) and v > 0 for v, _ in metrics.values()), metrics
+
+    layers = workloads.layer_metrics(tracer, ops)
+    mesh = ops.space.mesh
+    edges = {frozenset(edge) for loop in mesh.elements for edge in _loop_edges(loop.tolist())}
+    assert layers["mesh.faces"] == (len(edges), "count")
+    assert layers["mesh.elements"] == (w.elements, "count")
+    assert all(f"krylov.iters.{solver}" in layers for solver in workloads.RHS_SOLVERS)
