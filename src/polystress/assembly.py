@@ -44,6 +44,8 @@ K_SPEC = np.array([
 ])
 
 DEFAULT_ALPHA = 10.0
+#: ``finalize`` drops every entry at most this times its row's largest magnitude
+DROP_REL = 1e-14
 
 
 @dataclass
@@ -60,8 +62,8 @@ class SystemMatrices:
     alpha: float
 
 
-def finalize(matrix, rel: float = 1e-14) -> sparse.csr_matrix:
-    """Canonical CSR form: duplicates summed, entries below rel * rowmax
+def finalize(matrix) -> sparse.csr_matrix:
+    """Canonical CSR form: duplicates summed, entries <= DROP_REL * rowmax
     dropped, indices sorted.  A row holding a NaN or inf is kept whole, so
     that the entry reaches the factorisations that report it.  Row maxima,
     the filter and the new row pointers are all computed on the CSR
@@ -75,7 +77,7 @@ def finalize(matrix, rel: float = 1e-14) -> sparse.csr_matrix:
         nonempty = counts > 0
         rowmax[nonempty] = np.maximum.reduceat(mag, A.indptr[:-1][nonempty])
         # a NaN threshold drops nothing: rows holding a NaN or inf stay whole
-        threshold = np.where(np.isfinite(rowmax), rel * rowmax, np.nan)
+        threshold = np.where(np.isfinite(rowmax), DROP_REL * rowmax, np.nan)
         drop = mag <= np.repeat(threshold, counts)
         shift = np.searchsorted(np.flatnonzero(drop), A.indptr)
         keep = ~drop

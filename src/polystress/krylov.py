@@ -14,10 +14,11 @@ CSR products of at least ``SPLIT_NNZ`` = 500,000 nonzeros run on two CPUs:
 the A* product of cg, pcg, deflated_cg, their true residual and Lanczos
 (``_as_apply``) and the (A* V)^T r product of ``Deflator.apply`` and
 ``Deflator.projection_correction``.  The rows are cut in two halves of
-equal nnz over views of the matrix arrays; a daemon thread multiplies the
-bottom half while the caller multiplies the top one, both in scipy's
-kernel, which releases the GIL.  Every row is summed as ``A @ x`` sums it,
-so iterates, counts and tables are bitwise those of the serial product.
+equal nnz over views of the matrix arrays; the one thread of a
+``concurrent.futures.ThreadPoolExecutor`` multiplies the bottom half while
+the caller multiplies the top one, both in scipy's kernel, which releases
+the GIL.  Every row is summed as ``A @ x`` sums it, so iterates, counts
+and tables are bitwise those of the serial product.
 The cut-off keeps every operator of 100 elements and p = 3 serial (A* has
 214,414 nonzeros there, and the hand-off cost more per dcg iteration than
 it saved), and splits A* from 200 elements (501,288) and (A* V)^T at 900
@@ -36,9 +37,8 @@ positive definite.
 from __future__ import annotations
 
 import os
-import queue
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,49 +86,15 @@ class SolverReport:
 SPLIT_NNZ = 500_000
 
 
-class _Worker:
-    """One daemon thread that runs the jobs of ``_split_apply`` in the order
-    they are submitted.  Each job hands its result to its own caller, so
-    threads that solve at once stay correct, and a caller interrupted while
-    it waits leaves nothing behind for the next one.  The thread starts on
-    the first job."""
-
-    def __init__(self):
-        self._lock = threading.Lock()  # guards the start of the thread
-        self._jobs = queue.SimpleQueue()
-        self._thread = None
-
-    def submit(self, fn, arg) -> queue.SimpleQueue:
-        """Queue ``fn(arg)``; the returned queue receives ``(fn(arg), None)``,
-        or ``(None, exc)`` when the call raised exc."""
-        with self._lock:
-            if self._thread is None:
-                thread = threading.Thread(target=self._run, name="polystress-split",
-                                          daemon=True)
-                thread.start()
-                self._thread = thread
-        done = queue.SimpleQueue()
-        self._jobs.put((fn, arg, done))
-        return done
-
-    def _run(self):
-        while True:
-            fn, arg, done = self._jobs.get()
-            try:
-                result = (fn(arg), None)
-            except Exception as exc:  # raised again by the caller; the loop lives on
-                result = (None, exc)
-            done.put(result)
+def _new_pool():
+    """The pool of ``_split_apply``: one thread, started on the first job."""
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="polystress-split")
 
 
-def _new_worker():
-    global _worker
-    _worker = _Worker()
-
-
-_new_worker()
-# a forked child has no copy of the thread: it starts its own on first use
-os.register_at_fork(after_in_child=_new_worker)
+_new_pool()
+# a forked child has no copy of the pool's thread: it gets a pool of its own
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def _rows(a: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
@@ -144,21 +110,17 @@ def _rows(a: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
 
 def _split_apply(a: sparse.csr_matrix):
     """``x -> a @ x`` with the rows cut in two halves of equal nnz: the
-    worker thread multiplies the bottom half while the caller multiplies
+    pool's thread multiplies the bottom half while the caller multiplies
     the top one.  Every row is summed by the same scipy kernel in the same
-    order, so the product is bitwise ``a @ x``."""
+    order, so the product is bitwise ``a @ x``.  Each call gets its own
+    future, so concurrent callers stay correct and an exception in either
+    half reaches the caller whose product raised it."""
     mid = int(np.searchsorted(a.indptr, a.nnz // 2))
     top, bottom = _rows(a, 0, mid), _rows(a, mid, a.shape[0])
 
     def apply(x):
-        done = _worker.submit(bottom.__matmul__, x)
-        try:
-            upper = top @ x
-        finally:
-            lower, error = done.get()
-        if error is not None:
-            raise error
-        return np.concatenate((upper, lower))
+        lower = _pool.submit(bottom.__matmul__, x)
+        return np.concatenate((top @ x, lower.result()))
 
     return apply
 
@@ -166,8 +128,9 @@ def _split_apply(a: sparse.csr_matrix):
 def _as_apply(op):
     """An operator or preconditioner as a callable: a CSR matrix of at least
     SPLIT_NNZ nonzeros, in a process that may run on more than one CPU, the
-    ``_split_apply`` product; any other sparse matrix or ndarray ``op @ x``;
-    a BlockJacobi its ``apply``; and any other callable as it is."""
+    ``_split_apply`` product (the pool starts its thread on the first
+    one); any other sparse matrix or ndarray ``op @ x``; a BlockJacobi its
+    ``apply``; and any other callable as it is."""
     if (sparse.issparse(op) and op.format == "csr" and op.nnz >= SPLIT_NNZ
             and len(os.sched_getaffinity(0)) > 1):
         return _split_apply(op)
@@ -534,9 +497,11 @@ def _lanczos_extremes(apply_a, n, maxit, tol, seed, apply_m=None):
         w -= beta * q_prev
         z = apply_m(w) if apply_m is not None else w
         b2 = float(w @ z)
-        beta = np.sqrt(b2) if b2 > 0.0 else 0.0
+        if not (np.isfinite(alphas[k]) and 0.0 <= b2 < np.inf):
+            break  # an indefinite preconditioner or non-finite data: unconverged
+        beta = np.sqrt(b2)
         k += 1
-        # beta = 0: an exact invariant subspace, where both bounds are zero
+        # beta = 0 (w.z == 0): an exact invariant subspace, where both bounds are zero
         if beta == 0.0 or k % 5 == 0 or k == maxit:
             # the two extreme Ritz pairs by bisection and inverse iteration,
             # in O(k) memory: the last eigenvector entries give the bounds

@@ -60,10 +60,10 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
     Returns the final dof vector and the per-step solver reports.  A given
     ``system`` must have been assembled with ``alpha`` and ``data.mu``
     (ValueError otherwise).  A step whose linear solve does not converge
-    aborts with TimeStepError carrying the step index.  ``log_path``
-    receives one CSV row per step (``step,time,iterations,residual,wall_s,
-    true_residual``), including the failing step's row when one aborts the
-    run.
+    aborts with TimeStepError carrying the 0-based step index; its message
+    numbers the step from 1, as the log does.  ``log_path`` receives one
+    CSV row per step (``step,time,iterations,residual,wall_s,
+    true_residual``), including the failing step's row when one aborts.
     """
     config = config or SolverConfig()
     if system is None:
@@ -86,8 +86,9 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
         sigma_next, report = step_solve(rhs, sigma)
         reports.append(report)
         if not report.converged:
-            failure = TimeStepError(n, f"linear solver failed to converge at step {n} "
-                                       f"(t = {t_next:g}, residual {report.final_residual:.3e})")
+            failure = TimeStepError(n, f"linear solver failed to converge at step {n + 1} "
+                                       f"of {time.n_steps} (t = {t_next:g}, "
+                                       f"residual {report.final_residual:.3e})")
             break
         sigma = sigma_next
 

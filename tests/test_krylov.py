@@ -1,8 +1,13 @@
 import dataclasses
+import itertools
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,6 +585,31 @@ def test_condition_number_flags_unconverged(small_system, rng):
     assert not est.converged
 
 
+def _nan_diagonal():
+    d = np.linspace(1.0, 100.0, 50)
+    d[10] = np.nan
+    return sparse.diags(d).tocsr()
+
+
+@pytest.mark.parametrize("a, preconditioner", [
+    # w.z < 0 in the preconditioner inner product: not an invariant subspace
+    pytest.param(sparse.diags(np.linspace(1.0, 100.0, 50)).tocsr(),
+                 sparse.diags(np.r_[np.ones(49), -1.0]).tocsr(), id="indefinite-preconditioner"),
+    pytest.param(_nan_diagonal(), sparse.eye(50, format="csr"), id="nan-operator"),
+])
+def test_condition_number_not_certified_on_bad_data(a, preconditioner):
+    est = estimate_condition_number(a, preconditioner=preconditioner, tol=1e-6)
+    assert not est.converged
+
+
+def test_raw_condition_number_of_nan_operator_fails_its_factorisation():
+    """The forward recurrence stops on the NaN; the inverse one's
+    factorisation then reports the operator, not scipy's tridiagonal
+    eigensolver."""
+    with pytest.raises(BlockFactorizationError, match="operator is singular"):
+        estimate_condition_number(_nan_diagonal(), tol=1e-6)
+
+
 def test_lanczos_keeps_no_basis(bench_system):
     """The preconditioned estimate holds a few n-vectors, not a Krylov
     basis: with stored bases, maxit = 800 would need 2 (n + 1) n doubles."""
@@ -628,12 +658,19 @@ def test_operator_round_trip(tmp_path, small_system):
 
 # -- row-split products ----------------------------------------------------------
 
+_pool_ids = itertools.count()
+
+
 @pytest.fixture
-def fresh_worker(monkeypatch):
-    """A worker whose thread has not been started."""
-    worker = krylov._Worker()
-    monkeypatch.setattr(krylov, "_worker", worker)
-    return worker
+def pool_threads(monkeypatch):
+    """Gives the test a pool of its own, whose thread has not been started,
+    and shuts it down at teardown.  Returns a callable listing the pool's
+    live threads, found by their name prefix."""
+    prefix = f"test-split-{next(_pool_ids)}_"
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=prefix)
+    monkeypatch.setattr(krylov, "_pool", pool)
+    yield lambda: [t for t in threading.enumerate() if t.name.startswith(prefix)]
+    pool.shutdown(wait=True)
 
 
 def _odd_matrix():
@@ -659,12 +696,12 @@ def _split_cases():
 
 
 @pytest.mark.parametrize("a", _split_cases())
-def test_split_apply_is_bitwise_matvec(a, fresh_worker, rng):
+def test_split_apply_is_bitwise_matvec(a, pool_threads, rng):
     x = rng.standard_normal(a.shape[1])
     y = krylov._split_apply(a)(x)
     assert y.shape == (a.shape[0],)
     assert np.array_equal(y, a @ x)
-    assert fresh_worker._thread is not None and fresh_worker._thread.is_alive()
+    assert len(pool_threads()) == 1
 
 
 def test_split_halves_share_the_matrix_arrays():
@@ -673,7 +710,7 @@ def test_split_halves_share_the_matrix_arrays():
     assert np.shares_memory(half.data, a.data) and np.shares_memory(half.indices, a.indices)
 
 
-def test_split_apply_raises_in_caller_and_recovers(fresh_worker, rng):
+def test_split_apply_raises_in_caller_and_recovers(pool_threads, rng):
     a = _odd_matrix()
     apply = krylov._split_apply(a)
     with pytest.raises(ValueError):
@@ -682,18 +719,34 @@ def test_split_apply_raises_in_caller_and_recovers(fresh_worker, rng):
     assert np.array_equal(apply(x), a @ x)
 
 
-def test_worker_job_exception_reaches_caller(fresh_worker):
-    def fail(_):
-        raise KeyError("bottom half")
+def test_split_bottom_half_exception_reaches_caller(monkeypatch, pool_threads, rng):
+    """Only the pool's half raises: the caller gets its exception, and the
+    next product of the same apply is the serial one."""
+    a = _odd_matrix()
+    x = rng.standard_normal(a.shape[1])
+    rows, failures = krylov._rows, [KeyError("bottom half")]
 
-    result, error = fresh_worker.submit(fail, None).get(timeout=30)
-    assert result is None and isinstance(error, KeyError)
-    assert fresh_worker.submit(abs, -3).get(timeout=30) == (3, None)
+    class Bottom:
+        def __init__(self, half):
+            self.half = half
+
+        def __matmul__(self, x):
+            if failures:
+                raise failures.pop()
+            return self.half @ x
+
+    monkeypatch.setattr(krylov, "_rows", lambda a, start, stop: (
+        Bottom(rows(a, start, stop)) if start else rows(a, start, stop)))
+    apply = krylov._split_apply(a)
+    with pytest.raises(KeyError, match="bottom half"):
+        apply(x)
+    assert np.array_equal(apply(x), a @ x)
+    assert len(pool_threads()) == 1
 
 
-def test_split_apply_concurrent_callers(fresh_worker):
-    """Four Python threads share the one worker; each gets the serial
-    product of its own vectors."""
+def test_split_apply_concurrent_callers(pool_threads):
+    """Four Python threads share the one pool; each gets the serial product
+    of its own vectors."""
     a = _odd_matrix()
     apply = krylov._split_apply(a)
     xs = np.random.default_rng(3).standard_normal((4, 25, a.shape[1]))
@@ -716,21 +769,22 @@ def test_split_apply_concurrent_callers(fresh_worker):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+    assert len(pool_threads()) == 1
 
 
-def test_as_apply_selects_split_by_nnz_and_cpus(monkeypatch, fresh_worker, rng):
+def test_as_apply_selects_split_by_nnz_and_cpus(monkeypatch, pool_threads, rng):
     a = _odd_matrix()
     x = rng.standard_normal(a.shape[1])
     monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(krylov, "SPLIT_NNZ", a.nnz + 1)
     assert np.array_equal(krylov._as_apply(a)(x), a @ x)
-    assert fresh_worker._thread is None
+    assert pool_threads() == []
     monkeypatch.setattr(krylov, "SPLIT_NNZ", a.nnz)
     assert np.array_equal(krylov._as_apply(a)(x), a @ x)
-    assert fresh_worker._thread is not None
+    assert len(pool_threads()) == 1
 
 
-def test_one_cpu_takes_the_serial_path(monkeypatch, fresh_worker, bench_system, rng):
+def test_one_cpu_takes_the_serial_path(monkeypatch, pool_threads, bench_system, rng):
     space, system = bench_system
     astar = build_system(system.m, system.a, 1e-6)
     b = rng.uniform(0.0, 1.0, astar.shape[0])
@@ -739,9 +793,30 @@ def test_one_cpu_takes_the_serial_path(monkeypatch, fresh_worker, bench_system, 
     monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0})
     threads = threading.active_count()
     x, report = deflated_cg(astar, b, build_deflator(system, 1e-6, astar=astar))
-    assert fresh_worker._thread is None and threading.active_count() == threads
+    assert pool_threads() == [] and threading.active_count() == threads
     assert np.array_equal(x, serial[0])
     assert dataclasses.replace(report, wall_time=0.0) == dataclasses.replace(serial[1], wall_time=0.0)
+
+
+def test_interpreter_exits_after_a_split_product():
+    """The pool's thread is not a daemon: a process that has computed a
+    split product still exits, with status 0, when its main thread ends."""
+    code = (
+        "import os, threading\n"
+        "import numpy as np, scipy.sparse as sparse\n"
+        "from polystress import krylov\n"
+        "krylov.SPLIT_NNZ = 0\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "a = sparse.random(300, 300, density=0.05, format='csr', random_state=1)\n"
+        "x = np.arange(300.0)\n"
+        "assert np.array_equal(krylov._as_apply(a)(x), a @ x)\n"
+        "assert any(t.name.startswith('polystress-split') for t in threading.enumerate())\n"
+    )
+    src = str(Path(krylov.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
 
 
 def _split_product_in_child(conn, a, x):
@@ -749,13 +824,13 @@ def _split_product_in_child(conn, a, x):
     conn.close()
 
 
-def test_split_apply_in_forked_child(rng):
-    """A child forked after the parent used the worker starts its own
-    instead of queueing jobs for a thread it does not have."""
+def test_split_apply_in_forked_child(pool_threads, rng):
+    """A child forked after the parent's pool started its thread gets a pool
+    of its own instead of queueing jobs for a thread it does not have."""
     a = _odd_matrix()
     x = rng.standard_normal(a.shape[1])
     assert np.array_equal(krylov._split_apply(a)(x), a @ x)
-    assert krylov._worker._thread is not None
+    assert len(pool_threads()) == 1
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_split_product_in_child, args=(send, a, x))
@@ -772,7 +847,7 @@ def test_split_apply_in_forked_child(rng):
     assert np.array_equal(y, a @ x)
 
 
-def test_solvers_bitwise_unchanged_by_split(monkeypatch, bench_system, rng):
+def test_solvers_bitwise_unchanged_by_split(monkeypatch, pool_threads, bench_system, rng):
     """Every solver and both condition estimates return the same bits, and
     the same report apart from wall_time, when every CSR product is split."""
     space, system = bench_system
@@ -791,12 +866,11 @@ def test_solvers_bitwise_unchanged_by_split(monkeypatch, bench_system, rng):
                 [estimate_condition_number(astar), estimate_condition_number(astar, preconditioner=cbj)])
 
     serial_solves, serial_kappas = run_all()
+    assert pool_threads() == []
     monkeypatch.setattr(krylov, "SPLIT_NNZ", 0)
     monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0, 1})
-    worker = krylov._Worker()
-    monkeypatch.setattr(krylov, "_worker", worker)
     split_solves, split_kappas = run_all()
-    assert worker._thread is not None
+    assert len(pool_threads()) == 1
     for (xs, rs), (xp, rp) in zip(serial_solves, split_solves):
         assert np.array_equal(xs, xp)
         assert rs == rp

@@ -5,8 +5,11 @@ benchmark uses fails here, on a tiny workload, rather than in a benchmark
 run."""
 import importlib
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from polystress import krylov
 from polystress.krylov import SolverConfig
 from polystress.mesh import _loop_edges
 from polystress.problems import trig_solution
@@ -49,3 +52,44 @@ def test_perfbench_uses_only_existing_api(monkeypatch):
     assert layers["mesh.faces"] == (len(edges), "count")
     assert layers["mesh.elements"] == (w.elements, "count")
     assert all(f"krylov.iters.{solver}" in layers for solver in workloads.RHS_SOLVERS)
+
+
+def test_perfbench_solves_unchanged_by_split(monkeypatch):
+    """Only scale-900 reaches the split CSR products.  The tiny workload's
+    set-up and right-hand-side solves, run serial and then with every CSR
+    product split, give the same iteration counts and true residuals.  The
+    operators are built under the split too: ``Deflator._avt`` is chosen
+    when the deflator is built."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    w = workloads.Workload("tiny", 4, 8, "1e-6", setups=1, rhs=1, op=None)
+    cfg = workloads.make_config(w, 1)
+
+    def set_up_and_solve():
+        run = workloads.Run(w, cfg, 1, SolverConfig(tol=workloads.TOL, maxit=workloads.MAXIT),
+                            trig_solution(float(cfg["discretization"]["mu"])))
+        tracer = workloads.Tracer()
+        tracer.install(workloads.SOLVER_TARGETS)
+        try:
+            ops = workloads.set_up(cfg, w.dt)
+            for solver in workloads.RHS_SOLVERS:
+                workloads.solve_rhs(run, ops, solver, 0)
+        finally:
+            tracer.restore()
+        assert run.errors == [] and run.attempted == len(workloads.RHS_SOLVERS)
+        return ops, [(span.name, span.counts) for span in tracer.spans]
+
+    _, serial = set_up_and_solve()
+    prefix = "perfbench-split_"
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=prefix)
+    monkeypatch.setattr(krylov, "_pool", pool)
+    monkeypatch.setattr(krylov, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0, 1})
+    try:
+        ops, split = set_up_and_solve()
+        assert any(t.name.startswith(prefix) for t in threading.enumerate())
+    finally:
+        pool.shutdown(wait=True)
+    assert ops.deflator._avt.__qualname__.startswith("_split_apply.")
+    assert len(split) == len(workloads.RHS_SOLVERS)
+    assert split == serial   # span names, iterations, failures, true residuals

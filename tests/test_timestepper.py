@@ -68,6 +68,8 @@ def test_nonconvergence_aborts_with_step(mesh33):
         implicit_euler_run(space, mms.data, TimeConfig(0.01, 0.05), "cg",
                            SolverConfig(tol=1e-12, maxit=2))
     assert err.value.step == 0
+    # the message numbers steps as the per-step log does, from 1
+    assert "failed to converge at step 1 of 5 (t = 0.01," in str(err.value)
 
 
 def test_factorisations_built_once(mesh33, monkeypatch):
