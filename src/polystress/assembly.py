@@ -1,17 +1,18 @@
 """Assembly of the algebraic operators of the PolyDG discretisation.
 
 Only the scalar blocks M1, B1, B2, B3 are assembled, batched over all
-elements of one quadrature size and over all faces of one kind (every face
-uses the same Gauss rule).  B1, B2 and B3 share one sparsity pattern,
-bucketed and sorted once; each block's values are gathered through that
-one permutation (``_scatter``).  The tensor operators then follow from
-their Kronecker structure below: M by ``scipy.sparse.kron``, and A from
-the CSR arrays of the 2 x 2 scalar block, whose rows are filtered once and
-repeated on the second diagonal block.  An independent tensor-path
-assembly, one element and one face at a time over all four components,
-lives in the test suite as the oracle that ``kron_structure_check``
-compares against; the earlier COO-per-matrix and ``kron`` path is kept
-there as the bitwise reference of the scatter and of A.
+elements of one quadrature size and over all faces of one kind.  The
+element terms and the load vector contract the basis tables of the
+``DGSpace``; only the stiffness face terms evaluate the basis here, on a
+``face_batch`` whose penalty this module scales by alpha.  B1, B2 and B3
+share one sparsity pattern, bucketed and sorted once; each block's values
+are gathered through that one permutation (``_scatter``).  M follows by
+``scipy.sparse.kron``, and A from the CSR arrays of the 2 x 2 scalar
+block, whose rows are filtered once and repeated on the second diagonal
+block.  The test suite keeps an independent tensor-path assembly, one
+element and one face at a time, as the oracle of ``kron_structure_check``,
+and the earlier COO-per-matrix and ``kron`` path as the bitwise reference
+of the scatter and of A.
 
 Block conventions, with S = scalar_dofs and dof order (s11, s12, s21, s22):
 M = (mu^-1 K0) kron M1, and A = I_2 kron [[B1, B2^T], [B2, B3]] where
@@ -21,15 +22,14 @@ upper off-diagonal block).
 """
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.io import mmwrite
 
-from .dg_space import COMPONENTS, DGSpace, face_rules
+from .dg_space import DGSpace, face_batch
 from .mesh import FaceKind
 from .problems import ProblemData
 
@@ -134,61 +134,22 @@ def assemble_mass(space: DGSpace, mu: float = 1.0):
     return m1, finalize(sparse.kron(K_SPEC / mu, m1))
 
 
-@dataclass(frozen=True)
-class _FaceBatch:
-    """Faces of one kind, all on the same Gauss rule: plus (and, on interior
-    faces, minus) elements (F,), unit normals out of the plus side (F, 2),
-    penalties (F,), points (F, nq, 2) and weights (F, nq)."""
-
-    plus: np.ndarray
-    minus: np.ndarray | None
-    normals: np.ndarray
-    gamma: np.ndarray
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def _face_batch(space: DGSpace, kind: FaceKind, alpha: float, degree: int) -> _FaceBatch:
-    """The faces of one kind on the Gauss rule exact for ``degree``."""
-    mesh = space.mesh
-    faces = mesh.faces[mesh.faces["kind"] == kind]
-    plus, ends = faces["plus"], faces["ends"]
-    points, weights = face_rules(mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]],
-                                 degree)
-    # the face penalty alpha p^2 / h, with h the diameter of the plus
-    # element or, on interior faces, the smaller of the two diameters
-    p2 = space.degree * space.degree
-    gamma = p2 / mesh.element_diameters[plus]
-    minus = None
-    if kind == FaceKind.INTERIOR:
-        minus = faces["minus"]
-        gamma = np.maximum(gamma, p2 / mesh.element_diameters[minus])
-    return _FaceBatch(plus, minus, faces["normal"], alpha * gamma, points, weights)
-
-
 def _stiffness_blocks(space: DGSpace, alpha: float):
-    """Local blocks of B1, B2, B3: per element batch and face kind, the
-    (nb, k) dof map and the three matching (nb, k, k) blocks."""
+    """Local blocks of B1, B2, B3: for the element volume term and per face
+    kind, the (nb, k) dof map and the three matching (nb, k, k) blocks."""
     L = space.local_dim
     span = np.arange(L)
-    dofs, blocks = [], []
-
-    # volume term: the (x, y) slots of the scalar divergence d_x u + d_y v
-    for batch in space.element_batches:
-        _, grad = space.evaluate(batch.elements[:, None], batch.points)
-        gx, gy = grad[..., 0], grad[..., 1]
-        wgx = batch.weights[:, :, None] * gx
-        wgy = batch.weights[:, :, None] * gy
-        gxt, gyt = gx.transpose(0, 2, 1), gy.transpose(0, 2, 1)
-        blocks.append((gxt @ wgx, gyt @ wgx, gyt @ wgy))
-        dofs.append(batch.elements[:, None] * L + span)
+    # volume term: the (x, y) slots of the scalar divergence d_x u + d_y v,
+    # the space's gradient Gram blocks
+    dofs = [np.arange(space.scalar_dofs).reshape(space.n_elements, L)]
+    blocks = [space.grad_gram]
 
     # face terms on the side-stacked dofs (plus, then minus on interior
     # faces): jump phi of the scalar, average gradient, and with
     # C_c = phi^T W grad_c and P = phi^T W phi the slot blocks
     # (b, c) = -n_b C_c - n_c C_b^T + gamma n_b n_c P
     for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN):
-        fb = _face_batch(space, kind, alpha, space.quad_degree)
+        fb = face_batch(space, kind, space.quad_degree)
         phi, grad = space.evaluate(fb.plus[:, None], fb.points)
         fdofs = fb.plus[:, None] * L + span
         if fb.minus is not None:
@@ -200,7 +161,7 @@ def _stiffness_blocks(space: DGSpace, alpha: float):
         cx, cy, pen = wphit @ grad[..., 0], wphit @ grad[..., 1], wphit @ phi
         nx = fb.normals[:, 0, None, None]
         ny = fb.normals[:, 1, None, None]
-        gamma = fb.gamma[:, None, None]
+        gamma = (alpha * fb.gamma)[:, None, None]
         cxt, cyt = cx.transpose(0, 2, 1), cy.transpose(0, 2, 1)
         blocks.append((-nx * cx - nx * cxt + gamma * nx * nx * pen,
                        -ny * cx - nx * cyt + gamma * ny * nx * pen,
@@ -248,73 +209,15 @@ def build_system(m: sparse.csr_matrix, a: sparse.csr_matrix, dt: float) -> spars
     return finalize(m + dt * a)
 
 
-@dataclass(frozen=True)
-class _BoundaryLoad:
-    """The time-independent part of the load on the boundary faces of one
-    kind, all read-only: plus elements (F,), weights (F, nq), point
-    coordinates x, y and per-point normals nx, ny (F * nq,), and the test
-    functions (F, nq, 2 * local_dim), slot (d, i) holding v_d of basis
-    function i.  nx and ny are None on Dirichlet faces."""
-
-    kind: FaceKind
-    plus: np.ndarray
-    weights: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    nx: np.ndarray | None
-    ny: np.ndarray | None
-    tests: np.ndarray
-
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-
-
-# space -> {alpha: boundary loads}; weak in the space, so that the tables
-# go with it and never keep a dropped space alive
-_BOUNDARY_LOADS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _boundary_loads(space: DGSpace, alpha: float) -> tuple[_BoundaryLoad, ...]:
-    """The boundary tables of ``functional_vector``, computed on the first
-    call for ``(space, alpha)`` and reused afterwards."""
-    by_alpha = _BOUNDARY_LOADS.setdefault(space, {})
-    if alpha in by_alpha:
-        return by_alpha[alpha]
-    loads = []
-    # test functions v_d = n_d phi (Dirichlet) and v_d = gamma n_d phi - d_d phi
-    # (Neumann), for component (r, d) of the plus element
-    for kind in (FaceKind.DIRICHLET, FaceKind.NEUMANN):
-        fb = _face_batch(space, kind, alpha, space.quad_degree)
-        if not len(fb.plus):
-            continue
-        phi, grad = space.evaluate(fb.plus[:, None], fb.points)
-        tests = fb.normals[:, None, :, None] * phi[:, :, None, :]
-        F, nq = fb.weights.shape
-        nx = ny = None
-        if kind == FaceKind.NEUMANN:
-            tests = fb.gamma[:, None, None, None] * tests - grad.transpose(0, 1, 3, 2)
-            nx, ny = np.repeat(fb.normals[:, 0], nq), np.repeat(fb.normals[:, 1], nq)
-        loads.append(_BoundaryLoad(kind, fb.plus, fb.weights, fb.points[..., 0].ravel(),
-                                   fb.points[..., 1].ravel(), nx, ny,
-                                   tests.reshape(F, nq, -1)))
-    by_alpha[alpha] = tuple(loads)
-    return by_alpha[alpha]
-
-
 def functional_vector(space: DGSpace, data: ProblemData, t: float,
                       alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Discrete load vector: volume source, Dirichlet divergence datum and
     Nitsche-consistent Neumann traction terms.
 
-    Everything but the data is independent of t: the basis values at the
-    element quadrature points are computed once per space
-    (``DGSpace.element_values``), and the boundary face rules, normals and
-    test functions once per space and alpha; later calls only evaluate the
-    data callbacks and contract.  The callbacks receive read-only point
-    arrays.
+    The basis tables are the space's (``DGSpace.element_values`` and
+    ``DGSpace.boundary_tables``, computed once per space); each call
+    evaluates the data callbacks, forms the Nitsche test functions at
+    ``alpha`` and contracts.  The callbacks receive read-only point arrays.
     """
     # f[c, e, i] in component-major dof order; tensor components flatten
     # row-major, which is the COMPONENTS order
@@ -330,18 +233,22 @@ def functional_vector(space: DGSpace, data: ProblemData, t: float,
         wvals = batch.weights[:, :, None] * vals
         f[:, batch.elements] = (wvals.transpose(0, 2, 1) @ phi).transpose(1, 0, 2)
 
-    # boundary faces: sum_q w g_r(q) v_d(q) into component (r, d) of the
-    # plus element
+    # boundary faces: sum_q w g_r(q) v_d(q) into component (r, d) of the plus
+    # element, v_d = n_d phi (Dirichlet) or alpha gamma n_d phi - d_d phi
+    # (Neumann) in slot (d, i) for basis function i
     per_element = f.transpose(1, 0, 2)
-    for load in _boundary_loads(space, alpha):
-        if load.kind == FaceKind.DIRICHLET:
-            g = data.dirichlet(load.x, load.y, t)
+    for table in space.boundary_tables:
+        fb = table.faces
+        tests = fb.normals[:, None, :, None] * table.phi[:, :, None, :]
+        if table.kind == FaceKind.DIRICHLET:
+            g = data.dirichlet(table.x, table.y, t)
         else:
-            g = data.neumann(load.x, load.y, t, load.nx, load.ny)
-        F, nq = load.weights.shape
-        wg = load.weights[:, :, None] * g.reshape(F, nq, 2)
-        contrib = wg.transpose(0, 2, 1) @ load.tests
-        np.add.at(per_element, load.plus, contrib.reshape(F, 4, -1))
+            g = data.neumann(table.x, table.y, t, table.nx, table.ny)
+            tests = (alpha * fb.gamma)[:, None, None, None] * tests - table.grad.swapaxes(2, 3)
+        F, nq = fb.weights.shape
+        wg = fb.weights[:, :, None] * g.reshape(F, nq, 2)
+        contrib = wg.transpose(0, 2, 1) @ tests.reshape(F, nq, -1)
+        np.add.at(per_element, fb.plus, contrib.reshape(F, 4, -1))
     return f.ravel()
 
 
@@ -349,9 +256,9 @@ def assemble_rhs(space: DGSpace, data: ProblemData, t: float,
                  sigma_prev: np.ndarray, dt: float,
                  system: SystemMatrices) -> np.ndarray:
     """One-step right-hand side M sigma_prev + dt * f(t), with the load
-    vector of ``functional_vector`` at ``system.alpha`` (its time-independent
-    tables are computed once per space and alpha; the data callbacks
-    receive read-only point arrays)."""
+    vector of ``functional_vector`` at ``system.alpha`` (its basis tables
+    are computed once per space; the data callbacks receive read-only point
+    arrays)."""
     f = functional_vector(space, data, t, system.alpha)
     return system.m @ sigma_prev + dt * f
 

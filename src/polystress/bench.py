@@ -16,6 +16,7 @@ import configparser
 import hashlib
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -208,7 +209,8 @@ def _classify(mesh, neumann: str):
 
 def build_meshes(cfg) -> list[tuple[str, object]]:
     """Mesh family from the [mesh] section: a Cartesian base (or imported
-    file), agglomerated to each target element count."""
+    file), agglomerated to each target element count; an agglomeration
+    that stalls keeps the mesh it reached and warns on stderr."""
     path = value(cfg, "mesh", "file")
     if path:
         base = read_mesh(path)
@@ -216,10 +218,12 @@ def build_meshes(cfg) -> list[tuple[str, object]]:
         base = build_cartesian_mesh(value(cfg, "mesh", "nx"), value(cfg, "mesh", "ny"))
     base = _classify(base, value(cfg, "mesh", "neumann"))
     targets = value(cfg, "mesh", "targets")
-    if targets:
-        meshes = [agglomerate(base, target, value(cfg, "mesh", "seed")) for target in targets]
-    else:
-        meshes = [base]
+    seed = value(cfg, "mesh", "seed")
+    meshes = [agglomerate(base, target, seed) for target in targets] or [base]
+    for target, mesh in zip(targets, meshes):
+        if mesh.merge_warning:
+            print(f"warning: agglomeration to {target} elements stalled at "
+                  f"{mesh.n_elements} elements", file=sys.stderr)
     return [(f"{m.n_elements}el_h{m.mesh_size:.4f}", m) for m in meshes]
 
 

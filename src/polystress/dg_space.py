@@ -11,6 +11,12 @@ rule per triangle.  ``DGSpace.evaluate`` evaluates the basis at points of
 many elements in one call; elements are grouped by quadrature size
 (``ElementBatch``) so that element integrals are batched contractions.
 
+The space owns the basis tables that assembly contracts: one ``evaluate``
+pass per element batch gives the Gram matrices ``gram`` and the gradient
+Gram blocks ``grad_gram``, and the load vector's tables are computed on
+first use.  ``face_batch`` gives the faces of one kind with the unscaled
+penalty p^2 / h, which every caller multiplies by its alpha.
+
 Global scalar dof layout is element-major, ``e * local_dim + i``; the four
 tensor components are stacked component-major on top of it,
 ``c * scalar_dofs + e * local_dim + i`` with c in (0: s11, 1: s12,
@@ -25,7 +31,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial import legendre as npleg
 
-from .mesh import PolyMesh, _fan_cross_products, _length_groups, _next, _shoelace
+from .mesh import FaceKind, PolyMesh, _fan_cross_products, _length_groups, _next, _shoelace
 
 #: tensor components in dof order: row-major flattening of the 2x2 tensor
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -167,6 +173,42 @@ class ElementBatch:
             array.setflags(write=False)
 
 
+@dataclass(frozen=True)
+class FaceBatch:
+    """Faces of one kind, all on the same Gauss rule: plus (and, on interior
+    faces, minus) elements (F,), unit normals out of the plus side (F, 2),
+    unscaled penalties gamma = p^2 / h (F,), points (F, nq, 2) and weights
+    (F, nq).  The face penalty is alpha * gamma."""
+
+    plus: np.ndarray
+    minus: np.ndarray | None
+    normals: np.ndarray
+    gamma: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
+class BoundaryTable:
+    """The basis on the boundary faces of one kind: the faces, and, all
+    read-only, point coordinates x, y and per-point normals nx, ny
+    (F * nq,) and the plus element's basis values phi (F, nq, local_dim)
+    and gradients grad (F, nq, local_dim, 2)."""
+
+    kind: FaceKind
+    faces: FaceBatch
+    x: np.ndarray
+    y: np.ndarray
+    nx: np.ndarray
+    ny: np.ndarray
+    phi: np.ndarray
+    grad: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.x, self.y, self.nx, self.ny, self.phi, self.grad):
+            array.setflags(write=False)
+
+
 class _NotSPD(scipy.linalg.LinAlgError):
     """A block of a stack failed its Cholesky factorisation; ``index`` is
     the first such block."""
@@ -237,13 +279,21 @@ class DGSpace:
 
         self.element_batches = polygon_rules(polygons, self.quad_degree)
 
-        # element Gram matrices, which are also the diagonal blocks of M1
-        self.gram = np.empty((self.n_elements, self.local_dim, self.local_dim))
+        # one pass over the element points: the Gram matrices (the diagonal
+        # blocks of M1) and the gradient Gram blocks, the (x, x), (y, x) and
+        # (y, y) slots of the volume term of B1, B2, B3, test index first
+        L = self.local_dim
+        self.gram = np.empty((self.n_elements, L, L))
+        self.grad_gram = np.empty((3, self.n_elements, L, L))
         for batch in self.element_batches:
-            phi, _ = self.evaluate(batch.elements[:, None], batch.points)
-            self.gram[batch.elements] = np.matmul(
-                phi.transpose(0, 2, 1), batch.weights[:, :, None] * phi)
+            phi, grad = self.evaluate(batch.elements[:, None], batch.points)
+            w = batch.weights[:, :, None]
+            self.gram[batch.elements] = np.matmul(phi.transpose(0, 2, 1), w * phi)
+            gxt, gyt = grad.transpose(3, 0, 2, 1)
+            wgx, wgy = w * grad[..., 0], w * grad[..., 1]
+            self.grad_gram[:, batch.elements] = (gxt @ wgx, gyt @ wgx, gyt @ wgy)
         self.gram.setflags(write=False)
+        self.grad_gram.setflags(write=False)
         try:
             self._gram_factor = _cho_factor_stack(self.gram)
         except _NotSPD as exc:
@@ -262,6 +312,22 @@ class DGSpace:
             phi, _ = self.evaluate(batch.elements[:, None], batch.points)
             phi.setflags(write=False)
             tables.append(phi)
+        return tuple(tables)
+
+    @cached_property
+    def boundary_tables(self) -> tuple[BoundaryTable, ...]:
+        """The basis on the Dirichlet and Neumann faces, one table per kind
+        that has faces; computed on first use, by the load vector."""
+        tables = []
+        for kind in (FaceKind.DIRICHLET, FaceKind.NEUMANN):
+            fb = face_batch(self, kind, self.quad_degree)
+            if not len(fb.plus):
+                continue
+            phi, grad = self.evaluate(fb.plus[:, None], fb.points)
+            nq = fb.weights.shape[1]
+            tables.append(BoundaryTable(
+                kind, fb, fb.points[..., 0].ravel(), fb.points[..., 1].ravel(),
+                np.repeat(fb.normals[:, 0], nq), np.repeat(fb.normals[:, 1], nq), phi, grad))
         return tuple(tables)
 
     @cached_property
@@ -296,6 +362,21 @@ class DGSpace:
         grads[..., 0] = dx[..., a] * vyb * (scales / sx[..., None])
         grads[..., 1] = vxa * dy[..., b] * (scales / sy[..., None])
         return values, grads
+
+
+def face_batch(space: DGSpace, kind: FaceKind, degree: int) -> FaceBatch:
+    """The faces of one kind on the Gauss rule exact for ``degree``."""
+    mesh = space.mesh
+    faces = mesh.faces[mesh.faces["kind"] == kind]
+    ends = mesh.vertices[faces["ends"]]
+    minus = faces["minus"] if kind == FaceKind.INTERIOR else None
+    # the unscaled face penalty p^2 / h, with h the diameter of the plus
+    # element or, on interior faces, the smaller of the two diameters
+    h = mesh.element_diameters[faces["plus"]]
+    if minus is not None:
+        h = np.minimum(h, mesh.element_diameters[minus])
+    return FaceBatch(faces["plus"], minus, faces["normal"], space.degree ** 2 / h,
+                     *face_rules(ends[:, 0], ends[:, 1], degree))
 
 
 def build_space(mesh: PolyMesh, p: int) -> DGSpace:

@@ -328,10 +328,14 @@ def _spd_lu(matrix, what: str):
     and the diagonal is always taken as pivot.  With no row exchange
     (perm_r == perm_c) the factorisation is P A P^T = L U with U = D L^T, so
     by Sylvester's law of inertia A is positive definite iff every pivot
-    diag(U) is positive.
+    diag(U) is positive.  A NaN or inf is rejected first, naming its row.
     """
+    matrix = sparse.csc_matrix(matrix)
+    if not np.isfinite(matrix.data).all():
+        row = matrix.indices[~np.isfinite(matrix.data)].min()
+        raise BlockFactorizationError(f"{what} holds a NaN or inf in row {row}")
     try:
-        lu = splu(sparse.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise BlockFactorizationError(f"{what} is singular: {exc}") from exc

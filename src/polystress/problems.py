@@ -31,8 +31,8 @@ class ProblemData:
 
     The point arrays (and per-point normals) passed to the callbacks by
     ``functional_vector`` and ``l2_project`` are read-only, since the same
-    arrays are reused on every call: the load vector's time-independent
-    tables are computed once per space (and penalty alpha).
+    arrays are reused on every call: the load vector's basis tables are
+    computed once per space.
     """
 
     source: callable

@@ -4,6 +4,8 @@ error measurement.
 The mass operator is singular (the trace directions carry no dynamics), so
 only the implicit method is admissible; the step operator M + dt A and any
 preconditioner or deflator are factorised once and reused across steps.
+The energy norm evaluates the basis on finer rules of its own and scales
+the unscaled penalties of ``dg_space.face_batch`` by its alpha.
 """
 from __future__ import annotations
 
@@ -11,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (DEFAULT_ALPHA, SystemMatrices, _face_batch,
-                       assemble_rhs, assemble_system, build_system)
-from .dg_space import COMPONENTS, DGSpace, l2_project, polygon_rules
+from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_rhs, assemble_system,
+                       build_system)
+from .dg_space import COMPONENTS, DGSpace, face_batch, l2_project, polygon_rules
 from .krylov import SolverConfig, make_solver
 from .mesh import FaceKind
 from .problems import ProblemData
@@ -121,8 +123,8 @@ class EnergyNorm:
         mesh = space.mesh
         self._element_batches = polygon_rules(
             [mesh.element_points(e) for e in range(mesh.n_elements)], self.fine_degree)
-        self._face_batches = [_face_batch(space, kind, alpha, self.fine_degree)
-                              for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN)]
+        self._faces = [face_batch(space, kind, self.fine_degree)
+                       for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN)]
 
     @staticmethod
     def _dev_sq(t):
@@ -157,12 +159,13 @@ class EnergyNorm:
             total += float(np.sum(batch.weights * (self._dev_sq(field)
                                                    + (div ** 2).sum(axis=-1))))
 
-        for fb in self._face_batches:
+        for fb in self._faces:
             if not len(fb.plus):
                 continue
             jump = np.einsum("fqrc,fc->fqr", sigma_error(fb.plus, fb.points)[0], fb.normals)
             if fb.minus is not None:
                 jump = jump - np.einsum("fqrc,fc->fqr", sigma_error(fb.minus, fb.points)[0],
                                         fb.normals)
-            total += float(np.sum(fb.gamma[:, None] * fb.weights * (jump ** 2).sum(axis=-1)))
+            total += float(np.sum((self.alpha * fb.gamma)[:, None] * fb.weights
+                                  * (jump ** 2).sum(axis=-1)))
         return float(np.sqrt(total))

@@ -15,9 +15,10 @@ trip that the library's CSR ``finalize`` must reproduce bitwise.
 The oracle owns its references to the formulas it checks: the deviatoric
 factor ``deviatoric_factor``, derived from the definition of the
 deviatoric operator (the library keeps only the literal ``K_SPEC``), the
-scalar face ``penalty`` (the library keeps only the batched one in
-``_face_batch``), and the per-element quadrature rules ``element_rules``
-and ``face_rule``, read off the batched rules of the library.
+scalar face ``penalty`` (the library keeps only the batched, unscaled
+p^2 / h of ``dg_space.face_batch``, which its callers multiply by alpha),
+and the per-element quadrature rules ``element_rules`` and ``face_rule``,
+read off the batched rules of the library.
 
 Three earlier library paths are kept here as bitwise references:
 ``mass_kron``/``stiffness_kron`` convert one COO matrix per block and form

@@ -1,7 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import polystress
 from polystress import agglomerate, build_cartesian_mesh, classify_boundary
+
+
+def pytest_report_header(config):
+    """Name the library under test, so that a comparison of two checkouts
+    shows which one each run imported."""
+    return f"polystress: {Path(polystress.__file__).parent}"
 
 
 def right_edge(p):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import weakref
@@ -13,9 +14,8 @@ from polystress import (FaceKind, assemble_mass, assemble_rhs,
                         assemble_stiffness, assemble_system, build_space,
                         build_system, classify_boundary, build_cartesian_mesh,
                         kron_structure_check, l2_project)
-from polystress.assembly import (_BOUNDARY_LOADS, K_SPEC, _face_batch, finalize,
-                                 functional_vector)
-from polystress.dg_space import face_rules, polygon_rules
+from polystress.assembly import K_SPEC, finalize, functional_vector
+from polystress.dg_space import DGSpace, face_batch, face_rules, polygon_rules
 from polystress.problems import trig_solution, zero_data
 
 import assembly_oracle as oracle
@@ -34,15 +34,17 @@ def sys_poly(poly_mesh):
 
 
 def test_penalty_formula(poly_mesh):
-    """The batched face penalties against the oracle's scalar formula, on
-    every interior and Neumann face."""
+    """The batched face penalties, alpha times the unscaled gamma of
+    ``face_batch``, against the oracle's scalar formula, on every interior
+    and Neumann face."""
     space = build_space(poly_mesh, 3)
     for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN):
         faces = [f for f in poly_mesh.faces if f["kind"] == kind]
-        gamma = _face_batch(space, kind, 10.0, space.quad_degree).gamma
+        gamma = face_batch(space, kind, space.quad_degree).gamma
         assert len(faces) and len(gamma) == len(faces)
-        assert np.array_equal(gamma, [oracle.penalty(f, 10.0, 3, poly_mesh) for f in faces])
-        assert not _face_batch(space, kind, 0.0, space.quad_degree).gamma.any()
+        assert np.array_equal(10.0 * gamma,
+                              [oracle.penalty(f, 10.0, 3, poly_mesh) for f in faces])
+        assert not (0.0 * gamma).any()
 
 
 def test_deviatoric_factor_matches_display():
@@ -431,10 +433,31 @@ def test_load_callbacks_get_read_only_points(mesh22, trig_data):
 def test_load_tables_released_with_space(mesh22, trig_data):
     space = build_space(mesh22, 1)
     functional_vector(space, trig_data, 0.3)
-    assert space in _BOUNDARY_LOADS
-    entries = len(_BOUNDARY_LOADS)
-    ref = weakref.ref(space)
-    del space
+    tables = vars(space)["boundary_tables"]
+    assert [t.kind for t in tables] == [FaceKind.DIRICHLET, FaceKind.NEUMANN]
+    refs = [weakref.ref(space)] + [weakref.ref(t) for t in tables]
+    del space, tables
     gc.collect()
-    assert ref() is None
-    assert len(_BOUNDARY_LOADS) <= entries - 1
+    assert all(ref() is None for ref in refs)
+
+
+def test_element_points_evaluated_once(oracle_meshes, monkeypatch):
+    """build_space and assemble_system evaluate the basis at each element
+    quadrature point once: the Gram matrices and the volume term of the
+    stiffness come from one pass."""
+    seen = collections.Counter()
+    evaluate = DGSpace.evaluate
+
+    def counting(self, elements, pts):
+        pts = np.asarray(pts, dtype=float)
+        ids = np.broadcast_to(elements, pts.shape[:-1]).ravel().tolist()
+        seen.update(zip(ids, map(tuple, pts.reshape(-1, 2).tolist())))
+        return evaluate(self, elements, pts)
+
+    monkeypatch.setattr(DGSpace, "evaluate", counting)
+    space = build_space(oracle_meshes["agglomerated-50"], 2)
+    assemble_system(space)
+    points = [(e, tuple(x)) for batch in space.element_batches
+              for e, pts in zip(batch.elements.tolist(), batch.points.tolist()) for x in pts]
+    assert len(set(points)) == len(points) > 0
+    assert [seen[key] for key in points] == [1] * len(points)

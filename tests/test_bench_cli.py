@@ -196,6 +196,20 @@ def test_cli_exit_code_on_flagged(tmp_path):
     assert code == 2
 
 
+def test_cli_warns_on_stalled_agglomeration(tmp_path, capsys):
+    """A 6x6 grid stalls at 5 elements on its way to 1: one warning on
+    stderr names both counts, and the command still writes its output."""
+    args = ["export-matrices", "--nx", "6", "--ny", "6", "--degree", "1",
+            "--output", str(tmp_path)]
+    assert run_cli(args + ["--targets", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: agglomeration to 1 elements stalled at 5 elements"]
+    assert "mesh=5el_h" in captured.out
+    assert run_cli(args + ["--targets", "9"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert run_cli(["iter-table", "-c", str(tmp_path / "nope.ini")]) == 1
     assert run_cli(["solve", "--mms", "warp", "--output", str(tmp_path)]) == 1

@@ -604,10 +604,20 @@ def test_condition_number_not_certified_on_bad_data(a, preconditioner):
 
 def test_raw_condition_number_of_nan_operator_fails_its_factorisation():
     """The forward recurrence stops on the NaN; the inverse one's
-    factorisation then reports the operator, not scipy's tridiagonal
-    eigensolver."""
-    with pytest.raises(BlockFactorizationError, match="operator is singular"):
+    factorisation then names the NaN and its row, not scipy's tridiagonal
+    eigensolver or SuperLU's singular pivot."""
+    with pytest.raises(BlockFactorizationError,
+                       match=r"^operator holds a NaN or inf in row 10$"):
         estimate_condition_number(_nan_diagonal(), tol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_factorisation_names_nonfinite_row(bad):
+    a = sparse.diags(np.linspace(1.0, 100.0, 50)).tolil()
+    a[3, 7] = a[7, 3] = bad
+    a[20, 20] = bad
+    with pytest.raises(BlockFactorizationError, match=r"^matrix holds a NaN or inf in row 3$"):
+        krylov._spd_lu(a, "matrix")
 
 
 def test_lanczos_keeps_no_basis(bench_system):
