@@ -1,7 +1,9 @@
 """Krylov solvers for the time-step operator: CG, deflated CG with kernel
 deflation, Block-Jacobi preconditioning (component-wise and collective) and
-Lanczos condition-number estimation.  cg, pcg and deflated_cg all run the
-one conjugate gradient loop ``_cg``; ``make_solver`` turns a name from
+Lanczos condition-number estimation.  cg, pcg, deflated_cg and
+estimate_condition_number all run the one conjugate gradient loop ``_cg``;
+the estimator reads the extreme eigenvalues off the Lanczos tridiagonal
+that CG's own coefficients define.  ``make_solver`` turns a name from
 ``SOLVERS`` into a solve callable with its factorisations built once.
 
 The deflation space is the kernel of the deviatoric mass operator, spanned
@@ -11,14 +13,14 @@ exactly, a Laplacian-type matrix factorised once and reused.  deflated_cg
 hands ``_cg`` a start vector and the A-DEF2 preconditioner, nothing else.
 
 CSR products of at least ``SPLIT_NNZ`` = 500,000 nonzeros run on two CPUs:
-the A* product of cg, pcg, deflated_cg, their true residual and Lanczos
-(``_as_apply``) and the (A* V)^T r product of ``Deflator.apply`` and
-``Deflator.projection_correction``.  The rows are cut in two halves of
-equal nnz over views of the matrix arrays; the one thread of a
-``concurrent.futures.ThreadPoolExecutor`` multiplies the bottom half while
-the caller multiplies the top one, both in scipy's kernel, which releases
-the GIL.  Every row is summed as ``A @ x`` sums it, so iterates, counts
-and tables are bitwise those of the serial product.
+the A* product of cg, pcg, deflated_cg, their true residual and the
+condition estimate (``_as_apply``) and the (A* V)^T r product of
+``Deflator.apply`` and ``Deflator.projection_correction``.  The rows are
+cut in two halves of equal nnz over views of the matrix arrays; the one
+thread of a ``concurrent.futures.ThreadPoolExecutor`` multiplies the
+bottom half as the caller multiplies the top one, both in scipy's kernel,
+which releases the GIL.  Every row is summed as ``A @ x`` sums
+it, so iterates, counts and tables are bitwise those of the serial product.
 The cut-off keeps every operator of 100 elements and p = 3 serial (A* has
 214,414 nonzeros there, and the hand-off cost more per dcg iteration than
 it saved), and splits A* from 200 elements (501,288) and (A* V)^T at 900
@@ -27,12 +29,12 @@ and 0.73 of the serial time on a 2-vCPU host.  A process whose CPU
 affinity is one CPU keeps the serial product.  Nothing else is threaded:
 the Block-Jacobi apply, the coarse solve and BLAS stay on one thread.
 
-W, and A* itself for the inverse Lanczos of the raw condition number, are
-factorised by ``_spd_lu``: a symmetric minimum-degree ordering and LU
-without row pivoting, which needs about half the fill of splu's default
-(COLAMD with partial pivoting).  Without pivoting the signs of U's diagonal
-are the inertia of the matrix, so the same factorisation checks that it is
-positive definite.
+W, and A* itself for the CG run on A*^-1 that gives the smallest
+eigenvalue of the raw condition number, are factorised by ``_spd_lu``: a
+symmetric minimum-degree ordering and LU without row pivoting, which needs
+about half the fill of splu's default (COLAMD with partial pivoting).
+Without pivoting the signs of U's diagonal are the inertia of the matrix,
+so the same factorisation checks that it is positive definite.
 """
 from __future__ import annotations
 
@@ -79,6 +81,7 @@ class SolverReport:
     converged: bool
     wall_time: float = 0.0
     true_residual: float | None = None
+    ritz: tuple[float, float] | None = None  # smallest, largest: the "ritz" stop's last check
 
 
 #: nnz from which ``_as_apply`` computes a CSR product as two row halves on
@@ -110,8 +113,8 @@ def _rows(a: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
 
 def _split_apply(a: sparse.csr_matrix):
     """``x -> a @ x`` with the rows cut in two halves of equal nnz: the
-    pool's thread multiplies the bottom half while the caller multiplies
-    the top one.  Every row is summed by the same scipy kernel in the same
+    pool's thread multiplies the bottom half as the caller multiplies the
+    top one.  Every row is summed by the same scipy kernel in the same
     order, so the product is bitwise ``a @ x``.  Each call gets its own
     future, so concurrent callers stay correct and an exception in either
     half reaches the caller whose product raised it."""
@@ -141,17 +144,50 @@ def _as_apply(op):
     return op
 
 
+def _ritz_extremes(coefficients, both_ends, tol):
+    """The smallest and largest Ritz values of the Lanczos tridiagonal T_k
+    of k CG steps' (alpha, beta), and whether they are certified.
+
+    T_k has diagonal 1/alpha_j + beta_{j-1}/alpha_{j-1} and off-diagonal
+    sqrt(beta_j)/alpha_j (Saad, Iterative Methods for Sparse Linear Systems,
+    2nd ed., 6.7.3).  Bisection and inverse iteration give the two extreme
+    pairs in O(k) memory.  A Ritz value counts as converged when its
+    residual bound, the next off-diagonal entry times |last eigenvector
+    entry|, is at most tol * |theta|: in finite precision, lost
+    orthogonality only repeats Ritz values that have converged, so a small
+    bound certifies the value (Paige, Linear Algebra Appl. 34, 1980).  The
+    smallest is certified too only when both_ends.
+    """
+    k = len(coefficients)
+    alphas, betas = np.array(coefficients).T
+    diag = 1.0 / alphas
+    diag[1:] += betas[:-1] / alphas[:-1]
+    off = np.sqrt(betas) / alphas  # off[-1] is the next entry, of T_k+1
+    (lam_min,), s_min = scipy.linalg.eigh_tridiagonal(
+        diag, off[:-1], select="i", select_range=(0, 0))
+    (lam_max,), s_max = scipy.linalg.eigh_tridiagonal(
+        diag, off[:-1], select="i", select_range=(k - 1, k - 1))
+    certified = off[-1] * abs(s_max[-1, 0]) <= tol * abs(lam_max) and (
+        not both_ends or off[-1] * abs(s_min[-1, 0]) <= tol * max(abs(lam_min), 1e-300))
+    return (float(lam_min), float(lam_max)), bool(certified)
+
+
 def _cg(apply_a, b, apply_m, stop, config, x0):
-    """The preconditioned CG loop behind cg, pcg and deflated_cg, from x0
-    (zero when None).
+    """The preconditioned CG loop behind cg, pcg, deflated_cg and
+    estimate_condition_number, from x0 (zero when None).
 
     It stops once the relative residual named by ``stop`` is at most tol:
     "residual" ||r||/||b|| (cg, deflated_cg) or "preconditioned"
     sqrt(r.z)/sqrt(b.Mb) (pcg).  The recursively updated residual is the
     criterion (at condition numbers ~1/dt the recomputed residual saturates
-    near eps * kappa); the explicit one is recomputed once and reported.
-    The loop stops unconverged when p.Ap is not positive: loss of positive
-    definiteness, or a NaN in the data.
+    near eps * kappa); the explicit one is recomputed once and reported,
+    except by "ritz".  "ritz" keeps each step's (alpha, beta) and stops once
+    ``_ritz_extremes`` certifies them, checked every 5 steps, at maxit and
+    at beta = 0 (an invariant subspace); both ends are certified with
+    apply_m, the largest alone without, and the last check is reported as
+    ``SolverReport.ritz``.  The loop stops unconverged when p.Ap is not
+    positive (loss of positive definiteness) or r.z, b.Mb included, is
+    negative (an indefinite preconditioner) or not finite (NaN or inf data).
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
@@ -169,18 +205,18 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
         mb = z  # r = b on a cold start, so z is already M b
     else:
         mb = apply_m(b)
-    denom = float(np.sqrt(b @ mb))
-    if denom == 0.0:
+    bmb, rz = float(b @ mb), float(r @ z)
+    if bmb == 0.0:
         return np.zeros_like(b), SolverReport(0, 0.0, True, time.perf_counter() - start, 0.0)
 
     dot_rr = stop == "residual" and apply_m is not None  # without apply_m, r.z is r.r
-
-    rz = float(r @ z)
-    rel = np.sqrt(float(r @ r) if dot_rr else rz) / denom
-    iterations = 0
+    definite = 0.0 < bmb < np.inf and 0.0 <= rz < np.inf
+    denom = np.sqrt(bmb) if definite else np.nan
+    rel = np.sqrt(float(r @ r) if dot_rr else rz) / denom if definite else np.nan
+    iterations, coefficients, ritz = 0, [], None
     converged = bool(rel <= config.tol)
     p = z.copy()
-    while not converged and iterations < config.maxit:
+    while definite and not converged and iterations < config.maxit:
         q = apply_a(p)
         pq = float(p @ q)
         if not pq > 0.0:
@@ -191,22 +227,33 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
         iterations += 1
         if dot_rr:  # the stop test needs no z, so M is not applied once it passes
             rel = np.sqrt(float(r @ r)) / denom
-            if rel > config.tol:
-                z = apply_m(r)
-                rz_new = float(r @ z)
+            if rel <= config.tol:
+                converged = True
+                break
+            z = apply_m(r)
         else:
             z = apply_m(r) if apply_m is not None else r
-            rz_new = float(r @ z)
+        rz_new = float(r @ z)
+        if not 0.0 <= rz_new < np.inf:
+            break  # an indefinite preconditioner or non-finite data: unconverged
+        if not dot_rr:
             rel = np.sqrt(rz_new) / denom
-        if rel <= config.tol:
-            converged = True
-            break
         beta = rz_new / rz
+        if stop == "ritz":
+            coefficients.append((alpha, beta))
+            if beta == 0.0 or iterations % 5 == 0 or iterations == config.maxit:
+                ritz, converged = _ritz_extremes(coefficients, apply_m is not None, config.tol)
+        else:
+            converged = bool(rel <= config.tol)
+        if converged:
+            break
         rz = rz_new
         p = z + beta * p
 
-    true_rel = float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b))
-    return x, SolverReport(iterations, rel, converged, time.perf_counter() - start, true_rel)
+    true_rel = (None if stop == "ritz"  # the condition estimate reads no solution
+                else float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b)))
+    return x, SolverReport(iterations, rel, converged, time.perf_counter() - start, true_rel,
+                           ritz)
 
 
 def cg(operator, b, config: SolverConfig | None = None, x0=None):
@@ -469,89 +516,38 @@ class CondEstimate:
     converged: bool
 
 
-def _lanczos_extremes(apply_a, n, maxit, tol, seed, apply_m=None):
-    """Extreme Ritz values of the symmetric Lanczos three-term recurrence,
-    run without reorthogonalisation.
-
-    With apply_m the recurrence runs in the preconditioner inner product,
-    the Ritz values approximate the spectrum of P A and both ends are
-    certified; without it only the largest is.  A Ritz value counts as
-    converged when its residual bound beta_k * |last eigenvector entry| is
-    at most tol * |theta|: in finite precision, lost orthogonality only
-    repeats Ritz values that have converged, so a small bound certifies
-    the value (Paige, Linear Algebra Appl. 34, 1980).  The memory is a few
-    n-vectors, whatever maxit.
-    """
-    maxit = min(maxit, n)
-    r = np.random.default_rng(seed).standard_normal(n)
-    z = apply_m(r) if apply_m is not None else r
-    norm = np.sqrt(float(r @ z))
-    q_prev, q, u = np.zeros(n), r / norm, z / norm  # u = M q
-
-    alphas = np.zeros(maxit)
-    betas = np.zeros(maxit)
-    lam_min = lam_max = np.nan
-    converged = False
-    beta = 0.0  # beta_{k-1}; q_prev is zero until the first step is taken
-    k = 0
-    while k < maxit:
-        w = apply_a(u)
-        alphas[k] = float(u @ w)
-        w -= alphas[k] * q
-        w -= beta * q_prev
-        z = apply_m(w) if apply_m is not None else w
-        b2 = float(w @ z)
-        if not (np.isfinite(alphas[k]) and 0.0 <= b2 < np.inf):
-            break  # an indefinite preconditioner or non-finite data: unconverged
-        beta = np.sqrt(b2)
-        k += 1
-        # beta = 0 (w.z == 0): an exact invariant subspace, where both bounds are zero
-        if beta == 0.0 or k % 5 == 0 or k == maxit:
-            # the two extreme Ritz pairs by bisection and inverse iteration,
-            # in O(k) memory: the last eigenvector entries give the bounds
-            (lam_min,), s_min = scipy.linalg.eigh_tridiagonal(
-                alphas[:k], betas[:k - 1], select="i", select_range=(0, 0))
-            (lam_max,), s_max = scipy.linalg.eigh_tridiagonal(
-                alphas[:k], betas[:k - 1], select="i", select_range=(k - 1, k - 1))
-            lam_min, lam_max = float(lam_min), float(lam_max)
-            certified = beta * abs(s_max[-1, 0]) <= tol * abs(lam_max)
-            if apply_m is not None:
-                certified = certified and (
-                    beta * abs(s_min[-1, 0]) <= tol * max(abs(lam_min), 1e-300))
-            if certified:
-                converged = True
-                break
-        betas[k - 1] = beta
-        q_prev, q, u = q, w / beta, z / beta
-
-    return lam_min, lam_max, k, converged
-
-
 def estimate_condition_number(operator, *, preconditioner=None, tol: float = 1e-3,
                               maxit: int = 800, seed: int = 0) -> CondEstimate:
     """Condition-number estimate of a sparse or dense SPD matrix from its
-    extreme eigenvalues, by Lanczos without reorthogonalisation.
+    extreme eigenvalues: the Lanczos process without reorthogonalisation,
+    run as ``_cg`` with the "ritz" stop from a seeded standard normal b, so
+    that the Ritz values come from CG's own alpha and beta.
 
-    With a preconditioner one recurrence in its inner product certifies
-    both ends of the spectrum of P A.  Without one the forward recurrence
-    gives the largest eigenvalue and the recurrence on the inverse, through
-    one ``_spd_lu`` factorisation, the smallest; that factorisation raises
-    BlockFactorizationError unless the matrix is positive definite.
-    Estimates whose certified Ritz values fail their residual bound within
-    maxit iterations (per recurrence) are flagged converged=False.  A
-    callable operator raises ValueError.
+    With a preconditioner one run certifies both ends of the spectrum of
+    P A.  Without one a run on the matrix gives the largest eigenvalue and
+    a run on its inverse, through one ``_spd_lu`` factorisation, the
+    smallest; that factorisation raises BlockFactorizationError unless the
+    matrix is positive definite.  Estimates whose certified Ritz values
+    fail their residual bound within min(maxit, n) iterations (per run) are
+    flagged converged=False.  A callable operator raises ValueError.
     """
     if not (sparse.issparse(operator) or isinstance(operator, np.ndarray)):
         raise ValueError("the operator must be a sparse matrix or an ndarray")
     n = operator.shape[0]
+    b = np.random.default_rng(seed).standard_normal(n)
+    config = SolverConfig(tol, min(maxit, n))
+
+    def extremes(apply_a, apply_m=None):
+        _, report = _cg(apply_a, b, apply_m, "ritz", config, None)
+        return report.ritz or (np.nan, np.nan), report.iterations, report.converged
+
     apply_a = _as_apply(operator)
     if preconditioner is not None:
-        lam_min, lam_max, k, converged = _lanczos_extremes(
-            apply_a, n, maxit, tol, seed, _as_apply(preconditioner))
+        (lam_min, lam_max), k, converged = extremes(apply_a, _as_apply(preconditioner))
     else:
-        _, lam_max, k1, conv1 = _lanczos_extremes(apply_a, n, maxit, tol, seed)
+        (_, lam_max), k1, conv1 = extremes(apply_a)
         lu = _spd_lu(operator, "operator")
-        _, inv_max, k2, conv2 = _lanczos_extremes(lu.solve, n, maxit, tol, seed)
+        (_, inv_max), k2, conv2 = extremes(lu.solve)
         lam_min, k, converged = 1.0 / inv_max, k1 + k2, conv1 and conv2
 
     kappa = lam_max / lam_min if lam_min > 0 else np.inf

@@ -273,3 +273,16 @@ def test_criterion_9_determinism(tmp_path):
                for name in ("iter_dcg.csv", "iter_pcg_cbj.csv"))
     check(9, "determinism", code1 == 0 and code2 == 0 and same,
           "bit-identical CSV tables across repeated runs")
+
+
+def test_cond_table_determinism(tmp_path):
+    """Criterion 9's bit-identity, for the condition tables."""
+    from polystress.cli import main
+
+    args = ["cond-table", "--nx", "6", "--ny", "6", "--targets", "12",
+            "--degree", "2", "--cond-dts", "1e-6,1e-8", "--cond-tol", "1e-4"]
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    assert main(args + ["--output", str(out1)]) == 0
+    assert main(args + ["--output", str(out2)]) == 0
+    for name in ("cond_raw.csv", "cond_cbj.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name

@@ -119,7 +119,7 @@ def test_condition_table_small():
 def test_condition_table_pinned():
     """Lanczos estimates on an agglomerated mesh, pinned to the digits the
     table prints.  The values were computed with fully reorthogonalised
-    Krylov bases, a reference independent of the plain recurrence."""
+    Krylov bases, a reference independent of CG's own tridiagonal."""
     cfg = load_config(None, {("mesh", "nx"): "8", ("mesh", "ny"): "8",
                              ("mesh", "targets"): "16", ("discretization", "degree"): "3",
                              ("condition", "dts"): "1e-8,1e-9"})
