@@ -26,8 +26,12 @@ The cut-off keeps every operator of 100 elements and p = 3 serial (A* has
 it saved), and splits A* from 200 elements (501,288) and (A* V)^T at 900
 (1,059,991), where split dcg, pcg-cbj and cg iterations took 0.75, 0.78
 and 0.73 of the serial time on a 2-vCPU host.  A process whose CPU
-affinity is one CPU keeps the serial product.  Nothing else is threaded:
-the Block-Jacobi apply, the coarse solve and BLAS stay on one thread.
+affinity is one CPU keeps the serial product.  Within a solve nothing
+else is threaded: the Block-Jacobi apply, the coarse solve and BLAS stay
+on the solving thread.  ``bench.run_iteration_table`` runs whole solves
+concurrently, one thread per CPU; from 200 elements these solves share
+the one split thread (three threads on two CPUs), and every product is
+still bitwise ``A @ x``.
 
 W, and A* itself for the CG run on A*^-1 that gives the smallest
 eigenvalue of the raw condition number, are factorised by ``_spd_lu``: a

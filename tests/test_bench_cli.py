@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from polystress.bench import (ConfigError, _rhs_generator, build_meshes,
                               run_condition_table, run_convergence,
                               run_iteration_table)
 from polystress.cli import main
-from polystress.krylov import SOLVERS
+from polystress.krylov import SOLVERS, SolverReport
 from polystress.mesh import FaceKind
 
 FAST = {
@@ -102,14 +105,112 @@ def test_iteration_table_flags_at_cap():
     assert "!" in md
 
 
+# a two-target family, so that the cells of one batch of workers cross
+# meshes; every solver, two dts and three repetitions
+POOLED = {
+    ("mesh", "nx"): "4", ("mesh", "ny"): "4", ("mesh", "targets"): "8,12",
+    ("discretization", "degree"): "1", ("solve", "dts"): "1e-4,1e-5",
+    ("solve", "solvers"): ",".join(SOLVERS), ("solve", "repetitions"): "3",
+    ("solve", "maxit"): "4000", ("solve", "tol"): "1e-8", ("solve", "seed"): "0",
+}
+
+
+def table_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("polystress-table")]
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The names of the threads started while the test runs."""
+    names, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names
+
+
+@pytest.mark.parametrize("cpus", [2, 8], ids=["two-cpus", "eight-cpus"])
+def test_iteration_table_pooled_equals_one_cpu(monkeypatch, started_threads, cpus):
+    """The pooled tables are byte for byte the one-CPU ones, also with more
+    workers than cores and a short switch interval, where a lost write of
+    a result would show."""
+    cfg = load_config(None, POOLED)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+    serial = run_iteration_table(cfg)
+    assert started_threads == []
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_iteration_table(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert any(name.startswith("polystress-table") for name in started_threads)
+    assert table_threads() == []
+    assert len(serial["cg"].col_values) == 2 and list(pooled) == list(SOLVERS)
+    for solver in SOLVERS:
+        assert pooled[solver].to_csv() == serial[solver].to_csv()
+        assert pooled[solver].to_markdown() == serial[solver].to_markdown()
+
+
+class SolveFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "pooled"])
+@pytest.mark.parametrize("failing, raised, most_started", [
+    # the first job submitted and the first in serial order: every other
+    # job of its batch that has not started is cancelled
+    ({("cg", 0, 0)}, ("cg", 0, 0), {1: 1, 2: 4}),
+    # cg at dt 1e-5 is submitted before pcg-cbj at dt 1e-4, which comes
+    # first in serial order (mesh, dt, solver, repetition); the dcg, pcg-bj
+    # and pcg-cbj jobs at dt 1e-5 are cancelled
+    ({("cg", 1, 2), ("pcg-cbj", 0, 0)}, ("pcg-cbj", 0, 0), {1: 10, 2: 16}),
+], ids=["one-failure", "two-failures"])
+def test_iteration_table_raises_first_failure_in_serial_order(
+        monkeypatch, cpus, failing, raised, most_started):
+    """Solves stubbed to fail at chosen (solver, dt, repetition) cells of
+    the first mesh: the table raises the failure a serial run meets first,
+    the second mesh is never set up, and no pool thread is left."""
+    started, built = [], []
+
+    def fake_solver(name, astar, space, config):
+        built.append((name, space.mesh.n_elements))
+
+        def solve(b, x0=None):
+            j, i, rep = b
+            started.append((name, i, rep))
+            if j == 0 and (name, i, rep) in failing:
+                raise SolveFailed(name, i, rep)
+            time.sleep(0.05)
+            return None, SolverReport(1, 0.0, True)
+        return solve
+
+    monkeypatch.setattr(bench, "make_solver", fake_solver)
+    monkeypatch.setattr(bench, "_rhs_generator", lambda seed, j, i, rep, n: (j, i, rep))
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: cpus)
+    with pytest.raises(SolveFailed) as err:
+        run_iteration_table(load_config(None, POOLED))
+    assert err.value.args == raised
+    assert len(started) <= most_started[len(cpus)]
+    assert {elements for _, elements in built} == {8}
+    assert table_threads() == []
+
+
 def test_condition_table_small():
     cfg = load_config(None, {
         ("mesh", "nx"): "2", ("mesh", "ny"): "2",
         ("discretization", "degree"): "1",
         ("condition", "dts"): "1e-6,1e-7",
-        ("condition", "tol"): "1e-4",
+        ("condition", "tol"): "1e-4", ("condition", "seed"): "5",
     })
     tables = run_condition_table(cfg)
+    # the estimator's start vector is keyed by [condition] seed, not [solve] seed
+    header = tables["raw"].header_lines()[1].split()
+    assert "estimator_seed=5" in header and "seed=0" in header
     raw, cbj = tables["raw"].values, tables["cbj"].values
     assert 8.0 <= raw[1, 0] / raw[0, 0] <= 12.0
     assert abs(cbj[1, 0] - cbj[0, 0]) <= 0.05 * cbj[0, 0]
