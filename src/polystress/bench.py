@@ -10,18 +10,19 @@ systems are put to every solver.  The raw draw keeps full spectral content
 in the right-hand side; filtering it through the singular mass operator
 would remove exactly the directions whose dt-dependence the tables measure.
 
-The solves of an iteration table run on a thread pool as wide as the
-process's CPU affinity (``os.sched_getaffinity``), inline when that is one
-CPU, so that no thread starts.  scipy's CSR kernel, about 82% of a CG
-iteration at 100 elements, releases the GIL.  The pool holds at most one
-(mesh, dt) cell per thread: the calling thread builds their A* and
-factorisations in sweep order, and solves the next cells once these are
-done.  From 200 elements the concurrent solves share krylov's one split-
-product thread (three threads on two CPUs).  Each solve is bitwise the
-serial one, so the tables do not depend on the CPU count.  Condition tables
-stay serial: each raw cell holds an n x n LU of A*, about 35 MB of RSS
-at 100 elements, and running the cells concurrently raised the peak RSS
-of a 100-element table from about 182 to 213 MB.
+The solves of an iteration table and the estimates of a condition table
+run on a thread pool as wide as the process's CPU affinity
+(``os.sched_getaffinity``), inline when that is one CPU, so that no thread
+starts.  scipy's CSR kernel, about 82% of a CG iteration at 100 elements,
+releases the GIL.  The pool holds at most one (mesh, dt) cell per thread:
+the calling thread builds their A* and factorisations in sweep order, and
+runs the next cells once these are done.  From 200 elements the concurrent
+solves share krylov's one split-product thread (three threads on two
+CPUs).  Each solve and estimate is bitwise the serial one, so the tables do
+not depend on the CPU count.  A condition cell holds A*, its collective
+Block-Jacobi and its deflator, not an n x n LU of A* (about 35 MB of RSS at
+100 elements), except where the raw estimate's inner solves fail and hand
+over to that LU (``krylov.deflated_inverse``, large dt).
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ import numpy as np
 from .assembly import assemble_system, build_system, export_matrices
 from .dg_space import build_space
 from .krylov import (LAYOUT_COLLECTIVE, SOLVERS, SolverConfig,
-                     build_block_jacobi, estimate_condition_number,
-                     make_solver)
+                     build_block_jacobi, build_deflator, deflated_inverse,
+                     estimate_condition_number, make_solver)
 from .mesh import agglomerate, build_cartesian_mesh, classify_boundary, read_mesh
 from .problems import NAMED_SOLUTIONS, linear_in_space_solution, zero_data
 from .timestepper import EnergyNorm, TimeConfig, implicit_euler_run
@@ -382,6 +383,16 @@ def _run_jobs(jobs, workers: int) -> None:
         raise failed.exception()
 
 
+def _run_cells(cells, workers: int, jobs_of) -> None:
+    """Run the jobs of ``cells`` on ``_run_jobs``, one batch of ``workers``
+    cells at a time: the calling thread builds a batch's (key, job) list,
+    ``jobs_of(batch)``, in sweep order, and builds the next batch once its
+    jobs are done, so that at most one cell per worker is held at once."""
+    cells = iter(cells)
+    while batch := list(islice(cells, workers)):
+        _run_jobs(jobs_of(batch), workers)
+
+
 def _dt_table(cfg, name, dts, meshes, values, flags, fmt, meta) -> Table:
     """A table with one row per dt and one column per mesh, balanced cells
     marked."""
@@ -425,17 +436,15 @@ def run_iteration_table(cfg) -> dict[str, Table]:
         iterations[k, i, j, rep] = report.iterations
         unconverged[k, i, j, rep] = not report.converged
 
-    def solve_cells(cells):
+    def solve_jobs(cells):
         built = [(i, j, space.total_dofs, [make_solver(s, astar, space, solver_cfg)
                                            for s in solvers])
                  for i, j, space, astar in cells]
-        _run_jobs([((j, i, k, rep), partial(solve_one, solve[k], k, i, j, rep, n))
-                   for k in range(len(solvers)) for i, j, n, solve in built
-                   for rep in range(reps)], workers)
+        return [((j, i, k, rep), partial(solve_one, solve[k], k, i, j, rep, n))
+                for k in range(len(solvers)) for i, j, n, solve in built
+                for rep in range(reps)]
 
-    cells = _cells(cfg, meshes, dts)
-    for _ in range(0, len(dts) * len(meshes), workers):
-        solve_cells(islice(cells, workers))
+    _run_cells(_cells(cfg, meshes, dts), workers, solve_jobs)
     means, flags = iterations.mean(axis=-1), unconverged.sum(axis=-1)
     return {s: _dt_table(cfg, f"iter_{s.replace('-', '_')}", dts, meshes, means[k],
                          flags[k], "{:.1f}",
@@ -445,20 +454,35 @@ def run_iteration_table(cfg) -> dict[str, Table]:
 
 def run_condition_table(cfg) -> dict[str, Table]:
     """Lanczos condition-number estimates of A* and of the collective
-    Block-Jacobi preconditioned operator, one cell after another (see the
-    module docstring)."""
+    Block-Jacobi preconditioned operator.
+
+    Each cell builds one collective Block-Jacobi, which preconditions the
+    cbj estimate and the inner solves of the raw estimate's
+    ``deflated_inverse``; no n x n LU of A* is built unless an inner solve
+    fails (large dt).  A cell's raw and cbj estimates are two jobs of
+    ``_run_jobs``, one cell per worker (``_run_cells``), and each writes its
+    own slot, so the tables do not depend on the CPU count."""
     dts = value(cfg, "condition", "dts")
     tol, maxit, seed = (value(cfg, "condition", key) for key in ("tol", "maxit", "seed"))
     meshes = build_meshes(cfg)
     kappa = np.zeros((2, len(dts), len(meshes)))
     flags = np.zeros(kappa.shape, dtype=int)
-    for i, j, space, astar in _cells(cfg, meshes, dts):
-        raw = estimate_condition_number(astar, tol=tol, maxit=maxit, seed=seed)
-        cbj = estimate_condition_number(
-            astar, preconditioner=build_block_jacobi(astar, space, LAYOUT_COLLECTIVE),
-            tol=tol, maxit=maxit, seed=seed)
-        for k, estimate in enumerate((raw, cbj)):
-            kappa[k, i, j], flags[k, i, j] = estimate.kappa, not estimate.converged
+
+    def estimate_one(k, i, j, astar, **operators):
+        estimate = estimate_condition_number(astar, **operators, tol=tol, maxit=maxit,
+                                             seed=seed)
+        kappa[k, i, j], flags[k, i, j] = estimate.kappa, not estimate.converged
+
+    def estimate_jobs(cells):
+        jobs = []
+        for i, j, space, astar in cells:
+            cbj = build_block_jacobi(astar, space, LAYOUT_COLLECTIVE)
+            inverse = deflated_inverse(astar, build_deflator(None, None, astar), cbj)
+            jobs += [((j, i, 0), partial(estimate_one, 0, i, j, astar, inverse=inverse)),
+                     ((j, i, 1), partial(estimate_one, 1, i, j, astar, preconditioner=cbj))]
+        return jobs
+
+    _run_cells(_cells(cfg, meshes, dts), len(os.sched_getaffinity(0)), estimate_jobs)
 
     meta = _common_meta(cfg, {"estimator": "lanczos", "estimator_tol": tol,
                               "estimator_maxit": maxit, "estimator_seed": seed})

@@ -1,10 +1,11 @@
 """Krylov solvers for the time-step operator: CG, deflated CG with kernel
 deflation, Block-Jacobi preconditioning (component-wise and collective) and
-Lanczos condition-number estimation.  cg, pcg, deflated_cg and
-estimate_condition_number all run the one conjugate gradient loop ``_cg``;
-the estimator reads the extreme eigenvalues off the Lanczos tridiagonal
-that CG's own coefficients define.  ``make_solver`` turns a name from
-``SOLVERS`` into a solve callable with its factorisations built once.
+Lanczos condition-number estimation.  cg, pcg, deflated_cg,
+estimate_condition_number and the inner solves of deflated_inverse all run
+the one conjugate gradient loop ``_cg``; the estimator reads the extreme
+eigenvalues off the Lanczos tridiagonal that CG's own coefficients define.
+``make_solver`` turns a name from ``SOLVERS`` into a solve callable with
+its factorisations built once.
 
 The deflation space is the kernel of the deviatoric mass operator, spanned
 by v kron I with v = (e1 + e4)/sqrt(2): the trace direction of the tensor
@@ -33,12 +34,18 @@ concurrently, one thread per CPU; from 200 elements these solves share
 the one split thread (three threads on two CPUs), and every product is
 still bitwise ``A @ x``.
 
-W, and A* itself for the CG run on A*^-1 that gives the smallest
-eigenvalue of the raw condition number, are factorised by ``_spd_lu``: a
-symmetric minimum-degree ordering and LU without row pivoting, which needs
-about half the fill of splu's default (COLAMD with partial pivoting).
-Without pivoting the signs of U's diagonal are the inertia of the matrix,
-so the same factorisation checks that it is positive definite.
+W is factorised by ``_spd_lu``: a symmetric minimum-degree ordering and
+LU without row pivoting, which needs about half the fill of splu's default
+(COLAMD with partial pivoting).  Without pivoting the signs of U's
+diagonal are the inertia of the matrix, so the same factorisation checks
+that it is positive definite.  The smallest eigenvalue of the raw
+condition number comes from a CG run on A*^-1.  ``deflated_inverse``
+applies A*^-1 by inner CG solves preconditioned with A-DEF2 around the
+collective Block-Jacobi, which take 3-14 iterations for dt <= 1e-6 at 100
+elements; past ``INVERSE_MAXIT`` iterations (large dt) it hands over to a
+``_spd_lu`` factorisation of A* itself.  At 100 elements that n x n
+factor has about 1.5M nonzeros against A*'s 215k; without a ``DGSpace``
+it is the only inverse ``estimate_condition_number`` has.
 """
 from __future__ import annotations
 
@@ -176,22 +183,25 @@ def _ritz_extremes(coefficients, both_ends, tol):
     return (float(lam_min), float(lam_max)), bool(certified)
 
 
-def _cg(apply_a, b, apply_m, stop, config, x0):
-    """The preconditioned CG loop behind cg, pcg, deflated_cg and
-    estimate_condition_number, from x0 (zero when None).
+def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
+    """The preconditioned CG loop behind cg, pcg, deflated_cg,
+    deflated_inverse and estimate_condition_number, from x0 (zero when
+    None).
 
     It stops once the relative residual named by ``stop`` is at most tol:
     "residual" ||r||/||b|| (cg, deflated_cg) or "preconditioned"
     sqrt(r.z)/sqrt(b.Mb) (pcg).  The recursively updated residual is the
     criterion (at condition numbers ~1/dt the recomputed residual saturates
-    near eps * kappa); the explicit one is recomputed once and reported,
-    except by "ritz".  "ritz" keeps each step's (alpha, beta) and stops once
-    ``_ritz_extremes`` certifies them, checked every 5 steps, at maxit and
-    at beta = 0 (an invariant subspace); both ends are certified with
-    apply_m, the largest alone without, and the last check is reported as
-    ``SolverReport.ritz``.  The loop stops unconverged when p.Ap is not
-    positive (loss of positive definiteness) or r.z, b.Mb included, is
-    negative (an indefinite preconditioner) or not finite (NaN or inf data).
+    near eps * kappa); the explicit one, one more product with A, is
+    recomputed once and reported when ``true_residual`` (the condition
+    estimate and the inner solves of deflated_inverse read none).  "ritz"
+    keeps each step's (alpha, beta) and stops once ``_ritz_extremes``
+    certifies them, checked every 5 steps, at maxit and at beta = 0 (an
+    invariant subspace); both ends are certified with apply_m, the largest
+    alone without, and the last check is reported as ``SolverReport.ritz``.
+    The loop stops unconverged when p.Ap is not positive (loss of positive
+    definiteness) or r.z, b.Mb included, is negative (an indefinite
+    preconditioner) or not finite (NaN or inf data).
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
@@ -254,8 +264,8 @@ def _cg(apply_a, b, apply_m, stop, config, x0):
         rz = rz_new
         p = z + beta * p
 
-    true_rel = (None if stop == "ritz"  # the condition estimate reads no solution
-                else float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b)))
+    true_rel = (float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b))
+                if true_residual else None)
     return x, SolverReport(iterations, rel, converged, time.perf_counter() - start, true_rel,
                            ritz)
 
@@ -446,11 +456,13 @@ class Deflator:
         deflation space; costs one coarse solve."""
         return self.v(self._wsolve(self._avt(r)))
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """z = r + V W^-1 (V^T r - (A* V)^T r): the A-DEF2 preconditioner
-        (Tang, Nabben, Vuik and Erlangga, J. Sci. Comput. 2009) with the
-        identity as M^-1; costs one coarse solve."""
-        return r + self.v(self._wsolve(self.vt(r) - self._avt(r)))
+    def apply(self, r: np.ndarray, apply_m=None) -> np.ndarray:
+        """z = M^-1 r + V W^-1 (V^T r - (A* V)^T M^-1 r): the A-DEF2
+        preconditioner P^T M^-1 + Q (Tang, Nabben, Vuik and Erlangga, J. Sci.
+        Comput. 2009) around the inner ``apply_m``, the identity when None;
+        costs one coarse solve."""
+        mr = r if apply_m is None else apply_m(r)
+        return mr + self.v(self._wsolve(self.vt(r) - self._avt(mr)))
 
 
 def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
@@ -484,6 +496,42 @@ def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None
     if x0 is not None:
         x += x0
     return _cg(apply_a, b, deflator.apply, "residual", config or SolverConfig(), x)
+
+
+#: the relative residual ||r||/||b|| each inner solve of ``deflated_inverse``
+#: reaches, and the iterations after which an unconverged one hands over to
+#: an LU of A*: at 100 elements the inner solves take 3, 5 and 14
+#: iterations at dt 1e-10, 1e-8 and 1e-6, but 88 at 1e-4 and 839 at 1e-2,
+#: where the factorisation is the cheaper inverse
+INVERSE_TOL = 1e-12
+INVERSE_MAXIT = 50
+
+
+def deflated_inverse(astar, deflator: Deflator, preconditioner):
+    """``r -> A*^-1 r`` by CG preconditioned with ``Deflator.apply`` around
+    ``preconditioner`` (the collective Block-Jacobi), from V W^-1 V^T r,
+    stopped at ||r||/||b|| <= INVERSE_TOL.
+
+    An inner solve still unconverged after INVERSE_MAXIT iterations
+    (large dt, or a loss of positive definiteness) makes this and every
+    later application ``_spd_lu(astar).solve``, which raises
+    BlockFactorizationError unless A* is positive definite."""
+    apply_a, apply_m = _as_apply(astar), _as_apply(preconditioner)
+    precondition = lambda r: deflator.apply(r, apply_m)
+    config = SolverConfig(INVERSE_TOL, INVERSE_MAXIT)
+    lu = None
+
+    def inverse(r):
+        nonlocal lu
+        if lu is None:
+            x, report = _cg(apply_a, r, precondition, "residual", config,
+                            deflator.coarse_component(r), true_residual=False)
+            if report.converged:
+                return x
+            lu = _spd_lu(astar, "operator")
+        return lu.solve(r)
+
+    return inverse
 
 
 # -- named solvers ------------------------------------------------------------
@@ -520,8 +568,9 @@ class CondEstimate:
     converged: bool
 
 
-def estimate_condition_number(operator, *, preconditioner=None, tol: float = 1e-3,
-                              maxit: int = 800, seed: int = 0) -> CondEstimate:
+def estimate_condition_number(operator, *, preconditioner=None, inverse=None,
+                              tol: float = 1e-3, maxit: int = 800,
+                              seed: int = 0) -> CondEstimate:
     """Condition-number estimate of a sparse or dense SPD matrix from its
     extreme eigenvalues: the Lanczos process without reorthogonalisation,
     run as ``_cg`` with the "ritz" stop from a seeded standard normal b, so
@@ -529,20 +578,32 @@ def estimate_condition_number(operator, *, preconditioner=None, tol: float = 1e-
 
     With a preconditioner one run certifies both ends of the spectrum of
     P A.  Without one a run on the matrix gives the largest eigenvalue and
-    a run on its inverse, through one ``_spd_lu`` factorisation, the
-    smallest; that factorisation raises BlockFactorizationError unless the
-    matrix is positive definite.  Estimates whose certified Ritz values
-    fail their residual bound within min(maxit, n) iterations (per run) are
-    flagged converged=False.  A callable operator raises ValueError.
+    a run on its inverse the smallest.  ``inverse``, a callable r -> A^-1 r
+    such as ``deflated_inverse``, applies that inverse; it is accurate to
+    its own tolerance, so kappa can move in the last digits against the
+    exact inverse (by at most 1e-7 relative at 100 elements, dt 1e-10 to
+    1e-6).  ``deflated_inverse`` hands over to the LU below once an inner
+    solve fails (large dt); when the first one fails, the estimate is
+    exactly the LU path's.  When None, one ``_spd_lu`` factorisation of the
+    matrix applies it, which raises BlockFactorizationError unless the
+    matrix is positive definite.  Estimates whose certified Ritz values fail their
+    residual bound within min(maxit, n) iterations (per run) are flagged
+    converged=False.  The certificate says that an eigenvalue lies within
+    about tol of the Ritz value, not that it is the extreme one: when the
+    two smallest (or largest) eigenvalues are only a few tol apart, a
+    certified estimate can report the inner one.  A callable operator, or
+    an inverse next to a preconditioner, raises ValueError.
     """
     if not (sparse.issparse(operator) or isinstance(operator, np.ndarray)):
         raise ValueError("the operator must be a sparse matrix or an ndarray")
+    if preconditioner is not None and inverse is not None:
+        raise ValueError("an inverse serves the estimate without a preconditioner only")
     n = operator.shape[0]
     b = np.random.default_rng(seed).standard_normal(n)
     config = SolverConfig(tol, min(maxit, n))
 
     def extremes(apply_a, apply_m=None):
-        _, report = _cg(apply_a, b, apply_m, "ritz", config, None)
+        _, report = _cg(apply_a, b, apply_m, "ritz", config, None, true_residual=False)
         return report.ritz or (np.nan, np.nan), report.iterations, report.converged
 
     apply_a = _as_apply(operator)
@@ -550,8 +611,7 @@ def estimate_condition_number(operator, *, preconditioner=None, tol: float = 1e-
         (lam_min, lam_max), k, converged = extremes(apply_a, _as_apply(preconditioner))
     else:
         (_, lam_max), k1, conv1 = extremes(apply_a)
-        lu = _spd_lu(operator, "operator")
-        (_, inv_max), k2, conv2 = extremes(lu.solve)
+        (_, inv_max), k2, conv2 = extremes(inverse or _spd_lu(operator, "operator").solve)
         lam_min, k, converged = 1.0 / inv_max, k1 + k2, conv1 and conv2
 
     kappa = lam_max / lam_min if lam_min > 0 else np.inf

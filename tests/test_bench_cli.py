@@ -8,12 +8,13 @@ import pytest
 
 import polystress.bench as bench
 import polystress.cli as cli
+import polystress.krylov as krylov
 from polystress.bench import (ConfigError, _rhs_generator, build_meshes,
                               config_hash, fitted_slope, load_config,
                               run_condition_table, run_convergence,
                               run_iteration_table)
 from polystress.cli import main
-from polystress.krylov import SOLVERS, SolverReport
+from polystress.krylov import SOLVERS, CondEstimate, SolverReport
 from polystress.mesh import FaceKind
 
 FAST = {
@@ -198,6 +199,104 @@ def test_iteration_table_raises_first_failure_in_serial_order(
     assert len(started) <= most_started[len(cpus)]
     assert {elements for _, elements in built} == {8}
     assert table_threads() == []
+
+
+# the two-target family of POOLED, three condition dts: six cells
+POOLED_COND = {**POOLED, ("condition", "dts"): "1e-6,1e-8,1e-10"}
+
+
+@pytest.mark.parametrize("cpus", [2, 8], ids=["two-cpus", "eight-cpus"])
+def test_condition_table_pooled_equals_one_cpu(monkeypatch, started_threads, cpus):
+    """The pooled condition tables are byte for byte the one-CPU ones, also
+    with more workers than cores and a short switch interval."""
+    cfg = load_config(None, POOLED_COND)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+    serial = run_condition_table(cfg)
+    assert started_threads == []
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_condition_table(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert any(name.startswith("polystress-table") for name in started_threads)
+    assert table_threads() == []
+    assert serial["raw"].values.shape == (3, 2) and list(pooled) == ["raw", "cbj"]
+    for name in ("raw", "cbj"):
+        assert pooled[name].to_csv() == serial[name].to_csv()
+        assert pooled[name].to_markdown() == serial[name].to_markdown()
+
+
+class EstimateFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "pooled"])
+@pytest.mark.parametrize("failing, raised", [
+    ({("raw", 0, 0)}, ("raw", 0, 0)),
+    # the slow cbj estimate at dt 1e-6 fails after the raw one at dt 1e-8,
+    # but comes first in serial (mesh, dt, raw-then-cbj) order
+    ({("cbj", 0, 0), ("raw", 0, 1)}, ("cbj", 0, 0)),
+], ids=["one-failure", "two-failures"])
+def test_condition_table_raises_first_failure_in_serial_order(monkeypatch, cpus, failing,
+                                                              raised):
+    """Estimates stubbed to fail at chosen (column, mesh, dt) cells: the
+    table raises the failure a serial run meets first, builds no cell past
+    the failing batch and leaves no pool thread."""
+    drawn = []
+
+    def cells(cfg, meshes, dts):
+        for j in range(len(meshes)):
+            for i in range(len(dts)):
+                drawn.append((j, i))
+                yield i, j, None, (j, i)
+
+    def estimate(cell, *, preconditioner=None, inverse=None, **_):
+        name = "raw" if preconditioner is None else "cbj"
+        time.sleep(0.2 if name == "cbj" else 0.01)
+        if (name, *cell) in failing:
+            raise EstimateFailed(name, *cell)
+        return CondEstimate(1.0, 1.0, 1.0, 1, True)
+
+    monkeypatch.setattr(bench, "_cells", cells)
+    monkeypatch.setattr(bench, "build_block_jacobi", lambda astar, space, layout: "cbj")
+    monkeypatch.setattr(bench, "build_deflator", lambda system, dt, astar: None)
+    monkeypatch.setattr(bench, "deflated_inverse", lambda astar, deflator, cbj: "inverse")
+    monkeypatch.setattr(bench, "estimate_condition_number", estimate)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: cpus)
+    with pytest.raises(EstimateFailed) as err:
+        run_condition_table(load_config(None, POOLED_COND))
+    assert err.value.args == raised
+    assert drawn == [(0, i) for i in range(len(cpus))]
+    assert table_threads() == []
+
+
+def test_condition_table_without_lu_of_astar(monkeypatch):
+    """At dt <= 1e-8 the raw column's inverse is the inner A-DEF2 solves:
+    ``_spd_lu`` factorises the coarse operators W alone, never an n x n
+    matrix, and no public solver (whose true residual perfbench counts) is
+    called."""
+    factorised = []
+    spd_lu = krylov._spd_lu
+
+    def recording_spd_lu(matrix, what):
+        factorised.append(matrix.shape[0])
+        return spd_lu(matrix, what)
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the condition table called a public solver")
+
+    monkeypatch.setattr(krylov, "_spd_lu", recording_spd_lu)
+    for name in ("cg", "pcg", "deflated_cg"):
+        monkeypatch.setattr(krylov, name, no_solver)
+    cfg = load_config(None, {("mesh", "nx"): "8", ("mesh", "ny"): "8",
+                             ("mesh", "targets"): "16", ("discretization", "degree"): "3",
+                             ("condition", "dts"): "1e-8,1e-9,1e-10"})
+    tables = run_condition_table(cfg)
+    n = 4 * 16 * 10  # four stress components, 16 elements, 10 dofs each at p = 3
+    assert factorised == [n // 4] * 3
+    assert not tables["raw"].flags.any()
 
 
 def test_condition_table_small():

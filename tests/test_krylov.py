@@ -599,6 +599,62 @@ def test_preconditioned_plateau(bench_system):
     assert abs(ks[1] - ks[0]) <= 0.05 * ks[0]
 
 
+def _inverse_and_lu_estimates(monkeypatch, space, system, dt):
+    """The raw estimate at dt through ``deflated_inverse`` and through the
+    LU path, and the sizes ``_spd_lu`` factorised for the former."""
+    astar = build_system(system.m, system.a, dt)
+    factorised, spd_lu = [], krylov._spd_lu
+
+    def recording_spd_lu(matrix, what):
+        factorised.append(matrix.shape[0])
+        return spd_lu(matrix, what)
+
+    monkeypatch.setattr(krylov, "_spd_lu", recording_spd_lu)
+    inverse = krylov.deflated_inverse(astar, build_deflator(None, None, astar),
+                                      build_block_jacobi(astar, space, "collective"))
+    inner = estimate_condition_number(astar, inverse=inverse)
+    monkeypatch.setattr(krylov, "_spd_lu", spd_lu)
+    return inner, estimate_condition_number(astar), factorised, astar.shape[0]
+
+
+@pytest.mark.parametrize("dt", [1e-8, 1e-9, 1e-10])
+def test_raw_condition_number_through_inner_solves(monkeypatch, bench_system, dt):
+    """At small dt the inner A-DEF2 solves apply A*^-1 with no n x n LU, and
+    kappa matches the LU path's."""
+    inner, lu, factorised, n = _inverse_and_lu_estimates(monkeypatch, *bench_system, dt)
+    assert factorised == [n // 4]  # the coarse operator W alone
+    assert inner.converged and lu.converged
+    assert inner.kappa == pytest.approx(lu.kappa, rel=1e-6)
+
+
+def test_raw_condition_number_falls_back_to_lu_at_large_dt(monkeypatch, bench_system):
+    """At dt 1e-2 the first inner solve exceeds INVERSE_MAXIT, so every
+    application of the inverse is the LU's and the estimate is the LU
+    path's exactly."""
+    inner, lu, factorised, n = _inverse_and_lu_estimates(monkeypatch, *bench_system, 1e-2)
+    assert factorised == [n // 4, n]
+    assert inner == lu
+
+
+def test_inner_solve_inverse_rejects_indefinite_matrix():
+    """An indefinite operator whose coarse operator W is SPD: an inner solve
+    fails, and the LU it hands over to names the negative pivot."""
+    S = 6
+    a = sparse.diags(np.concatenate([np.linspace(1.0, 2.0, S), np.linspace(1.0, 3.0, S),
+                                     [1.0, 2.0, -0.5, 3.0, 4.0, 5.0],
+                                     np.linspace(2.0, 3.0, S)])).tocsr()
+    inverse = krylov.deflated_inverse(a, build_deflator(None, None, a), np.eye(4 * S))
+    with pytest.raises(BlockFactorizationError, match="smallest pivot -5.000e-01"):
+        estimate_condition_number(a, inverse=inverse, tol=1e-6)
+
+
+def test_inverse_next_to_preconditioner_is_rejected(small_system):
+    _, _, astar = small_system
+    with pytest.raises(ValueError, match="without a preconditioner"):
+        estimate_condition_number(astar, preconditioner=np.eye(astar.shape[0]),
+                                  inverse=lambda r: r)
+
+
 def test_condition_number_flags_unconverged(small_system, rng):
     _, _, astar = small_system
     est = estimate_condition_number(astar, tol=1e-12, maxit=4)
