@@ -3,9 +3,10 @@
 Subcommands: cond-table, iter-table, convergence, solve, export-matrices.
 Each option overrides one config-file key (``FLAGS``).  Exit codes: 0 on
 success, 1 on configuration errors, 2 when any solve or estimate was
-flagged as non-converged, when a time step failed, or when a matrix that
-must be SPD (a Block-Jacobi block, the deflation coarse operator) failed
-its factorisation; a failure prints a one-line ``error:`` message.
+flagged as non-converged, when a time step failed (its message names the
+solver's stop reason: maxit, breakdown or non_finite), or when a matrix
+that must be SPD (a Block-Jacobi block, the deflation coarse operator)
+failed its factorisation; a failure prints a one-line ``error:`` message.
 """
 from __future__ import annotations
 

@@ -13,26 +13,31 @@ components.  The coarse operator W = V^T A* V then equals (dt/2)(B1 + B3)
 exactly, a Laplacian-type matrix factorised once and reused.  deflated_cg
 hands ``_cg`` a start vector and the A-DEF2 preconditioner, nothing else.
 
-CSR products of at least ``SPLIT_NNZ`` = 500,000 nonzeros run on two CPUs:
-the A* product of cg, pcg, deflated_cg, their true residual and the
-condition estimate (``_as_apply``) and the (A* V)^T r product of
-``Deflator.apply`` and ``Deflator.projection_correction``.  The rows are
-cut in two halves of equal nnz over views of the matrix arrays; the one
-thread of a ``concurrent.futures.ThreadPoolExecutor`` multiplies the
-bottom half as the caller multiplies the top one, both in scipy's kernel,
-which releases the GIL.  Every row is summed as ``A @ x`` sums
-it, so iterates, counts and tables are bitwise those of the serial product.
-The cut-off keeps every operator of 100 elements and p = 3 serial (A* has
-214,414 nonzeros there, and the hand-off cost more per dcg iteration than
-it saved), and splits A* from 200 elements (501,288) and (A* V)^T at 900
+Products of at least ``SPLIT_NNZ`` = 500,000 stored entries run on two
+CPUs: the A* product of cg, pcg, deflated_cg, their true residual and the
+condition estimate (``_as_apply``), the (A* V)^T r product of
+``Deflator.apply`` and ``Deflator.projection_correction``, and
+``BlockJacobi.apply``.  A CSR matrix is cut into two row halves of equal
+nnz, a Block-Jacobi stack into two halves by block index, both over views
+of the arrays; the one thread of a ``concurrent.futures.ThreadPoolExecutor``
+(``_pool``) computes the bottom half as the caller computes the top one,
+in scipy's CSR kernel or numpy's matmul, which release the GIL.  Every row
+and every block is summed as the serial product sums it, so iterates,
+counts and tables are bitwise those of the serial products.  The cut-off
+keeps every operator of 100 elements and p = 3 serial (A* has 214,414
+nonzeros there, and the hand-off cost more per dcg iteration than it
+saved), and splits A* from 200 elements (501,288), (A* V)^T at 900
 (1,059,991), where split dcg, pcg-cbj and cg iterations took 0.75, 0.78
-and 0.73 of the serial time on a 2-vCPU host.  A process whose CPU
-affinity is one CPU keeps the serial product.  Within a solve nothing
-else is threaded: the Block-Jacobi apply, the coarse solve and BLAS stay
-on the solving thread.  ``bench.run_iteration_table`` runs whole solves
-concurrently, one thread per CPU; from 200 elements these solves share
-the one split thread (three threads on two CPUs), and every product is
-still bitwise ``A @ x``.
+and 0.73 of the serial time on a 2-vCPU host, and the collective
+Block-Jacobi stack from 400 elements (640,000 entries), where a pcg-cbj
+iteration with the apply split took 0.91 of its time with the apply
+serial, and 0.79 at 900 (1,440,000); at 200 elements (320,000) it took
+1.13, so that stack stays serial.  A process whose CPU affinity is one
+CPU keeps the serial products.  Within a solve nothing else is threaded:
+the coarse solve, the vector updates and BLAS stay on the solving thread.
+``bench.run_iteration_table`` runs whole solves concurrently, one thread
+per CPU; from 200 elements these solves share the one split thread (three
+threads on two CPUs), and every product is still bitwise the serial one.
 
 W is factorised by ``_spd_lu``: a symmetric minimum-degree ordering and
 LU without row pivoting, which needs about half the fill of splu's default
@@ -52,7 +57,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -93,15 +98,22 @@ class SolverReport:
     wall_time: float = 0.0
     true_residual: float | None = None
     ritz: tuple[float, float] | None = None  # smallest, largest: the "ritz" stop's last check
+    # why the loop stopped: "converged", "maxit" (the cap reached first),
+    # "breakdown" (p.Ap <= 0, or r.z or b.Mb negative) or "non_finite" (one
+    # of those NaN or inf)
+    reason: str = "converged"
 
 
-#: nnz from which ``_as_apply`` computes a CSR product as two row halves on
-#: two CPUs at once (see the module docstring for the measurement)
+#: stored entries from which a CSR product (``_as_apply``) or a
+#: Block-Jacobi apply runs as two halves on two CPUs at once (see the
+#: module docstring for the measurement)
 SPLIT_NNZ = 500_000
 
 
 def _new_pool():
-    """The pool of ``_split_apply``: one thread, started on the first job."""
+    """The pool of the split products (``_split_apply``,
+    ``BlockJacobi.apply``): one thread, started on the first job.  Its jobs
+    never submit to it, so the one thread cannot deadlock."""
     global _pool
     _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="polystress-split")
 
@@ -183,6 +195,11 @@ def _ritz_extremes(coefficients, both_ends, tol):
     return (float(lam_min), float(lam_max)), bool(certified)
 
 
+def _failure(*values) -> str:
+    """The stop reason for a p.Ap, r.z or b.Mb outside its range."""
+    return "breakdown" if np.isfinite(values).all() else "non_finite"
+
+
 def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
     """The preconditioned CG loop behind cg, pcg, deflated_cg,
     deflated_inverse and estimate_condition_number, from x0 (zero when
@@ -201,7 +218,9 @@ def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
     alone without, and the last check is reported as ``SolverReport.ritz``.
     The loop stops unconverged when p.Ap is not positive (loss of positive
     definiteness) or r.z, b.Mb included, is negative (an indefinite
-    preconditioner) or not finite (NaN or inf data).
+    preconditioner), reported as ``reason`` "breakdown", or when one of
+    them is NaN or inf ("non_finite"); after maxit unconverged steps the
+    reason is "maxit".
     """
     start = time.perf_counter()
     b = np.asarray(b, dtype=float)
@@ -225,6 +244,7 @@ def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
 
     dot_rr = stop == "residual" and apply_m is not None  # without apply_m, r.z is r.r
     definite = 0.0 < bmb < np.inf and 0.0 <= rz < np.inf
+    reason = None if definite else _failure(bmb, rz)
     denom = np.sqrt(bmb) if definite else np.nan
     rel = np.sqrt(float(r @ r) if dot_rr else rz) / denom if definite else np.nan
     iterations, coefficients, ritz = 0, [], None
@@ -233,8 +253,9 @@ def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
     while definite and not converged and iterations < config.maxit:
         q = apply_a(p)
         pq = float(p @ q)
-        if not pq > 0.0:
-            break  # indefinite operator or non-finite data; report non-convergence
+        if not 0.0 < pq < np.inf:
+            reason = _failure(pq)  # an indefinite operator or non-finite data
+            break
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
@@ -249,7 +270,8 @@ def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
             z = apply_m(r) if apply_m is not None else r
         rz_new = float(r @ z)
         if not 0.0 <= rz_new < np.inf:
-            break  # an indefinite preconditioner or non-finite data: unconverged
+            reason = _failure(rz_new)  # an indefinite preconditioner or non-finite data
+            break
         if not dot_rr:
             rel = np.sqrt(rz_new) / denom
         beta = rz_new / rz
@@ -266,8 +288,9 @@ def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
 
     true_rel = (float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b))
                 if true_residual else None)
+    reason = "converged" if converged else reason or "maxit"
     return x, SolverReport(iterations, rel, converged, time.perf_counter() - start, true_rel,
-                           ritz)
+                           ritz, reason)
 
 
 def cg(operator, b, config: SolverConfig | None = None, x0=None):
@@ -298,6 +321,13 @@ class BlockJacobi:
     (c, e, i) -> (e, c, i).  ``inv_blocks`` (nblocks, bs, bs) holds the
     block inverses; ``perm`` maps positions in the contiguous block layout
     back to original dof indices.
+
+    A stack of at least ``SPLIT_NNZ`` stored entries, in a process that may
+    run on more than one CPU, is cut once, here, into two halves by block
+    index, over views of ``inv_blocks`` and ``perm``: ``apply`` then
+    multiplies the bottom half on the pool's thread as the caller
+    multiplies the top one.  Every block goes through the same matmul
+    kernel as in the serial apply, so ``z`` is bitwise the same.
     """
 
     layout: str
@@ -305,15 +335,40 @@ class BlockJacobi:
     nblocks: int
     inv_blocks: np.ndarray
     perm: np.ndarray | None = None
+    _halves: tuple | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.inv_blocks.size >= SPLIT_NNZ and len(os.sched_getaffinity(0)) > 1:
+            bs, mid, halves = self.block_size, self.nblocks // 2, []
+            for lo, hi in ((0, mid), (mid, self.nblocks)):
+                rows = slice(lo * bs, hi * bs)
+                halves.append((self.inv_blocks[lo:hi],
+                               rows if self.perm is None else self.perm[rows]))
+            self._halves = tuple(halves)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        rb = r if self.perm is None else r[self.perm]
-        zb = np.matmul(self.inv_blocks, rb.reshape(self.nblocks, self.block_size, 1))
-        if self.perm is None:
-            return zb.reshape(-1)
-        z = np.empty(zb.size)
-        z[self.perm] = zb.reshape(-1)
+        z = np.empty(self.nblocks * self.block_size)
+        if self._halves is None:
+            _solve_blocks(self.inv_blocks, slice(None) if self.perm is None else self.perm, r, z)
+            return z
+        top, bottom = self._halves
+        lower = _pool.submit(_solve_blocks, *bottom, r, z)
+        try:
+            _solve_blocks(*top, r, z)
+        finally:
+            lower.result()  # the pool's half is done, or raises, before z is returned
         return z
+
+
+def _solve_blocks(inv, rows, r, z):
+    """z[rows] = inv @ r[rows], block by block: ``rows`` is a slice of the
+    contiguous block layout or an index array (the collective
+    permutation)."""
+    rb = r[rows].reshape(-1, inv.shape[-1], 1)
+    if isinstance(rows, slice):
+        np.matmul(inv, rb, out=z[rows].reshape(rb.shape))
+    else:
+        z[rows] = np.matmul(inv, rb).reshape(-1)
 
 
 def collective_permutation(space: DGSpace) -> np.ndarray:
@@ -587,8 +642,9 @@ def estimate_condition_number(operator, *, preconditioner=None, inverse=None,
     exactly the LU path's.  When None, one ``_spd_lu`` factorisation of the
     matrix applies it, which raises BlockFactorizationError unless the
     matrix is positive definite.  Estimates whose certified Ritz values fail their
-    residual bound within min(maxit, n) iterations (per run) are flagged
-    converged=False.  The certificate says that an eigenvalue lies within
+    residual bound within maxit iterations (per run) are flagged
+    converged=False.  maxit is not capped at n: without reorthogonalisation
+    a small preconditioned problem can need more than n steps to certify.  The certificate says that an eigenvalue lies within
     about tol of the Ritz value, not that it is the extreme one: when the
     two smallest (or largest) eigenvalues are only a few tol apart, a
     certified estimate can report the inner one.  A callable operator, or
@@ -598,9 +654,8 @@ def estimate_condition_number(operator, *, preconditioner=None, inverse=None,
         raise ValueError("the operator must be a sparse matrix or an ndarray")
     if preconditioner is not None and inverse is not None:
         raise ValueError("an inverse serves the estimate without a preconditioner only")
-    n = operator.shape[0]
-    b = np.random.default_rng(seed).standard_normal(n)
-    config = SolverConfig(tol, min(maxit, n))
+    b = np.random.default_rng(seed).standard_normal(operator.shape[0])
+    config = SolverConfig(tol, maxit)
 
     def extremes(apply_a, apply_m=None):
         _, report = _cg(apply_a, b, apply_m, "ritz", config, None, true_residual=False)

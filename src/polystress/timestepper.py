@@ -63,7 +63,8 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
     ``system`` must have been assembled with ``alpha`` and ``data.mu``
     (ValueError otherwise).  A step whose linear solve does not converge
     aborts with TimeStepError carrying the 0-based step index; its message
-    numbers the step from 1, as the log does.  ``log_path`` receives one
+    numbers the step from 1, as the log does, and names the solver's stop
+    reason (``SolverReport.reason``).  ``log_path`` receives one
     CSV row per step (``step,time,iterations,residual,wall_s,
     true_residual``), including the failing step's row when one aborts.
     """
@@ -90,7 +91,8 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
         if not report.converged:
             failure = TimeStepError(n, f"linear solver failed to converge at step {n + 1} "
                                        f"of {time.n_steps} (t = {t_next:g}, "
-                                       f"residual {report.final_residual:.3e})")
+                                       f"residual {report.final_residual:.3e}, "
+                                       f"stopped on {report.reason})")
             break
         sigma = sigma_next
 

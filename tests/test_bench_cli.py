@@ -677,6 +677,18 @@ def test_cli_solve_reports_block_factorization_error(tmp_path, capsys):
     assert err[0].startswith("error: coarse deflation operator is not positive definite")
 
 
+def test_cli_solve_names_the_stop_reason(tmp_path, capsys):
+    code = run_cli(["solve", "--nx", "2", "--ny", "2", "--degree", "1",
+                    "--mms", "linear_in_space", "--dt", "0.05", "--t-final", "0.2",
+                    "--solver", "cg", "--tol", "1e-12", "--maxit", "2",
+                    "--output", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: linear solver failed to converge at step 1 of 4")
+    assert err[0].endswith("stopped on maxit)")
+
+
 def test_cli_solve_zero_problem(tmp_path):
     assert run_cli(["solve", "--nx", "2", "--ny", "2", "--degree", "1",
                     "--mms", "zero", "--dt", "0.1", "--t-final", "0.2",

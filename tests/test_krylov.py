@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -549,6 +550,97 @@ def test_solvers_stop_on_nan(small_system, rng, where):
         assert not report.converged and report.iterations <= 1, name
 
 
+# -- stop reasons -----------------------------------------------------------------
+
+def _random_symmetric(local_dim, elements, log_spread, seed, signs=None):
+    """Q diag(lam) Q^T of size 4 * local_dim * elements, |lam| from 1 to
+    10**log_spread (times ``signs``), as a CSR matrix, next to |A| (its
+    SPD twin), a stand-in for the DG space of its block layout and the
+    generator that drew it."""
+    n = 4 * local_dim * elements
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 10.0 ** rng.uniform(0.0, log_spread, n)
+    lam[[0, -1]] = 1.0, 10.0 ** log_spread
+    a, spd = ((q * v) @ q.T for v in (lam if signs is None else signs * lam, lam))
+    space = SimpleNamespace(local_dim=local_dim, n_elements=elements,
+                            scalar_dofs=local_dim * elements)
+    return sparse.csr_matrix((a + a.T) / 2.0), sparse.csr_matrix((spd + spd.T) / 2.0), space, rng
+
+
+def _solve_all(a, b, space, config, spd=None):
+    """Every solver on A x = b, its Block-Jacobi blocks and deflator built
+    from ``spd`` (A when None)."""
+    spd = a if spd is None else spd
+    return {"cg": cg(a, b, config),
+            "pcg-bj": pcg(a, b, build_block_jacobi(spd, space, "component"), config),
+            "pcg-cbj": pcg(a, b, build_block_jacobi(spd, space, "collective"), config),
+            "dcg": deflated_cg(a, b, build_deflator(None, None, spd), config)}
+
+
+_SYSTEMS = dict(local_dim=st.integers(1, 3), elements=st.integers(1, 3),
+                log_spread=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**_SYSTEMS)
+def test_solvers_agree_with_dense_on_random_spd(local_dim, elements, log_spread, seed):
+    a, _, space, rng = _random_symmetric(local_dim, elements, log_spread, seed)
+    b = rng.standard_normal(a.shape[0])
+    ref = np.linalg.solve(a.toarray(), b)
+    for name, (x, report) in _solve_all(a, b, space, SolverConfig(1e-12, 2000)).items():
+        assert report.converged and report.reason == "converged", (name, report)
+        assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**_SYSTEMS, where=st.sampled_from(["rhs", "operator"]), entry=st.integers(0, 2**16))
+def test_non_finite_data_stop_within_one_iteration(local_dim, elements, log_spread, seed,
+                                                   where, entry):
+    """A NaN in b, or in A outside what the preconditioners and the
+    deflator were built from, stops every solver as non_finite."""
+    a, _, space, rng = _random_symmetric(local_dim, elements, log_spread, seed)
+    b = rng.standard_normal(a.shape[0])
+    bad = a.toarray()
+    i, j = divmod(entry % bad.size, a.shape[0])
+    if where == "rhs":
+        b[i] = np.nan
+    else:
+        bad[i, j] = bad[j, i] = np.nan
+    for name, (_, report) in _solve_all(sparse.csr_matrix(bad), b, space, SolverConfig(),
+                                        spd=a).items():
+        assert not report.converged and report.reason == "non_finite", (name, report)
+        assert report.iterations <= 1, name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**_SYSTEMS, flips=st.integers(1, 2**32 - 1))
+def test_indefinite_operator_breaks_down(local_dim, elements, log_spread, seed, flips):
+    """A with eigenvalues of both signs, its
+    preconditioners and deflator built from |A|: with every p.Ap positive,
+    CG's Ritz values would all be positive and the residual could never
+    lose its component along a negative eigenvector, so each solver stops
+    on a p.Ap <= 0 (or a negative r.z) long before maxit."""
+    n = 4 * local_dim * elements
+    signs = np.where((flips >> np.arange(n) % 32) & 1, -1.0, 1.0)
+    signs[[0, -1]] = -1.0, 1.0  # lam[0] = -1, lam[-1] = 10**log_spread
+    a, spd, space, rng = _random_symmetric(local_dim, elements, log_spread, seed, signs)
+    b = rng.standard_normal(n)
+    for name, (_, report) in _solve_all(a, b, space, SolverConfig(1e-8, 10 * n + 50),
+                                        spd=spd).items():
+        assert not report.converged and report.reason == "breakdown", (name, report)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(local_dim=st.integers(1, 3), elements=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_iteration_cap_reports_maxit(local_dim, elements, seed):
+    a, _, space, rng = _random_symmetric(local_dim, elements, 6.0, seed)
+    b = rng.standard_normal(a.shape[0])
+    for name, (_, report) in _solve_all(a, b, space, SolverConfig(1e-8, 1)).items():
+        assert not report.converged and report.reason == "maxit", (name, report)
+        assert report.iterations == 1, name
+
+
 # -- condition number estimation ------------------------------------------------
 
 def test_condition_number_diagonal():
@@ -659,6 +751,25 @@ def test_condition_number_flags_unconverged(small_system, rng):
     _, _, astar = small_system
     est = estimate_condition_number(astar, tol=1e-12, maxit=4)
     assert not est.converged
+
+
+def test_condition_number_runs_past_n_steps():
+    """Without reorthogonalisation a small preconditioned problem can need
+    more than n steps to certify: this n = 12 one (the generator of the
+    test below, log_spread 3, seed 17) takes 15, and capped at n steps it
+    reported an unconverged kappa of 2781 for 12430."""
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    lam = 10.0 ** rng.uniform(0.0, 3.0, 12)
+    lam[[0, -1]] = 1.0, 1e3
+    a = (q * lam) @ q.T
+    a = (a + a.T) / 2.0
+    d = np.diag(10.0 ** rng.uniform(-1.0, 1.0, 12))
+    ev = sla.eigh(a, np.linalg.inv(d), eigvals_only=True)
+    assert not estimate_condition_number(a, preconditioner=d, maxit=12).converged
+    est = estimate_condition_number(a, preconditioner=d)
+    assert est.converged and est.iterations > 12
+    assert est.kappa == pytest.approx(ev[-1] / ev[0], rel=1e-3)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -967,14 +1078,140 @@ def test_split_apply_in_forked_child(pool_threads, rng):
     assert np.array_equal(y, a @ x)
 
 
+def _split_everything(monkeypatch, cpus=(0, 1)):
+    """Every CSR product and Block-Jacobi stack built from here on splits,
+    as in a process with ``cpus`` as its affinity."""
+    monkeypatch.setattr(krylov, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def _serial_and_split(monkeypatch, layout, nblocks, cpus=(0, 1), bs=12):
+    """One BlockJacobi over random symmetric blocks (with a random
+    permutation for the collective layout) built positionally twice: as
+    this process builds it, and after ``_split_everything(cpus)``."""
+    rng = np.random.default_rng(nblocks)
+    inv = rng.standard_normal((nblocks, bs, bs))
+    inv += inv.transpose(0, 2, 1)
+    perm = rng.permutation(nblocks * bs) if layout == "collective" else None
+    serial = BlockJacobi(layout, bs, nblocks, inv, perm)
+    _split_everything(monkeypatch, cpus)
+    return serial, BlockJacobi(layout, bs, nblocks, inv, perm)
+
+
+@pytest.mark.parametrize("layout", ["component", "collective"])
+@pytest.mark.parametrize("nblocks", [7, 1], ids=["odd", "one-block"])
+def test_block_jacobi_split_apply_is_bitwise_serial(monkeypatch, pool_threads, layout,
+                                                     nblocks, rng):
+    """Two halves by block index (one of them empty for one block) over
+    views of the stack, the bottom one on the pool's thread."""
+    serial, split = _serial_and_split(monkeypatch, layout, nblocks)
+    assert serial._halves is None and split._halves is not None
+    assert all(np.shares_memory(inv, split.inv_blocks) for inv, _ in split._halves if inv.size)
+    r = rng.standard_normal(12 * nblocks)
+    assert np.array_equal(split.apply(r), serial.apply(r))
+    assert len(pool_threads()) == 1
+
+
+def test_block_jacobi_pool_half_exception_reaches_caller(monkeypatch, pool_threads, rng):
+    """Only the pool's half raises: the caller gets its exception, and the
+    next apply is the serial one."""
+    serial, split = _serial_and_split(monkeypatch, "collective", 7)
+    caller, solve, failures = threading.current_thread(), krylov._solve_blocks, [KeyError("pool half")]
+
+    def pool_fails(*halves):
+        if failures and threading.current_thread() is not caller:
+            raise failures.pop()
+        return solve(*halves)
+
+    monkeypatch.setattr(krylov, "_solve_blocks", pool_fails)
+    r = rng.standard_normal(7 * 12)
+    with pytest.raises(KeyError, match="pool half"):
+        split.apply(r)
+    assert np.array_equal(split.apply(r), serial.apply(r))
+    assert len(pool_threads()) == 1
+
+
+def test_block_jacobi_split_concurrent_callers(monkeypatch, pool_threads):
+    """Four Python threads share one split Block-Jacobi and the one pool;
+    each gets the serial bits of its own vectors."""
+    serial, split = _serial_and_split(monkeypatch, "collective", 7)
+    rs = np.random.default_rng(3).standard_normal((4, 25, 7 * 12))
+    wrong = []
+
+    def caller(k):
+        for r in rs[k]:
+            if not np.array_equal(split.apply(r), serial.apply(r)):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(rs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(pool_threads()) == 1
+
+
+def test_block_jacobi_one_cpu_starts_no_thread(monkeypatch, pool_threads, rng):
+    threads = threading.active_count()
+    serial, bj = _serial_and_split(monkeypatch, "component", 7, cpus=(0,))
+    r = rng.standard_normal(7 * 12)
+    assert bj._halves is None
+    assert np.array_equal(bj.apply(r), serial.apply(r))
+    assert pool_threads() == [] and threading.active_count() == threads
+
+
+def _block_apply_in_child(conn, bj, r):
+    conn.send(bj.apply(r))
+    conn.close()
+
+
+def test_block_jacobi_split_in_forked_child(monkeypatch, pool_threads, rng):
+    """A child forked after the parent's pool started its thread applies a
+    split Block-Jacobi on a pool of its own."""
+    serial, split = _serial_and_split(monkeypatch, "collective", 7)
+    r = rng.standard_normal(7 * 12)
+    assert np.array_equal(split.apply(r), serial.apply(r))
+    assert len(pool_threads()) == 1
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_block_apply_in_child, args=(send, split, r))
+    child.start()
+    try:
+        answered = receive.poll(60)
+        z = receive.recv() if answered else None
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert answered, "the forked child never finished its apply"
+    assert np.array_equal(z, serial.apply(r))
+
+
 def test_solvers_bitwise_unchanged_by_split(monkeypatch, pool_threads, bench_system, rng):
     """Every solver and both condition estimates return the same bits, and
-    the same report apart from wall_time, when every CSR product is split."""
+    the same report apart from wall_time, when every CSR product and
+    Block-Jacobi stack is split; the Block-Jacobi halves do run on the
+    pool's thread."""
     space, system = bench_system
     dt = 1e-6
     astar = build_system(system.m, system.a, dt)
     b = rng.uniform(0.0, 1.0, astar.shape[0])
     config = SolverConfig(tol=1e-8, maxit=3000)
+    solve, block_threads = krylov._solve_blocks, set()
+
+    def recording(*args):
+        block_threads.add(threading.current_thread())
+        return solve(*args)
+
+    monkeypatch.setattr(krylov, "_solve_blocks", recording)
 
     def run_all():
         bj = build_block_jacobi(astar, space, "component")
@@ -986,11 +1223,11 @@ def test_solvers_bitwise_unchanged_by_split(monkeypatch, pool_threads, bench_sys
                 [estimate_condition_number(astar), estimate_condition_number(astar, preconditioner=cbj)])
 
     serial_solves, serial_kappas = run_all()
-    assert pool_threads() == []
-    monkeypatch.setattr(krylov, "SPLIT_NNZ", 0)
-    monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert pool_threads() == [] and block_threads == {threading.current_thread()}
+    _split_everything(monkeypatch)
     split_solves, split_kappas = run_all()
     assert len(pool_threads()) == 1
+    assert block_threads == {threading.current_thread(), *pool_threads()}
     for (xs, rs), (xp, rp) in zip(serial_solves, split_solves):
         assert np.array_equal(xs, xp)
         assert rs == rp

@@ -70,6 +70,7 @@ def test_nonconvergence_aborts_with_step(mesh33):
     assert err.value.step == 0
     # the message numbers steps as the per-step log does, from 1
     assert "failed to converge at step 1 of 5 (t = 0.01," in str(err.value)
+    assert str(err.value).endswith(", stopped on maxit)")
 
 
 def test_factorisations_built_once(mesh33, monkeypatch):
@@ -158,6 +159,14 @@ def test_per_step_log_written_on_failure(tmp_path, mesh33):
     assert [row[0] for row in rows] == ["1", "2", "3"]
     assert [row[2] for row in rows] == ["0", "0", "2"]
     assert np.all(np.isfinite([float(v) for row in rows for v in row[4:]]))
+
+
+@pytest.mark.parametrize("solver", ["dcg", "pcg-cbj"])
+def test_non_finite_load_names_its_stop_reason(mesh33, solver):
+    data = zero_data()
+    data.source = lambda x, y, t: np.full((np.size(x), 2, 2), np.nan if t > 0.015 else 0.0)
+    with pytest.raises(TimeStepError, match=r"at step 2 of 3 .*, stopped on non_finite\)$"):
+        implicit_euler_run(build_space(mesh33, 2), data, TimeConfig.from_steps(3, 0.01), solver)
 
 
 def test_system_must_match_run(mesh22):
