@@ -69,8 +69,8 @@ class Number:
     high: float = math.inf
 
 
-INT, FLOAT = Number(int), Number(float)
 COUNT, POSITIVE, FRACTION = Number(int, 0), Number(float, 0.0), Number(float, 0.0, 1.0)
+SEED = Number(int, -1, 2**64)
 
 # Every config key, declared once: (section, key) -> (default, kind).  A
 # kind is str; a Number; a tuple of the allowed names (matched
@@ -82,21 +82,21 @@ KEYS = {
     ("mesh", "nx"): ("10", COUNT),
     ("mesh", "ny"): ("10", COUNT),
     ("mesh", "targets"): ("", [COUNT]),
-    ("mesh", "seed"): ("1", INT),
+    ("mesh", "seed"): ("1", SEED),
     ("mesh", "neumann"): ("right", tuple(NEUMANN_SIDES)),
     ("discretization", "degree"): ("3", COUNT),
-    ("discretization", "alpha"): ("10.0", FLOAT),
+    ("discretization", "alpha"): ("10.0", POSITIVE),
     ("discretization", "mu"): ("1.0", POSITIVE),
     ("solve", "dts"): ("1e-6,1e-7,1e-8", [POSITIVE]),
     ("solve", "solvers"): (",".join(SOLVERS), [SOLVERS]),
     ("solve", "tol"): ("1e-8", FRACTION),
     ("solve", "maxit"): ("30000", COUNT),
     ("solve", "repetitions"): ("10", COUNT),
-    ("solve", "seed"): ("0", INT),
+    ("solve", "seed"): ("0", SEED),
     ("condition", "dts"): ("1e-8,1e-9,1e-10", [POSITIVE]),
     ("condition", "tol"): ("1e-3", FRACTION),
     ("condition", "maxit"): ("800", COUNT),
-    ("condition", "seed"): ("0", INT),
+    ("condition", "seed"): ("0", SEED),
     ("convergence", "mode"): ("spatial", ("spatial", "temporal")),
     ("convergence", "mms"): ("trig", tuple(NAMED_SOLUTIONS)),
     ("convergence", "degree"): ("2", COUNT),
@@ -167,7 +167,8 @@ def _parse(kind, text: str, sec: str, key: str):
         what = "an integer" if kind.type is int else "a number"
         raise ConfigError(f"[{sec}] {key}: {text!r} is not {what}") from None
     if not kind.low < number < kind.high:
-        bound = f">= {kind.low + 1}" if kind.type is int else f"in ({kind.low:g}, {kind.high:g})"
+        bound = f"in ({kind.low:g}, {kind.high:g})" if kind.type is float else (
+            f">= {kind.low + 1}" + (f" and < {kind.high}" if kind.high < math.inf else ""))
         raise ConfigError(f"[{sec}] {key}: {text!r} is out of range, must be {bound}")
     return number
 
@@ -501,45 +502,37 @@ def run_convergence(cfg) -> Table:
     solver = value(cfg, "convergence", "solver")
     solver_cfg = _solver_config(cfg)
 
-    rows = []
+    def space_of(nx):
+        return build_space(_classify(build_cartesian_mesh(nx, nx), neumann), degree)
+
+    # runs of (space, time grid, assembled system or None)
     if mode == "spatial":
         mms = _mms(cfg, "convergence")
-        dt = value(cfg, "convergence", "dt")
-        steps = value(cfg, "convergence", "steps")
-        for nx in value(cfg, "convergence", "levels"):
-            mesh = _classify(build_cartesian_mesh(nx, nx), neumann)
-            space = build_space(mesh, degree)
-            tcfg = TimeConfig.from_steps(steps, dt)
-            sigma, _ = implicit_euler_run(space, mms.data, tcfg, solver,
-                                          solver_cfg, alpha)
-            err = EnergyNorm(space, alpha).error(sigma, mms, tcfg.t_final)
-            rows.append((mesh.mesh_size, dt, err))
-        x_of = lambda row: row[0]
+        tcfg = TimeConfig.from_steps(value(cfg, "convergence", "steps"),
+                                     value(cfg, "convergence", "dt"))
+        runs = ((space_of(nx), tcfg, None) for nx in value(cfg, "convergence", "levels"))
+        x = 0  # slopes against h
     else:
         mms = linear_in_space_solution(mu)
-        nx = value(cfg, "convergence", "nx")
-        t_final = value(cfg, "convergence", "t_final")
-        mesh = _classify(build_cartesian_mesh(nx, nx), neumann)
-        space = build_space(mesh, degree)
+        space = space_of(value(cfg, "convergence", "nx"))
         system = assemble_system(space, mu, alpha)
-        norm = EnergyNorm(space, alpha)
-        for dt in value(cfg, "convergence", "dts"):
-            tcfg = TimeConfig(dt=dt, t_final=t_final)
-            sigma, _ = implicit_euler_run(space, mms.data, tcfg, solver,
-                                          solver_cfg, alpha, system=system)
-            err = norm.error(sigma, mms, tcfg.t_final)
-            rows.append((mesh.mesh_size, dt, err))
-        x_of = lambda row: row[1]
+        t_final = value(cfg, "convergence", "t_final")
+        runs = ((space, TimeConfig(dt=dt, t_final=t_final), system)
+                for dt in value(cfg, "convergence", "dts"))
+        x = 1  # slopes against dt
+    rows = []
+    for space, tcfg, system in runs:
+        sigma, _ = implicit_euler_run(space, mms.data, tcfg, solver, solver_cfg, alpha,
+                                      system=system)
+        err = EnergyNorm(space, alpha).error(sigma, mms, tcfg.t_final)
+        rows.append((space.mesh.mesh_size, tcfg.dt, err))
 
-    values = np.zeros((len(rows), 4))
-    for i, (h, dt, err) in enumerate(rows):
-        slope = np.nan
-        if i > 0:
-            x0, x1 = x_of(rows[i - 1]), x_of(rows[i])
-            e0, e1 = rows[i - 1][2], rows[i][2]
-            if e0 > 0 and e1 > 0 and x0 != x1:
-                slope = math.log(e0 / e1) / math.log(x0 / x1)
-        values[i] = (h, dt, err, slope)
+    values = np.full((len(rows), 4), np.nan)
+    values[:, :3] = rows
+    for i in range(1, len(rows)):
+        (x0, e0), (x1, e1) = values[i - 1, [x, 2]], values[i, [x, 2]]
+        if e0 > 0 and e1 > 0 and x0 != x1:
+            values[i, 3] = math.log(e0 / e1) / math.log(x0 / x1)
 
     meta = _common_meta(cfg, {"mode": mode, "degree": degree})
     return Table(
@@ -585,8 +578,3 @@ def run_export(cfg, dt):
     outdir = Path(cfg["output"]["path"]) / "matrices"
     return label, outdir, export_matrices(system, outdir, dt=dt)
 
-
-def fitted_slope(xs, errs) -> float:
-    """Least-squares slope of log(err) against log(x)."""
-    lx, le = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(errs, dtype=float))
-    return float(np.polyfit(lx, le, 1)[0])

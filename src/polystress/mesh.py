@@ -234,12 +234,6 @@ class PolyMesh:
                 f"({nb} boundary), h={self.mesh_size:.4g})")
 
 
-def _loop_edges(loop):
-    """Directed edges (v_i, v_{i+1}) of a closed vertex loop."""
-    loop = list(loop)
-    return zip(loop, loop[1:] + loop[:1])
-
-
 def build_cartesian_mesh(nx: int, ny: int, bounds=(0.0, 1.0, 0.0, 1.0)) -> PolyMesh:
     """Tile an axis-aligned rectangle with nx*ny quadrilateral elements.
 
@@ -344,7 +338,10 @@ def _merge_is_legal(vertices, loop) -> bool:
     centroid, so that the centroid-fan quadrature of the DG space stays
     valid.  Scalar arithmetic with the operations and summation order of
     ``_shoelace`` and ``_fan_cross_products`` on one polygon, so every
-    decision matches the batched geometry bit for bit."""
+    decision matches the batched geometry bit for bit.  Left-to-right sums
+    in place of ``_pairwise_sum`` change one merge of the 120x120 -> 3600
+    family (mesh seed 1), the only change in 146 (nx, target, seed) families
+    swept: the emulation keeps the pinned mesh family and 3600-element rung."""
     pts = [vertices[v] for v in loop]
     x = [p[0] for p in pts]
     y = [p[1] for p in pts]

@@ -42,20 +42,6 @@ class ProblemData:
     mu: float = 1.0
 
 
-def zero_data(mu: float = 1.0) -> ProblemData:
-    def tensor(x, y, t=None):
-        return np.zeros((np.size(x), 2, 2))
-
-    def vector(x, y, t):
-        return np.zeros((np.size(x), 2))
-
-    def traction(x, y, t, nx, ny):
-        return np.zeros((np.size(x), 2))
-
-    return ProblemData(source=tensor, dirichlet=vector, neumann=traction,
-                       sigma0=lambda x, y: tensor(x, y), mu=mu)
-
-
 def _lambdify(mat):
     """Vectorised callback (x, y, t) -> (npts,) + mat.shape for a sympy
     Matrix.  All entries are lambdified together, with common
@@ -141,17 +127,9 @@ def linear_in_space_solution(mu: float = 1.0) -> ManufacturedSolution:
     return manufacture(expr, mu=mu, name="linear_in_space")
 
 
-def steady_polynomial_solution(degree: int, mu: float = 1.0) -> ManufacturedSolution:
-    """Time-independent polynomial field of the given total degree; the
-    discrete evolution keeps its projection fixed up to solver tolerance."""
-    if degree == 1:
-        base = sp.Matrix([[1 + X, X - Y], [2 * Y, 1 - X + Y]])
-    else:
-        base = sp.Matrix([
-            [1 + X * Y, X**2 - Y],
-            [Y**2 + X, X**2 - Y**2],
-        ])
-    return manufacture(base, mu=mu, name=f"steady_p{degree}")
+def zero_data(mu: float = 1.0) -> ProblemData:
+    """Data of the unforced problem: sigma = 0, manufactured."""
+    return manufacture(sp.zeros(2, 2), mu, "zero").data
 
 
 NAMED_SOLUTIONS = {

@@ -29,19 +29,22 @@ with array geometry.
 
 The per-element views of a ``DGSpace`` (``basis_values``,
 ``basis_gradients``, ``gram_solve``, ``scalar_index``, ``tensor_dofs``,
-``eval_field``, ``eval_divergence``) and the small helper ``mass_energy``
-serve only the tests, so they live here rather than in the library.
+``eval_field``, ``eval_divergence``), the small helpers ``mass_energy`` and
+``_loop_edges`` and the manufactured ``steady_polynomial_solution`` serve
+only the tests, so they live here rather than in the library.
 """
 import dataclasses
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+import sympy as sp
 
 from polystress import FaceKind
 from polystress.assembly import _stiffness_blocks, finalize
-from polystress.mesh import _fan_cross_products, _loop_edges, _shoelace
+from polystress.mesh import _fan_cross_products, _shoelace
 from polystress.dg_space import COMPONENTS, face_rules, polygon_rules
+from polystress.problems import X, Y, manufacture
 
 
 # -- reference formulas -------------------------------------------------------
@@ -433,6 +436,12 @@ def stiffness_kron(space, alpha):
 
 # -- agglomeration ------------------------------------------------------------
 
+def _loop_edges(loop):
+    """Directed edges (v_i, v_{i+1}) of a closed vertex loop."""
+    loop = list(loop)
+    return zip(loop, loop[1:] + loop[:1])
+
+
 def merge_loops(loop_a, loop_b):
     """Union of two CCW loops sharing at least one full edge, from edge
     lists and sets; None when the union is not a simple polygon."""
@@ -529,3 +538,18 @@ def agglomerate(mesh, target_elements, rng_seed):
             stalled = True
             break
     return [loops[k] for k in sorted(loops)], stalled
+
+
+# -- manufactured solutions ---------------------------------------------------
+
+def steady_polynomial_solution(degree: int, mu: float = 1.0):
+    """Time-independent polynomial field of the given total degree; the
+    discrete evolution keeps its projection fixed up to solver tolerance."""
+    if degree == 1:
+        base = sp.Matrix([[1 + X, X - Y], [2 * Y, 1 - X + Y]])
+    else:
+        base = sp.Matrix([
+            [1 + X * Y, X**2 - Y],
+            [Y**2 + X, X**2 - Y**2],
+        ])
+    return manufacture(base, mu=mu, name=f"steady_p{degree}")

@@ -232,7 +232,11 @@ def test_criterion_7_deflation_algebra():
 
 
 def test_criterion_8_discretisation_consistency():
-    from polystress.bench import fitted_slope, run_convergence
+    from polystress.bench import run_convergence
+
+    def fitted_slope(xs, errs):
+        """Least-squares slope of log(err) against log(x)."""
+        return float(np.polyfit(np.log(xs), np.log(errs), 1)[0])
 
     slopes = {}
     for p, levels in ((1, "4,8,16"), (2, "2,4,8")):

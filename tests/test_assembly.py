@@ -235,8 +235,7 @@ def test_rhs_zero_data(sys22):
 def test_rhs_manufactured_consistency(mesh33):
     """Projected steady polynomial field is a fixed point of one implicit
     Euler step up to solver tolerance (consistency of rhs + operators)."""
-    from polystress.problems import steady_polynomial_solution
-    mms = steady_polynomial_solution(2)
+    mms = oracle.steady_polynomial_solution(2)
     space = build_space(mesh33, 2)
     system = assemble_system(space, mms.data.mu, 10.0)
     dt = 1e-2

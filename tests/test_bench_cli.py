@@ -10,7 +10,7 @@ import polystress.bench as bench
 import polystress.cli as cli
 import polystress.krylov as krylov
 from polystress.bench import (ConfigError, _rhs_generator, build_meshes,
-                              config_hash, fitted_slope, load_config,
+                              config_hash, load_config,
                               run_condition_table, run_convergence,
                               run_iteration_table)
 from polystress.cli import main
@@ -333,6 +333,23 @@ def test_condition_table_pinned():
     }
 
 
+# the tables of test_convergence_tables, byte for byte
+SPATIAL_CSV = """\
+# polystress convergence_spatial
+# config_hash=1cceb3d28cb4 seed=0 tol=1e-8 maxit=20000 mode=spatial degree=1
+level,h,dt,energy_error,slope,h_flag,dt_flag,energy_error_flag,slope_flag
+0,3.535534e-01,1.000000e-04,1.450288e+00,nan,0,0,0,0
+1,1.767767e-01,1.000000e-04,7.707858e-01,9.119370e-01,0,0,0,0
+"""
+TEMPORAL_CSV = """\
+# polystress convergence_temporal
+# config_hash=261f49b69a92 seed=0 tol=1e-8 maxit=30000 mode=temporal degree=1
+level,h,dt,energy_error,slope,h_flag,dt_flag,energy_error_flag,slope_flag
+0,7.071068e-01,2.000000e-01,7.020299e-02,nan,0,0,0,0
+1,7.071068e-01,1.000000e-01,3.464493e-02,1.018888e+00,0,0,0,0
+"""
+
+
 def test_convergence_tables():
     cfg = load_config(None, {
         ("convergence", "mode"): "spatial",
@@ -346,6 +363,7 @@ def test_convergence_tables():
     err, slope = table.values[:, 2], table.values[-1, 3]
     assert err[1] < err[0]
     assert slope >= 0.8
+    assert table.to_csv() == SPATIAL_CSV
 
     cfg = load_config(None, {
         ("convergence", "mode"): "temporal",
@@ -356,12 +374,7 @@ def test_convergence_tables():
     })
     table = run_convergence(cfg)
     assert table.values[-1, 3] >= 0.9
-
-
-def test_fitted_slope():
-    xs = [0.1, 0.05, 0.025]
-    errs = [4.0 * x ** 2 for x in xs]
-    assert fitted_slope(xs, errs) == pytest.approx(2.0, abs=1e-12)
+    assert table.to_csv() == TEMPORAL_CSV
 
 
 def test_balanced_marking():
@@ -469,7 +482,8 @@ def test_single_solver_keys_and_numbers_rejected_before_meshes(tmp_path, monkeyp
             ("iter-table", "mesh", "targets", "100,many", "'many' is not an integer"),
             ("iter-table", "convergence", "levels", "2,x", "'x' is not an integer"),
             ("solve", "time", "dt", "", "'' is not a number"),
-            ("convergence", "convergence", "levels", "0", ">= 1")):
+            ("convergence", "convergence", "levels", "0", ">= 1"),
+            ("cond-table", "condition", "seed", "-1", ">= 0")):
         ini = tmp_path / "bad.ini"
         ini.write_text(f"[{sec}]\n{key} = {value}\n")
         assert run_cli([command, "-c", str(ini)] + out) == 1
@@ -482,7 +496,12 @@ def test_single_solver_keys_and_numbers_rejected_before_meshes(tmp_path, monkeyp
             (["iter-table", "--targets", "0"], "[mesh] targets", ">= 1"),
             (["iter-table", "--tol", "0"], "[solve] tol", "in (0, 1)"),
             (["cond-table", "--cond-tol", "2"], "[condition] tol", "in (0, 1)"),
-            (["solve", "--dt", "-0.01"], "[time] dt", "in (0, inf)")):
+            (["solve", "--dt", "-0.01"], "[time] dt", "in (0, inf)"),
+            (["iter-table", "--seed", "-1"], "[solve] seed", ">= 0"),
+            (["iter-table", "--seed", str(2**64)], "[solve] seed", f"< {2**64}"),
+            (["iter-table", "--mesh-seed", "-1"], "[mesh] seed", ">= 0"),
+            (["iter-table", "--alpha", "0"], "[discretization] alpha", "in (0, inf)"),
+            (["cond-table", "--alpha", "-5"], "[discretization] alpha", "in (0, inf)")):
         assert run_cli(argv + out) == 1, argv
         err = capsys.readouterr().err
         assert dest in err and "out of range" in err and says in err, err

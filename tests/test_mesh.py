@@ -56,7 +56,7 @@ def test_cartesian_invariants(nx, ny, w, h):
     assert mesh.mesh_size == pytest.approx(mesh.element_diameters.max())
     edge_count = {}
     for e, loop in enumerate(mesh.elements):
-        for a, b in msh._loop_edges(loop):
+        for a, b in oracle._loop_edges(loop):
             edge_count[(min(a, b), max(a, b))] = edge_count.get((min(a, b), max(a, b)), 0) + 1
     for face in mesh.faces:
         key = (min(face["ends"]), max(face["ends"]))

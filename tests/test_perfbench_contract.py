@@ -9,9 +9,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from assembly_oracle import _loop_edges
 from polystress import krylov
 from polystress.krylov import SolverConfig
-from polystress.mesh import _loop_edges
 from polystress.problems import trig_solution
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from assembly_oracle import steady_polynomial_solution
 from polystress.problems import (X, Y, T, linear_in_space_solution, manufacture,
-                                 steady_polynomial_solution, trig_solution, zero_data)
+                                 trig_solution, zero_data)
 
 
 def test_zero_data_shapes():

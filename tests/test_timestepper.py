@@ -7,9 +7,7 @@ from polystress import (SolverConfig, TimeConfig, TimeStepError, build_space,
                         implicit_euler_run, l2_project)
 from polystress.assembly import assemble_rhs, assemble_system, build_system
 from polystress.bench import load_config, run_iteration_table
-from polystress.problems import (linear_in_space_solution,
-                                 steady_polynomial_solution, trig_solution,
-                                 zero_data)
+from polystress.problems import linear_in_space_solution, trig_solution, zero_data
 from polystress.timestepper import EnergyNorm
 
 
@@ -34,7 +32,7 @@ def test_zero_data_stays_zero(mesh22):
 
 
 def test_steady_solution_is_fixed_point(mesh33):
-    mms = steady_polynomial_solution(1)
+    mms = oracle.steady_polynomial_solution(1)
     space = build_space(mesh33, 2)
     tc = TimeConfig.from_steps(10, 0.01)
     sigma, reports = implicit_euler_run(space, mms.data, tc, "dcg",
@@ -46,7 +44,7 @@ def test_steady_solution_is_fixed_point(mesh33):
 
 @pytest.mark.parametrize("solver", ["cg", "dcg", "pcg-bj", "pcg-cbj"])
 def test_all_solvers_integrate(poly_mesh, solver):
-    mms = steady_polynomial_solution(1)
+    mms = oracle.steady_polynomial_solution(1)
     space = build_space(poly_mesh, 1)
     tc = TimeConfig.from_steps(3, 0.05)
     sigma, _ = implicit_euler_run(space, mms.data, tc, solver,
@@ -87,7 +85,7 @@ def test_factorisations_built_once(mesh33, monkeypatch):
 
     monkeypatch.setattr(krylov, "build_deflator", counting_deflator)
     monkeypatch.setattr(krylov, "build_block_jacobi", counting_bj)
-    mms = steady_polynomial_solution(1)
+    mms = oracle.steady_polynomial_solution(1)
     space = build_space(mesh33, 1)
     implicit_euler_run(space, mms.data, TimeConfig.from_steps(5, 0.02), "dcg",
                        SolverConfig(tol=1e-10, maxit=3000))
@@ -134,7 +132,7 @@ def test_unforced_energy_decays(poly_mesh, rng):
 
 def test_per_step_log(tmp_path, mesh22):
     space = build_space(mesh22, 1)
-    mms = steady_polynomial_solution(1)
+    mms = oracle.steady_polynomial_solution(1)
     log = tmp_path / "steps.csv"
     implicit_euler_run(space, mms.data, TimeConfig.from_steps(3, 0.1), "cg",
                        SolverConfig(tol=1e-10, maxit=3000), log_path=log)
@@ -174,17 +172,17 @@ def test_system_must_match_run(mesh22):
     system = assemble_system(space, 1.0, 10.0)
     tc = TimeConfig.from_steps(1, 0.1)
     with pytest.raises(ValueError, match="alpha"):
-        implicit_euler_run(space, steady_polynomial_solution(1).data, tc, "cg",
+        implicit_euler_run(space, oracle.steady_polynomial_solution(1).data, tc, "cg",
                            alpha=25.0, system=system)
     with pytest.raises(ValueError, match="mu"):
-        implicit_euler_run(space, steady_polynomial_solution(1, mu=2.0).data, tc, "cg",
+        implicit_euler_run(space, oracle.steady_polynomial_solution(1, mu=2.0).data, tc, "cg",
                            system=system)
 
 
 # -- energy norm ----------------------------------------------------------------
 
 def test_energy_error_of_projected_exact_field(mesh33):
-    mms = steady_polynomial_solution(1)
+    mms = oracle.steady_polynomial_solution(1)
     space = build_space(mesh33, 2)
     dofs = l2_project(space, lambda x, y: mms.sigma(x, y, 0.0))
     assert EnergyNorm(space).error(dofs, mms, 0.0) < 1e-10
