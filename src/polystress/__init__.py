@@ -3,7 +3,7 @@ time-step-robust algebraic solvers."""
 
 from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_mass,
                        assemble_rhs, assemble_stiffness, assemble_system,
-                       build_system, export_matrices, kron_structure_check)
+                       build_system, export_matrices)
 from .dg_space import DGSpace, build_space, l2_project
 from .krylov import (BlockJacobi, CondEstimate, Deflator, SolverConfig,
                      SolverReport, build_block_jacobi, build_deflator, cg,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ALPHA", "SystemMatrices", "assemble_mass", "assemble_rhs",
     "assemble_stiffness", "assemble_system", "build_system",
-    "export_matrices", "kron_structure_check",
+    "export_matrices",
     "DGSpace", "build_space", "l2_project",
     "BlockJacobi", "CondEstimate", "Deflator", "SolverConfig", "SolverReport",
     "build_block_jacobi", "build_deflator", "cg", "deflated_cg",

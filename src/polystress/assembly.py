@@ -10,9 +10,9 @@ are gathered through that one permutation (``_scatter``).  M follows by
 ``scipy.sparse.kron``, and A from the CSR arrays of the 2 x 2 scalar
 block, whose rows are filtered once and repeated on the second diagonal
 block.  The test suite keeps an independent tensor-path assembly, one
-element and one face at a time, as the oracle of ``kron_structure_check``,
-and the earlier COO-per-matrix and ``kron`` path as the bitwise reference
-of the scatter and of A.
+element and one face at a time, against which it checks these Kronecker
+identities, and the earlier COO-per-matrix and ``kron`` path as the bitwise
+reference of the scatter and of A.
 
 Block conventions, with S = scalar_dofs and dof order (s11, s12, s21, s22):
 M = (mu^-1 K0) kron M1, and A = I_2 kron [[B1, B2^T], [B2, B3]] where
@@ -261,18 +261,6 @@ def assemble_rhs(space: DGSpace, data: ProblemData, t: float,
     arrays)."""
     f = functional_vector(space, data, t, system.alpha)
     return system.m @ sigma_prev + dt * f
-
-
-def kron_structure_check(system: SystemMatrices) -> tuple[float, float]:
-    """Max deviations |M - K kron M1| and |A - I_2 kron [[B1,B2^T],[B2,B3]]|."""
-    kref = sparse.csr_matrix(K_SPEC / system.mu)
-    dm = system.m - sparse.kron(kref, system.m1, format="csr")
-    block = sparse.bmat([[system.b1, system.b2.T], [system.b2, system.b3]],
-                        format="csr")
-    da = system.a - sparse.kron(sparse.eye(2), block, format="csr")
-    dev_m = float(np.abs(dm.data).max()) if dm.nnz else 0.0
-    dev_a = float(np.abs(da.data).max()) if da.nnz else 0.0
-    return dev_m, dev_a
 
 
 def export_matrices(system: SystemMatrices, outdir, dt: float | None = None) -> list[str]:

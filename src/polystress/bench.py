@@ -71,6 +71,7 @@ class Number:
 
 COUNT, POSITIVE, FRACTION = Number(int, 0), Number(float, 0.0), Number(float, 0.0, 1.0)
 SEED = Number(int, -1, 2**64)
+REPETITIONS = Number(int, 0, 2**20 + 1)  # ``_rhs_generator`` keys a repetition by 20 bits
 
 # Every config key, declared once: (section, key) -> (default, kind).  A
 # kind is str; a Number; a tuple of the allowed names (matched
@@ -91,7 +92,7 @@ KEYS = {
     ("solve", "solvers"): (",".join(SOLVERS), [SOLVERS]),
     ("solve", "tol"): ("1e-8", FRACTION),
     ("solve", "maxit"): ("30000", COUNT),
-    ("solve", "repetitions"): ("10", COUNT),
+    ("solve", "repetitions"): ("10", REPETITIONS),
     ("solve", "seed"): ("0", SEED),
     ("condition", "dts"): ("1e-8,1e-9,1e-10", [POSITIVE]),
     ("condition", "tol"): ("1e-3", FRACTION),
@@ -226,24 +227,29 @@ def _classify(mesh, neumann: str):
     return classify_boundary(mesh, lambda p: abs((p[axis] - lo) / (hi - lo) - end) < 1e-9)
 
 
-def build_meshes(cfg) -> list[tuple[str, object]]:
-    """Mesh family from the [mesh] section: a Cartesian base (or imported
-    file), agglomerated to each target element count; an agglomeration
-    that stalls keeps the mesh it reached and warns on stderr."""
+def _mesh_family(cfg):
+    """(label, mesh) of the [mesh] family, one at a time: a Cartesian base
+    (or imported file), agglomerated to each target element count in turn;
+    an agglomeration that stalls keeps the mesh it reached and warns on
+    stderr."""
     path = value(cfg, "mesh", "file")
     if path:
         base = read_mesh(path)
     else:
         base = build_cartesian_mesh(value(cfg, "mesh", "nx"), value(cfg, "mesh", "ny"))
     base = _classify(base, value(cfg, "mesh", "neumann"))
-    targets = value(cfg, "mesh", "targets")
     seed = value(cfg, "mesh", "seed")
-    meshes = [agglomerate(base, target, seed) for target in targets] or [base]
-    for target, mesh in zip(targets, meshes):
+    for target in value(cfg, "mesh", "targets") or [None]:
+        mesh = base if target is None else agglomerate(base, target, seed)
         if mesh.merge_warning:
             print(f"warning: agglomeration to {target} elements stalled at "
                   f"{mesh.n_elements} elements", file=sys.stderr)
-    return [(f"{m.n_elements}el_h{m.mesh_size:.4f}", m) for m in meshes]
+        yield f"{mesh.n_elements}el_h{mesh.mesh_size:.4f}", mesh
+
+
+def build_meshes(cfg) -> list[tuple[str, object]]:
+    """The whole mesh family of ``_mesh_family``."""
+    return list(_mesh_family(cfg))
 
 
 @dataclass
@@ -556,7 +562,7 @@ def run_solve(cfg):
     degree, alpha, mu = _discretization(cfg)
     data = zero_data(mu) if value(cfg, "time", "mms") == "zero" else _mms(cfg, "time").data
     tcfg = TimeConfig(dt=value(cfg, "time", "dt"), t_final=value(cfg, "time", "t_final"))
-    label, mesh = build_meshes(cfg)[0]
+    label, mesh = next(_mesh_family(cfg))
     space = build_space(mesh, degree)
     outdir = Path(cfg["output"]["path"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -572,7 +578,7 @@ def run_export(cfg, dt):
 
     Returns the mesh label, the directory and the matrix names written.
     """
-    label, mesh = build_meshes(cfg)[0]
+    label, mesh = next(_mesh_family(cfg))
     degree, alpha, mu = _discretization(cfg)
     system = assemble_system(build_space(mesh, degree), mu, alpha)
     outdir = Path(cfg["output"]["path"]) / "matrices"

@@ -16,8 +16,9 @@ hands ``_cg`` a start vector and the A-DEF2 preconditioner, nothing else.
 Products of at least ``SPLIT_NNZ`` = 500,000 stored entries run on two
 CPUs: the A* product of cg, pcg, deflated_cg, their true residual and the
 condition estimate (``_as_apply``), the (A* V)^T r product of
-``Deflator.apply`` and ``Deflator.projection_correction``, and
-``BlockJacobi.apply``.  A CSR matrix is cut into two row halves of equal
+``Deflator.apply`` (also that of ``Deflator.projection_correction``, which
+no solver calls: only the benchmark harness and the test of criterion 7
+do), and ``BlockJacobi.apply``.  A CSR matrix is cut into two row halves of equal
 nnz, a Block-Jacobi stack into two halves by block index, both over views
 of the arrays; the one thread of a ``concurrent.futures.ThreadPoolExecutor``
 (``_pool``) computes the bottom half as the caller computes the top one,
@@ -94,7 +95,6 @@ class SolverConfig:
 class SolverReport:
     iterations: int
     final_residual: float
-    converged: bool
     wall_time: float = 0.0
     true_residual: float | None = None
     ritz: tuple[float, float] | None = None  # smallest, largest: the "ritz" stop's last check
@@ -102,6 +102,10 @@ class SolverReport:
     # "breakdown" (p.Ap <= 0, or r.z or b.Mb negative) or "non_finite" (one
     # of those NaN or inf)
     reason: str = "converged"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 #: stored entries from which a CSR product (``_as_apply``) or a
@@ -240,7 +244,7 @@ def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
         mb = apply_m(b)
     bmb, rz = float(b @ mb), float(r @ z)
     if bmb == 0.0:
-        return np.zeros_like(b), SolverReport(0, 0.0, True, time.perf_counter() - start, 0.0)
+        return np.zeros_like(b), SolverReport(0, 0.0, time.perf_counter() - start, 0.0)
 
     dot_rr = stop == "residual" and apply_m is not None  # without apply_m, r.z is r.r
     definite = 0.0 < bmb < np.inf and 0.0 <= rz < np.inf
@@ -289,8 +293,7 @@ def _cg(apply_a, b, apply_m, stop, config, x0, true_residual=True):
     true_rel = (float(np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b))
                 if true_residual else None)
     reason = "converged" if converged else reason or "maxit"
-    return x, SolverReport(iterations, rel, converged, time.perf_counter() - start, true_rel,
-                           ritz, reason)
+    return x, SolverReport(iterations, rel, time.perf_counter() - start, true_rel, ritz, reason)
 
 
 def cg(operator, b, config: SolverConfig | None = None, x0=None):
@@ -319,8 +322,9 @@ class BlockJacobi:
     pair; collective blocks have size 4 * local_dim, grouping the four
     tensor components of one element under the permutation
     (c, e, i) -> (e, c, i).  ``inv_blocks`` (nblocks, bs, bs) holds the
-    block inverses; ``perm`` maps positions in the contiguous block layout
-    back to original dof indices.
+    block inverses, and its shape gives the block count and size; ``perm``
+    maps positions in the contiguous block layout back to original dof
+    indices.
 
     A stack of at least ``SPLIT_NNZ`` stored entries, in a process that may
     run on more than one CPU, is cut once, here, into two halves by block
@@ -331,23 +335,22 @@ class BlockJacobi:
     """
 
     layout: str
-    block_size: int
-    nblocks: int
     inv_blocks: np.ndarray
     perm: np.ndarray | None = None
     _halves: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.inv_blocks.size >= SPLIT_NNZ and len(os.sched_getaffinity(0)) > 1:
-            bs, mid, halves = self.block_size, self.nblocks // 2, []
-            for lo, hi in ((0, mid), (mid, self.nblocks)):
+            nblocks, bs = self.inv_blocks.shape[:2]
+            mid, halves = nblocks // 2, []
+            for lo, hi in ((0, mid), (mid, nblocks)):
                 rows = slice(lo * bs, hi * bs)
                 halves.append((self.inv_blocks[lo:hi],
                                rows if self.perm is None else self.perm[rows]))
             self._halves = tuple(halves)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        z = np.empty(self.nblocks * self.block_size)
+        z = np.empty(self.inv_blocks.shape[0] * self.inv_blocks.shape[1])
         if self._halves is None:
             _solve_blocks(self.inv_blocks, slice(None) if self.perm is None else self.perm, r, z)
             return z
@@ -431,8 +434,7 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -
     inv = _cho_solve_stack(factor, np.broadcast_to(np.eye(bs), factor[0].shape))
     inv += inv.transpose(0, 2, 1)
     inv *= 0.5
-    return BlockJacobi(layout=layout, block_size=bs, nblocks=len(inv),
-                       inv_blocks=inv, perm=perm)
+    return BlockJacobi(layout=layout, inv_blocks=inv, perm=perm)
 
 
 # -- SPD factorisation -------------------------------------------------------
@@ -471,8 +473,8 @@ def _spd_lu(matrix, what: str):
 @dataclass
 class Deflator:
     """ker(M) deflation data: implicit basis V = v kron I with
-    v = (e1 + e4)/sqrt(2), coarse operator W = V^T A* V and its
-    factorisation.
+    v = (e1 + e4)/sqrt(2), coarse operator W = V^T A* V, one unknown per
+    scalar dof, and ``coarse_solve``, y -> W^-1 y by its factorisation.
 
     W is formed from A* (not from B1 + B3) and factorised by ``_spd_lu``
     with a symmetric ordering and no row pivoting; building the deflator
@@ -481,35 +483,31 @@ class Deflator:
     small)."""
 
     coarse_matrix: sparse.csr_matrix
-    _wsolve: object
+    coarse_solve: object
     _avt: object  # r -> (A* V)^T r, from ``_as_apply``
-    scalar_dofs: int
 
     def vt(self, x: np.ndarray) -> np.ndarray:
         """V^T x: gather the two trace components."""
-        S = self.scalar_dofs
+        S = self.coarse_matrix.shape[0]
         return (x[:S] + x[3 * S:]) / np.sqrt(2.0)
 
     def v(self, y: np.ndarray) -> np.ndarray:
         """V y: scatter a coarse vector into the trace directions."""
-        S = self.scalar_dofs
+        S = self.coarse_matrix.shape[0]
         out = np.zeros(4 * S)
         out[:S] = y / np.sqrt(2.0)
         out[3 * S:] = y / np.sqrt(2.0)
         return out
 
-    def coarse_solve(self, y: np.ndarray) -> np.ndarray:
-        return self._wsolve(y)
-
     def coarse_component(self, b: np.ndarray) -> np.ndarray:
         """V W^-1 V^T b: the part of the solution carried by the deflation
         space."""
-        return self.v(self._wsolve(self.vt(b)))
+        return self.v(self.coarse_solve(self.vt(b)))
 
     def projection_correction(self, r: np.ndarray) -> np.ndarray:
         """V W^-1 V^T A* r, the A*-orthogonal projection of r onto the
         deflation space; costs one coarse solve."""
-        return self.v(self._wsolve(self._avt(r)))
+        return self.v(self.coarse_solve(self._avt(r)))
 
     def apply(self, r: np.ndarray, apply_m=None) -> np.ndarray:
         """z = M^-1 r + V W^-1 (V^T r - (A* V)^T M^-1 r): the A-DEF2
@@ -517,7 +515,7 @@ class Deflator:
         Comput. 2009) around the inner ``apply_m``, the identity when None;
         costs one coarse solve."""
         mr = r if apply_m is None else apply_m(r)
-        return mr + self.v(self._wsolve(self.vt(r) - self._avt(mr)))
+        return mr + self.v(self.coarse_solve(self.vt(r) - self._avt(mr)))
 
 
 def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
@@ -535,8 +533,8 @@ def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
     except BlockFactorizationError as exc:
         raise BlockFactorizationError(
             f"{exc} (the interior penalty alpha is too small)") from exc
-    return Deflator(coarse_matrix=w.tocsr(), _wsolve=lu.solve,
-                    _avt=_as_apply(av.T.tocsr()), scalar_dofs=S)
+    return Deflator(coarse_matrix=w.tocsr(), coarse_solve=lu.solve,
+                    _avt=_as_apply(av.T.tocsr()))
 
 
 def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None,
@@ -544,7 +542,7 @@ def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None
     """CG preconditioned by ``Deflator.apply`` from x0 + V W^-1 V^T (b - A* x0)
     (x0 zero when None): one coarse solve per iteration and two more."""
     b = np.asarray(b, dtype=float)
-    if b.size != 4 * deflator.scalar_dofs:
+    if b.size != 4 * deflator.coarse_matrix.shape[0]:
         raise ValueError("deflator was built from an operator of different size")
     apply_a = _as_apply(astar)
     x = deflator.coarse_component(b if x0 is None else b - apply_a(x0))

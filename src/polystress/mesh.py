@@ -234,20 +234,17 @@ class PolyMesh:
                 f"({nb} boundary), h={self.mesh_size:.4g})")
 
 
-def build_cartesian_mesh(nx: int, ny: int, bounds=(0.0, 1.0, 0.0, 1.0)) -> PolyMesh:
-    """Tile an axis-aligned rectangle with nx*ny quadrilateral elements.
+def build_cartesian_mesh(nx: int, ny: int) -> PolyMesh:
+    """Tile the unit square with nx*ny quadrilateral elements.
 
-    ``bounds`` is (xmin, xmax, ymin, ymax).  All boundary faces start out
-    Dirichlet; use classify_boundary to tag a Neumann part.
+    All boundary faces start out Dirichlet; use classify_boundary to tag a
+    Neumann part.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be >= 1")
-    x0, x1, y0, y1 = map(float, bounds)
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("domain rectangle has a zero-size axis")
 
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
     xv, yv = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 

@@ -65,14 +65,12 @@ def _lambdify(mat):
 class ManufacturedSolution:
     """Exact solution plus the problem data it manufactures."""
 
-    name: str
     data: ProblemData
     sigma: callable        # (x, y, t) -> (npts, 2, 2)
     div_sigma: callable    # (x, y, t) -> (npts, 2)
-    sigma_expr: sp.Matrix
 
 
-def manufacture(sigma_expr: sp.Matrix, mu: float = 1.0, name: str = "custom") -> ManufacturedSolution:
+def manufacture(sigma_expr: sp.Matrix, mu: float = 1.0) -> ManufacturedSolution:
     """Derive source and boundary data from an exact pseudo-stress tensor.
 
     Given sigma(x, y, t) as a 2x2 sympy Matrix, the source is
@@ -104,7 +102,7 @@ def manufacture(sigma_expr: sp.Matrix, mu: float = 1.0, name: str = "custom") ->
         sigma0=lambda x, y: sigma_fun(x, y, 0.0),
         mu=mu,
     )
-    return ManufacturedSolution(name, data, sigma_fun, div_fun, sigma_expr)
+    return ManufacturedSolution(data, sigma_fun, div_fun)
 
 
 def trig_solution(mu: float = 1.0) -> ManufacturedSolution:
@@ -114,7 +112,7 @@ def trig_solution(mu: float = 1.0) -> ManufacturedSolution:
         [sp.sin(sp.pi * X) * sp.cos(sp.pi * Y), X**2 * Y + sp.sin(sp.pi * Y)],
         [sp.cos(sp.pi * X) * sp.sin(sp.pi * Y), X * Y**2 + sp.cos(sp.pi * X)],
     ])
-    return manufacture(expr, mu=mu, name="trig")
+    return manufacture(expr, mu=mu)
 
 
 def linear_in_space_solution(mu: float = 1.0) -> ManufacturedSolution:
@@ -124,12 +122,12 @@ def linear_in_space_solution(mu: float = 1.0) -> ManufacturedSolution:
         [1 + 2 * X - Y, X + Y],
         [X - Y, 1 - X + 2 * Y],
     ])
-    return manufacture(expr, mu=mu, name="linear_in_space")
+    return manufacture(expr, mu=mu)
 
 
 def zero_data(mu: float = 1.0) -> ProblemData:
     """Data of the unforced problem: sigma = 0, manufactured."""
-    return manufacture(sp.zeros(2, 2), mu, "zero").data
+    return manufacture(sp.zeros(2, 2), mu).data
 
 
 NAMED_SOLUTIONS = {

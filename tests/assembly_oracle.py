@@ -30,8 +30,9 @@ with array geometry.
 The per-element views of a ``DGSpace`` (``basis_values``,
 ``basis_gradients``, ``gram_solve``, ``scalar_index``, ``tensor_dofs``,
 ``eval_field``, ``eval_divergence``), the small helpers ``mass_energy`` and
-``_loop_edges`` and the manufactured ``steady_polynomial_solution`` serve
-only the tests, so they live here rather than in the library.
+``_loop_edges``, the manufactured ``steady_polynomial_solution`` and the
+Kronecker identity check ``kron_structure_check`` serve only the tests, so
+they live here rather than in the library.
 """
 import dataclasses
 
@@ -294,6 +295,18 @@ def with_oracle_tensors(system, space):
     return dataclasses.replace(system, m=m, a=a)
 
 
+def kron_structure_check(system) -> tuple[float, float]:
+    """Max deviations |M - K kron M1| and |A - I_2 kron [[B1,B2^T],[B2,B3]]|."""
+    kref = sparse.csr_matrix(deviatoric_factor() / system.mu)
+    dm = system.m - sparse.kron(kref, system.m1, format="csr")
+    block = sparse.bmat([[system.b1, system.b2.T], [system.b2, system.b3]],
+                        format="csr")
+    da = system.a - sparse.kron(sparse.eye(2), block, format="csr")
+    dev_m = float(np.abs(dm.data).max()) if dm.nnz else 0.0
+    dev_a = float(np.abs(da.data).max()) if da.nnz else 0.0
+    return dev_m, dev_a
+
+
 def functional_vector(space, data, t, alpha):
     """Load vector, element by element and face by face."""
     mesh = space.mesh
@@ -542,14 +555,14 @@ def agglomerate(mesh, target_elements, rng_seed):
 
 # -- manufactured solutions ---------------------------------------------------
 
+#: time-independent polynomial fields by total degree
+STEADY_POLYNOMIALS = {
+    1: sp.Matrix([[1 + X, X - Y], [2 * Y, 1 - X + Y]]),
+    2: sp.Matrix([[1 + X * Y, X**2 - Y], [Y**2 + X, X**2 - Y**2]]),
+}
+
+
 def steady_polynomial_solution(degree: int, mu: float = 1.0):
-    """Time-independent polynomial field of the given total degree; the
+    """The steady polynomial field of the given total degree (1 or 2); the
     discrete evolution keeps its projection fixed up to solver tolerance."""
-    if degree == 1:
-        base = sp.Matrix([[1 + X, X - Y], [2 * Y, 1 - X + Y]])
-    else:
-        base = sp.Matrix([
-            [1 + X * Y, X**2 - Y],
-            [Y**2 + X, X**2 - Y**2],
-        ])
-    return manufacture(base, mu=mu, name=f"steady_p{degree}")
+    return manufacture(STEADY_POLYNOMIALS[degree], mu=mu)

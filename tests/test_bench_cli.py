@@ -15,7 +15,7 @@ from polystress.bench import (ConfigError, _rhs_generator, build_meshes,
                               run_iteration_table)
 from polystress.cli import main
 from polystress.krylov import SOLVERS, CondEstimate, SolverReport
-from polystress.mesh import FaceKind
+from polystress.mesh import FaceKind, agglomerate
 
 FAST = {
     ("mesh", "nx"): "3", ("mesh", "ny"): "3", ("mesh", "targets"): "",
@@ -187,7 +187,7 @@ def test_iteration_table_raises_first_failure_in_serial_order(
             if j == 0 and (name, i, rep) in failing:
                 raise SolveFailed(name, i, rep)
             time.sleep(0.05)
-            return None, SolverReport(1, 0.0, True)
+            return None, SolverReport(1, 0.0)
         return solve
 
     monkeypatch.setattr(bench, "make_solver", fake_solver)
@@ -421,6 +421,9 @@ def test_cli_warns_on_stalled_agglomeration(tmp_path, capsys):
     assert "mesh=5el_h" in captured.out
     assert run_cli(args + ["--targets", "9"]) == 0
     assert capsys.readouterr().err == ""
+    # only the first target is built: the stall on the way to 1 is not reached
+    assert run_cli(args + ["--targets", "9,1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_exit_code_on_config_error(tmp_path, capsys):
@@ -433,7 +436,7 @@ def test_unknown_solver_rejected_before_meshes(tmp_path, monkeypatch, capsys):
     def fail(cfg):
         raise AssertionError("meshes built before the solver names were checked")
 
-    monkeypatch.setattr(bench, "build_meshes", fail)
+    monkeypatch.setattr(bench, "_mesh_family", fail)
     out = ["--output", str(tmp_path)]
     assert run_cli(["iter-table", "--nx", "60", "--ny", "60", "--targets", "900",
                     "--solvers", "dcg,sor"] + out) == 1
@@ -471,7 +474,7 @@ def test_single_solver_keys_and_numbers_rejected_before_meshes(tmp_path, monkeyp
     def fail(cfg):
         raise AssertionError("meshes built before the config was checked")
 
-    monkeypatch.setattr(bench, "build_meshes", fail)
+    monkeypatch.setattr(bench, "_mesh_family", fail)
     out = ["--output", str(tmp_path)]
     for command, sec, key, value, says in (
             ("solve", "time", "solver", "cg,dcg", "one solver name"),
@@ -498,6 +501,8 @@ def test_single_solver_keys_and_numbers_rejected_before_meshes(tmp_path, monkeyp
             (["cond-table", "--cond-tol", "2"], "[condition] tol", "in (0, 1)"),
             (["solve", "--dt", "-0.01"], "[time] dt", "in (0, inf)"),
             (["iter-table", "--seed", "-1"], "[solve] seed", ">= 0"),
+            (["iter-table", "--repetitions", str(2**20 + 1)], "[solve] repetitions",
+             f"< {2**20 + 1}"),
             (["iter-table", "--seed", str(2**64)], "[solve] seed", f"< {2**64}"),
             (["iter-table", "--mesh-seed", "-1"], "[mesh] seed", ">= 0"),
             (["iter-table", "--alpha", "0"], "[discretization] alpha", "in (0, inf)"),
@@ -546,7 +551,7 @@ def test_bad_flag_values_exit_1_naming_the_key(tmp_path, monkeypatch, capsys):
     def fail(cfg):
         raise AssertionError("meshes built before the flags were checked")
 
-    monkeypatch.setattr(bench, "build_meshes", fail)
+    monkeypatch.setattr(bench, "_mesh_family", fail)
     out = ["--output", str(tmp_path)]
     for argv, dest, says in (
             (["iter-table", "--nx", "abc"], "[mesh] nx", "'abc' is not an integer"),
@@ -681,6 +686,19 @@ def test_cli_solve(tmp_path, capsys):
     for line in log[1:]:
         assert np.all(np.isfinite([float(v) for v in line.split(",")[4:]]))
     assert "completed 4 steps" in capsys.readouterr().out
+
+
+def test_cli_solve_agglomerates_only_the_first_target(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(mesh, target, seed):
+        calls.append(target)
+        return agglomerate(mesh, target, seed)
+
+    monkeypatch.setattr(bench, "agglomerate", counting)
+    assert run_cli(["solve", "--nx", "4", "--ny", "4", "--targets", "8,4", "--degree", "1",
+                    "--dt", "0.05", "--t-final", "0.1", "--output", str(tmp_path)]) == 0
+    assert calls == [8]
 
 
 def test_cli_solve_reports_block_factorization_error(tmp_path, capsys):

