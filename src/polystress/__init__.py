@@ -10,7 +10,7 @@ from .krylov import (BlockJacobi, CondEstimate, Deflator, SolverConfig,
                      deflated_cg, estimate_condition_number, pcg)
 from .mesh import (FaceKind, MeshError, PolyMesh, agglomerate, build_cartesian_mesh,
                    classify_boundary, read_mesh, write_mesh)
-from .problems import (ManufacturedSolution, ProblemData,
+from .problems import (DataTerms, ManufacturedSolution, ProblemData,
                        linear_in_space_solution, manufacture, trig_solution,
                        zero_data)
 from .timestepper import EnergyNorm, TimeConfig, TimeStepError, implicit_euler_run
@@ -27,7 +27,7 @@ __all__ = [
     "estimate_condition_number", "pcg",
     "FaceKind", "MeshError", "PolyMesh", "agglomerate",
     "build_cartesian_mesh", "classify_boundary", "read_mesh", "write_mesh",
-    "ManufacturedSolution", "ProblemData", "linear_in_space_solution",
+    "DataTerms", "ManufacturedSolution", "ProblemData", "linear_in_space_solution",
     "manufacture", "trig_solution", "zero_data",
     "EnergyNorm", "TimeConfig", "TimeStepError", "implicit_euler_run",
     "__version__",

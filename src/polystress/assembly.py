@@ -4,7 +4,9 @@ Only the scalar blocks M1, B1, B2, B3 are assembled, batched over all
 elements of one quadrature size and over all faces of one kind.  The
 element terms and the load vector contract the basis tables of the
 ``DGSpace``; only the stiffness face terms evaluate the basis here, on a
-``face_batch`` whose penalty this module scales by alpha.  B1, B2 and B3
+``face_batch`` whose penalty this module scales by alpha.  The load
+vector is built once per time factor of the data (``load_terms``) and
+combined at each time (``problems.sum_terms``).  B1, B2 and B3
 share one sparsity pattern, bucketed and sorted once; each block's values
 are gathered through that one permutation (``_scatter``).  M follows by
 ``scipy.sparse.kron``, and A from the CSR arrays of the 2 x 2 scalar
@@ -31,7 +33,7 @@ from scipy.io import mmwrite
 
 from .dg_space import DGSpace, face_batch
 from .mesh import FaceKind
-from .problems import ProblemData
+from .problems import ProblemData, sum_terms
 
 #: unscaled deviatoric factor of the mass matrix: the contractions
 #: dev(E_c) : dev(E_c') of the unit tensors, components ordered
@@ -209,56 +211,71 @@ def build_system(m: sparse.csr_matrix, a: sparse.csr_matrix, dt: float) -> spars
     return finalize(m + dt * a)
 
 
-def functional_vector(space: DGSpace, data: ProblemData, t: float,
-                      alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Discrete load vector: volume source, Dirichlet divergence datum and
-    Nitsche-consistent Neumann traction terms.
+def load_terms(space: DGSpace, data: ProblemData,
+               alpha: float = DEFAULT_ALPHA) -> list[tuple]:
+    """The load vector split by time factor: [(a_j, F_j)] for the terms of
+    ``data.terms``, so that the load at time t is sum_j a_j(t) F_j
+    (``problems.sum_terms``).  Each F_j holds the volume source, the Dirichlet
+    divergence datum and the Nitsche-consistent Neumann traction terms of
+    term j.
 
     The basis tables are the space's (``DGSpace.element_values`` and
     ``DGSpace.boundary_tables``, computed once per space); each call
-    evaluates the data callbacks, forms the Nitsche test functions at
-    ``alpha`` and contracts.  The callbacks receive read-only point arrays.
+    evaluates the terms' callbacks once, all terms together, forms the
+    Nitsche test functions at ``alpha`` and contracts every term in one
+    pass.  The callbacks receive read-only point arrays.
     """
-    # f[c, e, i] in component-major dof order; tensor components flatten
+    terms = data.terms
+    J = len(terms.coefficients)
+    if not J:
+        return []
+    # f[j, c, e, i] in component-major dof order; tensor components flatten
     # row-major, which is the COMPONENTS order
-    f = np.zeros((4, space.n_elements, space.local_dim))
+    f = np.zeros((J, 4, space.n_elements, space.local_dim))
 
     pts = space.element_points
-    source = data.source(pts[:, 0], pts[:, 1], t).reshape(-1, 4)
+    source = terms.source(pts[:, 0], pts[:, 1]).reshape(-1, J * 4)
     start = 0
     for batch, phi in zip(space.element_batches, space.element_values):
         E, nq = batch.weights.shape
-        vals = source[start:start + E * nq].reshape(E, nq, 4)
+        vals = source[start:start + E * nq].reshape(E, nq, J * 4)
         start += E * nq
         wvals = batch.weights[:, :, None] * vals
-        f[:, batch.elements] = (wvals.transpose(0, 2, 1) @ phi).transpose(1, 0, 2)
+        f[:, :, batch.elements] = (wvals.transpose(0, 2, 1) @ phi).reshape(
+            E, J, 4, -1).transpose(1, 2, 0, 3)
 
     # boundary faces: sum_q w g_r(q) v_d(q) into component (r, d) of the plus
     # element, v_d = n_d phi (Dirichlet) or alpha gamma n_d phi - d_d phi
     # (Neumann) in slot (d, i) for basis function i
-    per_element = f.transpose(1, 0, 2)
+    per_element = f.transpose(2, 0, 1, 3)
     for table in space.boundary_tables:
         fb = table.faces
         tests = fb.normals[:, None, :, None] * table.phi[:, :, None, :]
         if table.kind == FaceKind.DIRICHLET:
-            g = data.dirichlet(table.x, table.y, t)
+            g = terms.dirichlet(table.x, table.y)
         else:
-            g = data.neumann(table.x, table.y, t, table.nx, table.ny)
+            g = terms.neumann(table.x, table.y, table.nx, table.ny)
             tests = (alpha * fb.gamma)[:, None, None, None] * tests - table.grad.swapaxes(2, 3)
         F, nq = fb.weights.shape
-        wg = fb.weights[:, :, None] * g.reshape(F, nq, 2)
+        wg = fb.weights[:, :, None] * g.reshape(F, nq, J * 2)
         contrib = wg.transpose(0, 2, 1) @ tests.reshape(F, nq, -1)
-        np.add.at(per_element, fb.plus, contrib.reshape(F, 4, -1))
-    return f.ravel()
+        np.add.at(per_element, fb.plus, contrib.reshape(F, J, 4, -1))
+    return [(a, fj.ravel()) for a, fj in zip(terms.coefficients, f)]
+
+
+def functional_vector(space: DGSpace, data: ProblemData, t: float,
+                      alpha: float = DEFAULT_ALPHA) -> np.ndarray:
+    """Discrete load vector at time t: ``sum_terms`` of ``load_terms``."""
+    return sum_terms(load_terms(space, data, alpha), t, space.total_dofs)
 
 
 def assemble_rhs(space: DGSpace, data: ProblemData, t: float,
                  sigma_prev: np.ndarray, dt: float,
                  system: SystemMatrices) -> np.ndarray:
     """One-step right-hand side M sigma_prev + dt * f(t), with the load
-    vector of ``functional_vector`` at ``system.alpha`` (its basis tables
-    are computed once per space; the data callbacks receive read-only point
-    arrays)."""
+    vector of ``functional_vector`` at ``system.alpha``.  A time stepper
+    builds ``load_terms`` once instead and forms the same expression with
+    ``sum_terms``, bitwise this vector."""
     f = functional_vector(space, data, t, system.alpha)
     return system.m @ sigma_prev + dt * f
 

@@ -319,59 +319,60 @@ class BlockJacobi:
     """Block-diagonal preconditioner of the time-step operator.
 
     Component-wise blocks have size local_dim, one per (component, element)
-    pair; collective blocks have size 4 * local_dim, grouping the four
-    tensor components of one element under the permutation
-    (c, e, i) -> (e, c, i).  ``inv_blocks`` (nblocks, bs, bs) holds the
-    block inverses, and its shape gives the block count and size; ``perm``
-    maps positions in the contiguous block layout back to original dof
-    indices.
+    pair, in dof order; collective blocks have size 4 * local_dim, one per
+    element, grouping its four tensor components: block e holds the dofs
+    (c, e, i) of every component c, in (c, i) order
+    (``collective_permutation``).  ``inv_blocks`` (nblocks, bs, bs) holds
+    the block inverses, and its shape gives the block count and size.
 
-    A stack of at least ``SPLIT_NNZ`` stored entries, in a process that may
-    run on more than one CPU, is cut once, here, into two halves by block
-    index, over views of ``inv_blocks`` and ``perm``: ``apply`` then
-    multiplies the bottom half on the pool's thread as the caller
-    multiplies the top one.  Every block goes through the same matmul
-    kernel as in the serial apply, so ``z`` is bitwise the same.
+    ``apply`` gathers the blocks of r and scatters those of z through views:
+    a slice in the component layout, the transposed (4, ne, L) view of
+    r and z in the collective one, so no index array is read.  A stack of
+    at least ``SPLIT_NNZ`` stored entries, in a process that may run on
+    more than one CPU, is cut once, here, into two halves by block index,
+    over views of ``inv_blocks``: ``apply`` then multiplies the bottom half
+    on the pool's thread as the caller multiplies the top one.  Every block
+    goes through the same matmul kernel as in the serial apply, so ``z`` is
+    bitwise the same.
     """
 
     layout: str
     inv_blocks: np.ndarray
-    perm: np.ndarray | None = None
     _halves: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.inv_blocks.size >= SPLIT_NNZ and len(os.sched_getaffinity(0)) > 1:
-            nblocks, bs = self.inv_blocks.shape[:2]
-            mid, halves = nblocks // 2, []
-            for lo, hi in ((0, mid), (mid, nblocks)):
-                rows = slice(lo * bs, hi * bs)
-                halves.append((self.inv_blocks[lo:hi],
-                               rows if self.perm is None else self.perm[rows]))
-            self._halves = tuple(halves)
+            mid = self.inv_blocks.shape[0] // 2
+            self._halves = ((self.inv_blocks[:mid], 0), (self.inv_blocks[mid:], mid))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         z = np.empty(self.inv_blocks.shape[0] * self.inv_blocks.shape[1])
+        collective = self.layout == LAYOUT_COLLECTIVE
         if self._halves is None:
-            _solve_blocks(self.inv_blocks, slice(None) if self.perm is None else self.perm, r, z)
+            _solve_blocks(self.inv_blocks, 0, collective, r, z)
             return z
         top, bottom = self._halves
-        lower = _pool.submit(_solve_blocks, *bottom, r, z)
+        lower = _pool.submit(_solve_blocks, *bottom, collective, r, z)
         try:
-            _solve_blocks(*top, r, z)
+            _solve_blocks(*top, collective, r, z)
         finally:
             lower.result()  # the pool's half is done, or raises, before z is returned
         return z
 
 
-def _solve_blocks(inv, rows, r, z):
-    """z[rows] = inv @ r[rows], block by block: ``rows`` is a slice of the
-    contiguous block layout or an index array (the collective
-    permutation)."""
-    rb = r[rows].reshape(-1, inv.shape[-1], 1)
-    if isinstance(rows, slice):
-        np.matmul(inv, rb, out=z[rows].reshape(rb.shape))
+def _solve_blocks(inv, first, collective, r, z):
+    """z = inv @ r on the blocks first, first + 1, ... of the layout: a
+    slice of r and z in the component layout, and in the collective one
+    elements first, ... of the (4, ne, L) views of r and z, transposed to
+    (element, component, i)."""
+    nb, bs = inv.shape[:2]
+    if collective:
+        zb = z.reshape(4, -1, bs // 4)[:, first:first + nb].transpose(1, 0, 2)
+        rb = r.reshape(4, -1, bs // 4)[:, first:first + nb].transpose(1, 0, 2)
+        zb[...] = np.matmul(inv, rb.reshape(nb, bs, 1)).reshape(zb.shape)
     else:
-        z[rows] = np.matmul(inv, rb).reshape(-1)
+        rows = slice(first * bs, (first + nb) * bs)
+        np.matmul(inv, r[rows].reshape(nb, bs, 1), out=z[rows].reshape(nb, bs, 1))
 
 
 def collective_permutation(space: DGSpace) -> np.ndarray:
@@ -434,7 +435,7 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -
     inv = _cho_solve_stack(factor, np.broadcast_to(np.eye(bs), factor[0].shape))
     inv += inv.transpose(0, 2, 1)
     inv *= 0.5
-    return BlockJacobi(layout=layout, inv_blocks=inv, perm=perm)
+    return BlockJacobi(layout=layout, inv_blocks=inv)
 
 
 # -- SPD factorisation -------------------------------------------------------

@@ -3,7 +3,9 @@ error measurement.
 
 The mass operator is singular (the trace directions carry no dynamics), so
 only the implicit method is admissible; the step operator M + dt A and any
-preconditioner or deflator are factorised once and reused across steps.
+preconditioner or deflator are factorised once and reused across steps,
+and so are the load vectors: one per time factor of the data
+(``assembly.load_terms``), combined at each step's time.
 The energy norm evaluates the basis on finer rules of its own and scales
 the unscaled penalties of ``dg_space.face_batch`` by its alpha.
 """
@@ -13,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_rhs, assemble_system,
-                       build_system)
+from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_system, build_system,
+                       load_terms)
 from .dg_space import COMPONENTS, DGSpace, face_batch, l2_project, polygon_rules
 from .krylov import SolverConfig, make_solver
 from .mesh import FaceKind
-from .problems import ProblemData
+from .problems import ProblemData, sum_terms
 
 
 class TimeStepError(RuntimeError):
@@ -67,6 +69,11 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
     reason (``SolverReport.reason``).  ``log_path`` receives one
     CSV row per step (``step,time,iterations,residual,wall_s,
     true_residual``), including the failing step's row when one aborts.
+
+    The data callbacks are evaluated once per run, whatever the number of
+    steps: the load vectors of ``assembly.load_terms`` are built next to the
+    solver, and each step's right-hand side M sigma + dt sum_j a_j(t) F_j
+    is bitwise ``assembly.assemble_rhs`` at that step.
     """
     config = config or SolverConfig()
     if system is None:
@@ -79,13 +86,14 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
                          f"but the problem data have mu = {data.mu:g}")
     step_solve = make_solver(solver, build_system(system.m, system.a, time.dt),
                              space, config)
+    loads = load_terms(space, data, alpha)
 
     sigma = l2_project(space, data.sigma0)
     reports = []
     failure = None
     for n in range(time.n_steps):
         t_next = (n + 1) * time.dt
-        rhs = assemble_rhs(space, data, t_next, sigma, time.dt, system)
+        rhs = system.m @ sigma + time.dt * sum_terms(loads, t_next, space.total_dofs)
         sigma_next, report = step_solve(rhs, sigma)
         reports.append(report)
         if not report.converged:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
+import sympy as sp
 from scipy.io import mmread
 
 import polystress as ps
@@ -14,9 +15,10 @@ from polystress import (FaceKind, assemble_mass, assemble_rhs,
                         assemble_stiffness, assemble_system, build_space,
                         build_system, classify_boundary, build_cartesian_mesh,
                         l2_project)
-from polystress.assembly import K_SPEC, finalize, functional_vector
+from polystress.assembly import K_SPEC, finalize, functional_vector, load_terms
 from polystress.dg_space import DGSpace, face_batch, face_rules, polygon_rules
-from polystress.problems import trig_solution, zero_data
+from polystress.problems import (X, Y, T, linear_in_space_solution, manufacture,
+                                 trig_solution, zero_data)
 
 import assembly_oracle as oracle
 
@@ -417,16 +419,47 @@ def test_load_callbacks_get_read_only_points(mesh22, trig_data):
     space = build_space(mesh22, 1)
     before = functional_vector(space, trig_data, 0.3)
 
-    def scribble(x, y, t, *normals):
+    def scribble(x, y, *rest):
         x[:] = 0.0
         return np.zeros((np.size(x), 2, 2))
 
     for name in ("source", "dirichlet", "neumann"):
+        terms = dataclasses.replace(trig_data.terms, **{name: scribble})
         with pytest.raises(ValueError, match="read-only"):
-            functional_vector(space, dataclasses.replace(trig_data, **{name: scribble}), 0.3)
+            functional_vector(space, dataclasses.replace(trig_data, terms=terms), 0.3)
     assert functional_vector(space, trig_data, 0.3).tobytes() == before.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         l2_project(space, lambda x, y: scribble(x, y, 0.0))
+
+
+# data of every kind of time dependence: two factors (1, t), one (exp(t)),
+# only the factor 1 (the steady fields), no terms at all, and three factors
+# (1, t, exp(t)) that the source, the divergence and sigma do not all share
+LOAD_DATA = {
+    "trig": lambda: trig_solution(2.5).data,
+    "linear_in_space": lambda: linear_in_space_solution().data,
+    "steady-1": lambda: oracle.steady_polynomial_solution(1).data,
+    "steady-2": lambda: oracle.steady_polynomial_solution(2).data,
+    "zero": zero_data,
+    "mixed": lambda: manufacture(sp.Matrix([[T * sp.sin(sp.pi * X), X * Y],
+                                            [sp.exp(T) * Y**2, 1 - T * X]])).data,
+}
+
+
+@pytest.mark.parametrize("name", list(LOAD_DATA))
+def test_load_terms_match_oracle(oracle_meshes, name):
+    """sum_j a_j(t) F_j against the oracle's load vector, which integrates
+    the data at t point by point, element by element and face by face."""
+    data = LOAD_DATA[name]()
+    space = build_space(oracle_meshes["agglomerated-50"], 2)
+    assert len(load_terms(space, data, 10.0)) == len(data.terms.coefficients)
+    for t in (0.0, 1e-6, 0.3):
+        got = functional_vector(space, data, t, 10.0)
+        ref = oracle.functional_vector(space, data, t, 10.0)
+        if name == "zero":
+            assert not got.any() and not ref.any()
+        else:
+            assert max_rel_dev(got, ref) <= 1e-13, t
 
 
 def test_load_tables_released_with_space(mesh22, trig_data):

@@ -249,13 +249,14 @@ def test_block_apply_matches_dense_solve(use_perm, rng):
         m = rng.standard_normal((bs, bs))
         blocks.append(m @ m.T + bs * np.eye(bs))
     full = np.zeros((n, n))
-    perm = rng.permutation(n) if use_perm else None
+    # the collective layout's block k holds dof (c, k, i) of each component c
+    perm = np.arange(n).reshape(4, nb, bs // 4).transpose(1, 0, 2).ravel()
     inv = np.stack([np.linalg.inv(b) for b in blocks])
     for k, b in enumerate(blocks):
         idx = np.arange(k * bs, (k + 1) * bs)
         pidx = perm[idx] if use_perm else idx
         full[np.ix_(pidx, pidx)] = b
-    solver = BlockJacobi("collective" if use_perm else "component", inv, perm)
+    solver = BlockJacobi("collective" if use_perm else "component", inv)
     r = rng.standard_normal(n)
     assert np.allclose(solver.apply(r), np.linalg.solve(full, r), rtol=1e-10)
 
@@ -299,9 +300,26 @@ def test_block_jacobi_apply_matches_cho_oracle_bitwise(bench_system, layout, rng
     space, system = bench_system
     astar = build_system(system.m, system.a, 1e-7)
     bj = build_block_jacobi(astar, space, layout)
-    ref = BlockJacobi(layout, _cho_oracle_inverses(astar, space, layout), bj.perm)
+    ref = BlockJacobi(layout, _cho_oracle_inverses(astar, space, layout))
     r = rng.standard_normal(astar.shape[0])
     assert bj.apply(r).tobytes() == ref.apply(r).tobytes()
+
+
+def test_collective_apply_is_bitwise_the_permuted_gather(monkeypatch, pool_threads,
+                                                         bench_system, rng):
+    """The strided views of the collective apply give the bits of a gather
+    and a scatter through ``collective_permutation``, serial and split."""
+    space, system = bench_system
+    bj = build_block_jacobi(build_system(system.m, system.a, 1e-7), space, "collective")
+    perm, bs = collective_permutation(space), bj.inv_blocks.shape[1]
+    r = rng.standard_normal(len(perm))
+    ref = np.empty_like(r)
+    ref[perm] = np.matmul(bj.inv_blocks, r[perm].reshape(-1, bs, 1)).reshape(-1)
+    assert bj.apply(r).tobytes() == ref.tobytes()
+    _split_everything(monkeypatch)
+    split = BlockJacobi("collective", bj.inv_blocks)
+    assert split._halves is not None
+    assert split.apply(r).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("layout", ["component", "collective"])
@@ -1083,16 +1101,15 @@ def _split_everything(monkeypatch, cpus=(0, 1)):
 
 
 def _serial_and_split(monkeypatch, layout, nblocks, cpus=(0, 1), bs=12):
-    """One BlockJacobi over random symmetric blocks (with a random
-    permutation for the collective layout) built positionally twice: as
-    this process builds it, and after ``_split_everything(cpus)``."""
+    """One BlockJacobi over random symmetric blocks built positionally
+    twice: as this process builds it, and after
+    ``_split_everything(cpus)``."""
     rng = np.random.default_rng(nblocks)
     inv = rng.standard_normal((nblocks, bs, bs))
     inv += inv.transpose(0, 2, 1)
-    perm = rng.permutation(nblocks * bs) if layout == "collective" else None
-    serial = BlockJacobi(layout, inv, perm)
+    serial = BlockJacobi(layout, inv)
     _split_everything(monkeypatch, cpus)
-    return serial, BlockJacobi(layout, inv, perm)
+    return serial, BlockJacobi(layout, inv)
 
 
 @pytest.mark.parametrize("layout", ["component", "collective"])

@@ -135,3 +135,27 @@ def test_fused_callbacks_match_entrywise_oracle(maker, rng):
         for k, entry in enumerate(expr):
             if entry.free_symbols <= {T}:
                 assert np.all(got[:, k] == got[0, k])
+
+
+@pytest.mark.parametrize("entry, named", [
+    (sp.sin(X * T), r"sigma\[0, 1\] = sin\(t\*x\)"),
+    (sp.exp(T) * X + Y**T, r"sigma\[0, 1\] = .*its term y\*\*t"),
+])
+def test_non_separable_sigma_names_its_entry(entry, named):
+    with pytest.raises(ValueError, match=named):
+        manufacture(sp.Matrix([[X, entry], [0, T * Y]]))
+
+
+def test_terms_grouped_by_time_factor(rng):
+    """Each datum is sum_j a_j(t) d_j(x, y) over the factors of sigma's
+    expansion and of its time derivative: 1 and t for the trig field,
+    exp(t) for the linear one, none for the zero field."""
+    x, y = rng.uniform(0, 1, 6), rng.uniform(0, 1, 6)
+    for maker, factors in ((trig_solution, [1.0, 0.3]),
+                           (linear_in_space_solution, [np.exp(0.3)]),
+                           (lambda: manufacture(sp.zeros(2, 2)), [])):
+        terms = maker().data.terms
+        assert [float(a(0.3)) for a in terms.coefficients] == pytest.approx(factors, rel=1e-15)
+        assert terms.source(x, y).shape == (6, len(factors), 2, 2)
+        assert terms.dirichlet(x, y).shape == (6, len(factors), 2)
+        assert terms.neumann(x, y, 0.6, -0.8).shape == (6, len(factors), 2)

@@ -1,13 +1,18 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
 import assembly_oracle as oracle
 import polystress.krylov as krylov
+import polystress.timestepper as timestepper
 from polystress import (SolverConfig, TimeConfig, TimeStepError, build_space,
                         implicit_euler_run, l2_project)
-from polystress.assembly import assemble_rhs, assemble_system, build_system
+from polystress.assembly import assemble_rhs, assemble_system, build_system, load_terms
 from polystress.bench import load_config, run_iteration_table
-from polystress.problems import linear_in_space_solution, trig_solution, zero_data
+from polystress.problems import (DataTerms, linear_in_space_solution, trig_solution,
+                                 zero_data)
 from polystress.timestepper import EnergyNorm
 
 
@@ -102,6 +107,60 @@ def test_factorisations_built_once(mesh33, monkeypatch):
     assert calls == ["deflator", krylov.LAYOUT_COMPONENT, krylov.LAYOUT_COLLECTIVE] * 2
 
 
+@pytest.mark.parametrize("maker, vectors", [(lambda: trig_solution().data, 2),
+                                            (lambda: linear_in_space_solution().data, 1),
+                                            (zero_data, 0)],
+                         ids=["trig", "linear_in_space", "zero"])
+def test_data_evaluated_once_per_run(mesh33, maker, vectors):
+    """A run evaluates the data callbacks as often for 30 steps as for 3:
+    once per term field for its load vectors, once for the initial field."""
+    data, space = maker(), build_space(mesh33, 1)
+    assert len(load_terms(space, data)) == vectors
+    calls = collections.Counter()
+
+    def counting(name, fun):
+        def counted(*args):
+            calls[name] += 1
+            return fun(*args)
+        return counted
+
+    names = ("source", "dirichlet", "neumann")
+    terms = dataclasses.replace(data.terms, **{n: counting(n, getattr(data.terms, n))
+                                               for n in names})
+    data = dataclasses.replace(data, terms=terms, sigma0=counting("sigma0", data.sigma0))
+    expected = collections.Counter({**{n: int(vectors > 0) for n in names}, "sigma0": 1})
+    for steps in (3, 30):
+        calls.clear()
+        implicit_euler_run(space, data, TimeConfig.from_steps(steps, 1e-3), "cg",
+                           SolverConfig(tol=1e-10, maxit=3000))
+        assert calls == expected, steps
+
+
+def test_step_rhs_is_bitwise_assemble_rhs(mesh33, monkeypatch):
+    """Each step solves with the right-hand side that assemble_rhs gives
+    for that step's time and previous iterate, bit for bit."""
+    mms, space = trig_solution(), build_space(mesh33, 2)
+    system = assemble_system(space, mms.data.mu, 10.0)
+    seen, make_solver = [], krylov.make_solver
+
+    def recording(*args):
+        solve = make_solver(*args)
+
+        def step(rhs, x0):
+            seen.append((rhs.copy(), x0.copy()))
+            return solve(rhs, x0)
+        return step
+
+    monkeypatch.setattr(timestepper, "make_solver", recording)
+    tc = TimeConfig.from_steps(4, 0.01)
+    implicit_euler_run(space, mms.data, tc, "cg", SolverConfig(tol=1e-10, maxit=3000),
+                       system=system)
+    assert len(seen) == 4
+    for n, (rhs, prev) in enumerate(seen):
+        ref = assemble_rhs(space, mms.data, (n + 1) * tc.dt, prev, tc.dt, system)
+        assert rhs.tobytes() == ref.tobytes()
+
+
 def test_unforced_energy_decays(poly_mesh, rng):
     space = build_space(poly_mesh, 2)
     system = assemble_system(space, 1.0, 10.0)
@@ -144,10 +203,17 @@ def test_per_step_log(tmp_path, mesh22):
         assert np.all(np.isfinite([float(v) for v in line.split(",")[4:]]))
 
 
+def _unit_source(coefficient):
+    """Data with the one term coefficient(t) times a unit tensor source, and
+    no boundary data."""
+    zeros = lambda x, y, *normals: np.zeros((np.size(x), 1, 2))
+    terms = DataTerms((coefficient,), lambda x, y: np.ones((np.size(x), 1, 2, 2)), zeros, zeros)
+    return dataclasses.replace(zero_data(), terms=terms)
+
+
 def test_per_step_log_written_on_failure(tmp_path, mesh33):
     # no load before t = 0.025: steps 1 and 2 converge at once, step 3 cannot
-    data = zero_data()
-    data.source = lambda x, y, t: np.full((np.size(x), 2, 2), float(t > 0.025))
+    data = _unit_source(lambda t: float(t > 0.025))
     log = tmp_path / "steps.csv"
     with pytest.raises(TimeStepError) as err:
         implicit_euler_run(build_space(mesh33, 2), data, TimeConfig.from_steps(4, 0.01),
@@ -161,8 +227,7 @@ def test_per_step_log_written_on_failure(tmp_path, mesh33):
 
 @pytest.mark.parametrize("solver", ["dcg", "pcg-cbj"])
 def test_non_finite_load_names_its_stop_reason(mesh33, solver):
-    data = zero_data()
-    data.source = lambda x, y, t: np.full((np.size(x), 2, 2), np.nan if t > 0.015 else 0.0)
+    data = _unit_source(lambda t: np.nan if t > 0.015 else 0.0)
     with pytest.raises(TimeStepError, match=r"at step 2 of 3 .*, stopped on non_finite\)$"):
         implicit_euler_run(build_space(mesh33, 2), data, TimeConfig.from_steps(3, 0.01), solver)
 
