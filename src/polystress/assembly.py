@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.io import mmwrite
 
 from .dg_space import DGSpace, face_batch
 from .mesh import FaceKind
@@ -284,8 +283,11 @@ def export_matrices(system: SystemMatrices, outdir, dt: float | None = None) -> 
     """Write the assembled operators in Matrix Market coordinate format.
 
     Returns the list of written file names.  When dt is given, the
-    time-step operator is exported as well.
+    time-step operator is exported as well.  scipy.io is imported here,
+    so that only an export loads it.
     """
+    from scipy.io import mmwrite
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     named = {"M1": system.m1, "B1": system.b1, "B2": system.b2,

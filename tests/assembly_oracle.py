@@ -30,7 +30,8 @@ with array geometry.
 The per-element views of a ``DGSpace`` (``basis_values``,
 ``basis_gradients``, ``gram_solve``, ``scalar_index``, ``tensor_dofs``,
 ``eval_field``, ``eval_divergence``), the small helpers ``mass_energy`` and
-``_loop_edges``, the manufactured ``steady_polynomial_solution`` and the
+``_loop_edges``, the data at one time summed from their terms
+(``data_at``), the manufactured ``steady_polynomial_solution`` and the
 Kronecker identity check ``kron_structure_check`` serve only the tests, so
 they live here rather than in the library.
 """
@@ -45,7 +46,9 @@ from polystress import FaceKind
 from polystress.assembly import _stiffness_blocks, finalize
 from polystress.mesh import _fan_cross_products, _shoelace
 from polystress.dg_space import COMPONENTS, face_rules, polygon_rules
-from polystress.problems import X, Y, manufacture
+from polystress.problems import _at, manufacture
+
+X, Y = sp.symbols("x y")
 
 
 # -- reference formulas -------------------------------------------------------
@@ -307,6 +310,13 @@ def kron_structure_check(system) -> tuple[float, float]:
     return dev_m, dev_a
 
 
+def data_at(data, datum, t, *points):
+    """The datum ("source" or "neumann", or "dirichlet", which is also
+    ``data.dirichlet``) of ``data`` at time t: its terms at ``points`` (x,
+    y, and for "neumann" the normal nx, ny), summed over the time factors."""
+    return _at(data.terms.coefficients, t, getattr(data.terms, datum)(*points))
+
+
 def functional_vector(space, data, t, alpha):
     """Load vector, element by element and face by face."""
     mesh = space.mesh
@@ -317,7 +327,7 @@ def functional_vector(space, data, t, alpha):
     for e in range(space.n_elements):
         pts, w = rules[e]
         phi = basis_values(space, e, pts)
-        vals = data.source(pts[:, 0], pts[:, 1], t)
+        vals = data_at(data, "source", t, pts[:, 0], pts[:, 1])
         for c, (r, d) in enumerate(COMPONENTS):
             f[tensor_dofs(space, c, e)] += (w * vals[:, r, d]) @ phi
 
@@ -334,7 +344,7 @@ def functional_vector(space, data, t, alpha):
             for c, (r, d) in enumerate(COMPONENTS):
                 f[tensor_dofs(space, c, e)] += (w * g[:, r] * n[d]) @ phi
         else:
-            g = data.neumann(x, y, t, n[0], n[1])
+            g = data_at(data, "neumann", t, x, y, n[0], n[1])
             gamma = penalty(face, alpha, space.degree, mesh)
             grad = basis_gradients(space, e, pts)
             for c, (r, d) in enumerate(COMPONENTS):

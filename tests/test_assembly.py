@@ -17,10 +17,12 @@ from polystress import (FaceKind, assemble_mass, assemble_rhs,
                         l2_project)
 from polystress.assembly import K_SPEC, finalize, functional_vector, load_terms
 from polystress.dg_space import DGSpace, face_batch, face_rules, polygon_rules
-from polystress.problems import (X, Y, T, linear_in_space_solution, manufacture,
-                                 trig_solution, zero_data)
+from polystress.problems import (linear_in_space_solution, manufacture, trig_solution,
+                                 zero_data)
 
 import assembly_oracle as oracle
+
+X, Y, T = sp.symbols("x y t")
 
 
 @pytest.fixture(scope="module")
