@@ -3,18 +3,27 @@
 Only the scalar blocks M1, B1, B2, B3 are assembled, batched over all
 elements of one quadrature size and over all faces of one kind.  The
 element terms and the load vector contract the basis tables of the
-``DGSpace``; only the stiffness face terms evaluate the basis here, on a
-``face_batch`` whose penalty this module scales by alpha.  The load
-vector is built once per time factor of the data (``load_terms``) and
-combined at each time (``problems.sum_terms``).  B1, B2 and B3
-share one sparsity pattern, bucketed and sorted once; each block's values
-are gathered through that one permutation (``_scatter``).  M follows by
-``scipy.sparse.kron``, and A from the CSR arrays of the 2 x 2 scalar
-block, whose rows are filtered once and repeated on the second diagonal
-block.  The test suite keeps an independent tensor-path assembly, one
-element and one face at a time, against which it checks these Kronecker
-identities, and the earlier COO-per-matrix and ``kron`` path as the bitwise
-reference of the scatter and of A.
+``DGSpace``; the stiffness face terms contract its face tables
+(``DGSpace.face_tables``), chunk by chunk, with penalties this module
+scales by alpha.  The load vector is built once per time factor of the
+data (``load_terms``) and combined at each time (``problems.sum_terms``).
+
+The only operator-sized temporaries of this module's set-up are the
+value buffer of the stiffness's local blocks and the 2 x 2 block that A
+repeats.  The local blocks of B1, B2 and B3 go into that buffer in COO
+order; the three matrices share one sparsity pattern, whose per-row sort,
+on int32 COO positions, gives the permutation through which each
+matrix's values are gathered, summed and filtered in row chunks of about
+``CHUNK`` entries (``_scatter``).  M follows by ``scipy.sparse.kron``, A by stacking the CSR
+rows of the 2 x 2 scalar block and repeating its arrays on the second
+diagonal block, and A* = M + dt A by summing M's and A's rows.  Every
+filter is that of ``finalize``, applied chunk by chunk (``_dropped``),
+and every chunked result is written once into arrays cut to size in place
+(``_stack_rows``).  The test suite keeps an independent tensor-path
+assembly, one element and one face at a time, against which it checks
+these Kronecker identities, and the earlier COO-per-matrix and ``kron``
+path and the one-shot ``finalize(M + dt A)`` as the bitwise references of
+the scatter, of A and of A*.
 
 Block conventions, with S = scalar_dofs and dof order (s11, s12, s21, s22):
 M = (mu^-1 K0) kron M1, and A = I_2 kron [[B1, B2^T], [B2, B3]] where
@@ -30,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sparse
 
-from .dg_space import DGSpace, face_batch
+from .dg_space import CHUNK, DGSpace
 from .mesh import FaceKind
 from .problems import ProblemData, sum_terms
 
@@ -64,64 +73,148 @@ class SystemMatrices:
 
 
 def finalize(matrix) -> sparse.csr_matrix:
-    """Canonical CSR form: duplicates summed, entries <= DROP_REL * rowmax
-    dropped, indices sorted.  A row holding a NaN or inf is kept whole, so
-    that the entry reaches the factorisations that report it.  Row maxima,
-    the filter and the new row pointers are all computed on the CSR
-    arrays."""
+    """Canonical CSR form of a sparse matrix, which is left as it is:
+    duplicates summed, entries <= DROP_REL * rowmax dropped, indices sorted.
+    A row holding a NaN or inf is kept whole, so that the entry reaches the
+    factorisations that report it.  The filter runs on the CSR arrays in
+    row chunks (``_dropped``)."""
     A = matrix.tocsr()
+    if A is matrix:  # sum_duplicates works in place
+        A = A.copy()
     A.sum_duplicates()
-    if A.nnz:
-        counts = np.diff(A.indptr)
-        mag = np.abs(A.data)
-        rowmax = np.zeros(A.shape[0])
+    return _stack_rows(_dropped(_row_chunks(A)), A.shape, A.nnz)
+
+
+def _rows(a: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
+    """Rows start:stop of a CSR matrix over views of its data and indices.
+    The arrays are set after construction: the constructor copies a view of
+    less than half its base."""
+    lo, hi = a.indptr[start], a.indptr[stop]
+    rows = sparse.csr_matrix((stop - start, a.shape[1]), dtype=a.dtype)
+    rows.data, rows.indices, rows.indptr = (a.data[lo:hi], a.indices[lo:hi],
+                                            a.indptr[start:stop + 1] - lo)
+    return rows
+
+
+def _row_ranges(indptr: np.ndarray):
+    """(start, stop) ranges of consecutive rows that cover all rows of the
+    row pointers ``indptr``, each holding about CHUNK entries (a longer row
+    alone)."""
+    n = len(indptr) - 1
+    cuts = np.searchsorted(indptr, np.arange(CHUNK, indptr[-1], CHUNK))
+    bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _row_chunks(a: sparse.csr_matrix):
+    """The rows of a CSR matrix as chunks for ``_stack_rows``: (first row,
+    data, indices, indptr from 0) over views of its arrays."""
+    for start, stop in _row_ranges(a.indptr):
+        part = _rows(a, start, stop)
+        yield start, part.data, part.indices, part.indptr
+
+
+def _dropped(chunks):
+    """The row chunks without the entries that ``finalize`` drops: those at
+    most DROP_REL times the largest magnitude of their row.  A NaN
+    threshold drops nothing, so a row holding a NaN or inf stays whole."""
+    for start, data, indices, indptr in chunks:
+        counts = np.diff(indptr)
+        mag = np.abs(data)
+        rowmax = np.zeros(len(counts))
         nonempty = counts > 0
-        rowmax[nonempty] = np.maximum.reduceat(mag, A.indptr[:-1][nonempty])
-        # a NaN threshold drops nothing: rows holding a NaN or inf stay whole
+        rowmax[nonempty] = np.maximum.reduceat(mag, indptr[:-1][nonempty])
         threshold = np.where(np.isfinite(rowmax), DROP_REL * rowmax, np.nan)
-        drop = mag <= np.repeat(threshold, counts)
-        shift = np.searchsorted(np.flatnonzero(drop), A.indptr)
-        keep = ~drop
-        A = sparse.csr_matrix((A.data[keep], A.indices[keep], A.indptr - shift),
-                              shape=A.shape)
-    A.sort_indices()
-    return A
+        drop = np.flatnonzero(mag <= np.repeat(threshold, counts))
+        if len(drop):
+            data, indices = np.delete(data, drop), np.delete(indices, drop)
+            indptr = indptr - np.searchsorted(drop, indptr)
+        yield start, data, indices, indptr
 
 
-def _scatter(dofs: list, blocks: list, n: int) -> list:
+def _stack_rows(chunks, shape: tuple, capacity: int) -> sparse.csr_matrix:
+    """The CSR matrix of ``shape`` whose rows are those of ``chunks``, each
+    (first row, data, indices, indptr from 0) of consecutive rows, in row
+    order and covering every row.  The arrays are allocated once for
+    ``capacity`` entries, at least the chunks' total, and cut to size in
+    place, so the matrix is the only operator-sized allocation."""
+    index = sparse.get_index_dtype(maxval=max(capacity, *shape))
+    data, indices = np.empty(capacity), np.empty(capacity, dtype=index)
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    end = 0
+    for start, d, j, p in chunks:
+        data[end:end + len(d)] = d
+        indices[end:end + len(d)] = j
+        indptr[start + 1:start + len(p)] = end + p[1:]
+        end += len(d)
+    # no view of the two arrays outlives the loop, so they can shrink in place
+    data.resize(end, refcheck=False)
+    indices.resize(end, refcheck=False)
+    return sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _scatter(dofs: list, values: np.ndarray, n: int) -> list:
     """nmat canonical n x n matrices on one shared pattern.  ``dofs`` holds
-    (nb, k) local-to-global maps and ``blocks`` the matching local blocks,
-    nmat arrays (nb, k, k) each (test index first).
+    (nb, k) local-to-global maps and ``values`` (nmat, entries) the local
+    blocks in COO order: for each map in turn, (block, test dof, trial
+    dof).
 
-    The entries, in COO order (block, test dof, trial dof), are bucketed
-    by row in a stable order and each row's columns are sorted once, by the
-    sort that scipy's COO -> CSR conversion applies; every matrix's values
-    are gathered through the resulting permutation and their duplicates
-    summed left to right, so each result has the bits of that conversion
-    of its own COO matrix.
+    The entries are bucketed by row in a stable order and each row's
+    columns are sorted once, by the per-row sort that scipy's COO -> CSR
+    conversion applies (``sort_indices``, its data the int32 COO positions
+    of the entries, which become the permutation).  Every matrix's values
+    are gathered through that permutation in row chunks of about CHUNK
+    entries, their duplicates summed left to right and the chunk filtered
+    as by ``finalize``, so each result has the bits of that conversion of
+    its own COO matrix.
     """
-    # a slot holds the k consecutive entries of one (block, test dof) pair,
-    # all in one row: bucket the slots, then expand them to entries
-    slot_rows = np.concatenate([d.ravel() for d in dofs])
+    # a slot holds the k consecutive entries of one (block, test dof) pair:
+    # slot s lies in row flat[s], and its columns are the k dofs of its
+    # block, flat[block[s]:block[s] + k]
+    flat = np.concatenate([d.ravel() for d in dofs])
     width = np.concatenate([np.full(d.size, d.shape[1]) for d in dofs])
-    by_row = np.argsort(slot_rows, kind="stable")
-    w = width[by_row]
+    offsets = np.cumsum([0] + [d.size for d in dofs])
+    block = np.concatenate([o + np.arange(d.size) // d.shape[1] * d.shape[1]
+                            for o, d in zip(offsets, dofs)])
     first = np.cumsum(width) - width
-    order = np.arange(w.sum()) + np.repeat(first[by_row] - (np.cumsum(w) - w), w)
-    cols = np.concatenate([np.broadcast_to(d[:, None, :], d.shape + d.shape[-1:]).ravel()
-                           for d in dofs])
-    counts = np.bincount(slot_rows, weights=width, minlength=n).astype(np.int64)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    # the sort carries each entry's position along with its column
-    pattern = sparse.csr_matrix((np.arange(len(order), dtype=float), cols[order], indptr),
+    by_row = np.argsort(flat, kind="stable")
+    w = width[by_row]
+    start = np.cumsum(w) - w
+    total = int(w.sum())
+    index = sparse.get_index_dtype(maxval=max(total, n))
+    order, cols = np.empty(total, dtype=index), np.empty(total, dtype=index)
+    step = max(1, CHUNK // int(width.max(initial=1)))
+    for u in range(0, len(by_row), step):
+        slots, ws = by_row[u:u + step], w[u:u + step]
+        lo = start[u]
+        within = np.arange(ws.sum()) - np.repeat(start[u:u + step] - lo, ws)
+        order[lo:lo + len(within)] = np.repeat(first[slots], ws) + within
+        cols[lo:lo + len(within)] = flat[np.repeat(block[slots], ws) + within]
+    counts = np.bincount(flat, weights=width, minlength=n).astype(np.int64)
+    # the sort carries each entry's COO position along with its column
+    pattern = sparse.csr_matrix((order, cols, np.concatenate(([0], np.cumsum(counts)))),
                                 shape=(n, n))
     pattern.sort_indices()
-    perm = order[pattern.data.astype(np.intp)]
-    # finalize sums the duplicates in place: each matrix gets its own index arrays
-    return [finalize(sparse.csr_matrix(
-        (np.concatenate([b[m].ravel() for b in blocks])[perm], pattern.indices.copy(),
-         pattern.indptr.copy()), shape=(n, n)))
-        for m in range(len(blocks[0]))]
+    perm, cols, indptr = pattern.data, pattern.indices, pattern.indptr
+    ranges = _row_ranges(indptr)
+    # entries after the duplicates are summed: a column change or a row start
+    unique = 0
+    for r0, r1 in ranges:
+        j, p = cols[indptr[r0]:indptr[r1]], indptr[r0:r1] - indptr[r0]
+        new = np.ones(len(j), dtype=bool)
+        new[1:] = j[1:] != j[:-1]
+        new[p[p < len(j)]] = True
+        unique += int(np.count_nonzero(new))
+
+    def summed(vals):
+        for r0, r1 in ranges:
+            lo, hi = indptr[r0], indptr[r1]
+            part = sparse.csr_matrix((vals[perm[lo:hi]], cols[lo:hi].copy(),
+                                      indptr[r0:r1 + 1] - lo), shape=(r1 - r0, n))
+            part.sum_duplicates()
+            yield r0, part.data, part.indices, part.indptr
+
+    return [_stack_rows(_dropped(summed(vals)), (n, n), unique) for vals in values]
 
 
 def assemble_mass(space: DGSpace, mu: float = 1.0):
@@ -131,44 +224,57 @@ def assemble_mass(space: DGSpace, mu: float = 1.0):
         raise ValueError("viscosity mu must be positive")
     # the element blocks of M1 are the basis Gram matrices
     dofs = np.arange(space.scalar_dofs).reshape(space.n_elements, space.local_dim)
-    m1, = _scatter([dofs], [space.gram[None]], space.scalar_dofs)
+    m1, = _scatter([dofs], space.gram.reshape(1, -1), space.scalar_dofs)
     return m1, finalize(sparse.kron(K_SPEC / mu, m1))
 
 
 def _stiffness_blocks(space: DGSpace, alpha: float):
-    """Local blocks of B1, B2, B3: for the element volume term and per face
-    kind, the (nb, k) dof map and the three matching (nb, k, k) blocks."""
+    """Local blocks of B1, B2, B3 in COO order: the (nb, k) dof maps of the
+    element volume term and of each face kind that has faces, and one
+    (3, entries) value buffer holding, map after map, the blocks (block,
+    test dof, trial dof) of the three matrices.  The face blocks are
+    computed in the chunks of ``DGSpace.face_tables`` and written straight
+    into the buffer."""
     L = space.local_dim
     span = np.arange(L)
+    kinds = (FaceKind.INTERIOR, FaceKind.NEUMANN)
+    nfaces = [int(np.count_nonzero(space.mesh.faces["kind"] == kind)) for kind in kinds]
     # volume term: the (x, y) slots of the scalar divergence d_x u + d_y v,
     # the space's gradient Gram blocks
     dofs = [np.arange(space.scalar_dofs).reshape(space.n_elements, L)]
-    blocks = [space.grad_gram]
+    end = space.n_elements * L * L
+    values = np.empty((3, end + 4 * L * L * nfaces[0] + L * L * nfaces[1]))
+    values[:, :end] = space.grad_gram.reshape(3, -1)
 
     # face terms on the side-stacked dofs (plus, then minus on interior
     # faces): jump phi of the scalar, average gradient, and with
     # C_c = phi^T W grad_c and P = phi^T W phi the slot blocks
     # (b, c) = -n_b C_c - n_c C_b^T + gamma n_b n_c P
-    for kind in (FaceKind.INTERIOR, FaceKind.NEUMANN):
-        fb = face_batch(space, kind, space.quad_degree)
-        phi, grad = space.evaluate(fb.plus[:, None], fb.points)
-        fdofs = fb.plus[:, None] * L + span
-        if fb.minus is not None:
-            phi_m, grad_m = space.evaluate(fb.minus[:, None], fb.points)
-            phi = np.concatenate([phi, -phi_m], axis=2)
-            grad = 0.5 * np.concatenate([grad, grad_m], axis=2)
-            fdofs = np.concatenate([fdofs, fb.minus[:, None] * L + span], axis=1)
-        wphit = (fb.weights[:, :, None] * phi).transpose(0, 2, 1)
-        cx, cy, pen = wphit @ grad[..., 0], wphit @ grad[..., 1], wphit @ phi
-        nx = fb.normals[:, 0, None, None]
-        ny = fb.normals[:, 1, None, None]
-        gamma = (alpha * fb.gamma)[:, None, None]
-        cxt, cyt = cx.transpose(0, 2, 1), cy.transpose(0, 2, 1)
-        blocks.append((-nx * cx - nx * cxt + gamma * nx * nx * pen,
-                       -ny * cx - nx * cyt + gamma * ny * nx * pen,
-                       -ny * cy - ny * cyt + gamma * ny * ny * pen))
-        dofs.append(fdofs)
-    return dofs, blocks
+    for kind, count in zip(kinds, nfaces):
+        if not count:
+            continue
+        fdofs = []
+        for fb, (phi, grad), minus in space.face_tables(kind):
+            part = fb.plus[:, None] * L + span
+            if minus is not None:
+                phi_m, grad_m = minus
+                phi = np.concatenate([phi, -phi_m], axis=2)
+                grad = 0.5 * np.concatenate([grad, grad_m], axis=2)
+                part = np.concatenate([part, fb.minus[:, None] * L + span], axis=1)
+            wphit = (fb.weights[:, :, None] * phi).transpose(0, 2, 1)
+            cx, cy, pen = wphit @ grad[..., 0], wphit @ grad[..., 1], wphit @ phi
+            nx = fb.normals[:, 0, None, None]
+            ny = fb.normals[:, 1, None, None]
+            gamma = (alpha * fb.gamma)[:, None, None]
+            cxt, cyt = cx.transpose(0, 2, 1), cy.transpose(0, 2, 1)
+            size = cx.size
+            values[0, end:end + size] = (-nx * cx - nx * cxt + gamma * nx * nx * pen).ravel()
+            values[1, end:end + size] = (-ny * cx - nx * cyt + gamma * ny * nx * pen).ravel()
+            values[2, end:end + size] = (-ny * cy - ny * cyt + gamma * ny * ny * pen).ravel()
+            end += size
+            fdofs.append(part)
+        dofs.append(np.concatenate(fdofs))
+    return dofs, values
 
 
 def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
@@ -176,13 +282,23 @@ def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
 
     Returns (B1, B2, B3, A): the scalar blocks of the vector-valued form,
     assembled on the scalar dof layout, and A = I_2 kron [[B1, B2^T],
-    [B2, B3]].  A is built from the CSR arrays: the filter of ``finalize``
-    runs once on the rows [B1 | B2^T] and [B2 | B3], and the second
-    diagonal copy is the first shifted by 2 S.
+    [B2, B3]].  The 2 x 2 block is stacked in row chunks from the CSR rows
+    [B1 | B2^T] and [B2 | B3] and filtered as by ``finalize``; A repeats
+    its arrays, the second diagonal copy shifted by 2 S columns.
     """
     b1, b2, b3 = _scatter(*_stiffness_blocks(space, alpha), space.scalar_dofs)
-    block = finalize(sparse.bmat([[b1, b2.T.tocsr()], [b2, b3]], format="csr"))
-    n, nnz = block.shape[0], np.int64(block.nnz)
+    b2t = b2.T.tocsr()
+    n = 2 * space.scalar_dofs
+
+    def rows():
+        for top, (left, right) in ((0, (b1, b2t)), (n // 2, (b2, b3))):
+            for start, stop in _row_ranges(left.indptr + right.indptr):
+                part = sparse.hstack([_rows(left, start, stop), _rows(right, start, stop)],
+                                     format="csr")
+                yield top + start, part.data, part.indices, part.indptr
+
+    block = _stack_rows(_dropped(rows()), (n, n), b1.nnz + 2 * b2.nnz + b3.nnz)
+    nnz = np.int64(block.nnz)
     a = sparse.csr_matrix((np.concatenate([block.data, block.data]),
                            np.concatenate([block.indices, block.indices + n]),
                            np.concatenate([block.indptr, block.indptr[1:] + nnz])),
@@ -202,12 +318,25 @@ def build_system(m: sparse.csr_matrix, a: sparse.csr_matrix, dt: float) -> spars
     """Time-step operator M + dt * A; symmetric positive definite for dt > 0.
 
     Explicit stepping is excluded: the mass operator alone is singular.
+    The sum is formed in row chunks over views of M's and A's arrays (only
+    A's values are scaled, a chunk at a time) and filtered as by
+    ``finalize``; the result is its one operator-sized allocation.
     """
     if dt <= 0.0:
         raise ValueError("time step dt must be positive")
     if m.shape != a.shape:
         raise ValueError("M and A dimensions do not match")
-    return finalize(m + dt * a)
+    m, a = m.tocsr(), a.tocsr()
+
+    def sums():
+        for start, stop in _row_ranges(m.indptr + a.indptr):
+            scaled = _rows(a, start, stop)
+            scaled.data = dt * scaled.data
+            part = _rows(m, start, stop) + scaled
+            part.sum_duplicates()  # sorts the rows of non-canonical operands, as finalize does
+            yield start, part.data, part.indices, part.indptr
+
+    return _stack_rows(_dropped(sums()), m.shape, m.nnz + a.nnz)
 
 
 def load_terms(space: DGSpace, data: ProblemData,

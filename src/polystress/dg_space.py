@@ -13,9 +13,12 @@ many elements in one call; elements are grouped by quadrature size
 
 The space owns the basis tables that assembly contracts: one ``evaluate``
 pass per element batch gives the Gram matrices ``gram`` and the gradient
-Gram blocks ``grad_gram``, and the load vector's tables are computed on
+Gram blocks ``grad_gram``, and the boundary and load tables are computed on
 first use.  ``face_batch`` gives the faces of one kind with the unscaled
-penalty p^2 / h, which every caller multiplies by its alpha.
+penalty p^2 / h, which every caller multiplies by its alpha;
+``DGSpace.face_tables`` gives the basis on them in chunks of a bounded
+number of faces (``CHUNK``), evaluating each boundary face point once per
+space.
 
 Global scalar dof layout is element-major, ``e * local_dim + i``; the four
 tensor components are stacked component-major on top of it,
@@ -35,6 +38,13 @@ from .mesh import FaceKind, PolyMesh, _fan_cross_products, _length_groups, _next
 
 #: tensor components in dof order: row-major flattening of the 2x2 tensor
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: entries per chunk of the set-up loops (512 KB of doubles): the face
+#: tables and stiffness face blocks of a chunk of faces, the rows that
+#: ``assembly`` sums, filters and stacks, and the diagonal blocks that
+#: ``krylov.build_block_jacobi`` gathers and factorises.  Each chunk's
+#: temporaries are a few arrays of this many entries.
+CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -187,6 +197,12 @@ class FaceBatch:
     points: np.ndarray
     weights: np.ndarray
 
+    def part(self, faces: slice) -> FaceBatch:
+        """The batch of the faces ``faces``, over views of these arrays."""
+        return FaceBatch(self.plus[faces], None if self.minus is None else self.minus[faces],
+                         self.normals[faces], self.gamma[faces], self.points[faces],
+                         self.weights[faces])
+
 
 @dataclass(frozen=True)
 class BoundaryTable:
@@ -233,13 +249,14 @@ def _cho_factor_stack(blocks: np.ndarray, lower: bool = False):
     return c, lower
 
 
-def _cho_solve_stack(factor, rhs: np.ndarray) -> np.ndarray:
+def _cho_solve_stack(factor, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """LAPACK ``potrs`` of each factor of a ``_cho_factor_stack`` pair with
     its (b, m) slice of an (n, b, m) right-hand-side stack, as scipy's
-    ``cho_solve`` of that pair; the result is C-contiguous."""
+    ``cho_solve`` of that pair, written into ``out`` (a new C-contiguous
+    array when None), which is returned."""
     c, lower = factor
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c, rhs))
-    out = np.empty(rhs.shape)
+    out = np.empty(rhs.shape) if out is None else out
     for k, (ck, bk) in enumerate(zip(c, rhs)):
         out[k], _ = potrs(ck, bk, lower=lower)
     return out
@@ -317,7 +334,8 @@ class DGSpace:
     @cached_property
     def boundary_tables(self) -> tuple[BoundaryTable, ...]:
         """The basis on the Dirichlet and Neumann faces, one table per kind
-        that has faces; computed on first use, by the load vector."""
+        that has faces; computed on first use, by the stiffness face terms
+        (``face_tables``) or the load vector."""
         tables = []
         for kind in (FaceKind.DIRICHLET, FaceKind.NEUMANN):
             fb = face_batch(self, kind, self.quad_degree)
@@ -329,6 +347,33 @@ class DGSpace:
                 kind, fb, fb.points[..., 0].ravel(), fb.points[..., 1].ravel(),
                 np.repeat(fb.normals[:, 0], nq), np.repeat(fb.normals[:, 1], nq), phi, grad))
         return tuple(tables)
+
+    def face_tables(self, kind: FaceKind):
+        """The basis on the faces of one kind, on the space's face rule, in
+        chunks of at most ``CHUNK // (2 local_dim)^2`` faces (one at least):
+        yields (faces, plus, minus), with faces the chunk's FaceBatch, plus
+        the values (F, nq, local_dim) and gradients (F, nq, local_dim, 2)
+        of the plus element's basis, and minus those of the minus element
+        on interior faces, None on boundary faces.  Interior faces are
+        evaluated chunk by chunk; boundary faces are views of
+        ``boundary_tables``, so each boundary point is evaluated once per
+        space."""
+        if kind == FaceKind.INTERIOR:
+            faces = face_batch(self, kind, self.quad_degree)
+        else:
+            table = next((t for t in self.boundary_tables if t.kind == kind), None)
+            if table is None:
+                return
+            faces = table.faces
+        step = max(1, CHUNK // (2 * self.local_dim) ** 2)
+        for start in range(0, len(faces.plus), step):
+            rows = slice(start, start + step)
+            part = faces.part(rows)
+            if kind == FaceKind.INTERIOR:
+                yield (part, self.evaluate(part.plus[:, None], part.points),
+                       self.evaluate(part.minus[:, None], part.points))
+            else:
+                yield part, (table.phi[rows], table.grad[rows]), None
 
     @cached_property
     def element_points(self) -> np.ndarray:

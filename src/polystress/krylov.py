@@ -13,6 +13,12 @@ components.  The coarse operator W = V^T A* V then equals (dt/2)(B1 + B3)
 exactly, a Laplacian-type matrix factorised once and reused.  deflated_cg
 hands ``_cg`` a start vector and the A-DEF2 preconditioner, nothing else.
 
+The set-up builds work in chunks of about ``CHUNK`` entries of A*:
+``build_deflator`` sums A* V from A*'s CSR column slices in row chunks and
+transposes it once (A* V in CSR is its one operator-sized temporary), and
+``build_block_jacobi`` gathers, factorises, inverts and symmetrises the
+diagonal blocks a chunk at a time, straight into the stack of inverses.
+
 Products of at least ``SPLIT_NNZ`` = 500,000 stored entries run on two
 CPUs: the A* product of cg, pcg, deflated_cg, their true residual and the
 condition estimate (``_as_apply``), the (A* V)^T r product of
@@ -65,8 +71,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import SystemMatrices, build_system
-from .dg_space import DGSpace, _cho_factor_stack, _cho_solve_stack, _NotSPD
+from .assembly import SystemMatrices, _row_ranges, _rows, _stack_rows, build_system
+from .dg_space import CHUNK, DGSpace, _cho_factor_stack, _cho_solve_stack, _NotSPD
 
 
 class BlockFactorizationError(RuntimeError):
@@ -125,17 +131,6 @@ def _new_pool():
 _new_pool()
 # a forked child has no copy of the pool's thread: it gets a pool of its own
 os.register_at_fork(after_in_child=_new_pool)
-
-
-def _rows(a: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
-    """Rows start:stop of a CSR matrix over views of its data and indices.
-    The arrays are set after construction: the constructor copies a view of
-    less than half its base."""
-    lo, hi = a.indptr[start], a.indptr[stop]
-    rows = sparse.csr_matrix((stop - start, a.shape[1]), dtype=a.dtype)
-    rows.data, rows.indices, rows.indptr = (a.data[lo:hi], a.indices[lo:hi],
-                                            a.indptr[start:stop + 1] - lo)
-    return rows
 
 
 def _split_apply(a: sparse.csr_matrix):
@@ -384,36 +379,49 @@ def collective_permutation(space: DGSpace) -> np.ndarray:
     return c * S + e * L + i
 
 
-def _diagonal_blocks(A: sparse.csr_matrix, bs: int, perm: np.ndarray | None) -> np.ndarray:
-    """The (n // bs, bs, bs) diagonal blocks of A[perm][:, perm], read from
-    A's CSR arrays through the inverse permutation."""
-    n = A.shape[0]
-    new = np.arange(n, dtype=A.indices.dtype)
-    if perm is not None:
-        new[perm] = new.copy()
-    rows = np.repeat(new, np.diff(A.indptr))
-    cols = new[A.indices]
-    mask = rows // bs == cols // bs
-    rows, cols = rows[mask], cols[mask]
-    blocks = np.zeros((n // bs, bs, bs))
-    blocks[rows // bs, rows % bs, cols % bs] = A.data[mask]
+def _diagonal_blocks(A: sparse.csr_matrix, bs: int, inverse: np.ndarray | None,
+                     first: int, count: int) -> np.ndarray:
+    """The diagonal blocks first, ..., first + count - 1 (fewer at the end)
+    of A[perm][:, perm], as a stack (count, bs, bs), read from the rows of
+    A that hold them.  ``inverse`` is the inverse of the collective
+    permutation, whose blocks take their rows from the four components,
+    and None for the identity."""
+    stop = min(first + count, A.shape[0] // bs)
+    if inverse is None:
+        ranges = [(first * bs, stop * bs)]
+    else:
+        S, L = A.shape[0] // 4, bs // 4
+        ranges = [(c * S + first * L, c * S + stop * L) for c in range(4)]
+    blocks = np.zeros((stop - first, bs, bs))
+    for start, end in ranges:
+        lo, hi = A.indptr[start], A.indptr[end]
+        rows = (np.arange(start, end, dtype=A.indices.dtype) if inverse is None
+                else inverse[start:end])
+        rows = np.repeat(rows, np.diff(A.indptr[start:end + 1]))
+        cols = A.indices[lo:hi] if inverse is None else inverse[A.indices[lo:hi]]
+        mask = rows // bs == cols // bs
+        rows, cols = rows[mask], cols[mask]
+        blocks[rows // bs - first, rows % bs, cols % bs] = A.data[lo:hi][mask]
     return blocks
 
 
 def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -> BlockJacobi:
     """Extract and factorise the diagonal blocks of A* under the layout.
 
-    The blocks are factorised and inverted one by one by LAPACK potrf and
-    potrs (``_cho_factor_stack``, ``_cho_solve_stack``).  Raises
-    BlockFactorizationError naming the first element whose block holds a
-    non-finite entry or is not positive definite.
+    The blocks are gathered, factorised and inverted by LAPACK potrf and
+    potrs (``_cho_factor_stack``, ``_cho_solve_stack``), and symmetrised,
+    in chunks of about CHUNK entries of A*, straight into the stack of
+    inverses.  Raises BlockFactorizationError naming the first element
+    whose block holds a non-finite entry or, when no block does, the first
+    whose block is not positive definite.
     """
     astar = sparse.csr_matrix(astar)
-    L, ne = space.local_dim, space.n_elements
+    L, ne, n = space.local_dim, space.n_elements, astar.shape[0]
     if layout == LAYOUT_COMPONENT:
-        bs, perm = L, None
+        bs, inverse = L, None
     elif layout == LAYOUT_COLLECTIVE:
-        bs, perm = 4 * L, collective_permutation(space)
+        bs, inverse = 4 * L, np.empty(n, dtype=astar.indices.dtype)
+        inverse[collective_permutation(space)] = np.arange(n)
     else:
         raise ValueError(f"unknown Block-Jacobi layout: {layout!r}")
 
@@ -421,20 +429,30 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -
         elem = k if layout == LAYOUT_COLLECTIVE else k % ne
         return BlockFactorizationError(f"{layout} block of element {elem} {why}")
 
-    blocks = _diagonal_blocks(astar, bs, perm)
-    finite = np.isfinite(blocks).all(axis=(1, 2))
-    if not finite.all():
-        raise failure(int(np.argmin(finite)), "holds a NaN or inf")
-    try:
-        factor = _cho_factor_stack(blocks, lower=True)
-    except _NotSPD as exc:
-        raise failure(exc.index, "is not SPD") from exc
-    del blocks  # the solve below holds two stacks of this size at once
+    def check_finite(first, blocks):
+        finite = np.isfinite(blocks).all(axis=(1, 2))
+        if not finite.all():
+            raise failure(first + int(np.argmin(finite)), "holds a NaN or inf")
+
+    # blocks per chunk: their rows hold about CHUNK entries of A*
+    step = max(1, CHUNK * n // (bs * max(1, astar.nnz)))
+    chunks = ((first, _diagonal_blocks(astar, bs, inverse, first, step))
+              for first in range(0, n // bs, step))
     # C order: the matmul of BlockJacobi.apply sums in the order of the
     # blocks' layout
-    inv = _cho_solve_stack(factor, np.broadcast_to(np.eye(bs), factor[0].shape))
-    inv += inv.transpose(0, 2, 1)
-    inv *= 0.5
+    inv = np.empty((n // bs, bs, bs))
+    for first, blocks in chunks:
+        check_finite(first, blocks)
+        try:
+            factor = _cho_factor_stack(blocks, lower=True)
+        except _NotSPD as exc:
+            for later, rest in chunks:  # a non-finite block is named first
+                check_finite(later, rest)
+            raise failure(first + exc.index, "is not SPD") from exc
+        part = _cho_solve_stack(factor, np.broadcast_to(np.eye(bs), blocks.shape),
+                                inv[first:first + len(blocks)])
+        part += part.transpose(0, 2, 1)
+        part *= 0.5
     return BlockJacobi(layout=layout, inv_blocks=inv)
 
 
@@ -521,21 +539,37 @@ class Deflator:
 
 def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
     """Assemble and factorise the coarse operator for ker(M) deflation.
-    ``system`` and ``dt`` serve only to form A* when ``astar`` is None."""
+    ``system`` and ``dt`` serve only to form A* when ``astar`` is None.
+
+    A* V is summed from the CSR column slices A*[:, :S] and A*[:, 3S:], in
+    row chunks, and transposed once: (A* V)^T must come from A*'s columns,
+    not from its rows, because A* is symmetric only to rounding (at dt 1e-7
+    36,006 of its 214,414 entries at 100 elements differ from their
+    transposes, and 374,912 of 2,204,122 at 900), and the rows would change
+    the bits of every deflated iterate.  W = V^T A* V is summed from the
+    row views of A* V."""
     if astar is None:
         astar = build_system(system.m, system.a, dt)
     astar = sparse.csr_matrix(astar)
     S = astar.shape[0] // 4
-    csc = astar.tocsc()
-    av = (csc[:, :S] + csc[:, 3 * S:]) / np.sqrt(2.0)
-    w = sparse.csc_matrix((av[:S, :] + av[3 * S:, :]) / np.sqrt(2.0))
+
+    def sums():
+        for start, stop in _row_ranges(astar.indptr):
+            part = _rows(astar, start, stop)
+            part = (part[:, :S] + part[:, 3 * S:]) / np.sqrt(2.0)
+            yield start, part.data, part.indices, part.indptr
+
+    held = int(np.count_nonzero(astar.indices < S) + np.count_nonzero(astar.indices >= 3 * S))
+    av = _stack_rows(sums(), (4 * S, S), held)
+    w = (_rows(av, 0, S) + _rows(av, 3 * S, 4 * S)) / np.sqrt(2.0)
+    avt = av.tocsc().T
+    del av
     try:
         lu = _spd_lu(w, "coarse deflation operator")
     except BlockFactorizationError as exc:
         raise BlockFactorizationError(
             f"{exc} (the interior penalty alpha is too small)") from exc
-    return Deflator(coarse_matrix=w.tocsr(), coarse_solve=lu.solve,
-                    _avt=_as_apply(av.T.tocsr()))
+    return Deflator(coarse_matrix=w, coarse_solve=lu.solve, _avt=_as_apply(avt))
 
 
 def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None,

@@ -20,12 +20,15 @@ p^2 / h of ``dg_space.face_batch``, which its callers multiply by alpha),
 and the per-element quadrature rules ``element_rules`` and ``face_rule``,
 read off the batched rules of the library.
 
-Three earlier library paths are kept here as bitwise references:
+Earlier library paths are kept here as bitwise references:
 ``mass_kron``/``stiffness_kron`` convert one COO matrix per block and form
 M and A with ``scipy.sparse.kron``, ``l2_project_loop`` factors and solves
-each element's Gram matrix on its own, and ``agglomerate`` rebuilds every
+each element's Gram matrix on its own, ``agglomerate`` rebuilds every
 candidate's neighbour list from a directed-edge map and tests each merge
-with array geometry.
+with array geometry, and the one-shot set-up builders ``system_oneshot``,
+``deflator_tocsc`` and ``block_jacobi_oneshot`` form A*, the deflation
+operators and the Block-Jacobi inverses from whole-operator temporaries,
+where the library works in chunks.
 
 The per-element views of a ``DGSpace`` (``basis_values``,
 ``basis_gradients``, ``gram_solve``, ``scalar_index``, ``tensor_dofs``,
@@ -45,7 +48,9 @@ import sympy as sp
 from polystress import FaceKind
 from polystress.assembly import _stiffness_blocks, finalize
 from polystress.mesh import _fan_cross_products, _shoelace
-from polystress.dg_space import COMPONENTS, face_rules, polygon_rules
+from polystress.dg_space import (COMPONENTS, _cho_factor_stack, _cho_solve_stack, face_rules,
+                                 polygon_rules)
+from polystress.krylov import collective_permutation
 from polystress.problems import _at, manufacture
 
 X, Y = sp.symbols("x y")
@@ -430,22 +435,21 @@ def energy_error(norm, dofs, exact=None, t=0.0):
 
 # -- COO scatter and Kronecker products ---------------------------------------
 
-def coo_scatter(dofs, blocks, n):
-    """One COO matrix per block set, each converted and finalized on its
-    own: the reference for the shared-pattern scatter of the library."""
+def coo_scatter(dofs, values, n):
+    """One COO matrix per row of ``values``, each converted and finalized on
+    its own: the reference for the shared-pattern scatter of the library."""
     rows = np.concatenate([np.broadcast_to(d[:, :, None], d.shape + d.shape[-1:]).ravel()
                            for d in dofs])
     cols = np.concatenate([np.broadcast_to(d[:, None, :], d.shape + d.shape[-1:]).ravel()
                            for d in dofs])
-    vals = np.concatenate([np.reshape(b, (len(b), -1)) for b in blocks], axis=1)
-    return [finalize(sparse.coo_matrix((v, (rows, cols)), shape=(n, n))) for v in vals]
+    return [finalize(sparse.coo_matrix((v, (rows, cols)), shape=(n, n))) for v in values]
 
 
 def mass_kron(space, mu=1.0):
     """(M1, M) by COO scatter and ``scipy.sparse.kron``."""
     L = space.local_dim
     dofs = np.arange(space.scalar_dofs).reshape(space.n_elements, L)
-    m1, = coo_scatter([dofs], [space.gram[None]], space.scalar_dofs)
+    m1, = coo_scatter([dofs], space.gram.reshape(1, -1), space.scalar_dofs)
     return m1, finalize(sparse.kron(deviatoric_factor() / mu, m1))
 
 
@@ -455,6 +459,52 @@ def stiffness_kron(space, alpha):
     b1, b2, b3 = coo_scatter(*_stiffness_blocks(space, alpha), space.scalar_dofs)
     block = sparse.bmat([[b1, b2.T], [b2, b3]])
     return b1, b2, b3, finalize(sparse.kron(sparse.eye(2), block))
+
+
+# -- one-shot set-up builders -------------------------------------------------
+
+def system_oneshot(m, a, dt):
+    """A* = M + dt A, filtered by one ``finalize`` of the whole sum."""
+    return finalize(m + dt * a)
+
+
+def deflator_tocsc(astar):
+    """(W, (A* V)^T) as CSR matrices, from column slices of one CSC copy of
+    A*."""
+    S = astar.shape[0] // 4
+    csc = sparse.csr_matrix(astar).tocsc()
+    av = (csc[:, :S] + csc[:, 3 * S:]) / np.sqrt(2.0)
+    w = sparse.csc_matrix((av[:S, :] + av[3 * S:, :]) / np.sqrt(2.0))
+    return w.tocsr(), av.T.tocsr()
+
+
+def diagonal_blocks(A, bs, perm):
+    """The (n // bs, bs, bs) diagonal blocks of A[perm][:, perm], read at
+    once from all of A's CSR arrays through the inverse permutation."""
+    n = A.shape[0]
+    new = np.arange(n, dtype=A.indices.dtype)
+    if perm is not None:
+        new[perm] = new.copy()
+    rows = np.repeat(new, np.diff(A.indptr))
+    cols = new[A.indices]
+    mask = rows // bs == cols // bs
+    rows, cols = rows[mask], cols[mask]
+    blocks = np.zeros((n // bs, bs, bs))
+    blocks[rows // bs, rows % bs, cols % bs] = A.data[mask]
+    return blocks
+
+
+def block_jacobi_oneshot(astar, space, layout):
+    """The Block-Jacobi inverses of the layout, the whole stack gathered
+    (``diagonal_blocks``), factorised, inverted and symmetrised at once."""
+    L = space.local_dim
+    bs, perm = (L, None) if layout == "component" else (4 * L, collective_permutation(space))
+    blocks = diagonal_blocks(sparse.csr_matrix(astar), bs, perm)
+    factor = _cho_factor_stack(blocks, lower=True)
+    inv = _cho_solve_stack(factor, np.broadcast_to(np.eye(bs), blocks.shape))
+    inv += inv.transpose(0, 2, 1)
+    inv *= 0.5
+    return inv
 
 
 # -- agglomeration ------------------------------------------------------------

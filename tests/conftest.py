@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import polystress
-from polystress import agglomerate, build_cartesian_mesh, classify_boundary
+from polystress import (agglomerate, assemble_system, build_cartesian_mesh, build_space,
+                        build_system, classify_boundary)
 
 
 def pytest_report_header(config):
@@ -47,3 +48,13 @@ def oracle_meshes():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def system225():
+    """The 30x30 -> 225-element agglomerated mesh, right Neumann, at p = 3:
+    (space, system, A* at dt 1e-7)."""
+    mesh = agglomerate(classify_boundary(build_cartesian_mesh(30, 30), right_edge), 225, 1)
+    space = build_space(mesh, 3)
+    system = assemble_system(space)
+    return space, system, build_system(system.m, system.a, 1e-7)

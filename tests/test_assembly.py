@@ -256,6 +256,18 @@ def test_finalize_drops_small_entries():
     assert out.nnz == 2
 
 
+def test_finalize_leaves_its_argument_untouched():
+    """A CSR argument is its own ``tocsr()``: finalize sums its duplicates
+    in a copy."""
+    a = sparse.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 0, 1]),
+                           np.array([0, 2, 4])), shape=(2, 2))
+    arrays = [x.copy() for x in (a.data, a.indices, a.indptr)]
+    out = finalize(a)
+    assert out.nnz == 3 and out.toarray().tolist() == [[3.0, 0.0], [3.0, 4.0]]
+    assert a.nnz == 4
+    assert all(np.array_equal(x, y) for x, y in zip((a.data, a.indices, a.indptr), arrays))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_finalize_keeps_nonfinite_rows_whole(bad):
     dense = np.array([[1.0, 1e-20, 0.0], [bad, 1e-30, 2.0], [1e-30, 0.0, 3.0]])
@@ -475,10 +487,9 @@ def test_load_tables_released_with_space(mesh22, trig_data):
     assert all(ref() is None for ref in refs)
 
 
-def test_element_points_evaluated_once(oracle_meshes, monkeypatch):
-    """build_space and assemble_system evaluate the basis at each element
-    quadrature point once: the Gram matrices and the volume term of the
-    stiffness come from one pass."""
+def _counted_evaluations(monkeypatch):
+    """A counter of the (element, point) pairs that ``DGSpace.evaluate``
+    is called at from here on."""
     seen = collections.Counter()
     evaluate = DGSpace.evaluate
 
@@ -489,9 +500,36 @@ def test_element_points_evaluated_once(oracle_meshes, monkeypatch):
         return evaluate(self, elements, pts)
 
     monkeypatch.setattr(DGSpace, "evaluate", counting)
+    return seen
+
+
+def test_element_points_evaluated_once(oracle_meshes, monkeypatch):
+    """build_space and assemble_system evaluate the basis at each element
+    quadrature point once: the Gram matrices and the volume term of the
+    stiffness come from one pass."""
+    seen = _counted_evaluations(monkeypatch)
     space = build_space(oracle_meshes["agglomerated-50"], 2)
     assemble_system(space)
     points = [(e, tuple(x)) for batch in space.element_batches
               for e, pts in zip(batch.elements.tolist(), batch.points.tolist()) for x in pts]
     assert len(set(points)) == len(points) > 0
     assert [seen[key] for key in points] == [1] * len(points)
+
+
+def test_face_points_evaluated_once(system225, trig_data, monkeypatch):
+    """build_space, assemble_system and two load vectors evaluate the basis
+    at each face point once per side: the stiffness's Neumann terms and
+    the load vector read the same ``boundary_tables``, and each interior
+    face chunk is evaluated once for each of its two elements."""
+    seen = _counted_evaluations(monkeypatch)
+    space = build_space(system225[0].mesh, 3)
+    assemble_system(space)
+    functional_vector(space, trig_data, 0.3)
+    functional_vector(space, trig_data, 0.6)
+    for kind in (FaceKind.NEUMANN, FaceKind.DIRICHLET, FaceKind.INTERIOR):
+        fb = face_batch(space, kind, space.quad_degree)
+        sides = [fb.plus] if fb.minus is None else [fb.plus, fb.minus]
+        points = [(e, tuple(x)) for side in sides
+                  for e, pts in zip(side.tolist(), fb.points.tolist()) for x in pts]
+        assert len(set(points)) == len(points) > 0
+        assert [seen[key] for key in points] == [1] * len(points), kind
