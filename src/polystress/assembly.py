@@ -13,13 +13,14 @@ value buffer of the stiffness's local blocks and the 2 x 2 block that A
 repeats.  The local blocks of B1, B2 and B3 go into that buffer in COO
 order; the three matrices share one sparsity pattern, whose per-row sort,
 on int32 COO positions, gives the permutation through which each
-matrix's values are gathered, summed and filtered in row chunks of about
-``CHUNK`` entries (``_scatter``).  M follows by ``scipy.sparse.kron``, A by stacking the CSR
-rows of the 2 x 2 scalar block and repeating its arrays on the second
-diagonal block, and A* = M + dt A by summing M's and A's rows.  Every
-filter is that of ``finalize``, applied chunk by chunk (``_dropped``),
-and every chunked result is written once into arrays cut to size in place
-(``_stack_rows``).  The test suite keeps an independent tensor-path
+matrix's values are gathered and summed (``_scatter``).  M follows by
+``scipy.sparse.kron``, A by stacking the CSR rows [B1 | B2^T] and
+[B2 | B3] and repeating the 2 x 2 block's arrays on the second diagonal
+block, and A* = M + dt A by summing M's and A's rows.  Each of these
+CSR results, and ``finalize``'s, is built by one helper, ``_by_rows``:
+row chunks of about ``dg_space.CHUNK`` entries of its operands, combined,
+filtered as by ``finalize`` and written once into arrays cut to size in
+place.  The test suite keeps an independent tensor-path
 assembly, one element and one face at a time, against which it checks
 these Kronecker identities, and the earlier COO-per-matrix and ``kron``
 path and the one-shot ``finalize(M + dt A)`` as the bitwise references of
@@ -39,7 +40,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sparse
 
-from .dg_space import CHUNK, DGSpace
+from . import dg_space
+from .dg_space import DGSpace
 from .mesh import FaceKind
 from .problems import ProblemData, sum_terms
 
@@ -77,12 +79,12 @@ def finalize(matrix) -> sparse.csr_matrix:
     duplicates summed, entries <= DROP_REL * rowmax dropped, indices sorted.
     A row holding a NaN or inf is kept whole, so that the entry reaches the
     factorisations that report it.  The filter runs on the CSR arrays in
-    row chunks (``_dropped``)."""
+    row chunks (``_by_rows``)."""
     A = matrix.tocsr()
     if A is matrix:  # sum_duplicates works in place
         A = A.copy()
     A.sum_duplicates()
-    return _stack_rows(_dropped(_row_chunks(A)), A.shape, A.nnz)
+    return _by_rows([(0, (A,), lambda rows: rows)], A.shape, A.nnz)
 
 
 def _rows(a: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
@@ -98,55 +100,49 @@ def _rows(a: sparse.csr_matrix, start: int, stop: int) -> sparse.csr_matrix:
 
 def _row_ranges(indptr: np.ndarray):
     """(start, stop) ranges of consecutive rows that cover all rows of the
-    row pointers ``indptr``, each holding about CHUNK entries (a longer row
-    alone)."""
-    n = len(indptr) - 1
-    cuts = np.searchsorted(indptr, np.arange(CHUNK, indptr[-1], CHUNK))
+    row pointers ``indptr``, each holding about ``dg_space.CHUNK`` entries
+    (a longer row alone)."""
+    n, chunk = len(indptr) - 1, dg_space.CHUNK
+    cuts = np.searchsorted(indptr, np.arange(chunk, indptr[-1], chunk))
     bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _row_chunks(a: sparse.csr_matrix):
-    """The rows of a CSR matrix as chunks for ``_stack_rows``: (first row,
-    data, indices, indptr from 0) over views of its arrays."""
-    for start, stop in _row_ranges(a.indptr):
-        part = _rows(a, start, stop)
-        yield start, part.data, part.indices, part.indptr
+def _by_rows(blocks, shape: tuple, capacity: int, drop: bool = True) -> sparse.csr_matrix:
+    """The CSR matrix of ``shape`` built a row chunk at a time from
+    ``blocks``, each (first row, operands, combine): the operands are CSR
+    matrices over the same rows, and ``combine`` maps their rows start:stop
+    (``_rows`` views) to rows first + start:first + stop of the result, as
+    a CSR matrix.  The blocks cover every row, in order; each is cut into
+    ranges of about CHUNK entries of its operands (``_row_ranges``).
 
-
-def _dropped(chunks):
-    """The row chunks without the entries that ``finalize`` drops: those at
-    most DROP_REL times the largest magnitude of their row.  A NaN
-    threshold drops nothing, so a row holding a NaN or inf stays whole."""
-    for start, data, indices, indptr in chunks:
-        counts = np.diff(indptr)
-        mag = np.abs(data)
-        rowmax = np.zeros(len(counts))
-        nonempty = counts > 0
-        rowmax[nonempty] = np.maximum.reduceat(mag, indptr[:-1][nonempty])
-        threshold = np.where(np.isfinite(rowmax), DROP_REL * rowmax, np.nan)
-        drop = np.flatnonzero(mag <= np.repeat(threshold, counts))
-        if len(drop):
-            data, indices = np.delete(data, drop), np.delete(indices, drop)
-            indptr = indptr - np.searchsorted(drop, indptr)
-        yield start, data, indices, indptr
-
-
-def _stack_rows(chunks, shape: tuple, capacity: int) -> sparse.csr_matrix:
-    """The CSR matrix of ``shape`` whose rows are those of ``chunks``, each
-    (first row, data, indices, indptr from 0) of consecutive rows, in row
-    order and covering every row.  The arrays are allocated once for
-    ``capacity`` entries, at least the chunks' total, and cut to size in
-    place, so the matrix is the only operator-sized allocation."""
+    With ``drop`` each chunk is filtered as by ``finalize``: the entries at
+    most DROP_REL times the largest magnitude of their row go, and a row
+    holding a NaN or inf, whose threshold is NaN, stays whole.  The arrays
+    are allocated once for ``capacity`` entries, at least the result's, and
+    cut to size in place, so the result is the one operator-sized
+    allocation."""
     index = sparse.get_index_dtype(maxval=max(capacity, *shape))
     data, indices = np.empty(capacity), np.empty(capacity, dtype=index)
     indptr = np.zeros(shape[0] + 1, dtype=index)
     end = 0
-    for start, d, j, p in chunks:
-        data[end:end + len(d)] = d
-        indices[end:end + len(d)] = j
-        indptr[start + 1:start + len(p)] = end + p[1:]
-        end += len(d)
+    for first, operands, combine in blocks:
+        for start, stop in _row_ranges(sum(a.indptr for a in operands)):
+            part = combine(*(_rows(a, start, stop) for a in operands))
+            d, j, p = part.data, part.indices, part.indptr
+            if drop:
+                counts, mag = np.diff(p), np.abs(d)
+                rowmax = np.zeros(len(counts))
+                nonempty = counts > 0
+                rowmax[nonempty] = np.maximum.reduceat(mag, p[:-1][nonempty])
+                threshold = np.where(np.isfinite(rowmax), DROP_REL * rowmax, np.nan)
+                gone = np.flatnonzero(mag <= np.repeat(threshold, counts))
+                if len(gone):
+                    d, j, p = np.delete(d, gone), np.delete(j, gone), p - np.searchsorted(gone, p)
+            data[end:end + len(d)] = d
+            indices[end:end + len(d)] = j
+            indptr[first + start + 1:first + stop + 1] = end + p[1:]
+            end += len(d)
     # no view of the two arrays outlives the loop, so they can shrink in place
     data.resize(end, refcheck=False)
     indices.resize(end, refcheck=False)
@@ -163,9 +159,9 @@ def _scatter(dofs: list, values: np.ndarray, n: int) -> list:
     columns are sorted once, by the per-row sort that scipy's COO -> CSR
     conversion applies (``sort_indices``, its data the int32 COO positions
     of the entries, which become the permutation).  Every matrix's values
-    are gathered through that permutation in row chunks of about CHUNK
-    entries, their duplicates summed left to right and the chunk filtered
-    as by ``finalize``, so each result has the bits of that conversion of
+    are gathered through that permutation, their duplicates summed left
+    to right and the rows filtered as by ``finalize``, a row chunk at a
+    time (``_by_rows``), so each result has the bits of that conversion of
     its own COO matrix.
     """
     # a slot holds the k consecutive entries of one (block, test dof) pair:
@@ -183,7 +179,7 @@ def _scatter(dofs: list, values: np.ndarray, n: int) -> list:
     total = int(w.sum())
     index = sparse.get_index_dtype(maxval=max(total, n))
     order, cols = np.empty(total, dtype=index), np.empty(total, dtype=index)
-    step = max(1, CHUNK // int(width.max(initial=1)))
+    step = max(1, dg_space.CHUNK // int(width.max(initial=1)))
     for u in range(0, len(by_row), step):
         slots, ws = by_row[u:u + step], w[u:u + step]
         lo = start[u]
@@ -195,26 +191,25 @@ def _scatter(dofs: list, values: np.ndarray, n: int) -> list:
     pattern = sparse.csr_matrix((order, cols, np.concatenate(([0], np.cumsum(counts)))),
                                 shape=(n, n))
     pattern.sort_indices()
-    perm, cols, indptr = pattern.data, pattern.indices, pattern.indptr
-    ranges = _row_ranges(indptr)
+    cols, indptr = pattern.indices, pattern.indptr
     # entries after the duplicates are summed: a column change or a row start
     unique = 0
-    for r0, r1 in ranges:
+    for r0, r1 in _row_ranges(indptr):
         j, p = cols[indptr[r0]:indptr[r1]], indptr[r0:r1] - indptr[r0]
         new = np.ones(len(j), dtype=bool)
         new[1:] = j[1:] != j[:-1]
         new[p[p < len(j)]] = True
         unique += int(np.count_nonzero(new))
 
-    def summed(vals):
-        for r0, r1 in ranges:
-            lo, hi = indptr[r0], indptr[r1]
-            part = sparse.csr_matrix((vals[perm[lo:hi]], cols[lo:hi].copy(),
-                                      indptr[r0:r1 + 1] - lo), shape=(r1 - r0, n))
-            part.sum_duplicates()
-            yield r0, part.data, part.indices, part.indptr
+    def summed(vals, rows):
+        # the view of the pattern becomes the chunk: its values gathered, its
+        # columns copied for the in-place sum
+        rows.data, rows.indices = vals[rows.data], rows.indices.copy()
+        rows.sum_duplicates()
+        return rows
 
-    return [_stack_rows(_dropped(summed(vals)), (n, n), unique) for vals in values]
+    return [_by_rows([(0, (pattern,), lambda rows: summed(vals, rows))], (n, n), unique)
+            for vals in values]
 
 
 def assemble_mass(space: DGSpace, mu: float = 1.0):
@@ -289,15 +284,9 @@ def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
     b1, b2, b3 = _scatter(*_stiffness_blocks(space, alpha), space.scalar_dofs)
     b2t = b2.T.tocsr()
     n = 2 * space.scalar_dofs
-
-    def rows():
-        for top, (left, right) in ((0, (b1, b2t)), (n // 2, (b2, b3))):
-            for start, stop in _row_ranges(left.indptr + right.indptr):
-                part = sparse.hstack([_rows(left, start, stop), _rows(right, start, stop)],
-                                     format="csr")
-                yield top + start, part.data, part.indices, part.indptr
-
-    block = _stack_rows(_dropped(rows()), (n, n), b1.nnz + 2 * b2.nnz + b3.nnz)
+    pair = lambda left, right: sparse.hstack([left, right], format="csr")
+    block = _by_rows([(0, (b1, b2t), pair), (n // 2, (b2, b3), pair)], (n, n),
+                     b1.nnz + 2 * b2.nnz + b3.nnz)
     nnz = np.int64(block.nnz)
     a = sparse.csr_matrix((np.concatenate([block.data, block.data]),
                            np.concatenate([block.indices, block.indices + n]),
@@ -328,15 +317,13 @@ def build_system(m: sparse.csr_matrix, a: sparse.csr_matrix, dt: float) -> spars
         raise ValueError("M and A dimensions do not match")
     m, a = m.tocsr(), a.tocsr()
 
-    def sums():
-        for start, stop in _row_ranges(m.indptr + a.indptr):
-            scaled = _rows(a, start, stop)
-            scaled.data = dt * scaled.data
-            part = _rows(m, start, stop) + scaled
-            part.sum_duplicates()  # sorts the rows of non-canonical operands, as finalize does
-            yield start, part.data, part.indices, part.indptr
+    def summed(m_rows, a_rows):
+        a_rows.data = dt * a_rows.data  # a new array: A's data stay as they are
+        part = m_rows + a_rows
+        part.sum_duplicates()  # sorts the rows of non-canonical operands, as finalize does
+        return part
 
-    return _stack_rows(_dropped(sums()), m.shape, m.nnz + a.nnz)
+    return _by_rows([(0, (m, a), summed)], m.shape, m.nnz + a.nnz)
 
 
 def load_terms(space: DGSpace, data: ProblemData,

@@ -119,14 +119,23 @@ KEYS = {
 def load_config(path=None, overrides=None) -> dict[str, dict[str, str]]:
     """Resolved configuration: defaults, then the key=value sections of the
     file, then command-line overrides ((section, key) -> value), stored as
-    strings.  Raises ConfigError naming the [section] key of the first bad
-    value."""
+    strings.  Values are literal (no ``%`` interpolation).  Raises
+    ConfigError naming the [section] key of the first bad value, or the
+    file and line that configparser cannot read."""
     cfg = {}
     for (sec, key), (default, _) in KEYS.items():
         cfg.setdefault(sec, {})[key] = default
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(str(path))
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(str(path))
+        except configparser.Error as exc:
+            why = {configparser.DuplicateOptionError: "repeated key",
+                   configparser.DuplicateSectionError: "repeated section",
+                   configparser.MissingSectionHeaderError: "key before any [section]",
+                   }.get(type(exc), "not a [section] header or a key = value line")
+            line = getattr(exc, "lineno", None) or exc.errors[0][0]
+            raise ConfigError(f"{path}, line {line}: {why}") from None
         if not read:
             raise ConfigError(f"cannot read config file: {path}")
         for sec in parser.sections():

@@ -43,7 +43,8 @@ COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 #: tables and stiffness face blocks of a chunk of faces, the rows that
 #: ``assembly`` sums, filters and stacks, and the diagonal blocks that
 #: ``krylov.build_block_jacobi`` gathers and factorises.  Each chunk's
-#: temporaries are a few arrays of this many entries.
+#: temporaries are a few arrays of this many entries.  ``assembly`` and
+#: ``krylov`` read this one binding when they are called.
 CHUNK = 1 << 16
 
 

@@ -13,9 +13,10 @@ components.  The coarse operator W = V^T A* V then equals (dt/2)(B1 + B3)
 exactly, a Laplacian-type matrix factorised once and reused.  deflated_cg
 hands ``_cg`` a start vector and the A-DEF2 preconditioner, nothing else.
 
-The set-up builds work in chunks of about ``CHUNK`` entries of A*:
-``build_deflator`` sums A* V from A*'s CSR column slices in row chunks and
-transposes it once (A* V in CSR is its one operator-sized temporary), and
+The set-up builds work in chunks of about ``dg_space.CHUNK`` entries of
+A*: ``build_deflator`` sums A* V from A*'s CSR column slices in row chunks
+(``assembly._by_rows``, unfiltered) and transposes it once (A* V in CSR is
+its one operator-sized temporary), and
 ``build_block_jacobi`` gathers, factorises, inverts and symmetrises the
 diagonal blocks a chunk at a time, straight into the stack of inverses.
 
@@ -71,8 +72,9 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import SystemMatrices, _row_ranges, _rows, _stack_rows, build_system
-from .dg_space import CHUNK, DGSpace, _cho_factor_stack, _cho_solve_stack, _NotSPD
+from . import dg_space
+from .assembly import SystemMatrices, _by_rows, _rows, build_system
+from .dg_space import DGSpace, _cho_factor_stack, _cho_solve_stack, _NotSPD
 
 
 class BlockFactorizationError(RuntimeError):
@@ -435,7 +437,7 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -
             raise failure(first + int(np.argmin(finite)), "holds a NaN or inf")
 
     # blocks per chunk: their rows hold about CHUNK entries of A*
-    step = max(1, CHUNK * n // (bs * max(1, astar.nnz)))
+    step = max(1, dg_space.CHUNK * n // (bs * max(1, astar.nnz)))
     chunks = ((first, _diagonal_blocks(astar, bs, inverse, first, step))
               for first in range(0, n // bs, step))
     # C order: the matmul of BlockJacobi.apply sums in the order of the
@@ -552,15 +554,9 @@ def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
         astar = build_system(system.m, system.a, dt)
     astar = sparse.csr_matrix(astar)
     S = astar.shape[0] // 4
-
-    def sums():
-        for start, stop in _row_ranges(astar.indptr):
-            part = _rows(astar, start, stop)
-            part = (part[:, :S] + part[:, 3 * S:]) / np.sqrt(2.0)
-            yield start, part.data, part.indices, part.indptr
-
     held = int(np.count_nonzero(astar.indices < S) + np.count_nonzero(astar.indices >= 3 * S))
-    av = _stack_rows(sums(), (4 * S, S), held)
+    av = _by_rows([(0, (astar,), lambda rows: (rows[:, :S] + rows[:, 3 * S:]) / np.sqrt(2.0))],
+                  (4 * S, S), held, drop=False)
     w = (_rows(av, 0, S) + _rows(av, 3 * S, 4 * S)) / np.sqrt(2.0)
     avt = av.tocsc().T
     del av

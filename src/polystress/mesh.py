@@ -136,11 +136,13 @@ class PolyMesh:
         if not np.all(np.isfinite(vertices)):
             raise MeshError("vertex coordinates must be finite")
         loops = [np.asarray(loop, dtype=np.int64) for loop in elements]
+        if not loops:
+            raise MeshError("mesh has no elements")
         sizes = np.array([arr.size for arr in loops], dtype=np.int64)
         if np.any(sizes < 3):
             raise MeshError("element loops need at least 3 vertices")
-        flat = np.concatenate(loops) if loops else np.empty(0, dtype=np.int64)
-        if flat.size and (flat.min() < 0 or flat.max() >= len(vertices)):
+        flat = np.concatenate(loops)
+        if flat.min() < 0 or flat.max() >= len(vertices):
             raise MeshError("element loop references a missing vertex")
 
         n = len(loops)
@@ -473,7 +475,7 @@ def read_mesh(path) -> PolyMesh:
     if len(lines) < 1 + nv + ne:
         raise MeshError(f"truncated mesh file: {path}")
     vertices = np.array([fields("vertex", no, t, (float, float))
-                         for no, t in lines[1:1 + nv]])
+                         for no, t in lines[1:1 + nv]]).reshape(nv, 2)
     loops = []
     for no, t in lines[1 + nv:1 + nv + ne]:
         k, *loop = fields("element", no, t, (int,) + (vertex,) * (len(t) - 1))

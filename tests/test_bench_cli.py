@@ -432,6 +432,29 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("text,says", [
+    ("[solve]\ntol = 1e-8\ntol = 1e-9\n", "line 3: repeated key"),
+    ("[solve]\ntol = 1e-8\n[solve]\nmaxit = 5\n", "line 3: repeated section"),
+    ("tol = 1e-8\n", "line 1: key before any [section]"),
+    ("[solve]\ngarbage\n", "line 2: not a [section] header or a key = value line"),
+], ids=["repeated-key", "repeated-section", "no-section", "no-equals"])
+def test_malformed_config_file_is_one_line_error(tmp_path, capsys, text, says):
+    """A file configparser cannot read exits 1 with one stderr line that
+    names the file and the line."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert run_cli(["iter-table", "-c", str(ini)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"configuration error: {ini}, {says}"], err
+
+
+def test_config_values_are_literal(tmp_path):
+    """A % in a value is kept as written: no interpolation."""
+    ini = tmp_path / "percent.ini"
+    ini.write_text("[output]\npath = out%1\n")
+    assert load_config(ini)["output"]["path"] == "out%1"
+
 def test_unknown_solver_rejected_before_meshes(tmp_path, monkeypatch, capsys):
     def fail(cfg):
         raise AssertionError("meshes built before the solver names were checked")

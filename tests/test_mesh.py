@@ -279,6 +279,18 @@ def test_invalid_element_rejected():
             msh.PolyMesh(np.array([[0.0, 0], [1, 0], [1, 1], [0, bad]]), [[0, 1, 2, 3]])
 
 
+
+def test_mesh_without_elements_rejected(tmp_path):
+    """No element loops, given directly or by a header of 0 elements with
+    or without vertices, is a MeshError that says so."""
+    with pytest.raises(MeshError, match="no elements"):
+        msh.PolyMesh(np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]), [])
+    path = tmp_path / "empty.txt"
+    for text in ("3 0\n0 0\n1 0\n0 1\n", "0 0\n"):
+        path.write_text(text)
+        with pytest.raises(MeshError, match="no elements"):
+            read_mesh(path)
+
 # -- pinned mesh family ------------------------------------------------------
 #
 # The acceptance meshes are seeded agglomerations of Cartesian grids; any

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from polystress import (agglomerate, assemble_system, build_block_jacobi,
                         build_cartesian_mesh, build_deflator, build_space, build_system,
@@ -49,8 +50,9 @@ def _same(got, ref):
 
 
 def _small_chunks(monkeypatch):
-    for module in (dg_space, assembly, krylov):
-        monkeypatch.setattr(module, "CHUNK", SMALL_CHUNK)
+    """Set the one chunk binding, ``dg_space.CHUNK``, that every set-up
+    builder reads when it is called."""
+    monkeypatch.setattr(dg_space, "CHUNK", SMALL_CHUNK)
 
 
 @pytest.mark.parametrize("name", ["agglomerated-50", "dirichlet-2x2", "bench-100"])
@@ -126,3 +128,100 @@ def test_setup_phases_hold_no_operator_sized_temporary(system225):
     for layout in ("component", "collective"):
         _, extra = _traced(lambda: build_block_jacobi(astar, space, layout))
         assert extra <= 0.5 * operator, (layout, extra, operator)
+
+
+def test_the_one_chunk_binding_cuts_every_builder(systems, monkeypatch):
+    """``dg_space.CHUNK`` alone sets the chunk of the assembly and krylov
+    builders: under the small chunk the bench-100 A* is cut into many row
+    ranges, and its Block-Jacobi stack is gathered in as many chunks."""
+    space, system = systems["bench-100"]
+    astar = build_system(system.m, system.a, 1e-7)
+    assert len(assembly._row_ranges(astar.indptr)) < 10
+    _small_chunks(monkeypatch)
+    assert len(assembly._row_ranges(astar.indptr)) >= astar.nnz // SMALL_CHUNK > 100
+    gather, calls = krylov._diagonal_blocks, []
+    monkeypatch.setattr(krylov, "_diagonal_blocks",
+                        lambda *args: calls.append(args) or gather(*args))
+    build_block_jacobi(astar, space, "component")
+    assert len(calls) >= astar.nnz // SMALL_CHUNK
+
+
+# -- the row-chunk helper on its own ---------------------------------------------
+
+def _random_csr(rng, shape, nnz):
+    """A canonical CSR matrix with entries of magnitudes 1 to 1e-20, so that
+    ``finalize`` drops some of them."""
+    a = sparse.random(*shape, density=nnz / (shape[0] * shape[1]), format="csr",
+                      random_state=rng)
+    a.data = rng.standard_normal(a.nnz) * 10.0 ** -rng.integers(0, 21, a.nnz)
+    return a
+
+
+def _whole(rows):
+    return rows
+
+
+def _side_by_side(left, right):
+    return sparse.hstack([left, right], format="csr")
+
+
+def test_by_rows_empty_rows_and_a_row_longer_than_the_chunk(monkeypatch):
+    """Empty rows, and one row of more entries than CHUNK, which no range
+    cuts, give ``finalize``'s COO oracle bit for bit."""
+    monkeypatch.setattr(dg_space, "CHUNK", 4)
+    rng = np.random.default_rng(3)
+    a = sparse.lil_matrix(_random_csr(rng, (30, 40), 200))
+    a[[0, 7, 8, 9, 29]] = 0.0
+    a[12] = rng.standard_normal(40) * 10.0 ** -rng.integers(0, 21, 40)
+    a = sparse.csr_matrix(a)
+    assert not np.diff(a.indptr)[[0, 7, 8, 9, 29]].any()
+    assert max(a.indptr[stop] - a.indptr[start]
+               for start, stop in assembly._row_ranges(a.indptr)) >= 40
+    _same(assembly._by_rows([(0, (a,), _whole)], a.shape, a.nnz), oracle.finalize_coo(a))
+
+
+def test_by_rows_two_blocks_with_a_row_offset(monkeypatch):
+    """Two blocks, each two operands side by side, the second from row 17:
+    the stacked rows are those of ``finalize`` of the block matrix."""
+    monkeypatch.setattr(dg_space, "CHUNK", 16)
+    rng = np.random.default_rng(4)
+    (p, q), (r, s) = [[_random_csr(rng, (17, 11), 60), _random_csr(rng, (17, 13), 70)],
+                      [_random_csr(rng, (17, 11), 50), _random_csr(rng, (17, 13), 90)]]
+    got = assembly._by_rows([(0, (p, q), _side_by_side), (17, (r, s), _side_by_side)], (34, 24),
+                            p.nnz + q.nnz + r.nnz + s.nnz)
+    _same(got, oracle.finalize_coo(sparse.bmat([[p, q], [r, s]])))
+
+
+def test_by_rows_without_drop_keeps_every_entry(monkeypatch):
+    """With drop=False the rows are written as combine gives them, the
+    entries that ``finalize`` drops included."""
+    monkeypatch.setattr(dg_space, "CHUNK", 32)
+    a = _random_csr(np.random.default_rng(5), (50, 50), 600)
+    got = assembly._by_rows([(0, (a,), _whole)], a.shape, a.nnz, drop=False)
+    _same(got, a)
+    assert assembly.finalize(a).nnz < got.nnz
+
+
+def test_by_rows_keeps_a_row_holding_a_nan_or_inf_whole():
+    """The NaN threshold of a row holding a NaN or inf drops none of its
+    entries; the other rows are filtered as usual."""
+    a = sparse.csr_matrix(np.array([[1.0, 1e-20, np.nan], [1.0, 1e-20, 0.0],
+                                    [np.inf, 1e-20, 1.0]]))
+    got = assembly._by_rows([(0, (a,), _whole)], a.shape, a.nnz)
+    ref = sparse.csr_matrix((np.array([1.0, 1e-20, np.nan, 1.0, np.inf, 1e-20, 1.0]),
+                             np.array([0, 1, 2, 0, 0, 1, 2], dtype=np.int32),
+                             np.array([0, 3, 4, 7], dtype=np.int32)), shape=a.shape)
+    _same(got, ref)
+
+
+def test_by_rows_cuts_a_larger_capacity_to_size():
+    """Arrays allocated for more entries than the result are cut to its
+    size in place: no memory beyond it stays allocated.  (The capacity is
+    less than twice the result, where scipy would copy a view itself.)"""
+    a = _random_csr(np.random.default_rng(6), (40, 40), 300)
+    got = assembly._by_rows([(0, (a,), _whole)], a.shape, a.nnz + 10)
+    _same(got, oracle.finalize_coo(a))
+    for name in ("data", "indices"):
+        array = getattr(got, name)
+        held = array if array.base is None else array.base  # scipy may hold a view
+        assert held.size == array.size == got.nnz < a.nnz
