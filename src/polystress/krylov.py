@@ -19,6 +19,8 @@ A*: ``build_deflator`` sums A* V from A*'s CSR column slices in row chunks
 its one operator-sized temporary), and
 ``build_block_jacobi`` gathers, factorises, inverts and symmetrises the
 diagonal blocks a chunk at a time, straight into the stack of inverses.
+Both Block-Jacobi layouts are one code path, read off the number of
+stress components per block (1 component-wise, 4 collective).
 
 Products of at least ``SPLIT_NNZ`` = 500,000 stored entries run on two
 CPUs: the A* product of cg, pcg, deflated_cg, their true residual and the
@@ -309,28 +311,31 @@ def pcg(operator, b, preconditioner, config: SolverConfig | None = None, x0=None
 
 LAYOUT_COMPONENT = "component"
 LAYOUT_COLLECTIVE = "collective"
+_NCOMP = {LAYOUT_COMPONENT: 1, LAYOUT_COLLECTIVE: 4}  # stress components per block
 
 
 @dataclass
 class BlockJacobi:
     """Block-diagonal preconditioner of the time-step operator.
 
-    Component-wise blocks have size local_dim, one per (component, element)
-    pair, in dof order; collective blocks have size 4 * local_dim, one per
-    element, grouping its four tensor components: block e holds the dofs
-    (c, e, i) of every component c, in (c, i) order
-    (``collective_permutation``).  ``inv_blocks`` (nblocks, bs, bs) holds
-    the block inverses, and its shape gives the block count and size.
+    A layout is the number of stress components per block, ``ncomp``: 1
+    in the component layout, 4 in the collective one.  Block k holds the
+    elements k of the (ncomp, nblocks, bs // ncomp) view of a vector, in
+    (component, i) order: one (component, element) pair of local_dim dofs,
+    in dof order, or the 4 * local_dim dofs (c, e, i) of every component c
+    of element e.  ``inv_blocks`` (nblocks, bs, bs) holds the block
+    inverses, and its shape gives the block count and size.
 
-    ``apply`` gathers the blocks of r and scatters those of z through views:
-    a slice in the component layout, the transposed (4, ne, L) view of
-    r and z in the collective one, so no index array is read.  A stack of
-    at least ``SPLIT_NNZ`` stored entries, in a process that may run on
-    more than one CPU, is cut once, here, into two halves by block index,
-    over views of ``inv_blocks``: ``apply`` then multiplies the bottom half
-    on the pool's thread as the caller multiplies the top one.  Every block
-    goes through the same matmul kernel as in the serial apply, so ``z`` is
-    bitwise the same.
+    ``apply`` gathers the blocks of r through that view, transposed to
+    (block, component, i), multiplies them into a stack in block order and
+    reads z off the stack through the same view (a copy when ncomp is 4, a
+    view when it is 1), so no index array is read.
+    A stack of at least ``SPLIT_NNZ`` stored entries, in a process that may
+    run on more than one CPU, is cut once, here, into two halves by block
+    index, over views of ``inv_blocks``: ``apply`` then multiplies the
+    bottom half on the pool's thread as the caller multiplies the top one.
+    Every block goes through the same matmul kernel as in the serial apply,
+    so ``z`` is bitwise the same.
     """
 
     layout: str
@@ -343,64 +348,41 @@ class BlockJacobi:
             self._halves = ((self.inv_blocks[:mid], 0), (self.inv_blocks[mid:], mid))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        z = np.empty(self.inv_blocks.shape[0] * self.inv_blocks.shape[1])
-        collective = self.layout == LAYOUT_COLLECTIVE
+        nblocks, bs = self.inv_blocks.shape[:2]
+        zb, ncomp = np.empty((nblocks, bs, 1)), _NCOMP[self.layout]
         if self._halves is None:
-            _solve_blocks(self.inv_blocks, 0, collective, r, z)
-            return z
-        top, bottom = self._halves
-        lower = _pool.submit(_solve_blocks, *bottom, collective, r, z)
-        try:
-            _solve_blocks(*top, collective, r, z)
-        finally:
-            lower.result()  # the pool's half is done, or raises, before z is returned
-        return z
+            _solve_blocks(self.inv_blocks, 0, ncomp, r, zb)
+        else:
+            top, bottom = self._halves
+            lower = _pool.submit(_solve_blocks, *bottom, ncomp, r, zb)
+            try:
+                _solve_blocks(*top, ncomp, r, zb)
+            finally:
+                lower.result()  # the pool's half is done, or raises, before z is read
+        return zb.reshape(nblocks, ncomp, -1).transpose(1, 0, 2).reshape(-1)
 
 
-def _solve_blocks(inv, first, collective, r, z):
-    """z = inv @ r on the blocks first, first + 1, ... of the layout: a
-    slice of r and z in the component layout, and in the collective one
-    elements first, ... of the (4, ne, L) views of r and z, transposed to
-    (element, component, i)."""
+def _solve_blocks(inv, first, ncomp, r, zb):
+    """zb[k] = inv[k - first] @ (block k of r) for k = first, first + 1,
+    ..., into the stack zb (nblocks, bs, 1); block k of r is its elements
+    k of the (ncomp, nblocks, bs // ncomp) view, in (component, i) order."""
     nb, bs = inv.shape[:2]
-    if collective:
-        zb = z.reshape(4, -1, bs // 4)[:, first:first + nb].transpose(1, 0, 2)
-        rb = r.reshape(4, -1, bs // 4)[:, first:first + nb].transpose(1, 0, 2)
-        zb[...] = np.matmul(inv, rb.reshape(nb, bs, 1)).reshape(zb.shape)
-    else:
-        rows = slice(first * bs, (first + nb) * bs)
-        np.matmul(inv, r[rows].reshape(nb, bs, 1), out=z[rows].reshape(nb, bs, 1))
+    rb = r.reshape(ncomp, -1, bs // ncomp)[:, first:first + nb].transpose(1, 0, 2)
+    np.matmul(inv, rb.reshape(nb, bs, 1), out=zb[first:first + nb])
 
 
-def collective_permutation(space: DGSpace) -> np.ndarray:
-    """perm[new] = old dof index grouping the four components per element."""
-    L, S, ne = space.local_dim, space.scalar_dofs, space.n_elements
-    c = np.tile(np.repeat(np.arange(4), L), ne)
-    e = np.repeat(np.arange(ne), 4 * L)
-    i = np.tile(np.arange(L), 4 * ne)
-    return c * S + e * L + i
-
-
-def _diagonal_blocks(A: sparse.csr_matrix, bs: int, inverse: np.ndarray | None,
+def _diagonal_blocks(A: sparse.csr_matrix, new: np.ndarray, ncomp: int, bs: int,
                      first: int, count: int) -> np.ndarray:
     """The diagonal blocks first, ..., first + count - 1 (fewer at the end)
-    of A[perm][:, perm], as a stack (count, bs, bs), read from the rows of
-    A that hold them.  ``inverse`` is the inverse of the collective
-    permutation, whose blocks take their rows from the four components,
-    and None for the identity."""
+    of A with its dofs renumbered to ``new``, as a stack (count, bs, bs),
+    read from the ncomp row ranges of A that hold them, one per component."""
     stop = min(first + count, A.shape[0] // bs)
-    if inverse is None:
-        ranges = [(first * bs, stop * bs)]
-    else:
-        S, L = A.shape[0] // 4, bs // 4
-        ranges = [(c * S + first * L, c * S + stop * L) for c in range(4)]
+    S, L = A.shape[0] // ncomp, bs // ncomp
     blocks = np.zeros((stop - first, bs, bs))
-    for start, end in ranges:
+    for start, end in ((c * S + first * L, c * S + stop * L) for c in range(ncomp)):
         lo, hi = A.indptr[start], A.indptr[end]
-        rows = (np.arange(start, end, dtype=A.indices.dtype) if inverse is None
-                else inverse[start:end])
-        rows = np.repeat(rows, np.diff(A.indptr[start:end + 1]))
-        cols = A.indices[lo:hi] if inverse is None else inverse[A.indices[lo:hi]]
+        rows = np.repeat(new[start:end], np.diff(A.indptr[start:end + 1]))
+        cols = new.take(A.indices[lo:hi])  # half the time of new[A.indices[lo:hi]]
         mask = rows // bs == cols // bs
         rows, cols = rows[mask], cols[mask]
         blocks[rows // bs - first, rows % bs, cols % bs] = A.data[lo:hi][mask]
@@ -410,26 +392,26 @@ def _diagonal_blocks(A: sparse.csr_matrix, bs: int, inverse: np.ndarray | None,
 def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -> BlockJacobi:
     """Extract and factorise the diagonal blocks of A* under the layout.
 
-    The blocks are gathered, factorised and inverted by LAPACK potrf and
-    potrs (``_cho_factor_stack``, ``_cho_solve_stack``), and symmetrised,
-    in chunks of about CHUNK entries of A*, straight into the stack of
-    inverses.  Raises BlockFactorizationError naming the first element
-    whose block holds a non-finite entry or, when no block does, the first
-    whose block is not positive definite.
+    The blocks are gathered through one per-dof map, factorised and
+    inverted by LAPACK potrf and potrs (``_cho_factor_stack``,
+    ``_cho_solve_stack``), and symmetrised, in chunks of about CHUNK
+    entries of A*, straight into the stack of inverses.  Raises
+    BlockFactorizationError naming the first element whose block holds a
+    non-finite entry or, when no block does, the first whose block is not
+    positive definite.
     """
-    astar = sparse.csr_matrix(astar)
-    L, ne, n = space.local_dim, space.n_elements, astar.shape[0]
-    if layout == LAYOUT_COMPONENT:
-        bs, inverse = L, None
-    elif layout == LAYOUT_COLLECTIVE:
-        bs, inverse = 4 * L, np.empty(n, dtype=astar.indices.dtype)
-        inverse[collective_permutation(space)] = np.arange(n)
-    else:
+    if layout not in _NCOMP:
         raise ValueError(f"unknown Block-Jacobi layout: {layout!r}")
+    astar = sparse.csr_matrix(astar)
+    ncomp, L, ne, n = _NCOMP[layout], space.local_dim, space.n_elements, astar.shape[0]
+    bs, S = ncomp * L, n // ncomp
+    dof = np.arange(n, dtype=astar.indices.dtype)
+    # with S = scalar_dofs, dof c S + e L + i is position (c % ncomp) L + i of
+    # block (c // ncomp) ne + e: block k belongs to element k % ne
+    new = dof % S // L * bs + dof // S * L + dof % L
 
     def failure(k, why):
-        elem = k if layout == LAYOUT_COLLECTIVE else k % ne
-        return BlockFactorizationError(f"{layout} block of element {elem} {why}")
+        return BlockFactorizationError(f"{layout} block of element {k % ne} {why}")
 
     def check_finite(first, blocks):
         finite = np.isfinite(blocks).all(axis=(1, 2))
@@ -438,7 +420,7 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -
 
     # blocks per chunk: their rows hold about CHUNK entries of A*
     step = max(1, dg_space.CHUNK * n // (bs * max(1, astar.nnz)))
-    chunks = ((first, _diagonal_blocks(astar, bs, inverse, first, step))
+    chunks = ((first, _diagonal_blocks(astar, new, ncomp, bs, first, step))
               for first in range(0, n // bs, step))
     # C order: the matmul of BlockJacobi.apply sums in the order of the
     # blocks' layout

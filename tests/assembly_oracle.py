@@ -28,7 +28,11 @@ candidate's neighbour list from a directed-edge map and tests each merge
 with array geometry, and the one-shot set-up builders ``system_oneshot``,
 ``deflator_tocsc`` and ``block_jacobi_oneshot`` form A*, the deflation
 operators and the Block-Jacobi inverses from whole-operator temporaries,
-where the library works in chunks.
+where the library works in chunks.  The collective layout's
+``collective_permutation`` is written from its definition (position
+(e, c, i) holds dof c * S + e * L + i), independently of the
+library's div/mod map, so that the library's layout is checked against an
+encoding it does not share.
 
 The per-element views of a ``DGSpace`` (``basis_values``,
 ``basis_gradients``, ``gram_solve``, ``scalar_index``, ``tensor_dofs``,
@@ -50,7 +54,6 @@ from polystress.assembly import _stiffness_blocks, finalize
 from polystress.mesh import _fan_cross_products, _shoelace
 from polystress.dg_space import (COMPONENTS, _cho_factor_stack, _cho_solve_stack, face_rules,
                                  polygon_rules)
-from polystress.krylov import collective_permutation
 from polystress.problems import _at, manufacture
 
 X, Y = sp.symbols("x y")
@@ -492,6 +495,14 @@ def diagonal_blocks(A, bs, perm):
     blocks = np.zeros((n // bs, bs, bs))
     blocks[rows // bs, rows % bs, cols % bs] = A.data[mask]
     return blocks
+
+
+def collective_permutation(space):
+    """perm[new] = old: position new = (e * 4 + c) * L + i of the collective
+    layout, element e's component c, holds dof c * S + e * L + i."""
+    L, S, ne = space.local_dim, space.scalar_dofs, space.n_elements
+    e, c, i = np.meshgrid(np.arange(ne), np.arange(4), np.arange(L), indexing="ij")
+    return (c * S + e * L + i).ravel()
 
 
 def block_jacobi_oneshot(astar, space, layout):

@@ -26,7 +26,9 @@ from polystress import (SolverConfig, agglomerate, build_block_jacobi,
 from polystress.assembly import assemble_system, export_matrices
 from polystress import krylov
 from polystress.dg_space import _cho_factor_stack, _NotSPD
-from polystress.krylov import BlockFactorizationError, BlockJacobi, collective_permutation
+from polystress.krylov import BlockFactorizationError, BlockJacobi
+
+from assembly_oracle import collective_permutation
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +193,7 @@ def test_block_jacobi_block_counts(small_system):
     cbj = build_block_jacobi(astar, space, "collective")
     assert bj.inv_blocks.shape == (4 * space.n_elements, space.local_dim, space.local_dim)
     assert cbj.inv_blocks.shape == (space.n_elements, 4 * space.local_dim, 4 * space.local_dim)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="banana"):
         build_block_jacobi(astar, space, "banana")
 
 
@@ -222,22 +224,39 @@ def test_block_jacobi_apply_properties(small_system, rng):
         assert abs(s1 - s2) <= 1e-12 * abs(s1)
 
 
-def test_block_jacobi_exact_on_block_diagonal(rng):
+def _oracle_layout(space, layout):
+    """perm[new] = old dof, and the block size, of the layout as the oracle
+    writes it: the identity and blocks of local_dim for the component
+    layout."""
+    if layout == "component":
+        return np.arange(space.total_dofs), space.local_dim
+    return collective_permutation(space), 4 * space.local_dim
+
+
+def test_block_jacobi_exact_on_block_diagonal(monkeypatch, pool_threads, rng):
+    """On a matrix that is its own block diagonal under the oracle's
+    permutation, the apply is the exact solve, in both layouts, serial and
+    split."""
     space = build_space(build_cartesian_mesh(2, 2), 1)
-    L, ne = space.local_dim, space.n_elements
-    n = space.total_dofs
-    perm = collective_permutation(space)
-    dense = np.zeros((n, n))
-    bs = 4 * L
-    for e in range(ne):
-        m = rng.standard_normal((bs, bs))
-        blk = m @ m.T + bs * np.eye(bs)
-        idx = perm[e * bs:(e + 1) * bs]
-        dense[np.ix_(idx, idx)] = blk
-    a = sparse.csr_matrix(dense)
-    cbj = build_block_jacobi(a, space, "collective")
-    r = rng.standard_normal(n)
-    assert np.allclose(cbj.apply(r), np.linalg.solve(dense, r), rtol=1e-10)
+    cases = []
+    for layout in ("component", "collective"):
+        perm, bs = _oracle_layout(space, layout)
+        n = len(perm)
+        dense = np.zeros((n, n))
+        for k in range(n // bs):
+            m = rng.standard_normal((bs, bs))
+            idx = perm[k * bs:(k + 1) * bs]
+            dense[np.ix_(idx, idx)] = m @ m.T + bs * np.eye(bs)
+        a = sparse.csr_matrix(dense)
+        r = rng.standard_normal(n)
+        x = np.linalg.solve(dense, r)
+        assert np.allclose(build_block_jacobi(a, space, layout).apply(r), x, rtol=1e-10)
+        cases.append((layout, a, r, x))
+    _split_everything(monkeypatch)
+    for layout, a, r, x in cases:
+        split = build_block_jacobi(a, space, layout)
+        assert split._halves is not None
+        assert np.allclose(split.apply(r), x, rtol=1e-10)
 
 
 @pytest.mark.parametrize("use_perm", [False, True])
@@ -271,8 +290,7 @@ def test_block_jacobi_rejects_indefinite(small_system):
 def _cho_oracle_inverses(astar, space, layout):
     """Per-block cho_factor/cho_solve on the dense diagonal blocks of the
     permuted A*, symmetrised."""
-    bs = space.local_dim if layout == "component" else 4 * space.local_dim
-    perm = np.arange(astar.shape[0]) if layout == "component" else collective_permutation(space)
+    perm, bs = _oracle_layout(space, layout)
     dense = astar.toarray()[np.ix_(perm, perm)]
     out = []
     for k in range(astar.shape[0] // bs):
@@ -305,21 +323,30 @@ def test_block_jacobi_apply_matches_cho_oracle_bitwise(bench_system, layout, rng
     assert bj.apply(r).tobytes() == ref.apply(r).tobytes()
 
 
-def test_collective_apply_is_bitwise_the_permuted_gather(monkeypatch, pool_threads,
-                                                         bench_system, rng):
-    """The strided views of the collective apply give the bits of a gather
-    and a scatter through ``collective_permutation``, serial and split."""
+def _check_apply_is_the_permuted_gather(monkeypatch, bench_system, layout, rng):
+    """The strided views of the apply give the bits of a gather and a
+    scatter through the oracle's permutation, serial and split."""
     space, system = bench_system
-    bj = build_block_jacobi(build_system(system.m, system.a, 1e-7), space, "collective")
-    perm, bs = collective_permutation(space), bj.inv_blocks.shape[1]
+    bj = build_block_jacobi(build_system(system.m, system.a, 1e-7), space, layout)
+    perm, bs = _oracle_layout(space, layout)
     r = rng.standard_normal(len(perm))
     ref = np.empty_like(r)
     ref[perm] = np.matmul(bj.inv_blocks, r[perm].reshape(-1, bs, 1)).reshape(-1)
     assert bj.apply(r).tobytes() == ref.tobytes()
     _split_everything(monkeypatch)
-    split = BlockJacobi("collective", bj.inv_blocks)
+    split = BlockJacobi(layout, bj.inv_blocks)
     assert split._halves is not None
     assert split.apply(r).tobytes() == ref.tobytes()
+
+
+def test_collective_apply_is_bitwise_the_permuted_gather(monkeypatch, pool_threads,
+                                                         bench_system, rng):
+    _check_apply_is_the_permuted_gather(monkeypatch, bench_system, "collective", rng)
+
+
+def test_component_apply_is_bitwise_the_identity_gather(monkeypatch, pool_threads,
+                                                        bench_system, rng):
+    _check_apply_is_the_permuted_gather(monkeypatch, bench_system, "component", rng)
 
 
 @pytest.mark.parametrize("layout", ["component", "collective"])
