@@ -34,6 +34,7 @@ upper off-diagonal block).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -311,8 +312,8 @@ def build_system(m: sparse.csr_matrix, a: sparse.csr_matrix, dt: float) -> spars
     A's values are scaled, a chunk at a time) and filtered as by
     ``finalize``; the result is its one operator-sized allocation.
     """
-    if dt <= 0.0:
-        raise ValueError("time step dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"time step dt must be positive and finite, got {dt!r}")
     if m.shape != a.shape:
         raise ValueError("M and A dimensions do not match")
     m, a = m.tocsr(), a.tocsr()

@@ -14,15 +14,15 @@ The solves of an iteration table and the estimates of a condition table
 run on a thread pool as wide as the process's CPU affinity
 (``os.sched_getaffinity``), inline when that is one CPU, so that no thread
 starts.  scipy's CSR kernel, about 82% of a CG iteration at 100 elements,
-releases the GIL.  The pool holds at most one (mesh, dt) cell per thread:
-the calling thread builds their A* and factorisations in sweep order, and
-runs the next cells once these are done.  From 200 elements the concurrent
-solves share krylov's one split-product thread (three threads on two
-CPUs).  Each solve and estimate is bitwise the serial one, so the tables do
-not depend on the CPU count.  A condition cell holds A*, its collective
-Block-Jacobi and its deflator, not an n x n LU of A* (about 35 MB of RSS at
-100 elements), except where the raw estimate's inner solves fail and hand
-over to that LU (``krylov.deflated_inverse``, large dt).
+releases the GIL.  A (mesh, dt) cell is one ``krylov.Operators``, shared by
+its solvers and estimates: the calling thread builds one cell per thread,
+and its factorisations, in sweep order, and releases them before it builds
+the next.  From 200 elements the concurrent solves share krylov's one
+split-product thread (three threads on two CPUs).  Each solve and estimate
+is bitwise the serial one, so the tables do not depend on the CPU count.  A
+condition cell holds A*, its collective Block-Jacobi and its deflator, not
+an n x n LU of A* (about 35 MB of RSS at 100 elements), unless the raw
+estimate's inner solves fail (``krylov.deflated_inverse``, large dt).
 """
 from __future__ import annotations
 
@@ -42,9 +42,8 @@ import numpy as np
 
 from .assembly import assemble_system, build_system, export_matrices
 from .dg_space import build_space
-from .krylov import (LAYOUT_COLLECTIVE, SOLVERS, SolverConfig,
-                     build_block_jacobi, build_deflator, deflated_inverse,
-                     estimate_condition_number, make_solver)
+from .krylov import (LAYOUT_COLLECTIVE, SOLVERS, Operators, SolverConfig,
+                     deflated_inverse, estimate_condition_number, make_solver)
 from .mesh import agglomerate, build_cartesian_mesh, classify_boundary, read_mesh
 from .problems import NAMED_SOLUTIONS, linear_in_space_solution, zero_data
 from .timestepper import EnergyNorm, TimeConfig, implicit_euler_run
@@ -355,14 +354,14 @@ def _common_meta(cfg, extra=None) -> dict:
 
 
 def _cells(cfg, meshes, dts):
-    """(i, j, space, A*) at every dt_i on every mesh_j of the family, mesh by
+    """(i, j, Operators) at every dt_i on every mesh_j of the family, mesh by
     mesh and dt by dt (the sweep order), assembling each mesh once."""
     degree, alpha, mu = _discretization(cfg)
     for j, (_, mesh) in enumerate(meshes):
         space = build_space(mesh, degree)
         system = assemble_system(space, mu, alpha)
         for i, dt in enumerate(dts):
-            yield i, j, space, build_system(system.m, system.a, dt)
+            yield i, j, Operators(build_system(system.m, system.a, dt), space)
 
 
 def _run_jobs(jobs, workers: int) -> None:
@@ -402,11 +401,12 @@ def _run_jobs(jobs, workers: int) -> None:
 def _run_cells(cells, workers: int, jobs_of) -> None:
     """Run the jobs of ``cells`` on ``_run_jobs``, one batch of ``workers``
     cells at a time: the calling thread builds a batch's (key, job) list,
-    ``jobs_of(batch)``, in sweep order, and builds the next batch once its
-    jobs are done, so that at most one cell per worker is held at once."""
+    ``jobs_of(batch)``, in sweep order, and releases the batch once its jobs
+    are done, before it builds the next: at most one cell per worker is held."""
     cells = iter(cells)
     while batch := list(islice(cells, workers)):
         _run_jobs(jobs_of(batch), workers)
+        del batch  # else its Operators live on while the next A* is built
 
 
 def _dt_table(cfg, name, dts, meshes, values, flags, fmt, meta) -> Table:
@@ -453,9 +453,8 @@ def run_iteration_table(cfg) -> dict[str, Table]:
         unconverged[k, i, j, rep] = not report.converged
 
     def solve_jobs(cells):
-        built = [(i, j, space.total_dofs, [make_solver(s, astar, space, solver_cfg)
-                                           for s in solvers])
-                 for i, j, space, astar in cells]
+        built = [(i, j, ops.astar.shape[0], [make_solver(s, ops, solver_cfg) for s in solvers])
+                 for i, j, ops in cells]
         return [((j, i, k, rep), partial(solve_one, solve[k], k, i, j, rep, n))
                 for k in range(len(solvers)) for i, j, n, solve in built
                 for rep in range(reps)]
@@ -472,12 +471,12 @@ def run_condition_table(cfg) -> dict[str, Table]:
     """Lanczos condition-number estimates of A* and of the collective
     Block-Jacobi preconditioned operator.
 
-    Each cell builds one collective Block-Jacobi, which preconditions the
-    cbj estimate and the inner solves of the raw estimate's
-    ``deflated_inverse``; no n x n LU of A* is built unless an inner solve
-    fails (large dt).  A cell's raw and cbj estimates are two jobs of
-    ``_run_jobs``, one cell per worker (``_run_cells``), and each writes its
-    own slot, so the tables do not depend on the CPU count."""
+    The cbj estimate reads the collective Block-Jacobi of the cell's
+    ``Operators``, and the raw estimate's ``deflated_inverse`` reads it and
+    the deflator; no n x n LU of A* is built unless an inner solve fails
+    (large dt).  The two estimates are two jobs of ``_run_jobs``, one cell
+    per worker (``_run_cells``), each writing its own slot, so the tables do
+    not depend on the CPU count."""
     dts = value(cfg, "condition", "dts")
     tol, maxit, seed = (value(cfg, "condition", key) for key in ("tol", "maxit", "seed"))
     meshes = build_meshes(cfg)
@@ -491,11 +490,11 @@ def run_condition_table(cfg) -> dict[str, Table]:
 
     def estimate_jobs(cells):
         jobs = []
-        for i, j, space, astar in cells:
-            cbj = build_block_jacobi(astar, space, LAYOUT_COLLECTIVE)
-            inverse = deflated_inverse(astar, build_deflator(None, None, astar), cbj)
-            jobs += [((j, i, 0), partial(estimate_one, 0, i, j, astar, inverse=inverse)),
-                     ((j, i, 1), partial(estimate_one, 1, i, j, astar, preconditioner=cbj))]
+        for i, j, ops in cells:
+            cbj = ops.block_jacobi(LAYOUT_COLLECTIVE)
+            inverse = deflated_inverse(ops.astar, ops.deflator, cbj)
+            jobs += [((j, i, 0), partial(estimate_one, 0, i, j, ops.astar, inverse=inverse)),
+                     ((j, i, 1), partial(estimate_one, 1, i, j, ops.astar, preconditioner=cbj))]
         return jobs
 
     _run_cells(_cells(cfg, meshes, dts), len(os.sched_getaffinity(0)), estimate_jobs)

@@ -4,8 +4,11 @@ Lanczos condition-number estimation.  cg, pcg, deflated_cg,
 estimate_condition_number and the inner solves of deflated_inverse all run
 the one conjugate gradient loop ``_cg``; the estimator reads the extreme
 eigenvalues off the Lanczos tridiagonal that CG's own coefficients define.
-``make_solver`` turns a name from ``SOLVERS`` into a solve callable with
-its factorisations built once.
+``Operators(astar, space)`` holds one cell's A* and its factorisations
+(the deflator, one Block-Jacobi per layout), each built on first use and
+kept; ``make_solver(name, ops, config)`` turns a name from ``SOLVERS`` into
+a solve callable that reads its factorisation from ``ops``, so the solvers
+and condition estimates of one cell share every factorisation.
 
 The deflation space is the kernel of the deviatoric mass operator, spanned
 by v kron I with v = (e1 + e4)/sqrt(2): the trace direction of the tensor
@@ -68,6 +71,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -137,6 +141,13 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
+def _splits(size: int) -> bool:
+    """Whether a product over ``size`` stored entries runs as two halves:
+    at least SPLIT_NNZ of them, in a process that may run on more than one
+    CPU."""
+    return size >= SPLIT_NNZ and len(os.sched_getaffinity(0)) > 1
+
+
 def _split_apply(a: sparse.csr_matrix):
     """``x -> a @ x`` with the rows cut in two halves of equal nnz: the
     pool's thread multiplies the bottom half as the caller multiplies the
@@ -155,13 +166,11 @@ def _split_apply(a: sparse.csr_matrix):
 
 
 def _as_apply(op):
-    """An operator or preconditioner as a callable: a CSR matrix of at least
-    SPLIT_NNZ nonzeros, in a process that may run on more than one CPU, the
-    ``_split_apply`` product (the pool starts its thread on the first
-    one); any other sparse matrix or ndarray ``op @ x``; a BlockJacobi its
-    ``apply``; and any other callable as it is."""
-    if (sparse.issparse(op) and op.format == "csr" and op.nnz >= SPLIT_NNZ
-            and len(os.sched_getaffinity(0)) > 1):
+    """An operator or preconditioner as a callable: a CSR matrix whose nnz
+    ``_splits``, the ``_split_apply`` product (the pool starts its thread
+    on the first one); any other sparse matrix or ndarray ``op @ x``; a
+    BlockJacobi its ``apply``; and any other callable as it is."""
+    if sparse.issparse(op) and op.format == "csr" and _splits(op.nnz):
         return _split_apply(op)
     if sparse.issparse(op) or isinstance(op, np.ndarray):
         return lambda x: op @ x
@@ -314,6 +323,15 @@ LAYOUT_COLLECTIVE = "collective"
 _NCOMP = {LAYOUT_COMPONENT: 1, LAYOUT_COLLECTIVE: 4}  # stress components per block
 
 
+def _ncomp_of(layout: str) -> int:
+    """The stress components per block of ``layout``; ValueError naming an
+    unknown one."""
+    try:
+        return _NCOMP[layout]
+    except KeyError:
+        raise ValueError(f"unknown Block-Jacobi layout: {layout!r}") from None
+
+
 @dataclass
 class BlockJacobi:
     """Block-diagonal preconditioner of the time-step operator.
@@ -324,32 +342,35 @@ class BlockJacobi:
     (component, i) order: one (component, element) pair of local_dim dofs,
     in dof order, or the 4 * local_dim dofs (c, e, i) of every component c
     of element e.  ``inv_blocks`` (nblocks, bs, bs) holds the block
-    inverses, and its shape gives the block count and size.
+    inverses, and its shape gives the block count and size.  An unknown
+    layout raises ValueError here, when the preconditioner is built.
 
     ``apply`` gathers the blocks of r through that view, transposed to
     (block, component, i), multiplies them into a stack in block order and
     reads z off the stack through the same view (a copy when ncomp is 4, a
     view when it is 1), so no index array is read.
-    A stack of at least ``SPLIT_NNZ`` stored entries, in a process that may
-    run on more than one CPU, is cut once, here, into two halves by block
-    index, over views of ``inv_blocks``: ``apply`` then multiplies the
-    bottom half on the pool's thread as the caller multiplies the top one.
+    A stack whose stored entries ``_splits`` (``inv_blocks.size``) is cut
+    once, here, into two halves by block index, over views of
+    ``inv_blocks``: ``apply`` then multiplies the bottom half on the pool's
+    thread as the caller multiplies the top one.
     Every block goes through the same matmul kernel as in the serial apply,
     so ``z`` is bitwise the same.
     """
 
     layout: str
     inv_blocks: np.ndarray
+    _ncomp: int = field(init=False, repr=False, compare=False)
     _halves: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.inv_blocks.size >= SPLIT_NNZ and len(os.sched_getaffinity(0)) > 1:
+        self._ncomp = _ncomp_of(self.layout)
+        if _splits(self.inv_blocks.size):
             mid = self.inv_blocks.shape[0] // 2
             self._halves = ((self.inv_blocks[:mid], 0), (self.inv_blocks[mid:], mid))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         nblocks, bs = self.inv_blocks.shape[:2]
-        zb, ncomp = np.empty((nblocks, bs, 1)), _NCOMP[self.layout]
+        zb, ncomp = np.empty((nblocks, bs, 1)), self._ncomp
         if self._halves is None:
             _solve_blocks(self.inv_blocks, 0, ncomp, r, zb)
         else:
@@ -400,10 +421,9 @@ def build_block_jacobi(astar, space: DGSpace, layout: str = LAYOUT_COLLECTIVE) -
     non-finite entry or, when no block does, the first whose block is not
     positive definite.
     """
-    if layout not in _NCOMP:
-        raise ValueError(f"unknown Block-Jacobi layout: {layout!r}")
+    ncomp = _ncomp_of(layout)
     astar = sparse.csr_matrix(astar)
-    ncomp, L, ne, n = _NCOMP[layout], space.local_dim, space.n_elements, astar.shape[0]
+    L, ne, n = space.local_dim, space.n_elements, astar.shape[0]
     bs, S = ncomp * L, n // ncomp
     dof = np.arange(n, dtype=astar.indices.dtype)
     # with S = scalar_dofs, dof c S + e L + i is position (c % ncomp) L + i of
@@ -606,19 +626,45 @@ def deflated_inverse(astar, deflator: Deflator, preconditioner):
 SOLVERS = ("cg", "dcg", "pcg-bj", "pcg-cbj")
 
 
-def make_solver(name: str, astar, space: DGSpace, config: SolverConfig):
-    """The named solver for A* as a callable ``solve(b, x0=None) -> (x,
-    report)``.  Its factorisations (the deflation coarse operator, the
-    Block-Jacobi blocks) are built here, once; each solve then calls cg,
-    pcg or deflated_cg.  Raises ValueError on a name not in SOLVERS."""
+@dataclass(eq=False)
+class Operators:
+    """A* of one (space, dt) and its factorisations, each built on first use
+    by the module-level builder and then kept: the deflator
+    (``build_deflator``) and one Block-Jacobi per layout
+    (``build_block_jacobi``).  Every solver of ``make_solver`` and both
+    condition estimates of a table cell read them from here, so a cell
+    factorises W and each layout's blocks once, whatever it runs.  Nothing
+    is locked: the builds run on the thread that first asks for them."""
+
+    astar: sparse.csr_matrix
+    space: DGSpace
+    _block_jacobi: dict = field(init=False, default_factory=dict, repr=False)
+
+    @cached_property
+    def deflator(self) -> Deflator:
+        return build_deflator(None, None, self.astar)  # A* given: no system or dt needed
+
+    def block_jacobi(self, layout: str) -> BlockJacobi:
+        if layout not in self._block_jacobi:
+            self._block_jacobi[layout] = build_block_jacobi(self.astar, self.space, layout)
+        return self._block_jacobi[layout]
+
+
+def make_solver(name: str, ops: Operators, config: SolverConfig):
+    """The named solver for ``ops.astar`` as a callable ``solve(b, x0=None)
+    -> (x, report)``.  The factorisation it needs (the deflator or a
+    Block-Jacobi) is read from ``ops`` here, on the calling thread, and
+    built there unless an earlier solver or estimate of ``ops`` built it;
+    each solve then calls the module-level cg, pcg or deflated_cg.  Raises
+    ValueError on a name not in SOLVERS."""
+    astar = ops.astar
     if name == "cg":
         return lambda b, x0=None: cg(astar, b, config, x0)
     if name == "dcg":
-        deflator = build_deflator(None, None, astar)  # A* given: no system or dt needed
+        deflator = ops.deflator
         return lambda b, x0=None: deflated_cg(astar, b, deflator, config, x0)
     if name in ("pcg-bj", "pcg-cbj"):
-        layout = LAYOUT_COMPONENT if name == "pcg-bj" else LAYOUT_COLLECTIVE
-        precond = build_block_jacobi(astar, space, layout)
+        precond = ops.block_jacobi(LAYOUT_COMPONENT if name == "pcg-bj" else LAYOUT_COLLECTIVE)
         return lambda b, x0=None: pcg(astar, b, precond, config, x0)
     raise ValueError(f"unknown solver {name!r}; choose from {', '.join(SOLVERS)}")
 

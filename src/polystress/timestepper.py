@@ -2,15 +2,16 @@
 error measurement.
 
 The mass operator is singular (the trace directions carry no dynamics), so
-only the implicit method is admissible; the step operator M + dt A and any
-preconditioner or deflator are factorised once and reused across steps,
-and so are the load vectors: one per time factor of the data
-(``assembly.load_terms``), combined at each step's time.
+only the implicit method is admissible; the step operator M + dt A and its
+preconditioner or deflator (one ``krylov.Operators``) are built once and
+reused across steps, and so are the load vectors: one per time factor of
+the data (``assembly.load_terms``), combined at each step's time.
 The energy norm evaluates the basis on finer rules of its own and scales
 the unscaled penalties of ``dg_space.face_batch`` by its alpha.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_system, build_system,
                        load_terms)
 from .dg_space import COMPONENTS, DGSpace, face_batch, l2_project, polygon_rules
-from .krylov import SolverConfig, make_solver
+from .krylov import Operators, SolverConfig, make_solver
 from .mesh import FaceKind
 from .problems import ProblemData, sum_terms
 
@@ -37,10 +38,10 @@ class TimeConfig:
     t_final: float
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
         n = round(self.t_final / self.dt)
         if n < 1 or abs(n * self.dt - self.t_final) > 1e-12 * max(self.t_final, 1.0):
             raise ValueError("dt must divide the final time")
@@ -84,8 +85,8 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
     elif system.mu != data.mu:
         raise ValueError(f"system assembled with mu = {system.mu:g}, "
                          f"but the problem data have mu = {data.mu:g}")
-    step_solve = make_solver(solver, build_system(system.m, system.a, time.dt),
-                             space, config)
+    step_solve = make_solver(solver, Operators(build_system(system.m, system.a, time.dt), space),
+                             config)
     loads = load_terms(space, data, alpha)
 
     sigma = l2_project(space, data.sigma0)

@@ -217,6 +217,14 @@ def test_build_system_validation(sys22):
     assert (np.abs(asym.data).max() if asym.nnz else 0.0) <= 1e-12 * np.abs(astar.data).max()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_build_system_rejects_non_finite_dt(sys22, bad):
+    """A NaN or infinite dt is named, not spread over every entry of A*."""
+    _, system = sys22
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        build_system(system.m, system.a, bad)
+
+
 def test_condition_number_scales_inversely_with_dt(sys22):
     _, system = sys22
     kappas = []

@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,8 +179,8 @@ def test_iteration_table_raises_first_failure_in_serial_order(
     the second mesh is never set up, and no pool thread is left."""
     started, built = [], []
 
-    def fake_solver(name, astar, space, config):
-        built.append((name, space.mesh.n_elements))
+    def fake_solver(name, ops, config):
+        built.append((name, ops.space.mesh.n_elements))
 
         def solve(b, x0=None):
             j, i, rep = b
@@ -250,7 +251,8 @@ def test_condition_table_raises_first_failure_in_serial_order(monkeypatch, cpus,
         for j in range(len(meshes)):
             for i in range(len(dts)):
                 drawn.append((j, i))
-                yield i, j, None, (j, i)
+                yield i, j, SimpleNamespace(astar=(j, i), deflator=None,
+                                            block_jacobi=lambda layout: "cbj")
 
     def estimate(cell, *, preconditioner=None, inverse=None, **_):
         name = "raw" if preconditioner is None else "cbj"
@@ -260,8 +262,6 @@ def test_condition_table_raises_first_failure_in_serial_order(monkeypatch, cpus,
         return CondEstimate(1.0, 1.0, 1.0, 1, True)
 
     monkeypatch.setattr(bench, "_cells", cells)
-    monkeypatch.setattr(bench, "build_block_jacobi", lambda astar, space, layout: "cbj")
-    monkeypatch.setattr(bench, "build_deflator", lambda system, dt, astar: None)
     monkeypatch.setattr(bench, "deflated_inverse", lambda astar, deflator, cbj: "inverse")
     monkeypatch.setattr(bench, "estimate_condition_number", estimate)
     monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: cpus)

@@ -195,6 +195,8 @@ def test_block_jacobi_block_counts(small_system):
     assert cbj.inv_blocks.shape == (space.n_elements, 4 * space.local_dim, 4 * space.local_dim)
     with pytest.raises(ValueError, match="banana"):
         build_block_jacobi(astar, space, "banana")
+    with pytest.raises(ValueError, match="banana"):
+        BlockJacobi("banana", cbj.inv_blocks)  # named when built, not at its first apply
 
 
 def test_collective_single_element_is_exact():

@@ -9,8 +9,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from assembly_oracle import _loop_edges
 from polystress import krylov
+from polystress.assembly import assemble_system, build_system
+from polystress.dg_space import build_space
 from polystress.krylov import SolverConfig
 from polystress.problems import trig_solution
 
@@ -93,3 +97,33 @@ def test_perfbench_solves_unchanged_by_split(monkeypatch):
     assert ops.deflator._avt.__qualname__.startswith("_split_apply.")
     assert len(split) == len(workloads.RHS_SOLVERS)
     assert split == serial   # span names, iterations, failures, true residuals
+
+
+def test_named_solvers_reach_the_traced_functions(monkeypatch, mesh22):
+    """perfbench traces the solves of the tables as spans of the module-level
+    ``krylov.cg``, ``krylov.pcg`` and ``krylov.deflated_cg``, and reads
+    tables-100 ``true_res_max`` from them.  Every solve of ``make_solver``
+    must therefore look these names up when it runs, and hand them the
+    ``Operators``' own factorisation: a solver that held a function object
+    taken at import would drop its spans without an error."""
+    space = build_space(mesh22, 1)
+    system = assemble_system(space, 1.0, 10.0)
+    ops = krylov.Operators(build_system(system.m, system.a, 1e-6), space)
+    config = SolverConfig(tol=1e-8, maxit=100)
+    calls = []
+    for name in ("cg", "pcg", "deflated_cg"):
+        monkeypatch.setattr(krylov, name,
+                            lambda *args, name=name: calls.append((name, args)) or (None, None))
+    b = np.ones(space.total_dofs)
+    factorisation = {"cg": None, "dcg": ops.deflator,
+                     "pcg-bj": ops.block_jacobi(krylov.LAYOUT_COMPONENT),
+                     "pcg-cbj": ops.block_jacobi(krylov.LAYOUT_COLLECTIVE)}
+    traced = {"cg": "cg", "dcg": "deflated_cg", "pcg-bj": "pcg", "pcg-cbj": "pcg"}
+    for solver in krylov.SOLVERS:
+        calls.clear()
+        krylov.make_solver(solver, ops, config)(b)
+        (name, args), = calls
+        assert name == traced[solver], solver
+        assert args[0] is ops.astar and args[1] is b and args[-2:] == (config, None), solver
+        if factorisation[solver] is not None:
+            assert args[2] is factorisation[solver], solver

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import polystress.timestepper as timestepper
 from polystress import (SolverConfig, TimeConfig, TimeStepError, build_space,
                         implicit_euler_run, l2_project)
 from polystress.assembly import assemble_rhs, assemble_system, build_system, load_terms
-from polystress.bench import load_config, run_iteration_table
+from polystress.bench import load_config, run_condition_table, run_iteration_table
 from polystress.problems import (DataTerms, linear_in_space_solution, trig_solution,
                                  zero_data)
 from polystress.timestepper import EnergyNorm
@@ -27,6 +28,16 @@ def test_time_config():
         TimeConfig(dt=-0.1, t_final=1.0)
     with pytest.raises(ValueError):
         TimeConfig(dt=0.1, t_final=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_time_config_rejects_non_finite(bad):
+    """A NaN or infinite dt or t_final is named, not met later as a failed
+    integer conversion."""
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        TimeConfig(dt=bad, t_final=1.0)
+    with pytest.raises(ValueError, match="t_final must be positive and finite"):
+        TimeConfig(dt=0.1, t_final=bad)
 
 
 def test_zero_data_stays_zero(mesh22):
@@ -77,15 +88,17 @@ def test_nonconvergence_aborts_with_step(mesh33):
 
 
 def test_factorisations_built_once(mesh33, monkeypatch):
-    calls = []
+    calls, threads = [], set()
     orig_deflator, orig_bj = krylov.build_deflator, krylov.build_block_jacobi
 
     def counting_deflator(*args, **kwargs):
         calls.append("deflator")
+        threads.add(threading.current_thread())
         return orig_deflator(*args, **kwargs)
 
     def counting_bj(astar, space, layout):
         calls.append(layout)
+        threads.add(threading.current_thread())
         return orig_bj(astar, space, layout)
 
     monkeypatch.setattr(krylov, "build_deflator", counting_deflator)
@@ -105,6 +118,29 @@ def test_factorisations_built_once(mesh33, monkeypatch):
         ("solve", "solvers"): "dcg,pcg-bj,pcg-cbj"})
     run_iteration_table(cfg)
     assert calls == ["deflator", krylov.LAYOUT_COMPONENT, krylov.LAYOUT_COLLECTIVE] * 2
+
+    # one Operators serves dcg, pcg-bj, pcg-cbj and both condition
+    # estimates with one build of each factorisation
+    calls.clear()
+    system = assemble_system(space, 1.0, 10.0)
+    ops = krylov.Operators(build_system(system.m, system.a, 1e-6), space)
+    b = np.ones(space.total_dofs)
+    for name in ("dcg", "pcg-bj", "pcg-cbj"):
+        assert krylov.make_solver(name, ops, SolverConfig(tol=1e-8, maxit=3000))(b)[1].converged
+    cbj = ops.block_jacobi(krylov.LAYOUT_COLLECTIVE)
+    krylov.estimate_condition_number(ops.astar, preconditioner=cbj)
+    krylov.estimate_condition_number(
+        ops.astar, inverse=krylov.deflated_inverse(ops.astar, ops.deflator, cbj))
+    assert calls == ["deflator", krylov.LAYOUT_COMPONENT, krylov.LAYOUT_COLLECTIVE]
+
+    # a condition table builds one collective Block-Jacobi and one deflator per cell
+    calls.clear()
+    run_condition_table(load_config(None, {
+        ("mesh", "nx"): "3", ("mesh", "ny"): "3", ("discretization", "degree"): "1",
+        ("condition", "dts"): "1e-6,1e-8"}))
+    assert calls == [krylov.LAYOUT_COLLECTIVE, "deflator"] * 2
+    # every build ran on the calling thread, none on a table or split pool thread
+    assert threads == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("maker, vectors", [(lambda: trig_solution().data, 2),
@@ -180,7 +216,8 @@ def test_unforced_energy_decays(poly_mesh, rng):
     cfg = SolverConfig(tol=1e-12, maxit=5000)
     sigma = l2_project(space, field)
     energies = [oracle.mass_energy(system, sigma)]
-    step = krylov.make_solver("cg", build_system(system.m, system.a, 0.05), space, cfg)
+    step = krylov.make_solver("cg", krylov.Operators(build_system(system.m, system.a, 0.05),
+                                                     space), cfg)
     for n in range(5):
         rhs = assemble_rhs(space, data, (n + 1) * 0.05, sigma, 0.05, system)
         sigma, _ = step(rhs, sigma)
