@@ -5,9 +5,9 @@ from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_mass,
                        assemble_rhs, assemble_stiffness, assemble_system,
                        build_system, export_matrices)
 from .dg_space import DGSpace, build_space, l2_project
-from .krylov import (BlockJacobi, CondEstimate, Deflator, SolverConfig,
-                     SolverReport, build_block_jacobi, build_deflator, cg,
-                     deflated_cg, estimate_condition_number, pcg)
+from .krylov import (SOLVERS, BlockJacobi, CondEstimate, Deflator, Operators,
+                     SolverConfig, SolverReport, build_block_jacobi, build_deflator,
+                     cg, deflated_cg, estimate_condition_number, make_solver, pcg)
 from .mesh import (FaceKind, MeshError, PolyMesh, agglomerate, build_cartesian_mesh,
                    classify_boundary, read_mesh, write_mesh)
 from .problems import (DataTerms, ManufacturedSolution, ProblemData,
@@ -22,9 +22,9 @@ __all__ = [
     "assemble_stiffness", "assemble_system", "build_system",
     "export_matrices",
     "DGSpace", "build_space", "l2_project",
-    "BlockJacobi", "CondEstimate", "Deflator", "SolverConfig", "SolverReport",
-    "build_block_jacobi", "build_deflator", "cg", "deflated_cg",
-    "estimate_condition_number", "pcg",
+    "SOLVERS", "BlockJacobi", "CondEstimate", "Deflator", "Operators", "SolverConfig",
+    "SolverReport", "build_block_jacobi", "build_deflator", "cg", "deflated_cg",
+    "estimate_condition_number", "make_solver", "pcg",
     "FaceKind", "MeshError", "PolyMesh", "agglomerate",
     "build_cartesian_mesh", "classify_boundary", "read_mesh", "write_mesh",
     "DataTerms", "ManufacturedSolution", "ProblemData", "linear_in_space_solution",

@@ -3,7 +3,9 @@ tables, convergence studies and implicit Euler runs over families of
 polygonal meshes.
 
 Every value is checked when the configuration is loaded, before any mesh
-is built.  Right-hand sides are drawn entrywise uniform on [0, 1] from a
+is built; the runners check that each time grid tiles its final time and
+each mesh target is within the base mesh before any space or
+agglomeration.  Right-hand sides are drawn entrywise uniform on [0, 1] from a
 counter-based (Philox) generator keyed by (seed, mesh, dt, repetition), so
 tables are bit-reproducible for a fixed config and seed and identical
 systems are put to every solver.  The raw draw keeps full spectral content
@@ -14,15 +16,16 @@ The solves of an iteration table and the estimates of a condition table
 run on a thread pool as wide as the process's CPU affinity
 (``os.sched_getaffinity``), inline when that is one CPU, so that no thread
 starts.  scipy's CSR kernel, about 82% of a CG iteration at 100 elements,
-releases the GIL.  A (mesh, dt) cell is one ``krylov.Operators``, shared by
-its solvers and estimates: the calling thread builds one cell per thread,
-and its factorisations, in sweep order, and releases them before it builds
-the next.  From 200 elements the concurrent solves share krylov's one
-split-product thread (three threads on two CPUs).  Each solve and estimate
-is bitwise the serial one, so the tables do not depend on the CPU count.  A
-condition cell holds A*, its collective Block-Jacobi and its deflator, not
-an n x n LU of A* (about 35 MB of RSS at 100 elements), unless the raw
-estimate's inner solves fail (``krylov.deflated_inverse``, large dt).
+releases the GIL.  A (mesh, dt) cell is one ``krylov.Operators``, which
+forms A* and is shared by its solvers and estimates: the calling thread
+builds one cell per thread, and its factorisations, in sweep order, and
+releases them before it builds the next.  From 200 elements the concurrent
+solves share krylov's one split-product thread (three threads on two
+CPUs).  Each solve and estimate is bitwise the serial one, so the tables do
+not depend on the CPU count.  A condition cell holds A*, its collective
+Block-Jacobi and its deflator, not an n x n LU of A* (about 35 MB of RSS at
+100 elements), unless the raw estimate's inner solves fail
+(``Operators.inverse``, large dt).
 """
 from __future__ import annotations
 
@@ -40,10 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import assemble_system, build_system, export_matrices
+from .assembly import assemble_system, export_matrices
 from .dg_space import build_space
 from .krylov import (LAYOUT_COLLECTIVE, SOLVERS, Operators, SolverConfig,
-                     deflated_inverse, estimate_condition_number, make_solver)
+                     estimate_condition_number, make_solver)
 from .mesh import agglomerate, build_cartesian_mesh, classify_boundary, read_mesh
 from .problems import NAMED_SOLUTIONS, linear_in_space_solution, zero_data
 from .timestepper import EnergyNorm, TimeConfig, implicit_euler_run
@@ -239,15 +242,20 @@ def _mesh_family(cfg):
     """(label, mesh) of the [mesh] family, one at a time: a Cartesian base
     (or imported file), agglomerated to each target element count in turn;
     an agglomeration that stalls keeps the mesh it reached and warns on
-    stderr."""
+    stderr.  A target above the base's element count raises ConfigError
+    before any agglomeration."""
     path = value(cfg, "mesh", "file")
     if path:
         base = read_mesh(path)
     else:
         base = build_cartesian_mesh(value(cfg, "mesh", "nx"), value(cfg, "mesh", "ny"))
     base = _classify(base, value(cfg, "mesh", "neumann"))
-    seed = value(cfg, "mesh", "seed")
-    for target in value(cfg, "mesh", "targets") or [None]:
+    seed, targets = value(cfg, "mesh", "seed"), value(cfg, "mesh", "targets")
+    for target in targets:
+        if target > base.n_elements:
+            raise ConfigError(f"[mesh] targets: {target} is more than the "
+                              f"{base.n_elements} elements of the base mesh")
+    for target in targets or [None]:
         mesh = base if target is None else agglomerate(base, target, seed)
         if mesh.merge_warning:
             print(f"warning: agglomeration to {target} elements stalled at "
@@ -353,6 +361,17 @@ def _common_meta(cfg, extra=None) -> dict:
     return meta
 
 
+def _time_config(cfg, sec: str, dt: float, dt_key: str) -> TimeConfig:
+    """The grid of dt over [sec] t_final; ConfigError naming [sec] dt_key,
+    [sec] t_final and their values when dt does not tile it."""
+    t_final = value(cfg, sec, "t_final")
+    try:
+        return TimeConfig(dt=dt, t_final=t_final)
+    except ValueError:
+        raise ConfigError(f"[{sec}] {dt_key}: {dt!r} does not divide "
+                          f"[{sec}] t_final = {t_final!r}") from None
+
+
 def _cells(cfg, meshes, dts):
     """(i, j, Operators) at every dt_i on every mesh_j of the family, mesh by
     mesh and dt by dt (the sweep order), assembling each mesh once."""
@@ -361,7 +380,7 @@ def _cells(cfg, meshes, dts):
         space = build_space(mesh, degree)
         system = assemble_system(space, mu, alpha)
         for i, dt in enumerate(dts):
-            yield i, j, Operators(build_system(system.m, system.a, dt), space)
+            yield i, j, Operators(space, system, dt)
 
 
 def _run_jobs(jobs, workers: int) -> None:
@@ -472,7 +491,7 @@ def run_condition_table(cfg) -> dict[str, Table]:
     Block-Jacobi preconditioned operator.
 
     The cbj estimate reads the collective Block-Jacobi of the cell's
-    ``Operators``, and the raw estimate's ``deflated_inverse`` reads it and
+    ``Operators``, and the raw estimate its ``inverse``, which reads it and
     the deflator; no n x n LU of A* is built unless an inner solve fails
     (large dt).  The two estimates are two jobs of ``_run_jobs``, one cell
     per worker (``_run_cells``), each writing its own slot, so the tables do
@@ -491,10 +510,9 @@ def run_condition_table(cfg) -> dict[str, Table]:
     def estimate_jobs(cells):
         jobs = []
         for i, j, ops in cells:
-            cbj = ops.block_jacobi(LAYOUT_COLLECTIVE)
-            inverse = deflated_inverse(ops.astar, ops.deflator, cbj)
-            jobs += [((j, i, 0), partial(estimate_one, 0, i, j, ops.astar, inverse=inverse)),
-                     ((j, i, 1), partial(estimate_one, 1, i, j, ops.astar, preconditioner=cbj))]
+            cbj, astar = ops.block_jacobi(LAYOUT_COLLECTIVE), ops.astar
+            jobs += [((j, i, 0), partial(estimate_one, 0, i, j, astar, inverse=ops.inverse)),
+                     ((j, i, 1), partial(estimate_one, 1, i, j, astar, preconditioner=cbj))]
         return jobs
 
     _run_cells(_cells(cfg, meshes, dts), len(os.sched_getaffinity(0)), estimate_jobs)
@@ -528,11 +546,11 @@ def run_convergence(cfg) -> Table:
         x = 0  # slopes against h
     else:
         mms = linear_in_space_solution(mu)
+        grids = [_time_config(cfg, "convergence", dt, "dts")
+                 for dt in value(cfg, "convergence", "dts")]
         space = space_of(value(cfg, "convergence", "nx"))
         system = assemble_system(space, mu, alpha)
-        t_final = value(cfg, "convergence", "t_final")
-        runs = ((space, TimeConfig(dt=dt, t_final=t_final), system)
-                for dt in value(cfg, "convergence", "dts"))
+        runs = ((space, tcfg, system) for tcfg in grids)
         x = 1  # slopes against dt
     rows = []
     for space, tcfg, system in runs:
@@ -569,7 +587,7 @@ def run_solve(cfg):
     """
     degree, alpha, mu = _discretization(cfg)
     data = zero_data(mu) if value(cfg, "time", "mms") == "zero" else _mms(cfg, "time").data
-    tcfg = TimeConfig(dt=value(cfg, "time", "dt"), t_final=value(cfg, "time", "t_final"))
+    tcfg = _time_config(cfg, "time", value(cfg, "time", "dt"), "dt")
     label, mesh = next(_mesh_family(cfg))
     space = build_space(mesh, degree)
     outdir = Path(cfg["output"]["path"])

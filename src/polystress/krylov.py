@@ -4,17 +4,18 @@ Lanczos condition-number estimation.  cg, pcg, deflated_cg,
 estimate_condition_number and the inner solves of deflated_inverse all run
 the one conjugate gradient loop ``_cg``; the estimator reads the extreme
 eigenvalues off the Lanczos tridiagonal that CG's own coefficients define.
-``Operators(astar, space)`` holds one cell's A* and its factorisations
-(the deflator, one Block-Jacobi per layout), each built on first use and
-kept; ``make_solver(name, ops, config)`` turns a name from ``SOLVERS`` into
-a solve callable that reads its factorisation from ``ops``, so the solvers
+``Operators(space, system, dt)`` forms one cell's A* and keeps its
+factorisations and the raw estimate's ``inverse``, each built on first use;
+``make_solver(name, ops, config)`` turns a name from ``SOLVERS`` into a
+solve callable that reads its factorisation from ``ops``, so the solvers
 and condition estimates of one cell share every factorisation.
 
 The deflation space is the kernel of the deviatoric mass operator, spanned
 by v kron I with v = (e1 + e4)/sqrt(2): the trace direction of the tensor
 components.  The coarse operator W = V^T A* V then equals (dt/2)(B1 + B3)
-exactly, a Laplacian-type matrix factorised once and reused.  deflated_cg
-hands ``_cg`` a start vector and the A-DEF2 preconditioner, nothing else.
+exactly, a Laplacian-type matrix factorised once and reused.  ``_adef2``,
+the one A-DEF2 set-up of deflated_cg and deflated_inverse, hands ``_cg`` a
+start vector and the A-DEF2 preconditioner, nothing else.
 
 The set-up builds work in chunks of about ``dg_space.CHUNK`` entries of
 A*: ``build_deflator`` sums A* V from A*'s CSR column slices in row chunks
@@ -70,7 +71,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -522,11 +523,6 @@ class Deflator:
         out[3 * S:] = y / np.sqrt(2.0)
         return out
 
-    def coarse_component(self, b: np.ndarray) -> np.ndarray:
-        """V W^-1 V^T b: the part of the solution carried by the deflation
-        space."""
-        return self.v(self.coarse_solve(self.vt(b)))
-
     def projection_correction(self, r: np.ndarray) -> np.ndarray:
         """V W^-1 V^T A* r, the A*-orthogonal projection of r onto the
         deflation space; costs one coarse solve."""
@@ -570,18 +566,23 @@ def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
     return Deflator(coarse_matrix=w, coarse_solve=lu.solve, _avt=_as_apply(avt))
 
 
-def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None,
-                x0=None):
-    """CG preconditioned by ``Deflator.apply`` from x0 + V W^-1 V^T (b - A* x0)
-    (x0 zero when None): one coarse solve per iteration and two more."""
+def _adef2(apply_a, b, deflator: Deflator, apply_m, config, x0=None, true_residual=True):
+    """``_cg`` from x0 + V W^-1 V^T (b - A* x0) (x0 zero when None), with
+    ``Deflator.apply`` around ``apply_m`` and the "residual" stop."""
     b = np.asarray(b, dtype=float)
     if b.size != 4 * deflator.coarse_matrix.shape[0]:
         raise ValueError("deflator was built from an operator of different size")
-    apply_a = _as_apply(astar)
-    x = deflator.coarse_component(b if x0 is None else b - apply_a(x0))
+    x = deflator.v(deflator.coarse_solve(deflator.vt(b if x0 is None else b - apply_a(x0))))
     if x0 is not None:
         x += x0
-    return _cg(apply_a, b, deflator.apply, "residual", config or SolverConfig(), x)
+    return _cg(apply_a, b, lambda r: deflator.apply(r, apply_m), "residual", config, x,
+               true_residual)
+
+
+def deflated_cg(astar, b, deflator: Deflator, config: SolverConfig | None = None, x0=None):
+    """CG preconditioned by ``Deflator.apply`` from x0 + V W^-1 V^T (b - A* x0)
+    (x0 zero when None): one coarse solve per iteration and two more."""
+    return _adef2(_as_apply(astar), b, deflator, None, config or SolverConfig(), x0)
 
 
 #: the relative residual ||r||/||b|| each inner solve of ``deflated_inverse``
@@ -603,15 +604,13 @@ def deflated_inverse(astar, deflator: Deflator, preconditioner):
     later application ``_spd_lu(astar).solve``, which raises
     BlockFactorizationError unless A* is positive definite."""
     apply_a, apply_m = _as_apply(astar), _as_apply(preconditioner)
-    precondition = lambda r: deflator.apply(r, apply_m)
     config = SolverConfig(INVERSE_TOL, INVERSE_MAXIT)
     lu = None
 
     def inverse(r):
         nonlocal lu
         if lu is None:
-            x, report = _cg(apply_a, r, precondition, "residual", config,
-                            deflator.coarse_component(r), true_residual=False)
+            x, report = _adef2(apply_a, r, deflator, apply_m, config, true_residual=False)
             if report.converged:
                 return x
             lu = _spd_lu(astar, "operator")
@@ -628,17 +627,22 @@ SOLVERS = ("cg", "dcg", "pcg-bj", "pcg-cbj")
 
 @dataclass(eq=False)
 class Operators:
-    """A* of one (space, dt) and its factorisations, each built on first use
-    by the module-level builder and then kept: the deflator
-    (``build_deflator``) and one Block-Jacobi per layout
-    (``build_block_jacobi``).  Every solver of ``make_solver`` and both
-    condition estimates of a table cell read them from here, so a cell
-    factorises W and each layout's blocks once, whatever it runs.  Nothing
-    is locked: the builds run on the thread that first asks for them."""
+    """One (space, dt) cell: A* = M + dt A, formed by ``build_system`` on
+    construction (no ``system`` is kept), and its factorisations, each built
+    on first use by the module-level builder and then kept: the deflator,
+    one Block-Jacobi per layout and ``inverse``.  Every solver of
+    ``make_solver`` and both condition estimates of a table cell read them
+    from here, so a cell factorises W and each layout's blocks once,
+    whatever it runs.  The builds run on the thread that first asks."""
 
-    astar: sparse.csr_matrix
     space: DGSpace
+    system: InitVar[SystemMatrices]
+    dt: InitVar[float]
+    astar: sparse.csr_matrix = field(init=False)
     _block_jacobi: dict = field(init=False, default_factory=dict, repr=False)
+
+    def __post_init__(self, system, dt):
+        self.astar = build_system(system.m, system.a, dt)
 
     @cached_property
     def deflator(self) -> Deflator:
@@ -648,6 +652,10 @@ class Operators:
         if layout not in self._block_jacobi:
             self._block_jacobi[layout] = build_block_jacobi(self.astar, self.space, layout)
         return self._block_jacobi[layout]
+
+    @cached_property
+    def inverse(self):  # the raw estimate's A*^-1, A-DEF2 around the cbj
+        return deflated_inverse(self.astar, self.deflator, self.block_jacobi(LAYOUT_COLLECTIVE))
 
 
 def make_solver(name: str, ops: Operators, config: SolverConfig):

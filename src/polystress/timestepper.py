@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (DEFAULT_ALPHA, SystemMatrices, assemble_system, build_system,
-                       load_terms)
+from .assembly import DEFAULT_ALPHA, SystemMatrices, assemble_system, load_terms
 from .dg_space import COMPONENTS, DGSpace, face_batch, l2_project, polygon_rules
 from .krylov import Operators, SolverConfig, make_solver
 from .mesh import FaceKind
@@ -85,8 +84,7 @@ def implicit_euler_run(space: DGSpace, data: ProblemData, time: TimeConfig,
     elif system.mu != data.mu:
         raise ValueError(f"system assembled with mu = {system.mu:g}, "
                          f"but the problem data have mu = {data.mu:g}")
-    step_solve = make_solver(solver, Operators(build_system(system.m, system.a, time.dt), space),
-                             config)
+    step_solve = make_solver(solver, Operators(space, system, time.dt), config)
     loads = load_terms(space, data, alpha)
 
     sigma = l2_project(space, data.sigma0)

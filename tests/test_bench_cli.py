@@ -16,7 +16,7 @@ from polystress.bench import (ConfigError, _rhs_generator, build_meshes,
                               run_iteration_table)
 from polystress.cli import main
 from polystress.krylov import SOLVERS, CondEstimate, SolverReport
-from polystress.mesh import FaceKind, agglomerate
+from polystress.mesh import FaceKind, agglomerate, build_cartesian_mesh, write_mesh
 
 FAST = {
     ("mesh", "nx"): "3", ("mesh", "ny"): "3", ("mesh", "targets"): "",
@@ -251,7 +251,7 @@ def test_condition_table_raises_first_failure_in_serial_order(monkeypatch, cpus,
         for j in range(len(meshes)):
             for i in range(len(dts)):
                 drawn.append((j, i))
-                yield i, j, SimpleNamespace(astar=(j, i), deflator=None,
+                yield i, j, SimpleNamespace(astar=(j, i), inverse="inverse",
                                             block_jacobi=lambda layout: "cbj")
 
     def estimate(cell, *, preconditioner=None, inverse=None, **_):
@@ -262,7 +262,6 @@ def test_condition_table_raises_first_failure_in_serial_order(monkeypatch, cpus,
         return CondEstimate(1.0, 1.0, 1.0, 1, True)
 
     monkeypatch.setattr(bench, "_cells", cells)
-    monkeypatch.setattr(bench, "deflated_inverse", lambda astar, deflator, cbj: "inverse")
     monkeypatch.setattr(bench, "estimate_condition_number", estimate)
     monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: cpus)
     with pytest.raises(EstimateFailed) as err:
@@ -533,6 +532,48 @@ def test_single_solver_keys_and_numbers_rejected_before_meshes(tmp_path, monkeyp
         assert run_cli(argv + out) == 1, argv
         err = capsys.readouterr().err
         assert dest in err and "out of range" in err and says in err, err
+
+
+def test_time_grid_that_does_not_tile_rejected_before_spaces(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("a space was built before the time grid was checked")
+
+    monkeypatch.setattr(bench, "build_space", fail)
+    out = ["--output", str(tmp_path)]
+    ini = tmp_path / "dts.ini"
+    ini.write_text("[convergence]\ndts = 0.2,0.3\n")
+    for argv, says in (
+            (["solve", "--dt", "0.03", "--t-final", "0.1"],
+             "[time] dt: 0.03 does not divide [time] t_final = 0.1"),
+            (["convergence", "-c", str(ini), "--mode", "temporal"],
+             "[convergence] dts: 0.3 does not divide [convergence] t_final = 0.4")):
+        assert run_cli(argv + out) == 1, argv
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {says}\n", err
+    # export-matrices sets [time] dt but never steps
+    monkeypatch.undo()
+    assert run_cli(["export-matrices", "--nx", "2", "--ny", "2", "--degree", "1",
+                    "--dt", "3e-3"] + out) == 0
+    assert (tmp_path / "matrices" / "Astar.mtx").exists()
+
+
+def test_mesh_targets_above_the_base_rejected_before_agglomeration(tmp_path, monkeypatch,
+                                                                   capsys):
+    def fail(*args):
+        raise AssertionError("agglomerated before every target was checked")
+
+    monkeypatch.setattr(bench, "agglomerate", fail)
+    mesh_path = tmp_path / "grid.txt"
+    write_mesh(build_cartesian_mesh(3, 3), mesh_path)
+    out = ["--output", str(tmp_path)]
+    for argv in (["iter-table", "--nx", "3", "--ny", "3", "--targets", "20"],
+                 ["iter-table", "--nx", "3", "--ny", "3", "--targets", "4,20"],
+                 ["solve", "--nx", "3", "--ny", "3", "--targets", "4,20"],
+                 ["export-matrices", "--mesh-file", str(mesh_path), "--targets", "20"]):
+        assert run_cli(argv + out) == 1, argv
+        err = capsys.readouterr().err
+        assert err == ("configuration error: [mesh] targets: 20 is more than the "
+                       "9 elements of the base mesh\n"), err
 
 
 def test_every_numeric_key_is_typed_once():

@@ -2,8 +2,11 @@
 
 sympy is imported only by ``manufacture``, and scipy.io only by
 ``export_matrices``.  Each test runs a fresh interpreter on the tree under
-test, since this process has loaded both for other tests.
+test, since this process has loaded both for other tests.  ``bench`` and
+``timestepper`` reach A* and its factorisations through
+``krylov.Operators`` alone.
 """
+import ast
 import json
 import os
 import subprocess
@@ -79,6 +82,24 @@ def test_cli_and_named_solutions_load_neither_sympy_nor_scipy_io(tmp_path):
     got = _run(CLI_RUNS, tmp_path)
     assert got["codes"] == [0] * 6
     assert got["loaded"] == []
+
+
+def test_cells_formed_and_factorised_by_operators_alone():
+    """Neither module names the builder of A*, of a factorisation or of the
+    raw estimate's inverse, whether imported, called or read as an
+    attribute."""
+    owned = {"build_system", "build_deflator", "build_block_jacobi", "deflated_inverse"}
+    for module in ("bench.py", "timestepper.py"):
+        tree = ast.parse((Path(polystress.__file__).parent / module).read_text())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.name.rpartition(".")[2] for alias in node.names)
+        assert not named & owned, (module, sorted(named & owned))
 
 
 def test_manufacture_in_a_fresh_process():

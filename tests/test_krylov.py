@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -551,6 +552,39 @@ def test_coarse_solve_matches_dense_solve(rng):
         ref = sla.solve(defl.coarse_matrix.toarray(), y, assume_a="sym")
         rel = np.linalg.norm(defl.coarse_solve(y) - ref) / np.linalg.norm(ref)
         assert rel <= 1e-10, dt
+
+
+# SHA-256 of the little-endian float64 bytes of the A-DEF2 results on
+# criterion 2's mesh at p = 2, dt 1e-6, recorded with numpy 2.4.6 and
+# scipy 1.17.1: deflated_cg from zero and from a seeded x0, and the raw
+# estimate's inverse (inner solves, no LU) applied to a seeded r
+PINNED_ADEF2_SHA256 = {
+    "dcg": "1866a75e3c411e24e939262b791c0ee7e440a77ee8fb97ed64c1b221e2558e49",
+    "dcg-x0": "94eb45868001084ca91d7bac3731606e4c69bdf5340feabda771bb0602b85e4d",
+    "inverse": "b0686d490c0977304b31ebe56dd333ba0af38e0dc216b2e34753dd3d90ba72a1",
+}
+
+
+def test_adef2_bits_pinned(monkeypatch):
+    base = classify_boundary(build_cartesian_mesh(15, 15), lambda p: p[0] > 1 - 1e-9)
+    space = build_space(agglomerate(base, 50, 1), 2)
+    system = assemble_system(space, mu=1.0, alpha=10.0)
+    astar = build_system(system.m, system.a, 1e-6)
+    defl = build_deflator(None, None, astar)
+    inverse = krylov.deflated_inverse(astar, defl, build_block_jacobi(astar, space, "collective"))
+    rng = np.random.default_rng(2)
+    b, x0, r = (rng.standard_normal(astar.shape[0]) for _ in range(3))
+
+    def no_lu(matrix, what):
+        raise AssertionError(f"LU of the {what}")
+
+    monkeypatch.setattr(krylov, "_spd_lu", no_lu)
+    config = SolverConfig(tol=1e-8, maxit=1000)
+    got = {"dcg": deflated_cg(astar, b, defl, config)[0],
+           "dcg-x0": deflated_cg(astar, b, defl, config, x0)[0],
+           "inverse": inverse(r)}
+    assert {key: hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()
+            for key, x in got.items()} == PINNED_ADEF2_SHA256
 
 
 # -- solver equivalence --------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from assembly_oracle import _loop_edges
 from polystress import krylov
-from polystress.assembly import assemble_system, build_system
+from polystress.assembly import assemble_system
 from polystress.dg_space import build_space
 from polystress.krylov import SolverConfig
 from polystress.problems import trig_solution
@@ -108,7 +108,7 @@ def test_named_solvers_reach_the_traced_functions(monkeypatch, mesh22):
     taken at import would drop its spans without an error."""
     space = build_space(mesh22, 1)
     system = assemble_system(space, 1.0, 10.0)
-    ops = krylov.Operators(build_system(system.m, system.a, 1e-6), space)
+    ops = krylov.Operators(space, system, 1e-6)
     config = SolverConfig(tol=1e-8, maxit=100)
     calls = []
     for name in ("cg", "pcg", "deflated_cg"):

@@ -10,7 +10,7 @@ import polystress.krylov as krylov
 import polystress.timestepper as timestepper
 from polystress import (SolverConfig, TimeConfig, TimeStepError, build_space,
                         implicit_euler_run, l2_project)
-from polystress.assembly import assemble_rhs, assemble_system, build_system, load_terms
+from polystress.assembly import assemble_rhs, assemble_system, load_terms
 from polystress.bench import load_config, run_condition_table, run_iteration_table
 from polystress.problems import (DataTerms, linear_in_space_solution, trig_solution,
                                  zero_data)
@@ -90,6 +90,7 @@ def test_nonconvergence_aborts_with_step(mesh33):
 def test_factorisations_built_once(mesh33, monkeypatch):
     calls, threads = [], set()
     orig_deflator, orig_bj = krylov.build_deflator, krylov.build_block_jacobi
+    orig_inverse = krylov.deflated_inverse
 
     def counting_deflator(*args, **kwargs):
         calls.append("deflator")
@@ -101,8 +102,14 @@ def test_factorisations_built_once(mesh33, monkeypatch):
         threads.add(threading.current_thread())
         return orig_bj(astar, space, layout)
 
+    def counting_inverse(*args):
+        calls.append("inverse")
+        threads.add(threading.current_thread())
+        return orig_inverse(*args)
+
     monkeypatch.setattr(krylov, "build_deflator", counting_deflator)
     monkeypatch.setattr(krylov, "build_block_jacobi", counting_bj)
+    monkeypatch.setattr(krylov, "deflated_inverse", counting_inverse)
     mms = oracle.steady_polynomial_solution(1)
     space = build_space(mesh33, 1)
     implicit_euler_run(space, mms.data, TimeConfig.from_steps(5, 0.02), "dcg",
@@ -123,22 +130,23 @@ def test_factorisations_built_once(mesh33, monkeypatch):
     # estimates with one build of each factorisation
     calls.clear()
     system = assemble_system(space, 1.0, 10.0)
-    ops = krylov.Operators(build_system(system.m, system.a, 1e-6), space)
+    ops = krylov.Operators(space, system, 1e-6)
     b = np.ones(space.total_dofs)
     for name in ("dcg", "pcg-bj", "pcg-cbj"):
         assert krylov.make_solver(name, ops, SolverConfig(tol=1e-8, maxit=3000))(b)[1].converged
     cbj = ops.block_jacobi(krylov.LAYOUT_COLLECTIVE)
     krylov.estimate_condition_number(ops.astar, preconditioner=cbj)
-    krylov.estimate_condition_number(
-        ops.astar, inverse=krylov.deflated_inverse(ops.astar, ops.deflator, cbj))
-    assert calls == ["deflator", krylov.LAYOUT_COMPONENT, krylov.LAYOUT_COLLECTIVE]
+    krylov.estimate_condition_number(ops.astar, inverse=ops.inverse)
+    krylov.estimate_condition_number(ops.astar, inverse=ops.inverse, seed=1)
+    assert calls == ["deflator", krylov.LAYOUT_COMPONENT, krylov.LAYOUT_COLLECTIVE, "inverse"]
 
-    # a condition table builds one collective Block-Jacobi and one deflator per cell
+    # a condition table builds one collective Block-Jacobi, one deflator and
+    # one inverse per cell
     calls.clear()
     run_condition_table(load_config(None, {
         ("mesh", "nx"): "3", ("mesh", "ny"): "3", ("discretization", "degree"): "1",
         ("condition", "dts"): "1e-6,1e-8"}))
-    assert calls == [krylov.LAYOUT_COLLECTIVE, "deflator"] * 2
+    assert calls == [krylov.LAYOUT_COLLECTIVE, "deflator", "inverse"] * 2
     # every build ran on the calling thread, none on a table or split pool thread
     assert threads == {threading.current_thread()}
 
@@ -216,8 +224,7 @@ def test_unforced_energy_decays(poly_mesh, rng):
     cfg = SolverConfig(tol=1e-12, maxit=5000)
     sigma = l2_project(space, field)
     energies = [oracle.mass_energy(system, sigma)]
-    step = krylov.make_solver("cg", krylov.Operators(build_system(system.m, system.a, 0.05),
-                                                     space), cfg)
+    step = krylov.make_solver("cg", krylov.Operators(space, system, 0.05), cfg)
     for n in range(5):
         rhs = assemble_rhs(space, data, (n + 1) * 0.05, sigma, 0.05, system)
         sigma, _ = step(rhs, sigma)
