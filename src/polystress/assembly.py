@@ -8,15 +8,23 @@ element terms and the load vector contract the basis tables of the
 scales by alpha.  The load vector is built once per time factor of the
 data (``load_terms``) and combined at each time (``problems.sum_terms``).
 
+A system holds each stiffness entry once: ``SystemMatrices`` keeps M and
+the 2 x 2 block [[B1, B2^T], [B2, B3]], and neither A, which repeats the
+block, nor M1 and B1-B3, which an export or a test assembles again.  At
+60x60 -> 900 elements, p = 3, that is 15.2 MiB where M, A, M1 and B1-B3
+took 37.6 MiB.
+
 The only operator-sized temporaries of this module's set-up are the
-value buffer of the stiffness's local blocks and the 2 x 2 block that A
-repeats.  The local blocks of B1, B2 and B3 go into that buffer in COO
-order; the three matrices share one sparsity pattern, whose per-row sort,
-on int32 COO positions, gives the permutation through which each
-matrix's values are gathered and summed (``_scatter``).  M follows by
-``scipy.sparse.kron``, A by stacking the CSR rows [B1 | B2^T] and
-[B2 | B3] and repeating the 2 x 2 block's arrays on the second diagonal
-block, and A* = M + dt A by summing M's and A's rows.  Each of these
+value buffer of the stiffness's local blocks and the scalar blocks
+B1-B3, dropped once the 2 x 2 block is stacked.  The local blocks of B1,
+B2 and B3 go into that buffer in COO order; the three matrices share one
+sparsity pattern, whose per-row sort, on int32 COO positions, gives the
+permutation through which each matrix's values are gathered and summed
+(``_scatter``).  M follows by ``scipy.sparse.kron``, the 2 x 2 block by
+stacking the CSR rows [B1 | B2^T] and [B2 | B3], and A* = M + dt A by
+summing M's rows and the block's, read once for each diagonal copy of A
+(``build_system``); A itself is formed only when ``SystemMatrices.a`` is
+read.  Each of these
 CSR results, and ``finalize``'s, is built by one helper, ``_by_rows``:
 row chunks of about ``dg_space.CHUNK`` entries of its operands, combined,
 filtered as by ``finalize`` and written once into arrays cut to size in
@@ -63,16 +71,29 @@ DROP_REL = 1e-14
 
 @dataclass
 class SystemMatrices:
-    """Assembled operators and their structural factors."""
+    """The assembled system, each stiffness entry held once: the mass
+    operator M and the 2 x 2 block [[B1, B2^T], [B2, B3]] that
+    A = I_2 kron block repeats.  M1, B1, B2 and B3 are not kept: an
+    export or a test that reads them assembles them (``assemble_mass``,
+    ``assemble_stiffness``)."""
 
-    m1: sparse.csr_matrix
-    b1: sparse.csr_matrix
-    b2: sparse.csr_matrix
-    b3: sparse.csr_matrix
     m: sparse.csr_matrix
-    a: sparse.csr_matrix
+    block: sparse.csr_matrix
     mu: float
     alpha: float
+
+    @property
+    def a(self) -> sparse.csr_matrix:
+        """A = I_2 kron block, built on each access and kept by no library
+        code: the block's arrays repeated, the second copy shifted by the
+        block's size in columns and by its nnz in the row pointers.
+        ``build_system`` reads the two copies from the block itself."""
+        block = self.block
+        n, nnz = block.shape[0], np.int64(block.nnz)
+        return sparse.csr_matrix((np.concatenate([block.data, block.data]),
+                                  np.concatenate([block.indices, block.indices + n]),
+                                  np.concatenate([block.indptr, block.indptr[1:] + nnz])),
+                                 shape=(2 * n, 2 * n))
 
 
 def finalize(matrix) -> sparse.csr_matrix:
@@ -276,11 +297,11 @@ def _stiffness_blocks(space: DGSpace, alpha: float):
 def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
     """Broken divergence operator with interior-penalty coupling.
 
-    Returns (B1, B2, B3, A): the scalar blocks of the vector-valued form,
-    assembled on the scalar dof layout, and A = I_2 kron [[B1, B2^T],
-    [B2, B3]].  The 2 x 2 block is stacked in row chunks from the CSR rows
-    [B1 | B2^T] and [B2 | B3] and filtered as by ``finalize``; A repeats
-    its arrays, the second diagonal copy shifted by 2 S columns.
+    Returns (B1, B2, B3, block): the scalar blocks of the vector-valued
+    form, assembled on the scalar dof layout, and the 2 x 2 block
+    [[B1, B2^T], [B2, B3]] that A = I_2 kron block repeats
+    (``SystemMatrices.a``).  The block is stacked in row chunks from the
+    CSR rows [B1 | B2^T] and [B2 | B3] and filtered as by ``finalize``.
     """
     b1, b2, b3 = _scatter(*_stiffness_blocks(space, alpha), space.scalar_dofs)
     b2t = b2.T.tocsr()
@@ -288,43 +309,53 @@ def assemble_stiffness(space: DGSpace, alpha: float = DEFAULT_ALPHA):
     pair = lambda left, right: sparse.hstack([left, right], format="csr")
     block = _by_rows([(0, (b1, b2t), pair), (n // 2, (b2, b3), pair)], (n, n),
                      b1.nnz + 2 * b2.nnz + b3.nnz)
-    nnz = np.int64(block.nnz)
-    a = sparse.csr_matrix((np.concatenate([block.data, block.data]),
-                           np.concatenate([block.indices, block.indices + n]),
-                           np.concatenate([block.indptr, block.indptr[1:] + nnz])),
-                          shape=(2 * n, 2 * n))
-    return b1, b2, b3, a
+    return b1, b2, b3, block
 
 
 def assemble_system(space: DGSpace, mu: float = 1.0,
                     alpha: float = DEFAULT_ALPHA) -> SystemMatrices:
-    m1, m = assemble_mass(space, mu)
-    b1, b2, b3, a = assemble_stiffness(space, alpha)
-    return SystemMatrices(m1=m1, b1=b1, b2=b2, b3=b3, m=m, a=a,
-                          mu=mu, alpha=alpha)
+    """M and the 2 x 2 block of A; M1 and B1-B3 are dropped once they are
+    combined."""
+    _, m = assemble_mass(space, mu)
+    *_, block = assemble_stiffness(space, alpha)
+    return SystemMatrices(m=m, block=block, mu=mu, alpha=alpha)
 
 
 def build_system(m: sparse.csr_matrix, a: sparse.csr_matrix, dt: float) -> sparse.csr_matrix:
     """Time-step operator M + dt * A; symmetric positive definite for dt > 0.
 
+    ``a`` is A itself, or the 2 x 2 block that A = I_2 kron block repeats,
+    told apart by its shape: half of M's.  The block's two diagonal copies
+    are read from the block's own arrays, so A is never formed; either way
+    A* has the same bits.
+
     Explicit stepping is excluded: the mass operator alone is singular.
-    The sum is formed in row chunks over views of M's and A's arrays (only
-    A's values are scaled, a chunk at a time) and filtered as by
-    ``finalize``; the result is its one operator-sized allocation.
+    The sum is formed in row chunks over views of M's and A's (or the
+    block's) arrays (only A's values are scaled, and the second copy's
+    columns shifted, a chunk at a time) and filtered as by ``finalize``;
+    the result is its one operator-sized allocation.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"time step dt must be positive and finite, got {dt!r}")
-    if m.shape != a.shape:
-        raise ValueError("M and A dimensions do not match")
+    n, k = m.shape[0], a.shape[0]
+    if a.shape != m.shape and (n % 2 or a.shape != (n // 2, n // 2)):
+        raise ValueError("A (or its 2 x 2 block) and M dimensions do not match")
     m, a = m.tocsr(), a.tocsr()
 
-    def summed(m_rows, a_rows):
-        a_rows.data = dt * a_rows.data  # a new array: A's data stay as they are
-        part = m_rows + a_rows
-        part.sum_duplicates()  # sorts the rows of non-canonical operands, as finalize does
-        return part
+    def summed(shift):
+        def combine(m_rows, a_rows):
+            a_rows.data = dt * a_rows.data  # a new array: A's data stay as they are
+            if shift:
+                a_rows.indices = a_rows.indices + shift
+            a_rows.resize(m_rows.shape)  # the block's rows widened to M's columns
+            part = m_rows + a_rows
+            part.sum_duplicates()  # sorts the rows of non-canonical operands, as finalize does
+            return part
+        return combine
 
-    return _by_rows([(0, (m, a), summed)], m.shape, m.nnz + a.nnz)
+    # A whole: one copy from row 0; the block: a copy from row 0 and one from row k
+    return _by_rows([(first, (_rows(m, first, first + k), a), summed(first))
+                     for first in range(0, n, k)], m.shape, m.nnz + n // k * a.nnz)
 
 
 def load_terms(space: DGSpace, data: ProblemData,
@@ -396,21 +427,26 @@ def assemble_rhs(space: DGSpace, data: ProblemData, t: float,
     return system.m @ sigma_prev + dt * f
 
 
-def export_matrices(system: SystemMatrices, outdir, dt: float | None = None) -> list[str]:
-    """Write the assembled operators in Matrix Market coordinate format.
+def export_matrices(space: DGSpace, outdir, dt: float | None = None, mu: float = 1.0,
+                    alpha: float = DEFAULT_ALPHA) -> list[str]:
+    """Assemble M1, B1, B2, B3, M and A on ``space`` and write them in
+    Matrix Market coordinate format.
 
     Returns the list of written file names.  When dt is given, the
-    time-step operator is exported as well.  scipy.io is imported here,
-    so that only an export loads it.
+    time-step operator is exported as well.  This is the one place that
+    keeps M1 and B1-B3 next to M and A.  scipy.io is imported here, so that
+    only an export loads it.
     """
     from scipy.io import mmwrite
 
+    m1, m = assemble_mass(space, mu)
+    b1, b2, b3, block = assemble_stiffness(space, alpha)
+    system = SystemMatrices(m=m, block=block, mu=mu, alpha=alpha)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    named = {"M1": system.m1, "B1": system.b1, "B2": system.b2,
-             "B3": system.b3, "M": system.m, "A": system.a}
+    named = {"M1": m1, "B1": b1, "B2": b2, "B3": b3, "M": m, "A": system.a}
     if dt is not None:
-        named["Astar"] = build_system(system.m, system.a, dt)
+        named["Astar"] = build_system(m, block, dt)
     written = []
     for name, mat in named.items():
         path = outdir / f"{name}.mtx"

@@ -381,6 +381,7 @@ def _cells(cfg, meshes, dts):
         system = assemble_system(space, mu, alpha)
         for i, dt in enumerate(dts):
             yield i, j, Operators(space, system, dt)
+        del space, system  # else both live on while the next mesh is assembled
 
 
 def _run_jobs(jobs, workers: int) -> None:
@@ -606,7 +607,7 @@ def run_export(cfg, dt):
     """
     label, mesh = next(_mesh_family(cfg))
     degree, alpha, mu = _discretization(cfg)
-    system = assemble_system(build_space(mesh, degree), mu, alpha)
     outdir = Path(cfg["output"]["path"]) / "matrices"
-    return label, outdir, export_matrices(system, outdir, dt=dt)
+    return label, outdir, export_matrices(build_space(mesh, degree), outdir, dt=dt, mu=mu,
+                                          alpha=alpha)
 

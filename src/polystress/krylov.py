@@ -549,7 +549,7 @@ def build_deflator(system: SystemMatrices, dt: float, astar=None) -> Deflator:
     the bits of every deflated iterate.  W = V^T A* V is summed from the
     row views of A* V."""
     if astar is None:
-        astar = build_system(system.m, system.a, dt)
+        astar = build_system(system.m, system.block, dt)
     astar = sparse.csr_matrix(astar)
     S = astar.shape[0] // 4
     held = int(np.count_nonzero(astar.indices < S) + np.count_nonzero(astar.indices >= 3 * S))
@@ -642,7 +642,7 @@ class Operators:
     _block_jacobi: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self, system, dt):
-        self.astar = build_system(system.m, system.a, dt)
+        self.astar = build_system(system.m, system.block, dt)
 
     @cached_property
     def deflator(self) -> Deflator:

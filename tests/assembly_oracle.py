@@ -42,14 +42,12 @@ The per-element views of a ``DGSpace`` (``basis_values``,
 Kronecker identity check ``kron_structure_check`` serve only the tests, so
 they live here rather than in the library.
 """
-import dataclasses
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import sympy as sp
 
-from polystress import FaceKind
+from polystress import FaceKind, assemble_mass, assemble_stiffness
 from polystress.assembly import _stiffness_blocks, finalize
 from polystress.mesh import _fan_cross_products, _shoelace
 from polystress.dg_space import (COMPONENTS, _cho_factor_stack, _cho_solve_stack, face_rules,
@@ -298,21 +296,23 @@ def stiffness(space, alpha):
     return finalize(R[:S, :S]), finalize(R[S:, :S]), finalize(R[S:, S:]), A
 
 
-def with_oracle_tensors(system, space):
-    """The system with M and A replaced by their tensor-path assembly, so
-    that ``kron_structure_check`` compares two independent assemblies."""
-    _, m = mass(space, system.mu)
-    *_, a = stiffness(space, system.alpha)
-    return dataclasses.replace(system, m=m, a=a)
+def oracle_tensors(space, mu, alpha):
+    """(M, A) from the tensor-path assembly, so that ``kron_structure_check``
+    compares two independent assemblies."""
+    _, m = mass(space, mu)
+    *_, a = stiffness(space, alpha)
+    return m, a
 
 
-def kron_structure_check(system) -> tuple[float, float]:
-    """Max deviations |M - K kron M1| and |A - I_2 kron [[B1,B2^T],[B2,B3]]|."""
-    kref = sparse.csr_matrix(deviatoric_factor() / system.mu)
-    dm = system.m - sparse.kron(kref, system.m1, format="csr")
-    block = sparse.bmat([[system.b1, system.b2.T], [system.b2, system.b3]],
-                        format="csr")
-    da = system.a - sparse.kron(sparse.eye(2), block, format="csr")
+def kron_structure_check(space, m, a, mu, alpha) -> tuple[float, float]:
+    """Max deviations |M - K kron M1| and |A - I_2 kron [[B1,B2^T],[B2,B3]]|,
+    with M1 and B1-B3 assembled by the library on ``space``."""
+    m1, _ = assemble_mass(space, mu)
+    b1, b2, b3, _ = assemble_stiffness(space, alpha)
+    kref = sparse.csr_matrix(deviatoric_factor() / mu)
+    dm = m - sparse.kron(kref, m1, format="csr")
+    block = sparse.bmat([[b1, b2.T], [b2, b3]], format="csr")
+    da = a - sparse.kron(sparse.eye(2), block, format="csr")
     dev_m = float(np.abs(dm.data).max()) if dm.nnz else 0.0
     dev_a = float(np.abs(da.data).max()) if da.nnz else 0.0
     return dev_m, dev_a

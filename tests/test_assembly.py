@@ -57,7 +57,7 @@ def test_deviatoric_factor_matches_display():
 
 def test_mass_on_cartesian_is_identity(sys22):
     space, system = sys22
-    m1 = system.m1.toarray()
+    m1 = assemble_mass(space, system.mu)[0].toarray()
     assert np.abs(m1 - np.eye(space.scalar_dofs)).max() < 1e-10
 
 
@@ -107,7 +107,7 @@ def test_stiffness_kernel_contains_stream_field(mesh22):
     # curl of the center-vertex hat function: divergence-free, continuous
     # normal trace, zero trace on the boundary, so A annihilates it
     space = build_space(mesh22, 1)
-    _, _, _, a = assemble_stiffness(space, alpha=10.0)
+    a = assemble_system(space, alpha=10.0).a
 
     def field(x, y):
         out = np.zeros((np.size(x), 2, 2))
@@ -133,7 +133,7 @@ def test_mass_kernel_dimension(sys22):
 def test_constant_tensor_in_kernel_all_dirichlet():
     mesh = classify_boundary(build_cartesian_mesh(2, 2), lambda p: False)
     space = build_space(mesh, 1)
-    _, _, _, a = assemble_stiffness(space, alpha=10.0)
+    a = assemble_system(space, alpha=10.0).a
 
     def identity_field(x, y):
         out = np.zeros((np.size(x), 2, 2))
@@ -181,29 +181,28 @@ def test_one_sided_consistency_breaks_symmetry(mesh22):
 
 def test_kron_structure_check(sys_poly):
     space, system = sys_poly
-    system = oracle.with_oracle_tensors(system, space)
-    dev_m, dev_a = oracle.kron_structure_check(system)
-    assert dev_m <= 1e-12 * np.abs(system.m.data).max()
-    assert dev_a <= 1e-12 * np.abs(system.a.data).max()
+    m, a = oracle.oracle_tensors(space, system.mu, system.alpha)
+    dev_m, dev_a = oracle.kron_structure_check(space, m, a, system.mu, system.alpha)
+    assert dev_m <= 1e-12 * np.abs(m.data).max()
+    assert dev_a <= 1e-12 * np.abs(a.data).max()
 
 
 def test_kron_structure_check_detects_perturbation(sys22):
-    _, system = sys22
+    space, system = sys22
     perturbed = system.m.copy().tolil()
     perturbed[0, 0] += 1e-6
-    import dataclasses
-    poke = dataclasses.replace(system, m=perturbed.tocsr())
-    dev_m, _ = oracle.kron_structure_check(poke)
+    dev_m, _ = oracle.kron_structure_check(space, perturbed.tocsr(), system.a, system.mu,
+                                           system.alpha)
     assert dev_m == pytest.approx(1e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("p", [1, 3])
 def test_kron_structure_all_degrees(mesh22, p):
     space = build_space(mesh22, p)
-    system = oracle.with_oracle_tensors(assemble_system(space, mu=2.0, alpha=10.0), space)
-    dev_m, dev_a = oracle.kron_structure_check(system)
-    assert dev_m <= 1e-12 * np.abs(system.m.data).max()
-    assert dev_a <= 1e-12 * np.abs(system.a.data).max()
+    m, a = oracle.oracle_tensors(space, 2.0, 10.0)
+    dev_m, dev_a = oracle.kron_structure_check(space, m, a, 2.0, 10.0)
+    assert dev_m <= 1e-12 * np.abs(m.data).max()
+    assert dev_a <= 1e-12 * np.abs(a.data).max()
 
 
 def test_build_system_validation(sys22):
@@ -212,6 +211,8 @@ def test_build_system_validation(sys22):
         build_system(system.m, system.a, 0.0)
     with pytest.raises(ValueError):
         build_system(system.m, system.a[:4, :4], 1e-3)
+    with pytest.raises(ValueError):  # neither A nor its 2 x 2 block
+        build_system(system.m, system.block[:-1, :-1], 1e-3)
     astar = build_system(system.m, system.a, 1e-4)
     asym = (astar - astar.T)
     assert (np.abs(asym.data).max() if asym.nnz else 0.0) <= 1e-12 * np.abs(astar.data).max()
@@ -318,12 +319,12 @@ def test_finalize_matches_coo_oracle(rng, shape, nnz):
 
 
 def test_export_matrices(tmp_path, sys22):
-    _, system = sys22
-    written = ps.export_matrices(system, tmp_path, dt=1e-3)
+    space, system = sys22
+    written = ps.export_matrices(space, tmp_path, dt=1e-3, mu=system.mu, alpha=system.alpha)
     assert sorted(written) == ["A.mtx", "Astar.mtx", "B1.mtx", "B2.mtx",
                                "B3.mtx", "M.mtx", "M1.mtx"]
     back = sparse.csr_matrix(mmread(tmp_path / "M1.mtx"))
-    assert np.abs((back - system.m1).toarray()).max() < 1e-15
+    assert np.abs((back - assemble_mass(space, system.mu)[0]).toarray()).max() < 1e-15
 
 
 # -- batched assembly against the element-by-element oracle ---------------------
@@ -344,8 +345,10 @@ def test_batched_assembly_matches_oracle(oracle_meshes, name, p):
     system = assemble_system(space, mu=1.0, alpha=10.0)
     m1, m = oracle.mass(space, 1.0)
     b1, b2, b3, a = oracle.stiffness(space, 10.0)
-    pairs = {"M1": (system.m1, m1), "B1": (system.b1, b1), "B2": (system.b2, b2),
-             "B3": (system.b3, b3), "M": (system.m, m), "A": (system.a, a)}
+    got_m1, _ = assemble_mass(space, 1.0)
+    got_b1, got_b2, got_b3, _ = assemble_stiffness(space, 10.0)
+    pairs = {"M1": (got_m1, m1), "B1": (got_b1, b1), "B2": (got_b2, b2),
+             "B3": (got_b3, b3), "M": (system.m, m), "A": (system.a, a)}
     data = trig_solution().data
     pairs["f"] = (functional_vector(space, data, 0.3, 10.0),
                   oracle.functional_vector(space, data, 0.3, 10.0))
@@ -367,8 +370,10 @@ def test_stiffness_matches_kron_oracle_bitwise(oracle_meshes, name, p):
     system = assemble_system(space, mu=1.0, alpha=10.0)
     m1, m = oracle.mass_kron(space, 1.0)
     b1, b2, b3, a = oracle.stiffness_kron(space, 10.0)
-    refs = {"M1": (system.m1, m1), "B1": (system.b1, b1), "B2": (system.b2, b2),
-            "B3": (system.b3, b3), "M": (system.m, m), "A": (system.a, a),
+    got_m1, _ = assemble_mass(space, 1.0)
+    got_b1, got_b2, got_b3, _ = assemble_stiffness(space, 10.0)
+    refs = {"M1": (got_m1, m1), "B1": (got_b1, b1), "B2": (got_b2, b2),
+            "B3": (got_b3, b3), "M": (system.m, m), "A": (system.a, a),
             "A*": (build_system(system.m, system.a, 1e-7), build_system(m, a, 1e-7))}
     for label, (got, ref) in refs.items():
         assert_same_csr(got, ref, label)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -269,6 +270,28 @@ def test_condition_table_raises_first_failure_in_serial_order(monkeypatch, cpus,
     assert err.value.args == raised
     assert drawn == [(0, i) for i in range(len(cpus))]
     assert table_threads() == []
+
+
+def test_cells_release_a_mesh_before_assembling_the_next(monkeypatch):
+    """On a two-mesh family (20x20 -> 100, 100) the first mesh's system is
+    gone by the time the second is assembled: ``_cells`` keeps neither its
+    space nor its system past the mesh's last cell."""
+    systems, alive = [], []
+
+    def assemble_system(*args):
+        alive.append([ref() is not None for ref in systems])
+        system = bench_assemble(*args)
+        systems.append(weakref.ref(system))
+        return system
+
+    bench_assemble = bench.assemble_system
+    monkeypatch.setattr(bench, "assemble_system", assemble_system)
+    cfg = load_config(None, {("mesh", "nx"): "20", ("mesh", "ny"): "20",
+                             ("mesh", "targets"): "100,100", ("discretization", "degree"): "3"})
+    meshes = build_meshes(cfg)
+    cells = [(i, j) for i, j, _ in bench._cells(cfg, meshes, (1e-7,))]
+    assert cells == [(0, 0), (0, 1)]
+    assert alive == [[], [False]]
 
 
 def test_condition_table_without_lu_of_astar(monkeypatch):

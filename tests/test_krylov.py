@@ -24,7 +24,7 @@ from polystress import (SolverConfig, agglomerate, build_block_jacobi,
                         build_cartesian_mesh, build_deflator, build_space,
                         build_system, cg, classify_boundary, deflated_cg,
                         estimate_condition_number, pcg)
-from polystress.assembly import assemble_system, export_matrices
+from polystress.assembly import assemble_stiffness, assemble_system, export_matrices
 from polystress import krylov
 from polystress.dg_space import _cho_factor_stack, _NotSPD
 from polystress.krylov import BlockFactorizationError, BlockJacobi
@@ -417,7 +417,8 @@ def test_deflator_kernel_and_coarse_identity(small_system, rng):
     defl = build_deflator(system, dt)
     y = rng.standard_normal(space.scalar_dofs)
     assert np.abs(system.m @ defl.v(y)).max() < 1e-12
-    ref = (dt / 2.0) * (system.b1 + system.b3)
+    b1, _, b3, _ = assemble_stiffness(space, system.alpha)
+    ref = (dt / 2.0) * (b1 + b3)
     diff = defl.coarse_matrix - ref
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12
     ev = sla.eigvalsh(defl.coarse_matrix.toarray())
@@ -959,8 +960,8 @@ def test_condition_number_requires_size_for_callable():
 # -- operator I/O ---------------------------------------------------------------
 
 def test_operator_round_trip(tmp_path, small_system):
-    _, system, astar = small_system
-    export_matrices(system, tmp_path, dt=1e-3)
+    space, system, astar = small_system
+    export_matrices(space, tmp_path, dt=1e-3, mu=system.mu, alpha=system.alpha)
     back = sparse.csr_matrix(mmread(tmp_path / "Astar.mtx"))
     assert np.abs((back - astar).toarray()).max() < 1e-15
 

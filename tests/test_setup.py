@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from polystress import (agglomerate, assemble_system, build_block_jacobi,
-                        build_cartesian_mesh, build_deflator, build_space, build_system,
-                        classify_boundary)
+from polystress import (agglomerate, assemble_mass, assemble_stiffness, assemble_system,
+                        build_block_jacobi, build_cartesian_mesh, build_deflator, build_space,
+                        build_system, classify_boundary)
 from polystress import assembly, dg_space, krylov
 from polystress.krylov import BlockFactorizationError
 
@@ -30,15 +30,24 @@ SMALL_CHUNK = 2048
 
 @pytest.fixture(scope="module")
 def systems(oracle_meshes):
-    """(space, system) at p = 3 on the oracle meshes and on the 100-element
-    mesh of the benchmark's tables."""
+    """(space, system, (M1, B1, B2, B3)) at p = 3 on the oracle meshes and on
+    the 100-element mesh of the benchmark's tables, at the default chunk;
+    the scalar blocks from ``assemble_mass`` and ``assemble_stiffness``,
+    since a system does not keep them."""
     base = classify_boundary(build_cartesian_mesh(20, 20), lambda p: p[0] > 1.0 - 1e-9)
     meshes = dict(oracle_meshes, **{"bench-100": agglomerate(base, 100, 1)})
     out = {}
     for name, mesh in meshes.items():
         space = build_space(mesh, 3)
-        out[name] = space, assemble_system(space)
+        out[name] = space, assemble_system(space), _scalar_blocks(space)
     return out
+
+
+def _scalar_blocks(space):
+    """(M1, B1, B2, B3) at mu = 1 and the default alpha."""
+    m1, _ = assemble_mass(space)
+    b1, b2, b3, _ = assemble_stiffness(space)
+    return m1, b1, b2, b3
 
 
 def _same(got, ref):
@@ -61,14 +70,19 @@ def _small_chunks(monkeypatch):
 def test_setup_builders_match_oneshot_oracles_bitwise(systems, name, split, small,
                                                       monkeypatch):
     """A*, W, the (A* V)^T products and both Block-Jacobi stacks, at every dt,
-    equal the one-shot builders' bit for bit; under the small chunk the
-    assembled operators equal those of the default chunk too."""
-    space, system = systems[name]
+    equal the one-shot builders' bit for bit, and A* from the 2 x 2 block
+    equals A* from A; A, built from the block, equals the ``kron`` oracle's.
+    Under the small chunk the assembled operators equal those of the
+    default chunk too."""
+    space, system, scalars = systems[name]
+    _same(system.a, oracle.stiffness_kron(space, system.alpha)[3])
     if small:
         _small_chunks(monkeypatch)
         again = assemble_system(space)
-        for key in ("m1", "b1", "b2", "b3", "m", "a"):
+        for key in ("m", "block"):
             _same(getattr(again, key), getattr(system, key))
+        for got, ref in zip(_scalar_blocks(space), scalars):
+            _same(got, ref)
     if split:
         monkeypatch.setattr(krylov, "SPLIT_NNZ", 0)
         monkeypatch.setattr(krylov.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -76,6 +90,7 @@ def test_setup_builders_match_oneshot_oracles_bitwise(systems, name, split, smal
     for dt in DTS:
         astar = build_system(system.m, system.a, dt)
         _same(astar, oracle.system_oneshot(system.m, system.a, dt))
+        _same(build_system(system.m, system.block, dt), astar)
         w, avt = oracle.deflator_tocsc(astar)
         try:
             deflator = build_deflator(None, None, astar)
@@ -110,18 +125,23 @@ def _traced(build):
 
 def test_setup_phases_hold_no_operator_sized_temporary(system225):
     """Each set-up phase holds, beyond its output, only chunk-sized
-    temporaries, and in assembly the value buffer of the stiffness blocks
-    and the 2 x 2 block that A repeats.  The one-shot builders exceed every
-    bound: at 225 elements
-    they read 22.2 MB beside 9.0 MB of output for ``assemble_system``,
-    12.0 beside 6.1 for ``build_system`` and 7.3 beside 7.4 for
-    ``build_deflator``, and 8.0 and 6.0 MB for the component and
-    collective Block-Jacobi with A* at 6.1 MB."""
+    temporaries, and in assembly the value buffer of the stiffness blocks,
+    the scatter's int32 pattern and the scalar blocks B1-B3 and M1, which
+    the system drops once they are combined.  Assembly is bounded by twice
+    the value buffer (9.4 MB at 225 elements), the other phases by their
+    output.  The one-shot builders exceed every bound: at 225 elements
+    they read 24.0 MB beside 3.8 MB of output for ``assemble_system``
+    (the chunked assembly 16.1), 12.0 beside 6.1 for ``build_system`` and
+    7.3 beside 7.4 for ``build_deflator``, and 8.0 and 6.0 MB for the
+    component and collective Block-Jacobi with A* at 6.1 MB."""
     space, system, astar = system225
     operator = astar.data.nbytes + astar.indices.nbytes
-    output, extra = _traced(lambda: assemble_system(space))
-    assert extra <= 2 * output, (extra, output)
-    output, extra = _traced(lambda: build_system(system.m, system.a, 1e-7))
+    _, values = assembly._stiffness_blocks(space, system.alpha)
+    buffer = values.nbytes
+    del values
+    _, extra = _traced(lambda: assemble_system(space))
+    assert extra <= 2 * buffer, (extra, buffer)
+    output, extra = _traced(lambda: build_system(system.m, system.block, 1e-7))
     assert extra <= 0.75 * output, (extra, output)
     output, extra = _traced(lambda: build_deflator(None, None, astar))
     assert extra <= 0.5 * output, (extra, output)
@@ -130,12 +150,31 @@ def test_setup_phases_hold_no_operator_sized_temporary(system225):
         assert extra <= 0.5 * operator, (layout, extra, operator)
 
 
+def _nbytes(matrix) -> int:
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+#: what a system may hold beyond the arrays of M and the block: the
+#: dataclass, the two scipy matrices and their attribute dicts
+RETAINED_SLACK = 64 * 1024
+
+
+def test_assembled_system_keeps_each_stiffness_entry_once(systems):
+    """``assemble_system`` leaves allocated no more than M and the 2 x 2
+    block: not A, which repeats the block, and not M1 or B1-B3 (at
+    20x20 -> 100, p = 3: 1.54 MB of M and block, where keeping A, M1 and
+    B1-B3 as well held 3.81 MB)."""
+    space, system, _ = systems["bench-100"]
+    retained, _ = _traced(lambda: assemble_system(space))
+    assert retained <= _nbytes(system.m) + _nbytes(system.block) + RETAINED_SLACK
+
+
 def test_the_one_chunk_binding_cuts_every_builder(systems, monkeypatch):
     """``dg_space.CHUNK`` alone sets the chunk of the assembly and krylov
     builders: under the small chunk the bench-100 A* is cut into many row
     ranges, and its Block-Jacobi stack is gathered in as many chunks."""
-    space, system = systems["bench-100"]
-    astar = build_system(system.m, system.a, 1e-7)
+    space, system, _ = systems["bench-100"]
+    astar = build_system(system.m, system.block, 1e-7)
     assert len(assembly._row_ranges(astar.indptr)) < 10
     _small_chunks(monkeypatch)
     assert len(assembly._row_ranges(astar.indptr)) >= astar.nnz // SMALL_CHUNK > 100
